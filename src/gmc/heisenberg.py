@@ -426,47 +426,42 @@ def _tail_negligible(phi: CoefficientVector, N: int, tol: float = 1e-14) -> bool
 # --------------------------------------------------------------------------
 
 
-def _apply_generator_sparse(letter: int, values: dict[int, complex]) -> dict[int, complex]:
-    """One generator applied to a sparse {index: coefficient} Hermite expansion.
+def _algebra_at(d: UEAElement, phi: CoefficientVector, ks: np.ndarray) -> np.ndarray:
+    """(pi(d) phi)_k for an index array ks, exact in the stored/tail coefficients.
 
-    pi(P) h_j = sqrt(pi) (sqrt(j) h_{j-1} - sqrt(j+1) h_{j+1})
-    pi(Q) h_j = i sqrt(pi) (sqrt(j) h_{j-1} + sqrt(j+1) h_{j+1})
-    pi(Z) h_j = 2 pi i h_j
+    Each generator is pulled back to its input at neighbouring indices,
+
+    (pi(P) v)_k = sqrt(pi) (sqrt(k+1) v_{k+1} - sqrt(k) v_{k-1})
+    (pi(Q) v)_k = i sqrt(pi) (sqrt(k+1) v_{k+1} + sqrt(k) v_{k-1})
+    (pi(Z) v)_k = 2 pi i v_k,
+
+    so the result is sum_o w_o(k) phi_{k+o} over offsets |o| <= degree, with
+    phi read once per offset. The clipped square roots vanish below index 0.
     """
-    out: dict[int, complex] = {}
-    for j, v in values.items():
-        if letter == 2:
-            out[j] = out.get(j, 0j) + 2j * math.pi * v
-            continue
-        lower = SQRT_PI * math.sqrt(j) * v
-        upper = SQRT_PI * math.sqrt(j + 1) * v
-        if letter == 1:
-            lower, upper = 1j * lower, 1j * upper
-        else:
-            upper = -upper
-        if j >= 1:
-            out[j - 1] = out.get(j - 1, 0j) + lower
-        out[j + 1] = out.get(j + 1, 0j) + upper
-    return out
-
-
-def _algebra_window(d: UEAElement, phi: CoefficientVector, lo: int, hi: int) -> np.ndarray:
-    """(pi(d) phi)_k for k in lo..hi, exact in the stored/tail coefficients."""
-    deg = d.degree
-    src_lo, src_hi = max(0, lo - deg), hi + deg
-    sparse = {
-        j: phi.coeff(j)
-        for j in range(src_lo, src_hi + 1)
-        if phi.coeff(j) != 0
-    }
-    acc: dict[int, complex] = {}
+    weights: dict[int, np.ndarray | complex] = {}
     for word, c in monomial_words(d):
-        cur = sparse
-        for letter in reversed(word):
-            cur = _apply_generator_sparse(letter, cur)
-        for j, v in cur.items():
-            acc[j] = acc.get(j, 0j) + c * v
-    return np.array([acc.get(k, 0j) for k in range(lo, hi + 1)], dtype=np.complex128)
+        cur = {0: complex(c)}
+        for letter in word:  # the leftmost letter acts last, so it is pulled back first
+            nxt = {}
+            for o, w in cur.items():
+                if letter == 2:
+                    nxt[o] = nxt.get(o, 0j) + 2j * math.pi * w
+                    continue
+                up = SQRT_PI * np.sqrt(np.maximum(ks + o + 1, 0)) * w
+                down = SQRT_PI * np.sqrt(np.maximum(ks + o, 0)) * w
+                if letter == 1:
+                    up, down = 1j * up, 1j * down
+                else:
+                    down = -down
+                nxt[o + 1] = nxt.get(o + 1, 0j) + up
+                nxt[o - 1] = nxt.get(o - 1, 0j) + down
+            cur = nxt
+        for o, w in cur.items():
+            weights[o] = weights.get(o, 0j) + w
+    out = np.zeros(ks.shape, dtype=np.complex128)
+    for o, w in weights.items():
+        out += w * phi.coeffs(ks + o)
+    return out
 
 
 def _algebra_envelope(d: UEAElement, env: GrowthEnvelope) -> GrowthEnvelope:
@@ -492,10 +487,10 @@ def act_algebra(d: UEAElement, phi: HermiteVector) -> HermiteVector:
         raise PreconditionError("expected an element over the (P, Q, Z) basis")
     deg = d.degree
     out_len = phi.stop + deg
-    prefix = _algebra_window(d, phi, 0, out_len - 1)
+    prefix = _algebra_at(d, phi, np.arange(out_len))
     tail = phi.tail
     if not tail.is_zero:
-        tail = Tail.closure(lambda k, _d=d, _phi=phi: complex(_algebra_window(_d, _phi, k, k)[0]))
+        tail = Tail.closure(lambda k: _algebra_at(d, phi, k))
     envelope = _algebra_envelope(d, phi.envelope)
     ladder_steps = max(
         (alpha[0] + alpha[1] for alpha, _ in d.sorted_terms()), default=0
@@ -766,7 +761,7 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
     prefix = phi.prefix / (ks + 1.5) ** m
     tail = phi.tail
     if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=phi.tail, _m=m: _b(k) / (k + 1.5) ** _m)
+        tail = Tail.closure(lambda k, _b=phi.tail.fn: _b(k) / (k + 1.5) ** m)
     envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders)
     u = CoefficientVector(
         phi.domain, phi.start, prefix, envelope, GrowthClass.SQUARE_SUMMABLE, tail

@@ -196,10 +196,12 @@ class TorusTestFunction:
         return self._scaled(np.exp(2j * np.pi * ns * s))
 
     def left_derive(self, d: UEAElement) -> "TorusTestFunction":
-        return self._scaled(_spectral_factors(d, self.bandwidth, sign=-1.0))
+        ns = np.arange(-self.bandwidth, self.bandwidth + 1)
+        return self._scaled(_spectral_factors(d, ns, sign=-1.0))
 
     def right_derive(self, d: UEAElement) -> "TorusTestFunction":
-        return self._scaled(_spectral_factors(d, self.bandwidth, sign=+1.0))
+        ns = np.arange(-self.bandwidth, self.bandwidth + 1)
+        return self._scaled(_spectral_factors(d, ns, sign=+1.0))
 
     def __add__(self, other: "TorusTestFunction") -> "TorusTestFunction":
         B = max(self.bandwidth, other.bandwidth)
@@ -233,13 +235,12 @@ def band(B: int, profile: str | Sequence[complex] = "ones") -> TorusTestFunction
     return TorusTestFunction(coeffs)
 
 
-def _spectral_factors(d: UEAElement, B: int, sign: float) -> np.ndarray:
-    """Band factors of L(D) (sign=-1) or R(D) (sign=+1): sum_m c_m (sign 2 pi i n)^m."""
+def _spectral_factors(d: UEAElement, ns: np.ndarray, sign: float) -> np.ndarray:
+    """Factors of L(D) (sign=-1) or R(D) (sign=+1) at frequencies ns: sum_m c_m (sign 2 pi i n)^m."""
     if d.structure.labels != TORUS_STRUCTURE.labels:
         raise PreconditionError("expected an element over the 1-generator torus basis")
-    ns = np.arange(-B, B + 1)
     z = sign * 2j * np.pi * ns
-    out = np.zeros(2 * B + 1, dtype=np.complex128)
+    out = np.zeros(len(ns), dtype=np.complex128)
     for alpha, c in d.sorted_terms():
         out += c * z ** alpha[0]
     return out
@@ -257,8 +258,7 @@ def act_group(t: float, a: TorusSequence, **_ignored) -> TorusSequence:
     prefix = a.prefix * np.exp(2j * np.pi * ns * t)
     tail = a.tail
     if not tail.is_zero:
-        base = tail
-        tail = Tail.closure(lambda k, _b=base, _t=t: _b(k) * np.exp(2j * np.pi * k * _t))
+        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) * np.exp(2j * np.pi * k * t))
     return CoefficientVector(a.domain, a.start, prefix, a.envelope, a.growth, tail)
 
 
@@ -270,27 +270,14 @@ def dual_act_group(t: float, b: TorusSequence, **_ignored) -> TorusSequence:
 def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
     _require_torus(a)
-    B_needed = a.stop - 1
     ns = np.arange(a.start, a.stop)
-    z = 2j * np.pi * ns
-    factors = np.zeros(len(ns), dtype=np.complex128)
-    coeff_l1 = 0.0
-    deg = 0
-    for alpha, c in d.sorted_terms():
-        factors += c * z ** alpha[0]
-        coeff_l1 += abs(c) * TWO_PI ** alpha[0]
-        deg = max(deg, alpha[0])
-    prefix = a.prefix * factors
+    prefix = a.prefix * _spectral_factors(d, ns, sign=+1.0)
+    coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
+    deg = max((alpha[0] for alpha, _ in d.sorted_terms()), default=0)
 
     tail = a.tail
     if not tail.is_zero:
-        terms = list(d.sorted_terms())
-
-        def tail_fn(k, _b=a.tail, _terms=terms):
-            zk = 2j * np.pi * k
-            return _b(k) * sum(c * zk ** alpha[0] for alpha, c in _terms)
-
-        tail = Tail.closure(tail_fn)
+        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) * _spectral_factors(d, k, sign=+1.0))
 
     if deg == 0:
         envelope = GrowthEnvelope(
@@ -357,11 +344,13 @@ def dominated_sequence_check(
     """Residuals |gmc_eval(a, b_m, f) - gmc_eval(a, b, f)| under a common envelope."""
     env = envelope if envelope is not None else b.envelope
     for m, bm in enumerate(b_list):
-        for k in range(bm.start, bm.stop):
-            if abs(bm.coeff(k)) > env.bound(k) * (1 + 1e-9):
-                raise PreconditionError(
-                    f"sequence #{m} violates the common envelope at index {k}"
-                )
+        ks = np.arange(bm.start, bm.stop)
+        bounds = env.constant * (1.0 + np.abs(ks)) ** env.degree
+        bad = np.nonzero(np.abs(bm.prefix) > bounds * (1 + 1e-9))[0]
+        if len(bad):
+            raise PreconditionError(
+                f"sequence #{m} violates the common envelope at index {int(ks[bad[0]])}"
+            )
     base = gmc_eval(a, b, f)
     return [abs(gmc_eval(a, bm, f) - base) for bm in b_list]
 
@@ -382,7 +371,7 @@ def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
     prefix = a.prefix / (1.0 + ns.astype(float) ** 2) ** m
     tail = a.tail
     if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail, _m=m: _b(k) / (1.0 + float(k) ** 2) ** _m)
+        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) / (1.0 + k.astype(float) ** 2) ** m)
     envelope = GrowthEnvelope(
         a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders
     )
@@ -395,12 +384,14 @@ def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
 def project_subrep(a: TorusSequence, keep: Callable[[int], bool]) -> TorusSequence:
     """Zero all coefficients outside the index predicate; commutes with actions."""
     _require_torus(a)
-    ns = np.arange(a.start, a.stop)
-    mask = np.array([bool(keep(int(n))) for n in ns])
-    prefix = np.where(mask, a.prefix, 0j)
+
+    def kept(ks: np.ndarray) -> np.ndarray:
+        return np.array([bool(keep(int(n))) for n in ks], dtype=bool)
+
+    prefix = np.where(kept(np.arange(a.start, a.stop)), a.prefix, 0j)
     tail = a.tail
     if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail, _keep=keep: _b(k) if _keep(k) else 0j)
+        tail = Tail.closure(lambda k, _b=a.tail.fn: np.where(kept(k), _b(k), 0j))
     return CoefficientVector(a.domain, a.start, prefix, a.envelope, a.growth, tail)
 
 

@@ -5,8 +5,12 @@ optional formula tail, together with a growth envelope |c_k| <= C (1+|k|)^r.
 Rapid-decay vectors play the role of smooth vectors, polynomial-growth vectors
 the role of distribution vectors, and square-summable vectors sit in between.
 
-The pairing is bilinear: pair(phi, v) = sum_k phi_k v_k, summed in a fixed
-index order with compensated summation and an envelope-driven adaptive cutoff.
+Tails are array-valued: a formula maps an int64 index array to a complex128
+array, so reading a range of coefficients is one prefix slice plus one tail call.
+
+The pairing is bilinear: pair(phi, v) = sum_k phi_k v_k, one product array
+summed with math.fsum on its real and imaginary parts (correctly rounded, so
+independent of the order) under an envelope-driven adaptive cutoff.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     EnvelopeViolation,
     PreconditionError,
+    SpecParseError,
     UnpairedDistributions,
 )
 
@@ -62,46 +67,52 @@ class GrowthEnvelope:
 
 
 # --- formula tails ---------------------------------------------------------
+# Each factory returns fn(k) for an int64 index array k, giving a complex128 array.
 
-def _tail_const(value: float = 1.0) -> Callable[[int], complex]:
-    return lambda k: complex(value)
-
-
-def _tail_geometric(ratio: float) -> Callable[[int], complex]:
-    return lambda k: complex(ratio ** abs(k))
+TailFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _tail_power(exponent: float) -> Callable[[int], complex]:
-    def fn(k: int) -> complex:
-        if k == 0:
-            return complex(1.0 if exponent == 0 else 0.0)
-        return complex(float(k) ** exponent) if k > 0 or exponent == int(exponent) else complex(abs(k) ** exponent)
+def _tail_const(value: float = 1.0) -> TailFn:
+    return lambda k: np.full(k.shape, complex(value))
+
+
+def _tail_geometric(ratio: float) -> TailFn:
+    return lambda k: (ratio ** np.abs(k).astype(float)).astype(np.complex128)
+
+
+def _tail_power(exponent: float) -> TailFn:
+    def fn(k: np.ndarray) -> np.ndarray:
+        kf = k.astype(float)
+        base = kf if exponent == int(exponent) else np.abs(kf)
+        with np.errstate(divide="ignore"):
+            vals = base**exponent
+        return np.where(k == 0, 1.0 if exponent == 0 else 0.0, vals).astype(np.complex128)
 
     return fn
 
 
-def _tail_shifted_power(exponent: float) -> Callable[[int], complex]:
-    return lambda k: complex((1.0 + abs(k)) ** exponent)
+def _tail_shifted_power(exponent: float) -> TailFn:
+    return lambda k: ((1.0 + np.abs(k)) ** exponent).astype(np.complex128)
 
 
-def _tail_inv_quadratic(power: int) -> Callable[[int], complex]:
-    return lambda k: complex((1.0 + k * k) ** (-power))
+def _tail_inv_quadratic(power: int) -> TailFn:
+    return lambda k: ((1.0 + k.astype(float) ** 2) ** (-power)).astype(np.complex128)
 
 
-def _tail_hermite_zero() -> Callable[[int], complex]:
-    from .hermite import hermite_at_zero_single
+def _tail_hermite_zero() -> TailFn:
+    from .hermite import hermite_at_zero_values
 
-    return lambda k: complex(hermite_at_zero_single(k))
+    return lambda k: hermite_at_zero_values(k).astype(np.complex128)
 
 
-TAIL_FORMULAS: Mapping[str, Callable[..., Callable[[int], complex]]] = {
+TAIL_FORMULAS: Mapping[str, Callable[..., TailFn]] = {
     "const": _tail_const,
     "geometric": _tail_geometric,
     "power": _tail_power,
     "shifted_power": _tail_shifted_power,
     "inv_quadratic": _tail_inv_quadratic,
     "hermite_zero": _tail_hermite_zero,
-    "alternating": lambda: (lambda k: complex((-1.0) ** k)),
+    "alternating": lambda: (lambda k: np.where(k % 2 == 0, 1.0, -1.0).astype(np.complex128)),
 }
 
 
@@ -111,7 +122,7 @@ class Tail:
 
     name: str = "zero"
     params: tuple = ()
-    fn: Optional[Callable[[int], complex]] = None
+    fn: Optional[TailFn] = None
 
     @staticmethod
     def zero() -> "Tail":
@@ -124,16 +135,13 @@ class Tail:
         return Tail(name, tuple(params), TAIL_FORMULAS[name](*params))
 
     @staticmethod
-    def closure(fn: Callable[[int], complex]) -> "Tail":
-        """Non-serializable tail produced by an operation."""
+    def closure(fn: TailFn) -> "Tail":
+        """Non-serializable tail produced by an operation; fn maps index arrays."""
         return Tail("derived", (), fn)
 
     @property
     def is_zero(self) -> bool:
         return self.fn is None
-
-    def __call__(self, k: int) -> complex:
-        return 0j if self.fn is None else complex(self.fn(k))
 
 
 ZERO_TAIL = Tail.zero()
@@ -180,20 +188,26 @@ class CoefficientVector:
         return self.start + len(self.prefix)
 
     def coeff(self, k: int) -> complex:
-        if self.domain is IndexDomain.NATURALS and k < 0:
-            return 0j
-        if self.start <= k < self.stop:
-            return complex(self.prefix[k - self.start])
-        return self.tail(k)
+        return complex(self.coeffs(np.array([k]))[0])
 
-    def coeffs(self, indices: Iterable[int]) -> np.ndarray:
-        return np.array([self.coeff(k) for k in indices], dtype=np.complex128)
+    def coeffs(self, indices) -> np.ndarray:
+        """Coefficients at an index array: stored ones from the prefix, the rest
+        from one tail call."""
+        ks = np.asarray(indices, dtype=np.int64)
+        out = np.zeros(ks.shape, dtype=np.complex128)
+        stored = (ks >= self.start) & (ks < self.stop)
+        out[stored] = self.prefix[ks[stored] - self.start]
+        if not self.tail.is_zero:
+            rest = ~stored
+            if self.domain is IndexDomain.NATURALS:
+                rest &= ks >= 0
+            if rest.any():
+                out[rest] = self.tail.fn(ks[rest])
+        return out
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients for indices lo..hi inclusive."""
-        if lo >= self.start and hi < self.stop:
-            return self.prefix[lo - self.start : hi - self.start + 1].copy()
-        return self.coeffs(range(lo, hi + 1))
+        return self.coeffs(np.arange(lo, hi + 1))
 
     @property
     def finite_support(self) -> bool:
@@ -207,15 +221,8 @@ class CoefficientVector:
             out.append(float(np.sum(np.abs(self.coeffs(idx)) ** 2)))
         return out
 
-    def _range(self, m: int) -> range:
-        if self.domain is IndexDomain.INTEGERS:
-            return range(-m, m + 1)
-        return range(0, m + 1)
-
-    def cauchy_defect(self, m0: int, m1: int) -> float:
-        """|partial L2 sum at m1 minus at m0| for the square-summable check."""
-        a, b = self.norm_sq_partial([m0, m1])
-        return abs(b - a)
+    def _range(self, m: int) -> np.ndarray:
+        return np.arange(-m if self.domain is IndexDomain.INTEGERS else 0, m + 1)
 
     def l2_tail_bound(self, extent: int) -> float:
         """Envelope-certified bound on sum of |c_k|^2 beyond the extent.
@@ -262,20 +269,24 @@ class CoefficientVector:
 
     @staticmethod
     def from_json(payload: Mapping) -> "CoefficientVector":
-        tail_spec = payload.get("tail", {"name": "zero", "params": []})
-        if tail_spec["name"] == "zero":
-            tail = ZERO_TAIL
-        else:
-            tail = Tail.formula(tail_spec["name"], *tail_spec.get("params", []))
-        env = payload["envelope"]
-        return CoefficientVector(
-            domain=IndexDomain(payload["index_domain"]),
-            start=int(payload["start"]),
-            prefix=np.array([complex(re, im) for re, im in payload["coefficients"]]),
-            envelope=GrowthEnvelope(env["constant"], env["degree"], env.get("all_orders", False)),
-            growth=GrowthClass(payload["growth"]),
-            tail=tail,
-        )
+        """Inverse of to_json; a missing or malformed key raises SpecParseError."""
+        try:
+            tail_spec = payload.get("tail", {"name": "zero", "params": []})
+            if tail_spec["name"] == "zero":
+                tail = ZERO_TAIL
+            else:
+                tail = Tail.formula(tail_spec["name"], *tail_spec.get("params", []))
+            env = payload["envelope"]
+            return CoefficientVector(
+                domain=IndexDomain(payload["index_domain"]),
+                start=int(payload["start"]),
+                prefix=np.array([complex(re, im) for re, im in payload["coefficients"]]),
+                envelope=GrowthEnvelope(env["constant"], env["degree"], env.get("all_orders", False)),
+                growth=GrowthClass(payload["growth"]),
+                tail=tail,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecParseError(f"malformed vector payload: {exc!r}") from None
 
 
 class UnsupportedOperationTail(PreconditionError):
@@ -327,44 +338,38 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float, probe_extent:
     """
     if not vec.envelope.all_orders:
         raise PreconditionError("only all-orders envelopes may be steepened")
-    best = 1e-300
-    for k in range(vec.start, vec.stop):
-        best = max(best, abs(vec.coeff(k)) / (1.0 + abs(k)) ** target_degree)
+    ks = np.arange(vec.start, vec.stop)
     if not vec.finite_support:
         lo = max(abs(vec.start), abs(vec.stop - 1), 1)
-        probes = set()
-        step = max(1, lo // 8)
-        for k in range(lo, min(probe_extent, 8 * lo) + 1, step):
-            probes.add(k)
-            if vec.domain is IndexDomain.INTEGERS:
-                probes.add(-k)
-        for k in sorted(probes):
-            best = max(best, abs(vec.coeff(k)) / (1.0 + abs(k)) ** target_degree)
+        probes = np.arange(lo, min(probe_extent, 8 * lo) + 1, max(1, lo // 8))
+        if vec.domain is IndexDomain.INTEGERS:
+            probes = np.concatenate([probes, -probes])
+        ks = np.concatenate([ks, probes])
+    ratios = np.abs(vec.coeffs(ks)) / (1.0 + np.abs(ks)) ** target_degree
+    best = float(np.max(ratios, initial=1e-300))
     return GrowthEnvelope(best * (1 + 1e-9), target_degree, True)
 
 
 # --- pairing ----------------------------------------------------------------
 
 
-def _interleaved(domain: IndexDomain, m: int) -> list[int]:
-    """Fixed summation order: 0, 1, -1, 2, -2, ... truncated to extent m."""
+def _interleaved(domain: IndexDomain, m: int) -> np.ndarray:
+    """Fixed index order: 0, 1, -1, 2, -2, ... truncated to extent m."""
     if domain is IndexDomain.NATURALS:
-        return list(range(0, m + 1))
-    order = [0]
-    for k in range(1, m + 1):
-        order.extend((k, -k))
+        return np.arange(0, m + 1)
+    order = np.zeros(2 * m + 1, dtype=np.int64)
+    order[1::2] = np.arange(1, m + 1)
+    order[2::2] = -order[1::2]
     return order
 
 
 def _kahan(values: Iterable[complex]) -> complex:
-    total = 0j
-    comp = 0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    """Correctly rounded sum: math.fsum of the real and of the imaginary parts.
+
+    Exact rounding makes the result independent of the summation order.
+    """
+    z = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=np.complex128)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
 def _tail_integral_bound(constant: float, s: float, extent: int, two_sided: bool) -> float:
@@ -405,7 +410,7 @@ def pair(
         else:
             extent = max(abs(v.start), abs(v.stop - 1), 0)
         order = _interleaved(phi.domain, extent)
-        return _kahan(phi.coeff(k) * v.coeff(k) for k in order)
+        return _kahan(phi.coeffs(order) * v.coeffs(order))
 
     env_phi, env_v = phi.envelope, v.envelope
     s = env_phi.degree + env_v.degree
@@ -433,11 +438,7 @@ def pair(
                 _tail_integral_bound(constant, s, extent // 2, two_sided),
             )
     order = _interleaved(phi.domain, extent)
-    return _kahan(phi.coeff(k) * v.coeff(k) for k in order)
-
-
-def max_extent_of(*vecs: CoefficientVector) -> int:
-    return max(max(abs(v.start), abs(v.stop - 1)) for v in vecs)
+    return _kahan(phi.coeffs(order) * v.coeffs(order))
 
 
 # --- rapid-decay diagnostics -------------------------------------------------
@@ -446,21 +447,14 @@ def max_extent_of(*vecs: CoefficientVector) -> int:
 def fitted_decay_exponent(vec: CoefficientVector, floor: float = 1e-13) -> float:
     """Least-squares slope of log|c_k| against log(1+|k|) over the stored prefix.
 
-    Entries below the noise floor are excluded; returns +inf when fewer than
-    three usable points remain (an effectively finitely supported vector).
+    Entries below the noise floor are excluded; returns -inf when fewer than
+    three usable points remain: an effectively finitely supported vector
+    decays faster than any power.
     """
-    ks, vals = [], []
-    for k in range(vec.start, vec.stop):
-        a = abs(vec.coeff(k))
-        if a > floor and abs(k) >= 1:
-            ks.append(math.log1p(abs(k)))
-            vals.append(math.log(a))
-    if len(ks) < 3:
+    ks = np.abs(np.arange(vec.start, vec.stop))
+    mags = np.abs(vec.prefix)
+    usable = (mags > floor) & (ks >= 1)
+    if np.count_nonzero(usable) < 3:
         return -math.inf
-    slope = np.polyfit(np.array(ks), np.array(vals), 1)[0]
+    slope = np.polyfit(np.log1p(ks[usable]), np.log(mags[usable]), 1)[0]
     return float(slope)
-
-
-def rapid_decay_certificate(vec: CoefficientVector, required_degree: float, floor: float = 1e-13) -> bool:
-    """True when the fitted tail exponent is at least as steep as -required_degree."""
-    return fitted_decay_exponent(vec, floor) <= -abs(required_degree)

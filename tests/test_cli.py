@@ -1,11 +1,14 @@
 """CLI contract: CSV schemas, exit codes, determinism."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import gmc
 from gmc.cli import main
 
 
@@ -90,6 +93,18 @@ def test_wigner_grid_contains_origin_unit_value():
     assert code == 0
     _, rows = _parse_csv(stdout)
     assert abs(rows[0][4] - 1.0) < 1e-12
+
+
+def test_wigner_json_vector_missing_key_exits_2(tmp_path):
+    from gmc import heisenberg as hb
+
+    payload = hb.unit_vector(0).to_json()
+    del payload["envelope"]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli("wigner", f"json:{path}", "e:0", "--grid", "0:0:1,0:0:1")
+    assert code == 2
+    assert "envelope" in err
 
 
 def test_wigner_distribution_requires_mollify():
@@ -289,13 +304,17 @@ def test_verify_report_determinism():
 
 
 def test_entry_point_subprocess(tmp_path):
-    # the console path: python -m gmc.cli behaves identically
+    # the console path: python -m gmc.cli behaves identically; the child
+    # imports the same gmc as this process, however pytest found it
     out = tmp_path / "x.csv"
+    src = str(Path(gmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gmc.cli", "torus-series", "comb", "band:2:ones",
          "--m-max", "3", "--output", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("m,partial_sum_re")

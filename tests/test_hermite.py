@@ -6,6 +6,7 @@ import numpy as np
 from gmc.hermite import (
     hermite_at_zero,
     hermite_at_zero_single,
+    hermite_at_zero_values,
     hermite_functions,
     hermite_scaled,
     hermite_series_value,
@@ -54,6 +55,14 @@ def test_single_value_formula_matches_recurrence():
     table = hermite_at_zero(300)
     for k in (0, 1, 2, 17, 100, 255, 300):
         assert abs(hermite_at_zero_single(k) - table[k]) < 1e-12
+
+
+def test_array_values_at_zero_match_recurrence_to_high_index():
+    table = hermite_at_zero(4000)
+    got = hermite_at_zero_values(np.arange(4001))
+    assert np.all(got[1::2] == 0)
+    np.testing.assert_allclose(got[:301], table[:301], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got, table, rtol=1e-11, atol=0)
 
 
 def test_scaled_values_are_gaussian_free():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc import torus as tr
-from gmc.errors import PreconditionError
+from gmc.errors import BudgetExceeded, PreconditionError
 from gmc.vectors import GrowthClass, fitted_decay_exponent, pair
 
 
@@ -61,9 +61,34 @@ def test_make_jn_rejects_zero_index():
 
 
 def test_torus_pushforward_unit_mean():
-    f = mo.standard_mollifier(tr.TORUS, n=2, radius=0.25)
-    assert abs(f.fhat(0) - 1.0) < 1e-12
-    assert f.real_valued
+    for radius in (0.15, 0.25, 0.45):
+        for n in (1, 2, 4, 16, 64):
+            f = mo.standard_mollifier(tr.TORUS, n=n, radius=radius)
+            assert abs(f.fhat(0) - 1.0) <= 1e-13
+            assert f.real_valued
+
+
+def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
+    # fhat(m) = jhat(m/n) for the unit-scale profile; QAWO handles the oscillation
+    prof = mo.BumpProfile.standard(0.25)
+    n = 64
+    f = mo.push_forward(mo.make_jn(prof, n, 1), tr.TORUS)
+    B = f.bandwidth
+    assert abs(f.fhat(B)) >= 1e-14 > abs(f.fhat(B + 1))
+    for m in (0, B // 2, B - 40, B):
+        oracle = 2.0 * quad(
+            lambda u: prof(np.array([u]))[0], 0.0, prof.radius,
+            weight="cos", wvar=2.0 * math.pi * m / n, epsabs=1e-16, limit=400,
+        )[0]
+        assert abs(f.fhat(m) - oracle) < 1e-12
+
+
+def test_torus_pushforward_sample_cap(monkeypatch):
+    prof = mo.BumpProfile.standard(0.25)
+    monkeypatch.setattr(mo, "_FFT_SAMPLE_CAP", 1 << 14)
+    mo.push_forward(mo.make_jn(prof, 4, 1), tr.TORUS)
+    with pytest.raises(BudgetExceeded):
+        mo.push_forward(mo.make_jn(prof, 64, 1), tr.TORUS)
 
 
 def test_torus_pushforward_matches_direct_transform():

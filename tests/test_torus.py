@@ -249,7 +249,7 @@ def test_dominated_envelope_violation_names_offender():
     bad = vector_from_prefix(
         IndexDomain.INTEGERS, 0, np.array([50.0]), GrowthClass.POLYNOMIAL_GROWTH, degree=0.0
     )
-    with pytest.raises(PreconditionError, match="#1"):
+    with pytest.raises(PreconditionError, match="#1 .* at index 0"):
         tr.dominated_sequence_check(
             tr.comb(), [good, bad], good, f, envelope=GrowthEnvelope(1.0, 0.0)
         )

@@ -11,6 +11,7 @@ from gmc.errors import (
     BudgetExceeded,
     EnvelopeViolation,
     PreconditionError,
+    SpecParseError,
     UnpairedDistributions,
 )
 from gmc.vectors import (
@@ -25,6 +26,7 @@ from gmc.vectors import (
     vector_from_prefix,
 )
 from gmc import torus as tr
+from gmc.hermite import hermite_at_zero
 
 
 def test_envelope_rejects_nonpositive_constant():
@@ -197,3 +199,136 @@ def test_json_rejects_derived_tails():
     v = tr.act_group(0.3, tr.comb())
     with pytest.raises(PreconditionError):
         v.to_json()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p.pop("envelope"),
+        lambda p: p.update(index_domain="reals"),
+        lambda p: p.update(coefficients=[[1.0]]),
+        lambda p: p.update(tail={"name": "no_such_formula"}),
+        lambda p: p.update(envelope={"constant": -1.0, "degree": 0.0}),
+    ],
+)
+def test_json_malformed_payload_is_a_parse_error(mutate):
+    payload = json.loads(json.dumps(tr.geometric(0.5, extent=4).to_json()))
+    mutate(payload)
+    with pytest.raises(SpecParseError):
+        CoefficientVector.from_json(payload)
+
+
+def test_fitted_decay_exponent_is_minus_inf_below_three_points():
+    # two usable points: decays faster than any power, the steepest possible fit
+    v = vector_from_prefix(IndexDomain.INTEGERS, -1, [0.5, 1.0, 0.5], GrowthClass.RAPID_DECAY)
+    assert fitted_decay_exponent(v) == -math.inf
+    assert fitted_decay_exponent(tr.unit(0)) == -math.inf
+
+
+# --- array reads agree exactly with single-index reads --------------------------
+
+_FORMULA_PARAMS = {
+    "const": [(2.5,)],
+    "geometric": [(0.5,), (-0.7,)],
+    "power": [(0.0,), (2.0,), (-1.0,), (0.5,)],
+    "shifted_power": [(-0.8,), (1.5,)],
+    "inv_quadratic": [(1,), (2,)],
+    "hermite_zero": [()],
+    "alternating": [()],
+}
+
+
+def _scalar_power(e):
+    def fn(k):
+        if k == 0:
+            return 1.0 if e == 0 else 0.0
+        return float(k) ** e if k > 0 or e == int(e) else abs(k) ** e
+
+    return fn
+
+
+# per-index definitions, the reference for the array-valued formulas
+_SCALAR_FORMULAS = {
+    "const": lambda v: lambda k: v,
+    "geometric": lambda r: lambda k: r ** abs(k),
+    "power": _scalar_power,
+    "shifted_power": lambda e: lambda k: (1.0 + abs(k)) ** e,
+    "inv_quadratic": lambda p: lambda k: (1.0 + k * k) ** (-p),
+    "hermite_zero": lambda: hermite_at_zero(300).__getitem__,  # the recurrence, k <= 300
+    "alternating": lambda: lambda k: (-1.0) ** k,
+}
+
+
+@pytest.mark.parametrize(
+    "name,params", [(n, p) for n, ps in _FORMULA_PARAMS.items() for p in ps]
+)
+def test_array_formulas_match_scalar_definitions(name, params):
+    ks = np.arange(0 if name == "hermite_zero" else -300, 301)
+    got = Tail.formula(name, *params).fn(ks)
+    assert got.dtype == np.complex128 and got.shape == ks.shape
+    expected = np.array([_SCALAR_FORMULAS[name](*params)(int(k)) for k in ks], dtype=complex)
+    # a few ulp: numpy's vector pow may round differently from the C library's
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+def _formula_vectors():
+    from gmc.vectors import TAIL_FORMULAS
+
+    assert set(_FORMULA_PARAMS) == set(TAIL_FORMULAS)
+    out = []
+    for name, param_sets in _FORMULA_PARAMS.items():
+        for params in param_sets:
+            tail = Tail.formula(name, *params)
+            domains = [(IndexDomain.NATURALS, 0)]
+            if name != "hermite_zero":  # h_k(0) is indexed by k >= 0 only
+                domains.append((IndexDomain.INTEGERS, -3))
+            for domain, start in domains:
+                out.append(
+                    CoefficientVector(
+                        domain, start, np.full(7, 0.25 + 0.5j), GrowthEnvelope(1.0, 0.0),
+                        GrowthClass.POLYNOMIAL_GROWTH, tail,
+                    )
+                )
+    return out
+
+
+def _derived_vectors():
+    from gmc import heisenberg as hb
+    from gmc.uea import UEAElement
+
+    X = UEAElement.generator(tr.TORUS_STRUCTURE, "X")
+    HS = hb.HEISENBERG_STRUCTURE
+    P, Q, Z = (UEAElement.generator(HS, g) for g in "PQZ")
+    a = tr.geometric(-0.6, extent=4)
+    b = tr.poly(2, extent=4)
+    phi = hb.dirac_delta(prefix_len=6)
+    psi = hb.poly_growth_vector(1.5, prefix_len=5)
+    return [
+        tr.act_group(0.37, a),
+        tr.act_algebra(X * X - 3.0 * X, b),
+        tr.dual_act_algebra(X**3, a),
+        tr.factorize_torus(b)[1],
+        tr.project_subrep(tr.act_group(0.2, b), lambda n: n % 3 != 0),
+        hb.act_algebra(P * Q - 2.0 * Z, phi),
+        hb.dual_act_algebra(Q * Q * P, psi),
+        hb.act_algebra(P, hb.act_algebra(Q * Q, psi)),
+        hb.factorize_heisenberg(psi)[1],
+    ]
+
+
+_TAILED = _formula_vectors() + _derived_vectors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ks=st.lists(st.integers(-400, 400), min_size=1, max_size=40))
+def test_array_reads_match_single_reads_exactly(ks):
+    # coeff reads one index as a one-element array: every tail must act elementwise
+    idx = np.array(ks)
+    for v in _TAILED:
+        assert not v.finite_support
+        got = v.coeffs(idx)
+        expected = np.array([v.coeff(k) for k in ks], dtype=np.complex128)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(v.dense(idx.min(), idx.max()), v.coeffs(np.arange(idx.min(), idx.max() + 1)))
+        if v.domain is IndexDomain.NATURALS:
+            assert np.all(got[idx < 0] == 0)
