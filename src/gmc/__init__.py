@@ -1,8 +1,8 @@
 """Generalized matrix coefficients of unitary representations, numerically.
 
 Distribution vectors are coefficient sequences with growth envelopes, test
-functions are band-limited Fourier sums (circle) or compactly supported
-closures (Heisenberg group), and the pairing of two distribution vectors
+functions are band-limited Fourier sums (circle) or finite sums of sheared
+bumps (Heisenberg group), and the pairing of two distribution vectors
 through a test function realizes a distribution on the group.
 """
 

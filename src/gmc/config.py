@@ -1,8 +1,9 @@
 """Shared numeric configuration: tolerance table and quadrature defaults.
 
 Tolerances are per-model constants: the torus path is spectrally exact
-(float-roundoff scale), the Heisenberg path is dominated by finite-difference
-Lie derivatives and quadrature truncation.
+(float-roundoff scale), the Heisenberg path is limited by quadrature and
+truncation. heisenberg_fd bounds the Heisenberg property rows; config files
+set it by that name.
 """
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ class ToleranceTable:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and steps for the Heisenberg quadratures.
+    """Node counts and truncations for the Heisenberg quadratures.
 
     x_nodes drives the Gauss-Hermite-style rule behind matrix elements,
-    box_nodes the per-axis Gauss-Legendre rule behind group integrals.
+    box_nodes the per-axis Gauss-Legendre rule on the (p, q) plane behind
+    smoothing; the central t-integral is in closed form.
     Every quadrature self-checks against a second resolution unless
     self_check is disabled.
     """
@@ -37,7 +39,6 @@ class QuadratureSpec:
     truncation: int = 40
     x_nodes: int = 80
     box_nodes: int = 48
-    fd_step: float = 1e-3
     input_margin: int = 32
     self_check: bool = True
     check_tol: float = 1e-6

@@ -16,15 +16,23 @@ and group elements through quadrature matrix elements
 the Fourier-Wigner kernel of the Hermite pair. The Gaussian factors of the
 integrand cancel the Gauss-Hermite weight exactly, so only Gaussian-free
 Hermite values enter the rule.
+
+Test functions are finite sums of sheared bump terms, so translations and Lie
+derivatives act on them exactly. The centre acts by the character
+exp(2 pi i t), so pi(f) sees f only through F(p, q) = int f(p, q, t)
+exp(2 pi i t) dt, which the terms give in closed form; smoothing integrates F
+against the kernels on a Gauss-Legendre rule over the (p, q) plane.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT_QUADRATURE, QuadratureSpec
 from .errors import BudgetExceeded, PreconditionError, QuadratureAccuracyError
@@ -73,9 +81,6 @@ class HeisenbergElement:
     q: float
     t: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.q, self.t])
-
     def __iter__(self):
         return iter((self.p, self.q, self.t))
 
@@ -102,209 +107,191 @@ def group_inv(g) -> HeisenbergElement:
     return HeisenbergElement(-g.p, -g.q, -g.t)
 
 
-def _mul_arrays(g: HeisenbergElement, p, q, t, left: bool):
-    """g*(p,q,t) when left else (p,q,t)*g, vectorized over coordinate arrays."""
-    if left:
-        return (
-            g.p + p,
-            g.q + q,
-            g.t + t + 0.5 * (g.p * q - g.q * p),
-        )
-    return (
-        p + g.p,
-        q + g.q,
-        t + g.t + 0.5 * (p * g.q - q * g.p),
-    )
-
-
-def _exp_generator(i: int, s: float) -> HeisenbergElement:
-    coords = [0.0, 0.0, 0.0]
-    coords[i] = s
-    return HeisenbergElement(*coords)
-
-
 # --------------------------------------------------------------------------
-# test functions: compactly supported closures with box quadrature
+# test functions: finite sums of sheared bump terms
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HTestFunction:
-    """Smooth compactly supported function given as a vectorized closure.
+class _Term:
+    """poly(u, v) j^(a)(u) j^(b)(v) j^(k)(t - t0 + beta p + gamma q), u = p - p0, v = q - q0.
 
-    evaluator takes coordinate arrays (p, q, t) and returns complex values;
-    it must vanish outside support (a (3, 2) box). nodes is the per-axis
-    Gauss-Legendre count, fd_step the base step for finite-difference Lie
-    derivatives (one Richardson level). analytic maps (side, generator) to an
-    evaluator transformer and overrides the finite differences when present.
+    poly[i, j] is the coefficient of u^i v^j, orders is (a, b, k), place is
+    (p0, q0, t0, beta, gamma) and bump is the 1-d scaled bump j (a
+    mollify.ScaledBump: radius, axis(x, order) and axis_transform(lam)).
     """
 
-    evaluator: Callable
-    support: np.ndarray
-    nodes: int = DEFAULT_QUADRATURE.box_nodes
-    fd_step: float = DEFAULT_QUADRATURE.fd_step
-    analytic: Optional[Mapping] = field(default=None, repr=False)
+    bump: object
+    poly: np.ndarray
+    orders: tuple = (0, 0, 0)
+    place: tuple = (0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        box = np.asarray(self.support, dtype=float).reshape(3, 2).copy()
-        box.flags.writeable = False
-        object.__setattr__(self, "support", box)
+    def box(self) -> np.ndarray:
+        r = self.bump.radius
+        p0, q0, t0, beta, gamma = self.place
+        dt = r * (1.0 + abs(beta) + abs(gamma))
+        tc = t0 - beta * p0 - gamma * q0
+        return np.array([[p0 - r, p0 + r], [q0 - r, q0 + r], [tc - dt, tc + dt]])
+
+    def translated(self, h: HeisenbergElement, left: bool) -> "_Term":
+        """The term of f(h^{-1} g) (left) or f(g h) (right)."""
+        s = 1.0 if left else -1.0
+        p0, q0, t0, beta, gamma = self.place
+        t0 += s * (h.t + beta * h.p + gamma * h.q)
+        place = (p0 + s * h.p, q0 + s * h.q, t0, beta + h.q / 2.0, gamma - h.p / 2.0)
+        return replace(self, place=place)
+
+    def derived(self, sp: float, sq: float, s0: float, ap: float, aq: float) -> list:
+        """Terms of (sp d_p + sq d_q + (s0 + ap p + aq q) d_t) applied to this one."""
+        a, b, k = self.orders
+        p0, q0, _, beta, gamma = self.place
+        m = self.poly
+        out = []
+        for s, axis, orders in ((sp, 0, (a + 1, b, k)), (sq, 1, (a, b + 1, k))):
+            if s:
+                out.append(replace(self, poly=s * m, orders=orders))
+                if m.shape[axis] > 1:
+                    out.append(replace(self, poly=s * npoly.polyder(m, axis=axis)))
+        # chain rule through w plus the d_t part, with p = u + p0 and q = v + q0
+        grown = (sp * beta + sq * gamma + s0 + ap * p0 + aq * q0) * m
+        if ap:
+            grown = _poly_add(grown, np.pad(ap * m, ((1, 0), (0, 0))))
+        if aq:
+            grown = _poly_add(grown, np.pad(aq * m, ((0, 0), (1, 0))))
+        out.append(replace(self, poly=grown, orders=(a, b, k + 1)))
+        return out
+
+    def __call__(self, p, q, t) -> np.ndarray:
+        p0, q0, t0, beta, gamma = self.place
+        a, b, k = self.orders
+        u, v, w = p - p0, q - q0, t - t0 + beta * p + gamma * q
+        j = self.bump.axis
+        return npoly.polyval2d(u, v, self.poly) * j(u, a) * j(v, b) * j(w, k)
+
+    def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
+        """int term(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn.
+
+        Substituting w gives exp(2 pi i lam (t0 - beta p - gamma q)) times the
+        transform of j^(k), which is (-2 pi i lam)^k jhat(lam).
+        """
+        p0, q0, t0, beta, gamma = self.place
+        a, b, k = self.orders
+
+        def factor(x, x0, order, slope, degree):  # (x - x0)^i j^(order)(x - x0) exp(...)
+            y = x - x0
+            phase = self.bump.axis(y, order) * np.exp(-2j * np.pi * lam * slope * x)
+            return np.power.outer(y, np.arange(degree)) * phase[:, None]
+
+        rows = factor(pn, p0, a, beta, self.poly.shape[0])
+        cols = factor(qn, q0, b, gamma, self.poly.shape[1])
+        scale = np.exp(2j * np.pi * lam * t0) * (-2j * np.pi * lam) ** k
+        return scale * self.bump.axis_transform(lam) * (rows @ self.poly @ cols.T)
+
+
+def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.complex128)
+    out[: a.shape[0], : a.shape[1]] += a
+    out[: b.shape[0], : b.shape[1]] += b
+    return out
+
+
+def _merged(terms) -> tuple:
+    """Sum the polynomials of terms that differ only in them."""
+    polys: dict = {}
+    for t in terms:
+        key = (t.bump, t.orders, t.place)
+        polys[key] = _poly_add(polys[key], t.poly) if key in polys else t.poly
+    return tuple(_Term(bump, poly, orders, place) for (bump, orders, place), poly in polys.items())
+
+
+@dataclass(frozen=True)
+class HTestFunction:
+    """Smooth compactly supported function: a finite sum of sheared bump terms.
+
+    Translations move the terms' places and Lie derivatives follow the product
+    rule, both exactly; the central transform int f(p, q, t) exp(2 pi i lam t) dt,
+    all that pi(f) sees of f, is closed form on the (p, q) plane. nodes is the
+    per-axis count of the (p, q) Gauss-Legendre rule, grown by 16 per derivative.
+    """
+
+    terms: tuple
+    nodes: int = DEFAULT_QUADRATURE.box_nodes
+
+    @staticmethod
+    def bump(jn, nodes: int = DEFAULT_QUADRATURE.box_nodes) -> "HTestFunction":
+        """The product bump jn(p) jn(q) jn(t) of a 1-d scaled bump jn."""
+        return HTestFunction((_Term(jn, np.ones((1, 1), dtype=np.complex128)),), nodes)
+
+    @property
+    def support(self) -> np.ndarray:
+        """(3, 2) coordinate box holding the support."""
+        boxes = np.array([term.box() for term in self.terms])
+        return np.stack([boxes[:, :, 0].min(axis=0), boxes[:, :, 1].max(axis=0)], axis=1)
+
+    def evaluator(self, p, q, t) -> np.ndarray:
+        """Values at coordinate arrays (p, q, t)."""
+        p, q, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (p, q, t)))
+        return sum((term(p, q, t) for term in self.terms), np.zeros(p.shape, dtype=np.complex128))
 
     def __call__(self, g):
-        g = as_element(g)
-        val = self.evaluator(np.array([g.p]), np.array([g.q]), np.array([g.t]))
-        return complex(np.asarray(val).ravel()[0])
+        return complex(self.evaluator(*as_element(g)))
 
     def axis_rule(self, axis: int, nodes: int | None = None):
         a, b = self.support[axis]
         return legendre_on_interval(a, b, nodes or self.nodes)
 
+    def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
+        """F_lam(p, q) = int f(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn."""
+        out = np.zeros((len(pn), len(qn)), dtype=np.complex128)
+        return sum((term.central_transform(pn, qn, lam) for term in self.terms), out)
+
     def integral(self, nodes: int | None = None) -> complex:
         pn, pw = self.axis_rule(0, nodes)
         qn, qw = self.axis_rule(1, nodes)
-        tn, tw = self.axis_rule(2, nodes)
-        P, Q, T = np.meshgrid(pn, qn, tn, indexing="ij")
-        vals = self.evaluator(P, Q, T)
-        return complex(np.einsum("a,b,c,abc->", pw, qw, tw, vals))
+        return complex(pw @ self.central_transform(pn, qn, 0.0) @ qw)
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "HTestFunction") -> "HTestFunction":
-        box = np.stack(
-            [
-                np.minimum(self.support[:, 0], other.support[:, 0]),
-                np.maximum(self.support[:, 1], other.support[:, 1]),
-            ],
-            axis=1,
-        )
-        f1, f2 = self.evaluator, other.evaluator
-        return HTestFunction(
-            lambda p, q, t: f1(p, q, t) + f2(p, q, t),
-            box,
-            max(self.nodes, other.nodes),
-            min(self.fd_step, other.fd_step),
-        )
+        return HTestFunction(_merged(self.terms + other.terms), max(self.nodes, other.nodes))
 
     def __rmul__(self, scalar) -> "HTestFunction":
-        f = self.evaluator
-        return replace(self, evaluator=lambda p, q, t: scalar * f(p, q, t), analytic=self.analytic)
+        return replace(self, terms=tuple(replace(t, poly=scalar * t.poly) for t in self.terms))
 
     # -- group translations ---------------------------------------------------
 
     def left_translate(self, h) -> "HTestFunction":
         """(L(h) f)(g) = f(h^{-1} g)."""
-        h = as_element(h)
-        hinv = group_inv(h)
-        f = self.evaluator
-
-        def ev(p, q, t):
-            return f(*_mul_arrays(hinv, p, q, t, left=True))
-
-        box = _translate_box(self.support, h, left=True)
-        return replace(
-            self, evaluator=ev, support=box, nodes=self._sheared_nodes(box), analytic=None
-        )
+        return replace(self, terms=tuple(t.translated(as_element(h), True) for t in self.terms))
 
     def right_translate(self, h) -> "HTestFunction":
         """(R(h) f)(g) = f(g h)."""
-        h = as_element(h)
-        f = self.evaluator
-
-        def ev(p, q, t):
-            return f(*_mul_arrays(h, p, q, t, left=False))
-
-        box = _translate_box(self.support, group_inv(h), left=False)
-        return replace(
-            self, evaluator=ev, support=box, nodes=self._sheared_nodes(box), analytic=None
-        )
-
-    def _sheared_nodes(self, new_box: np.ndarray) -> int:
-        """Grow the rule with the central-axis widening caused by the shear."""
-        old = self.support[2, 1] - self.support[2, 0]
-        new = new_box[2, 1] - new_box[2, 0]
-        ratio = new / old if old > 0 else 1.0
-        return int(math.ceil(self.nodes * max(1.0, ratio)))
+        return replace(self, terms=tuple(t.translated(as_element(h), False) for t in self.terms))
 
     # -- Lie derivatives -------------------------------------------------------
-
-    def _derive_letter(self, evaluator, letter: int, side: str):
-        if self.analytic and (side, letter) in self.analytic:
-            return self.analytic[(side, letter)](evaluator)
-        h = self.fd_step
-
-        def at(s):
-            # g -> f(exp(s X) g) for the left action, g -> f(g exp(s X)) for the right
-            shift = _exp_generator(letter, s)
-            left = side == "L"
-            return lambda p, q, t: evaluator(*_mul_arrays(shift, p, q, t, left=left))
-
-        # L(X)f(g) = d/ds f(exp(-sX) g), R(X)f(g) = d/ds f(g exp(sX)); one
-        # Richardson level on the central difference.
-        sgn = -1.0 if side == "L" else 1.0
-        f_fwd, f_bwd = at(sgn * h), at(-sgn * h)
-        f_fwd2, f_bwd2 = at(sgn * h / 2.0), at(-sgn * h / 2.0)
-
-        def ev(p, q, t):
-            d_h = (f_fwd(p, q, t) - f_bwd(p, q, t)) / (2.0 * h)
-            d_h2 = (f_fwd2(p, q, t) - f_bwd2(p, q, t)) / h
-            return (4.0 * d_h2 - d_h) / 3.0
-
-        return ev
 
     def _derive(self, d: UEAElement, side: str) -> "HTestFunction":
         if d.structure.labels != HEISENBERG_STRUCTURE.labels:
             raise PreconditionError("expected an element over the (P, Q, Z) basis")
-        parts = []
-        max_deg = d.degree
+        # (sp, sq, s0, ap, aq) of sp d_p + sq d_q + (s0 + ap p + aq q) d_t for P, Q, Z:
+        # R(P) = d_p - (q/2) d_t, R(Q) = d_q + (p/2) d_t, R(Z) = d_t, and
+        # L(P) = -d_p - (q/2) d_t, L(Q) = -d_q + (p/2) d_t, L(Z) = -d_t
+        s = 1.0 if side == "R" else -1.0
+        fields = ((s, 0.0, 0.0, 0.0, -0.5), (0.0, s, 0.0, 0.5, 0.0), (0.0, 0.0, s, 0.0, 0.0))
+        terms = []
         for word, c in monomial_words(d):
-            ev = self.evaluator
+            cur = self.terms
             for letter in reversed(word):
-                ev = self._derive_letter(ev, letter, side)
-            parts.append((c, ev))
-
-        def ev_total(p, q, t):
-            acc = None
-            for c, ev in parts:
-                term = c * ev(p, q, t)
-                acc = term if acc is None else acc + term
-            return acc if acc is not None else np.zeros_like(p, dtype=complex)
-
-        pad = _fd_padding(self.support, max_deg * self.fd_step)
+                cur = [out for term in cur for out in term.derived(*fields[letter])]
+            terms += [replace(term, poly=c * term.poly) for term in cur]
         # derivatives sharpen the integrand; grow the rule with the order
-        return replace(
-            self, evaluator=ev_total, support=pad, nodes=self.nodes + 16 * max_deg, analytic=None
-        )
+        return HTestFunction(_merged(terms), self.nodes + 16 * d.degree)
 
     def left_derive(self, d: UEAElement) -> "HTestFunction":
         return self._derive(d, "L")
 
     def right_derive(self, d: UEAElement) -> "HTestFunction":
         return self._derive(d, "R")
-
-
-def _translate_box(box: np.ndarray, h: HeisenbergElement, left: bool) -> np.ndarray:
-    """Bounding box of h.box (left) or box.h^{-1} written as {g h}: see callers."""
-    p0, p1 = box[0]
-    q0, q1 = box[1]
-    t0, t1 = box[2]
-    if left:
-        np0, np1 = p0 + h.p, p1 + h.p
-        nq0, nq1 = q0 + h.q, q1 + h.q
-        mix = 0.5 * (abs(h.p) * max(abs(q0), abs(q1)) + abs(h.q) * max(abs(p0), abs(p1)))
-        nt0, nt1 = t0 + h.t - mix, t1 + h.t + mix
-    else:
-        # {g * h : g in box} with h already inverted by the caller
-        np0, np1 = p0 + h.p, p1 + h.p
-        nq0, nq1 = q0 + h.q, q1 + h.q
-        mix = 0.5 * (max(abs(p0), abs(p1)) * abs(h.q) + max(abs(q0), abs(q1)) * abs(h.p))
-        nt0, nt1 = t0 + h.t - mix, t1 + h.t + mix
-    return np.array([[np0, np1], [nq0, nq1], [nt0, nt1]])
-
-
-def _fd_padding(box: np.ndarray, h: float) -> np.ndarray:
-    reach = abs(h) * (1.0 + 0.5 * float(np.max(np.abs(box[:2])) + abs(h)))
-    pad = np.array([abs(h), abs(h), reach])
-    return np.stack([box[:, 0] - pad, box[:, 1] + pad], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +339,7 @@ def matrix_element(
     coarse = phase * _matrix_block_cached(g.p, g.q, k + 1, j + 1, x_nodes)[k, j]
     if check:
         fine = phase * _matrix_block_cached(g.p, g.q, k + 1, j + 1, x_nodes + 32)[k, j]
-        if abs(coarse - fine) > check_tol * (1.0 + abs(fine)):
+        if not abs(coarse - fine) <= check_tol * (1.0 + abs(fine)):
             raise QuadratureAccuracyError(
                 f"matrix element ({j}, {k}) quadrature has not converged", coarse, fine
             )
@@ -533,12 +520,8 @@ def _smooth_core(
 ) -> np.ndarray:
     pn, pw = f.axis_rule(0, box_nodes)
     qn, qw = f.axis_rule(1, box_nodes)
-    tn, tw = f.axis_rule(2, box_nodes)
-    P, Q, T = np.meshgrid(pn, qn, tn, indexing="ij")
-    vals = np.asarray(f.evaluator(P, Q, T), dtype=np.complex128)
-    # central variable integrates against the pure phase exp(2 pi i t)
-    f1 = vals @ (tw * np.exp(2j * np.pi * tn))
-
+    # pi(f) sees f only through its central Fourier transform at the character exp(2 pi i t)
+    f1 = f.central_transform(pn, qn, 1.0)
     y, w = gauss_hermite_rule(_x_rule_size(x_nodes, N, len(phi_vec)))
     base = y / SQRT_2PI
     X = base[None, :] - pn[:, None] / 2.0
@@ -567,8 +550,8 @@ def smooth_by(
 ) -> HermiteVector:
     """pi(f) phi = weak integral of f(g) pi(g) phi, coefficient-wise.
 
-    Tensor Gauss-Legendre over the support box; the result is a smooth
-    (rapid-decay) vector. The computation self-checks against a finer rule
+    Gauss-Legendre over the (p, q) support square against the closed-form
+    central transform of f; the result is a smooth (rapid-decay) vector. The computation self-checks against a finer rule
     and a longer input truncation unless disabled.
     """
     _require_hermite(phi)
@@ -579,14 +562,10 @@ def smooth_by(
     box_nodes = f.nodes or quad.box_nodes
     out = _smooth_core(f, vec, N, box_nodes, quad.x_nodes)
     if quad.self_check:
-        cols2 = cols + 24
-        vec2 = phi.dense(0, cols2 - 1)
-        out2 = _smooth_core(f, vec2, N, box_nodes + 8, quad.x_nodes)
+        out2 = _smooth_core(f, phi.dense(0, cols + 23), N, box_nodes + 8, quad.x_nodes)
         err = float(np.max(np.abs(out - out2)))
-        if err > quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
-            raise QuadratureAccuracyError(
-                "smoothing quadrature has not converged", out, out2
-            )
+        if not err <= quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
+            raise QuadratureAccuracyError("smoothing quadrature has not converged", out, out2)
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -634,6 +613,9 @@ def fourier_wigner(
         c = psi_vec @ block  # c_j = sum_k psi_k K[k, j]
         phis = phi.dense(0, cols - 1)
         total = complex(central_phase * np.sum(phis * c))
+        if not cmath.isfinite(total):
+            message = f"pointwise coefficient at {cols} columns is not finite"
+            raise QuadratureAccuracyError(message, total, None)
         tail_block = float(np.sum(np.abs(phis[-32:] * c[-32:])))
         if phi.finite_support and cols >= phi.stop:
             break

@@ -21,14 +21,22 @@ _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 
 def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
-    """Gaussian-free values hs_k(x) for k = 0..nmax; shape (nmax+1, len(x))."""
+    """Gaussian-free values hs_k(x) for k = 0..nmax; shape (nmax+1, len(x)).
+
+    They grow like exp(pi x^2) and leave the float range near |x| = 15. Such
+    entries are nan, which later arithmetic carries without warnings, and the
+    callers' finiteness and self-checks turn them into typed errors.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1, x.size))
     out[0] = 2.0 ** 0.25
     if nmax >= 1:
         out[1] = _TWO_SQRT_PI * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = (_TWO_SQRT_PI * x * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nmax):
+            out[k + 1] = (_TWO_SQRT_PI * x * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+    if not np.all(np.isfinite(out[-1])):  # a column that left the float range stays out
+        out[np.isinf(out)] = np.nan
     return out
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import heisenberg as hb
 from . import torus as tr
@@ -28,13 +30,35 @@ from .hermite import legendre_on_interval
 from .vectors import CoefficientVector
 
 
-def _bump_unit(u: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-u^2)) on |u| < 1, zero outside; vectorized and overflow-safe."""
+@lru_cache(maxsize=None)
+def _bump_derivative_poly(order: int) -> Polynomial:
+    """P_a with d^a/ds^a exp(-1/(1-s^2)) = P_a(s) (1-s^2)^(-2a) exp(-1/(1-s^2)).
+
+    P_0 = 1 and P_{a+1} = (1-s^2)^2 P_a' + (4as(1-s^2) - 2s) P_a.
+    """
+    s = Polynomial([0.0, 1.0])
+    P = Polynomial([1.0])
+    for a in range(order):
+        P = (1 - s**2) ** 2 * P.deriv() + (4 * a * s * (1 - s**2) - 2 * s) * P
+    return P
+
+
+def _bump_unit(u: np.ndarray, order: int = 0) -> np.ndarray:
+    """order-th derivative of exp(-1/(1-u^2)) on |u| < 1, zero outside.
+
+    Derivatives are evaluated in log form, P_a(u) exp(-1/(1-u^2) - 2a log(1-u^2)),
+    so the (1-u^2)^(-2a) factor never overflows next to the vanishing exponential.
+    """
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    gap = 1.0 - ui * ui
+    if order == 0:
+        out[inside] = np.exp(-1.0 / gap)
+    else:
+        log_scale = -1.0 / gap - 2.0 * order * np.log(gap)
+        out[inside] = _bump_derivative_poly(order)(ui) * np.exp(log_scale)
     return out
 
 
@@ -62,8 +86,10 @@ class BumpProfile:
             raise QuadratureAccuracyError("bump normalization has not converged", coarse, fine)
         return BumpProfile(radius, 1.0 / (radius * coarse), quad_nodes)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.normalization * _bump_unit(np.asarray(x, dtype=float) / self.radius)
+    def __call__(self, x, order: int = 0) -> np.ndarray:
+        """The bump, or its order-th derivative, at x."""
+        scale = self.normalization * self.radius ** -order
+        return scale * _bump_unit(np.asarray(x, dtype=float) / self.radius, order)
 
     def mass(self, nodes: int | None = None) -> float:
         x, w = legendre_on_interval(-self.radius, self.radius, nodes or self.quad_nodes)
@@ -72,7 +98,7 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class ScaledBump:
-    """j_n(x) = n^dim j(n x), a product bump over dim axes."""
+    """j_n(x) = n^dim j(n x), the product over dim axes of the 1-d factor n j(n x)."""
 
     profile: BumpProfile
     n: int
@@ -86,22 +112,17 @@ class ScaledBump:
     def radius(self) -> float:
         return self.profile.radius / self.n
 
-    def axis(self, x) -> np.ndarray:
-        """The 1-d factor n j(n x)."""
-        return self.n * self.profile(self.n * np.asarray(x, dtype=float))
+    def axis(self, x, order: int = 0) -> np.ndarray:
+        """The 1-d factor n j(n x), or its order-th derivative n^(order+1) j^(order)(n x)."""
+        return self.n ** (order + 1) * self.profile(self.n * np.asarray(x, dtype=float), order)
 
-    def __call__(self, *coords) -> np.ndarray:
-        if len(coords) != self.dim:
-            raise PreconditionError(f"expected {self.dim} coordinates")
-        out = None
-        for c in coords:
-            v = self.axis(c)
-            out = v if out is None else out * v
-        return out
+    def axis_transform(self, lam: float, nodes: int | None = None) -> float:
+        """int n j(n x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: j is even)."""
+        x, w = legendre_on_interval(-self.radius, self.radius, nodes or self.profile.quad_nodes)
+        return float(w @ (self.axis(x) * np.cos(2.0 * np.pi * lam * x)))
 
     def axis_mass(self, nodes: int | None = None) -> float:
-        x, w = legendre_on_interval(-self.radius, self.radius, nodes or self.profile.quad_nodes)
-        return float(w @ self.axis(x))
+        return self.axis_transform(0.0, nodes)
 
 
 def make_jn(profile: BumpProfile, n: int, dim: int) -> ScaledBump:
@@ -151,33 +172,14 @@ def _torus_pushforward(jn: ScaledBump, coeff_floor: float = 1e-14) -> tr.TorusTe
     return tr.TorusTestFunction(coeffs, real_valued=True)
 
 
-def _heisenberg_pushforward(jn: ScaledBump, nodes: int, fd_step: float) -> hb.HTestFunction:
-    if jn.dim != 3:
-        raise PreconditionError("the Heisenberg pushforward takes a 3-d bump")
-    r = jn.radius
-    box = np.array([[-r, r], [-r, r], [-r, r]])
-
-    def ev(p, q, t):
-        return (jn.axis(p) * jn.axis(q) * jn.axis(t)).astype(np.complex128)
-
-    return hb.HTestFunction(ev, box, nodes=nodes, fd_step=fd_step)
-
-
-def push_forward(
-    jn: ScaledBump,
-    model: GroupModel,
-    nodes: int | None = None,
-    fd_step: float | None = None,
-):
+def push_forward(jn: ScaledBump, model: GroupModel, nodes: int | None = None):
     """Model test function carrying the scaled bump through exp (unit Jacobian)."""
     if model.name == "torus":
         return _torus_pushforward(jn)
     if model.name == "heisenberg":
-        return _heisenberg_pushforward(
-            jn,
-            nodes=nodes or hb.DEFAULT_QUADRATURE.box_nodes,
-            fd_step=fd_step or hb.DEFAULT_QUADRATURE.fd_step,
-        )
+        if jn.dim != 3:
+            raise PreconditionError("the Heisenberg pushforward takes a 3-d bump")
+        return hb.HTestFunction.bump(jn, nodes or hb.DEFAULT_QUADRATURE.box_nodes)
     raise PreconditionError(f"no pushforward for model {model.name!r}")
 
 

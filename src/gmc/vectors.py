@@ -131,7 +131,7 @@ class Tail:
     @staticmethod
     def formula(name: str, *params) -> "Tail":
         if name not in TAIL_FORMULAS:
-            raise KeyError(f"unknown tail formula {name!r}")
+            raise SpecParseError(f"unknown tail formula {name!r}")
         return Tail(name, tuple(params), TAIL_FORMULAS[name](*params))
 
     @staticmethod
@@ -170,6 +170,9 @@ class CoefficientVector:
         object.__setattr__(self, "prefix", arr)
         if self.domain is IndexDomain.NATURALS and self.start < 0:
             raise PreconditionError("natural-number domain cannot start below 0")
+        if not np.all(np.isfinite(arr)):
+            k = self.start + int(np.argmin(np.isfinite(arr)))
+            raise PreconditionError(f"coefficient at index {k} is not finite")
         ks = np.arange(self.start, self.start + len(arr))
         bounds = self.envelope.constant * (1.0 + np.abs(ks)) ** self.envelope.degree
         bad = np.nonzero(np.abs(arr) > bounds * _ENVELOPE_SLACK + 1e-300)[0]
@@ -317,7 +320,8 @@ def vector_from_prefix(
     ks = np.arange(start, start + len(values))
     scale = (1.0 + np.abs(ks)) ** degree
     base = float(np.max(np.abs(values) / scale)) if len(values) else 1.0
-    constant = max(base * (1 + 1e-12), 1e-300) if base > 0 else 1.0
+    # a non-finite base falls through to CoefficientVector, which rejects the prefix
+    constant = max(base * (1 + 1e-12), 1e-300) if 0 < base < math.inf else 1.0
     if all_orders is None:
         all_orders = growth is GrowthClass.RAPID_DECAY
     return CoefficientVector(

@@ -1,4 +1,5 @@
 """Schrodinger representation: matrix elements, group/algebra actions, smoothing."""
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc.config import QuadratureSpec
-from gmc.errors import PreconditionError, QuadratureAccuracyError
-from gmc.hermite import hermite_functions, hermite_series_value
+from gmc.errors import GmcError, PreconditionError, QuadratureAccuracyError
+from gmc.hermite import hermite_functions, hermite_series_value, legendre_on_interval
 from gmc.uea import UEAElement
 from gmc.vectors import (
     GrowthClass,
@@ -66,6 +67,18 @@ def test_matrix_element_accuracy_error_path():
     # an absurdly tight tolerance trips the two-resolution comparison
     with pytest.raises(QuadratureAccuracyError):
         hb.matrix_element((2.5, -1.5, 0.0), 30, 31, x_nodes=36, check_tol=1e-18)
+
+
+def _assert_finite_or_typed_error(compute):
+    try:
+        value = compute()
+    except GmcError:
+        return
+    assert np.all(np.isfinite(value))
+
+
+def test_matrix_element_non_finite_is_a_typed_error():
+    _assert_finite_or_typed_error(lambda: hb.matrix_element((0.5, 0.5, 0), 1300, 1300))
 
 
 def test_matrix_column_near_unitary():
@@ -204,8 +217,7 @@ def test_algebra_acts_on_formula_tails():
 
 
 def test_smooth_by_zero_function():
-    box = np.array([[-0.2, 0.2]] * 3)
-    f = hb.HTestFunction(lambda p, q, t: np.zeros_like(p, dtype=complex), box)
+    f = 0 * mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.2)
     out = hb.smooth_by(f, hb.unit_vector(0))
     assert np.max(np.abs(out.prefix)) == 0
 
@@ -227,13 +239,13 @@ def test_smooth_by_tight_bump_approximates_identity():
 
 
 def test_smoothing_left_derivative_route():
-    # pi(P) pi(f) phi vs pi(L(P) f) phi with finite-difference Lie derivative
+    # pi(D) pi(f) phi vs pi(L(D) f) phi with the exact Lie derivative of f
     e0 = hb.unit_vector(0)
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
-    lhs = hb.act_algebra(P, hb.smooth_by(f, e0, N=44))
-    rhs = hb.smooth_by(f.left_derive(P), e0, N=40)
-    resid = np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39))
-    assert resid < 5e-6
+    for D, bound in ((P, 1e-9), (Q, 1e-9), (P * Q, 1e-8)):
+        lhs = hb.act_algebra(D, hb.smooth_by(f, e0, N=44))
+        rhs = hb.smooth_by(f.left_derive(D), e0, N=40)
+        assert np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39)) < bound
 
 
 def test_group_translation_smoothing_routes(rng):
@@ -244,10 +256,10 @@ def test_group_translation_smoothing_routes(rng):
         h = hb.HeisenbergElement(*rng.uniform(-0.5, 0.5, 3))
         lhs = hb.act_group(h, hb.smooth_by(f, phi, N=56), N=40)
         rhs = hb.smooth_by(f.left_translate(h), phi, N=40)
-        assert np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39)) < 1e-6
+        assert np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39)) < 1e-13
         lhs2 = hb.smooth_by(f, hb.act_group(h, phi, N=56), N=40)
         rhs2 = hb.smooth_by(f.right_translate(hb.group_inv(h)), phi, N=40)
-        assert np.linalg.norm(lhs2.dense(0, 39) - rhs2.dense(0, 39)) < 1e-6
+        assert np.linalg.norm(lhs2.dense(0, 39) - rhs2.dense(0, 39)) < 1e-13
 
 
 def test_pointwise_derivative_matches_algebra_route():
@@ -280,12 +292,18 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
         hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(check_tol=1e-16))
 
 
+def test_smooth_by_non_finite_is_a_typed_error():
+    # at N = 700 the Gauss-Hermite x-rule overflows the Hermite recurrence; an
+    # 8-node (p, q) rule keeps the run small, the x-rule is the same
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=8)
+    _assert_finite_or_typed_error(lambda: hb.smooth_by(f, hb.dirac_delta(), N=700).prefix)
+
+
 # --- generalized matrix coefficients --------------------------------------------------
 
 
 def test_gmc_zero_function_vanishes():
-    box = np.array([[-0.2, 0.2]] * 3)
-    f = hb.HTestFunction(lambda p, q, t: np.zeros_like(p, dtype=complex), box)
+    f = 0 * mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.2)
     assert hb.gmc_eval(hb.unit_vector(0), hb.unit_vector(0), f) == 0
 
 
@@ -359,6 +377,11 @@ def test_fourier_wigner_budget_error_reports_bound():
     assert info.value.achieved_bound > 0
 
 
+def test_fourier_wigner_non_finite_is_a_typed_error():
+    e700 = hb.unit_vector(700)
+    _assert_finite_or_typed_error(lambda: hb.fourier_wigner(e700, e700, 0.5, 0.5))
+
+
 def test_pointwise_view_includes_central_phase():
     view = hb.pointwise_coefficient(hb.unit_vector(0), hb.unit_vector(0))
     g = hb.HeisenbergElement(0.0, 0.0, 0.25)
@@ -401,3 +424,87 @@ def test_poly_growth_vector_envelope():
     v = hb.poly_growth_vector(1.5)
     assert v.envelope.degree == 1.5
     assert abs(v.coeff(80) - (81.0**1.5)) < 1e-9
+
+
+# --- test functions as sheared bump terms ------------------------------------------------
+
+_LETTERS = {"P": P, "Q": Q, "Z": Z}
+_WORDS = [()] + [(a,) for a in "PQZ"] + list(itertools.product("PQZ", repeat=2))
+
+
+def _word(letters):
+    d = UEAElement.one(HS)
+    for c in letters:
+        d = d * _LETTERS[c]
+    return d
+
+
+def _derived(f, letters, side):
+    d = _word(letters)
+    return f.left_derive(d) if side == "L" else f.right_derive(d)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_central_transform_matches_t_quadrature(rng, side):
+    # F_1(p, q) against a 400-node Gauss-Legendre sum of the point values over
+    # the t-support at (p, q), located through the group law alone
+    for n, radius in ((2, 0.8), (4, 0.6)):
+        r = radius / n
+        base = mo.standard_mollifier(hb.HEISENBERG, n=n, radius=radius)
+        for letters in _WORDS:
+            h1, h2 = (hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3)) for _ in range(2))
+            f = _derived(base.left_translate(h1).right_translate(h2), letters, side)
+            box = f.support
+            pn = np.linspace(*box[0], 7)[1:-1]
+            qn = np.linspace(*box[1], 7)[1:-1]
+            got = f.central_transform(pn, qn, 1.0)
+            ref = np.zeros_like(got)
+            for i, p in enumerate(pn):
+                for j, q in enumerate(qn):
+                    # f(g) depends on g through h1^{-1} g h2, whose t is t - centre
+                    centre = -hb.group_mul(hb.group_mul(hb.group_inv(h1), (p, q, 0.0)), h2).t
+                    tn, tw = legendre_on_interval(centre - r, centre + r, 400)
+                    ref[i, j] = np.sum(tw * f.evaluator(p, q, tn) * np.exp(2j * np.pi * tn))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (letters, n)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_point_derivatives_match_difference_quotients(rng, side):
+    # X acting on D f, for words X D of degree <= 2, against the central
+    # difference of D f along g exp(sX) (right) or exp(-sX) g (left) at
+    # s = 1e-4 with one Richardson level; a plain central difference at this s
+    # is off by about 1e-4 relative for second derivatives of the n = 4 bump
+    s = 1e-4
+    for n, radius in ((2, 0.8), (4, 0.6)):
+        base = mo.standard_mollifier(hb.HEISENBERG, n=n, radius=radius)
+        for letters in _WORDS[1:]:
+            h1, h2 = (hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3)) for _ in range(2))
+            f = base.left_translate(h1).right_translate(h2)
+            inner = _derived(f, letters[1:], side)
+            exact = _derived(f, letters, side)
+            axis = "PQZ".index(letters[0])
+            box = exact.support
+            points = np.column_stack([rng.uniform(*box[i], 24) for i in range(3)])
+
+            def moved(g, step):
+                e = [0.0, 0.0, 0.0]
+                e[axis] = step
+                if side == "R":
+                    return inner(hb.group_mul(g, e))
+                return inner(hb.group_mul(hb.group_inv(e), g))
+
+            def central(g, step):
+                return (moved(g, step) - moved(g, -step)) / (2.0 * step)
+
+            want = np.array([exact(g) for g in points])
+            fd = np.array([(4.0 * central(g, s / 2) - central(g, s)) / 3.0 for g in points])
+            assert np.max(np.abs(fd - want)) <= 1e-6 * np.max(np.abs(want)), (letters, n)
+
+
+def test_translations_move_point_values_exactly(rng):
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8).right_derive(P * Q)
+    for _ in range(4):
+        h = hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3))
+        g = hb.HeisenbergElement(*rng.uniform(-0.3, 0.3, 3))
+        assert abs(f.left_translate(h)(g) - f(hb.group_mul(hb.group_inv(h), g))) < 1e-12
+        assert abs(f.right_translate(h)(g) - f(hb.group_mul(g, h))) < 1e-12

@@ -218,6 +218,21 @@ def test_json_malformed_payload_is_a_parse_error(mutate):
         CoefficientVector.from_json(payload)
 
 
+def test_unknown_tail_formula_is_a_parse_error():
+    with pytest.raises(SpecParseError, match="nope"):
+        Tail.formula("nope")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_prefix_is_rejected(bad):
+    with pytest.raises(PreconditionError, match="index 3"):
+        CoefficientVector(
+            IndexDomain.INTEGERS, 2, [1.0, bad], GrowthEnvelope(2.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH
+        )
+    with pytest.raises(PreconditionError):
+        vector_from_prefix(IndexDomain.NATURALS, 0, [bad, 0.5], GrowthClass.RAPID_DECAY)
+
+
 def test_fitted_decay_exponent_is_minus_inf_below_three_points():
     # two usable points: decays faster than any power, the steepest possible fit
     v = vector_from_prefix(IndexDomain.INTEGERS, -1, [0.5, 1.0, 0.5], GrowthClass.RAPID_DECAY)
