@@ -11,6 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
 
 from . import heisenberg as hb
 from . import mollify as mo
@@ -100,11 +101,9 @@ def cmd_wigner(args) -> int:
             "distribution second vector needs --mollify <n> to be evaluated pointwise"
         )
     ps, qs = parse_grid(args.grid)
-    rows = []
-    for p in ps:
-        for q in qs:
-            v = hb.fourier_wigner(phi, psi, float(p), float(q), x_nodes=quad.x_nodes)
-            rows.append((p, q, v.real, v.imag, abs(v)))
+    P, Q = np.meshgrid(ps, qs, indexing="ij")
+    vals = hb.fourier_wigner(phi, psi, P, Q)
+    rows = zip(P.ravel(), Q.ravel(), vals.real.ravel(), vals.imag.ravel(), np.abs(vals).ravel())
     _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows)
     return 0
 

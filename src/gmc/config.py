@@ -27,17 +27,15 @@ class ToleranceTable:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and truncations for the Heisenberg quadratures.
+    """Truncations and the Heisenberg smoothing rule.
 
-    x_nodes drives the Gauss-Hermite-style rule behind matrix elements,
-    box_nodes the per-axis Gauss-Legendre rule on the (p, q) plane behind
-    smoothing; the central t-integral is in closed form.
-    Every quadrature self-checks against a second resolution unless
-    self_check is disabled.
+    box_nodes is the per-axis Gauss-Legendre count on the (p, q) plane; the
+    group-side kernels and the central t-integral are in closed form, and
+    smoothing sizes its x-space rule from the truncations. Smoothing
+    self-checks against a finer rule unless self_check is disabled.
     """
 
     truncation: int = 40
-    x_nodes: int = 80
     box_nodes: int = 48
     input_margin: int = 32
     self_check: bool = True

@@ -9,26 +9,24 @@ representation on L^2(R) is
 realized here entirely in Hermite coefficients: smooth vectors are
 rapid-decay sequences, tempered distributions polynomial-growth ones. The
 generators act by ladder operators (P as d/dx, Q as 2 pi i x, Z as 2 pi i)
-and group elements through quadrature matrix elements
+and group elements through the Fourier-Wigner kernel of the Hermite pair,
 
-    <pi(g) h_j, h_k> = int exp(2 pi i (t + q x + p q/2)) h_j(x+p) h_k(x) dx,
+    <pi(p,q,0) h_j, h_k> = int exp(2 pi i (q x + p q/2)) h_j(x+p) h_k(x) dx,
 
-the Fourier-Wigner kernel of the Hermite pair. The Gaussian factors of the
-integrand cancel the Gauss-Hermite weight exactly, so only Gaussian-free
-Hermite values enter the rule.
+the displacement-operator entry <k|D(a)|j>, a = sqrt(pi)(iq - p), in closed
+form (Cahill and Glauber 1969; Folland, Harmonic Analysis in Phase Space, 1.9).
 
 Test functions are finite sums of sheared bump terms, so translations and Lie
 derivatives act on them exactly. The centre acts by the character
 exp(2 pi i t), so pi(f) sees f only through F(p, q) = int f(p, q, t)
 exp(2 pi i t) dt, which the terms give in closed form; smoothing integrates F
-against the kernels on a Gauss-Legendre rule over the (p, q) plane.
+on a Gauss-Legendre rule over the (p, q) plane against the kernels' x-space
+integrals on a Gauss-Hermite rule, which contracts faster than the closed form.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -299,51 +297,63 @@ class HTestFunction:
 # --------------------------------------------------------------------------
 
 
-def _x_rule_size(x_nodes: int, rows: int, cols: int) -> int:
-    """Gauss-Hermite count able to integrate degree rows+cols exactly, plus margin."""
-    return max(x_nodes, (rows + cols) // 2 + 32)
+def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q) -> np.ndarray:
+    """c[j, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for j < cols at scalar or 1-d p, q.
+
+    With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry at lower index
+    i = min(j, k) and offset e = |k - j| is u^e (k >= j) or (-conj u)^e (k < j) times
+    w_i^(e) = exp(-x/2) x^(e/2) sqrt(i!/(i+e)!) L_i^(e)(x), which the normalized
+    Laguerre recurrence carries in i for every offset and point at once. |w| <= 1 by
+    unitarity; starts that would underflow carry a factor exp(shift), traded back as w grows.
+    """
+    p, q = np.atleast_1d(p, q)
+    nz = np.flatnonzero(psi_vec)
+    first, rows = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+    size, steps = max(rows, cols), min(rows, cols)
+    # offsets still used at step i: upper terms reach rows - i, lower ones cols - (next k >= i)
+    need = np.maximum(rows - np.arange(steps), cols - nz[np.searchsorted(nz, np.arange(steps))])
+    x = math.pi * (p * p + q * q)
+    e = np.arange(size, dtype=float)[:, None]
+    log_w = -0.5 * x - np.array([0.5 * math.lgamma(v + 1.0) for v in range(size)])[:, None]
+    with np.errstate(divide="ignore"):
+        log_w[1:] += e[1:] * (0.5 * np.log(x))  # -inf at x = 0, where w vanishes
+    shift = np.where(np.isfinite(log_w), np.maximum(-600.0 - log_w, 0.0), 0.0)
+    rescale, scale = bool(np.any(shift > 0.0)), np.exp(-shift)
+    # l_{i-1}, l_i, l_{i+1} rotate through three buffers; the fourth holds a product
+    bufs = [np.zeros_like(log_w), np.exp(log_w + shift), np.empty_like(log_w), np.empty_like(log_w)]
+    spin = np.exp(1j * np.arange(size)[:, None] * np.arctan2(q, -p))  # u^k
+    weighted = psi_vec[:rows, None] * spin[:rows]
+    alternating = weighted * (-1.0) ** np.arange(rows)[:, None]
+    upper = np.zeros((cols, len(p)), dtype=np.complex128)  # k >= j
+    lower = np.zeros_like(upper)  # k < j
+    for i, n in enumerate(need.tolist()):
+        prev, cur, nxt, tmp = (b[:n] for b in bufs)
+        if i:
+            np.subtract(2 * i - 1 + e[:n], x, out=nxt)
+            nxt *= cur
+            nxt -= np.multiply(np.sqrt((i - 1) * (i - 1 + e[:n])), prev, out=tmp)
+            nxt /= np.sqrt(i * (i + e[:n]))
+            bufs = bufs[1:3] + bufs[:1] + bufs[3:]
+            prev, cur = cur, nxt
+        if rescale and (big := np.abs(cur) > 1e150).any():
+            cur[big] /= 1e150
+            prev[big] /= 1e150
+            shift[:n][big] -= math.log(1e150)
+            scale = np.exp(-shift)
+        w = cur * scale[:n] if rescale else cur
+        part, ws = weighted[max(i, first) : rows], w[max(first - i, 0) : rows - i]
+        upper[i] = np.einsum("em,em->m", part.real, ws) + 1j * np.einsum("em,em->m", part.imag, ws)
+        if psi_vec[i] != 0:
+            lower[i + 1 :] += alternating[i] * w[1 : cols - i]
+    return np.conj(spin[:cols]) * (upper + (-1.0) ** np.arange(cols)[:, None] * lower)
 
 
-def _matrix_block(
-    p: float, q: float, rows: int, cols: int, x_nodes: int
-) -> np.ndarray:
-    """K[k, j] = <pi(p, q, 0) h_j, h_k> for k < rows, j < cols."""
-    y, w = gauss_hermite_rule(_x_rule_size(x_nodes, rows, cols))
-    x = y / SQRT_2PI - p / 2.0
-    xp = y / SQRT_2PI + p / 2.0
-    hk = hermite_scaled(x, rows - 1)
-    hj = hermite_scaled(xp, cols - 1)
-    osc = np.exp(2j * np.pi * q * x) * w
-    scale = math.exp(-math.pi * p * p / 2.0) / SQRT_2PI
-    return scale * ((hk * osc) @ hj.T)
-
-
-@lru_cache(maxsize=4096)
-def _matrix_block_cached(p: float, q: float, rows: int, cols: int, x_nodes: int):
-    out = _matrix_block(p, q, rows, cols, x_nodes)
-    out.flags.writeable = False
-    return out
-
-
-def matrix_element(
-    g,
-    j: int,
-    k: int,
-    x_nodes: int = DEFAULT_QUADRATURE.x_nodes,
-    check: bool = DEFAULT_QUADRATURE.self_check,
-    check_tol: float = DEFAULT_QUADRATURE.check_tol,
-) -> complex:
-    """<pi(g) h_j, h_k> by Gauss-Hermite-type quadrature, self-checked."""
+def matrix_element(g, j: int, k: int) -> complex:
+    """<pi(g) h_j, h_k> in closed form."""
     g = as_element(g)
-    phase = np.exp(2j * np.pi * (g.t + g.p * g.q / 2.0))
-    coarse = phase * _matrix_block_cached(g.p, g.q, k + 1, j + 1, x_nodes)[k, j]
-    if check:
-        fine = phase * _matrix_block_cached(g.p, g.q, k + 1, j + 1, x_nodes + 32)[k, j]
-        if not abs(coarse - fine) <= check_tol * (1.0 + abs(fine)):
-            raise QuadratureAccuracyError(
-                f"matrix element ({j}, {k}) quadrature has not converged", coarse, fine
-            )
-    return complex(coarse)
+    psi = np.zeros(k + 1)
+    psi[k] = 1.0
+    return complex(np.exp(2j * np.pi * g.t) * _kernel_columns(psi, j + 1, g.p, g.q)[j, 0])
 
 
 def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
@@ -352,18 +362,21 @@ def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
     return max(phi.stop, minimum + margin)
 
 
-def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
-    """Input truncation margin scaled to the support's phase-space reach.
+def _reach(r2: float, level: int) -> int:
+    """Columns past `level` coupled by group elements with p^2 + q^2 <= r2.
 
-    A group element (p, q, .) couples Hermite levels across a band of width
-    about 2 sqrt(s k) + s with s = pi (p^2 + q^2) / 2, so distributions need
-    that many extra columns beyond the output truncation.
+    (p, q, .) couples Hermite levels k across a band of width about
+    2 sqrt(s k) + s with s = pi (p^2 + q^2) / 2.
     """
+    s = math.pi * r2 / 2.0
+    return int(math.ceil(2.6 * math.sqrt(s * (level + 32)) + s)) + 16
+
+
+def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
+    """Input truncation margin scaled to the support's phase-space reach."""
     pm = float(np.max(np.abs(f.support[0])))
     qm = float(np.max(np.abs(f.support[1])))
-    s = math.pi * (pm * pm + qm * qm) / 2.0
-    reach = int(math.ceil(2.6 * math.sqrt(s * (N + 32)) + s)) + 16
-    return max(base, reach)
+    return max(base, _reach(pm * pm + qm * qm, N))
 
 
 def act_group(
@@ -383,8 +396,8 @@ def act_group(
         )
     cols = _input_extent(phi, N, quad.input_margin)
     vec = phi.dense(0, cols - 1)
-    phase = np.exp(2j * np.pi * (g.t + g.p * g.q / 2.0))
-    out = phase * (_matrix_block_cached(g.p, g.q, N, cols, quad.x_nodes) @ vec)
+    # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
+    out = np.exp(2j * np.pi * g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -399,8 +412,7 @@ def dual_act_group(
     ginv = group_inv(as_element(g))
     rows = _input_extent(psi, N, quad.input_margin)
     vec = psi.dense(0, rows - 1)
-    phase = np.exp(2j * np.pi * (ginv.t + ginv.p * ginv.q / 2.0))
-    out = phase * (vec @ _matrix_block_cached(ginv.p, ginv.q, rows, N, quad.x_nodes))
+    out = np.exp(2j * np.pi * ginv.t) * _kernel_columns(vec, N, ginv.p, ginv.q)[:, 0]
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -515,14 +527,17 @@ def dual_act_algebra(d: UEAElement, psi: HermiteVector) -> HermiteVector:
 # --------------------------------------------------------------------------
 
 
-def _smooth_core(
-    f: HTestFunction, phi_vec: np.ndarray, N: int, box_nodes: int, x_nodes: int
-) -> np.ndarray:
+def _x_rule_size(rows: int, cols: int) -> int:
+    """Gauss-Hermite count able to integrate degree rows+cols exactly, plus margin."""
+    return max(80, (rows + cols) // 2 + 32)
+
+
+def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, box_nodes: int) -> np.ndarray:
     pn, pw = f.axis_rule(0, box_nodes)
     qn, qw = f.axis_rule(1, box_nodes)
     # pi(f) sees f only through its central Fourier transform at the character exp(2 pi i t)
     f1 = f.central_transform(pn, qn, 1.0)
-    y, w = gauss_hermite_rule(_x_rule_size(x_nodes, N, len(phi_vec)))
+    y, w = gauss_hermite_rule(_x_rule_size(N, len(phi_vec)))
     base = y / SQRT_2PI
     X = base[None, :] - pn[:, None] / 2.0
     XP = base[None, :] + pn[:, None] / 2.0
@@ -560,9 +575,9 @@ def smooth_by(
     cols = _input_extent(phi, N, _displacement_margin(f, N, quad.input_margin))
     vec = phi.dense(0, cols - 1)
     box_nodes = f.nodes or quad.box_nodes
-    out = _smooth_core(f, vec, N, box_nodes, quad.x_nodes)
+    out = _smooth_core(f, vec, N, box_nodes)
     if quad.self_check:
-        out2 = _smooth_core(f, phi.dense(0, cols + 23), N, box_nodes + 8, quad.x_nodes)
+        out2 = _smooth_core(f, phi.dense(0, cols + 23), N, box_nodes + 8)
         err = float(np.max(np.abs(out - out2)))
         if not err <= quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
             raise QuadratureAccuracyError("smoothing quadrature has not converged", out, out2)
@@ -583,51 +598,42 @@ def gmc_eval(
 
 
 def fourier_wigner(
-    phi: HermiteVector,
-    psi: HermiteVector,
-    p: float,
-    q: float,
-    x_nodes: int = DEFAULT_QUADRATURE.x_nodes,
-    abs_tol: float = 1e-10,
-    max_cols: int = 1024,
-) -> complex:
+    phi: HermiteVector, psi: HermiteVector, p, q, abs_tol: float = 1e-10, max_cols: int = 1024
+) -> complex | np.ndarray:
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
-    psi must be rapid-decay; phi may be any class (the inner contraction
-    against psi decays rapidly in j). Adaptive in the phi truncation.
+    p, q are broadcast scalars or arrays, and so is the result. psi must be
+    rapid-decay; phi may be any class. An infinite phi is truncated at the psi
+    extent plus the reach of the farthest point, doubled up to max_cols until
+    the last 32 terms sum below abs_tol / 4 at every point.
     """
     _require_hermite(phi)
     _require_hermite(psi)
     if psi.growth is not GrowthClass.RAPID_DECAY:
         raise PreconditionError("pointwise evaluation needs a rapid-decay second argument")
-    rows = psi.stop
-    if not psi.finite_support:
-        rows = _extent_for_abs_tail(psi, abs_tol / 8.0)
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    ps, qs = p.ravel(), q.ravel()
+    rows = psi.stop if psi.finite_support else _extent_for_abs_tail(psi, abs_tol / 8.0)
     psi_vec = psi.dense(0, rows - 1)
-    central_phase = np.exp(1j * np.pi * p * q)
 
-    cols = max(phi.stop, 32)
-    total = 0j
+    r2 = float(np.max(ps * ps + qs * qs, initial=0.0))
+    cols = max(phi.stop, 1) if phi.finite_support else min(rows + _reach(r2, rows), max_cols)
     while True:
-        block = _matrix_block(p, q, rows, cols, x_nodes)
-        c = psi_vec @ block  # c_j = sum_k psi_k K[k, j]
         phis = phi.dense(0, cols - 1)
-        total = complex(central_phase * np.sum(phis * c))
-        if not cmath.isfinite(total):
+        terms = phis[:, None] * _kernel_columns(psi_vec, cols, ps, qs)
+        total = terms.sum(axis=0)
+        if not np.all(np.isfinite(total)):
             message = f"pointwise coefficient at {cols} columns is not finite"
             raise QuadratureAccuracyError(message, total, None)
-        tail_block = float(np.sum(np.abs(phis[-32:] * c[-32:])))
-        if phi.finite_support and cols >= phi.stop:
+        if phi.finite_support:
             break
+        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0)))
         if tail_block < abs_tol / 4.0:
             break
-        cols *= 2
-        if cols > max_cols:
-            raise BudgetExceeded(
-                "pointwise coefficient needs more basis columns than budgeted",
-                tail_block,
-            )
-    return total
+        if cols >= max_cols:
+            raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
+        cols = min(2 * cols, max_cols)
+    return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
 
 def _extent_for_abs_tail(v: CoefficientVector, tol: float) -> int:
@@ -688,20 +694,19 @@ def dirac_delta(prefix_len: int = 64) -> HermiteVector:
     )
 
 
-def gaussian_vector(sigma: float = 0.75, nmax: int = 48, x_nodes: int = 160) -> HermiteVector:
-    """Hermite coefficients of the L2-normalized Gaussian of width sigma."""
+def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
+    """Hermite coefficients of the L2-normalized Gaussian of width sigma (Mehler):
+
+    c_{2m} = sqrt(2 sigma/(1 + sigma^2)) (-r)^m sqrt((2m)!)/(2^m m!), c_{2m+1} = 0,
+    with r = (1 - sigma^2)/(1 + sigma^2), built by the ratio -r sqrt((2m-1)/(2m)).
+    """
     if sigma <= 0:
         raise PreconditionError("gaussian width must be positive")
-    rate = math.pi * (1.0 + sigma**-2)
-    y, w = gauss_hermite_rule(x_nodes)
-    x = y / math.sqrt(rate)
-    hs = hermite_scaled(x, nmax)
-    amp = 2.0**0.25 / math.sqrt(sigma)
-    coeffs = (hs @ w) * amp / math.sqrt(rate)
-    coeffs[np.abs(coeffs) < 1e-300] = 0.0
-    return vector_from_prefix(
-        IndexDomain.NATURALS, 0, coeffs.astype(np.complex128), GrowthClass.RAPID_DECAY, degree=-8.0
-    )
+    r = (1.0 - sigma * sigma) / (1.0 + sigma * sigma)
+    ratios = np.concatenate([[1.0], -r * np.sqrt(1.0 - 0.5 / np.arange(1, nmax // 2 + 1))])
+    coeffs = np.zeros(nmax + 1, dtype=np.complex128)
+    coeffs[::2] = math.sqrt(2.0 * sigma / (1.0 + sigma * sigma)) * np.cumprod(ratios)
+    return vector_from_prefix(IndexDomain.NATURALS, 0, coeffs, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
 def poly_growth_vector(r: float, prefix_len: int = 64) -> HermiteVector:

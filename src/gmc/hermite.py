@@ -6,9 +6,9 @@ stable three-term recurrence
 
     h_{k+1}(x) = (2 sqrt(pi) x h_k(x) - sqrt(k) h_{k-1}(x)) / sqrt(k+1).
 
-For quadrature we work with the Gaussian-free values
+The x-space rule of Heisenberg smoothing uses the Gaussian-free values
 hs_k(x) = h_k(x) exp(pi x^2), which obey the same recurrence and stay
-polynomial-sized at Gauss-Hermite nodes.
+polynomial-sized at Gauss-Hermite nodes; the group-side kernels are closed form.
 """
 from __future__ import annotations
 
@@ -79,10 +79,6 @@ def hermite_at_zero_values(ks: np.ndarray) -> np.ndarray:
     m = ks // 2
     mags = 2.0 ** 0.25 * np.sqrt(beta(m + 0.5, 0.5) / math.pi)
     return np.where(ks % 2 == 1, 0.0, np.where(m % 2 == 0, mags, -mags))
-
-
-def hermite_at_zero_single(k: int) -> float:
-    return float(hermite_at_zero_values(np.array([k]))[0])
 
 
 @lru_cache(maxsize=64)

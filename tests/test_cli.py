@@ -281,6 +281,15 @@ def test_config_unknown_key_rejected(tmp_path):
     assert "frobnicate" in err
 
 
+def test_config_removed_x_nodes_key_rejected(tmp_path):
+    # the group-side kernels are closed form, so there is no x-rule to size
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quadrature": {"x_nodes": 80}}))
+    code, _, err = run_cli("--config", str(cfg), "wigner", "e:0", "e:0", "--grid=0:0:1,0:0:1")
+    assert code == 2
+    assert "x_nodes" in err
+
+
 # --- determinism -----------------------------------------------------------------------
 
 

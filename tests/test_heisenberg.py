@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmc import heisenberg as hb
 from gmc import mollify as mo
@@ -63,10 +65,48 @@ def test_matrix_element_against_x_space_oracle():
             assert abs(got - oracle) < 1e-8
 
 
-def test_matrix_element_accuracy_error_path():
-    # an absurdly tight tolerance trips the two-resolution comparison
-    with pytest.raises(QuadratureAccuracyError):
-        hb.matrix_element((2.5, -1.5, 0.0), 30, 31, x_nodes=36, check_tol=1e-18)
+def test_matrix_element_closed_form_matches_x_space_oracle_tightly():
+    for g in ((0.8, -0.4, 0.1), (0.2, 1.0, -0.3), (1.5, -1.2, 0.4)):
+        for j, k in ((0, 0), (1, 2), (3, 1), (12, 7), (20, 25)):
+            got = hb.matrix_element(g, j, k)
+            oracle = _x_space_matrix_element(g, j, k)
+            assert abs(got - oracle) < 1e-12
+
+
+def test_kernel_rows_unitary_at_large_displacement():
+    # row k of pi(p, q, 0) has unit norm; 900 columns hold its whole band for |p|, |q| <= 4
+    ps = np.array([4.0, -4.0, 0.0, 2.5, -3.2, 0.05])
+    qs = np.array([4.0, 3.3, -4.0, -2.5, 0.7, 0.0])
+    # at k = 2000 the recurrence starts of offsets past about 920 underflow and are rescaled
+    for k, cols, m in ((0, 900, 6), (40, 900, 6), (150, 900, 6), (2000, 3300, 2)):
+        psi = np.zeros(k + 1)
+        psi[k] = 1.0
+        c = hb._kernel_columns(psi, cols, ps[:m], qs[:m])
+        assert np.max(np.abs(np.sum(np.abs(c) ** 2, axis=0) - 1.0)) < 1e-12
+
+
+def test_high_index_kernels_are_finite_and_bounded():
+    v = hb.matrix_element((0.5, 0.5, 0), 1300, 1300)
+    assert math.isfinite(v.real) and math.isfinite(v.imag) and abs(v) <= 1.0
+    e700 = hb.unit_vector(700)
+    w = hb.fourier_wigner(e700, e700, 0.5, 0.5)
+    assert math.isfinite(w.real) and math.isfinite(w.imag) and abs(w) <= 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 1000),
+    st.integers(0, 1000),
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+)
+def test_matrix_element_edge_values_are_bounded(j, k, p, q):
+    try:
+        v = hb.matrix_element((p, q, 0.0), j, k)
+    except GmcError:
+        return
+    assert math.isfinite(v.real) and math.isfinite(v.imag)
+    assert abs(v) <= 1.0 + 1e-12
 
 
 def _assert_finite_or_typed_error(compute):
@@ -368,6 +408,39 @@ def test_fourier_wigner_requires_rapid_decay_partner():
         hb.fourier_wigner(hb.unit_vector(0), hb.dirac_delta(), 0.1, 0.2)
 
 
+def test_fourier_wigner_default_budget_reaches_the_tail():
+    # the last doubling stops at max_cols instead of overshooting it
+    ps = np.linspace(-1.68, 1.68, 5)
+    P, Q = np.meshgrid(ps, ps, indexing="ij")
+    phi = hb.poly_growth_vector(0.00345469)
+    got = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q)
+    wide = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q, max_cols=4096)
+    assert np.max(np.abs(got - wide)) < 1e-12
+
+
+def test_fourier_wigner_delta_reaches_the_partner_band():
+    # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p)
+    p, q = -0.3918, -0.3265
+    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(104), p, q)
+    exact = np.exp(-1j * np.pi * p * q) * hermite_functions(np.array([-p]), 104)[104, 0]
+    assert abs(got - exact) < 1e-12
+
+
+def test_fourier_wigner_array_matches_scalar_calls():
+    ps, qs = np.linspace(-1.2, 1.2, 4), np.linspace(-0.9, 0.9, 3)
+    P, Q = np.meshgrid(ps, qs, indexing="ij")
+    pairs = (
+        (hb.gaussian_vector(0.8), hb.unit_vector(3)),
+        (hb.dirac_delta(), hb.unit_vector(5)),
+        (hb.unit_vector(2), hb.gaussian_vector(1.2)),
+    )
+    for phi, psi in pairs:
+        grid = hb.fourier_wigner(phi, psi, P, Q)
+        assert grid.shape == P.shape
+        for a, b in np.ndindex(P.shape):
+            assert abs(grid[a, b] - hb.fourier_wigner(phi, psi, P[a, b], Q[a, b])) < 1e-13
+
+
 def test_fourier_wigner_budget_error_reports_bound():
     from gmc.errors import BudgetExceeded
 
@@ -418,6 +491,14 @@ def test_gaussian_vector_is_normalized_and_even():
     target = 2**0.25 / math.sqrt(0.8) * math.exp(-math.pi * (x / 0.8) ** 2)
     got = hermite_series_value(g.dense(0, g.stop - 1), x)
     assert abs(got - target) < 1e-10
+    # the closed form is normalized to rounding and matches x-space projections
+    xs = np.linspace(-10, 10, 200001)
+    H = hermite_functions(xs, 48)
+    for sigma in (0.75, 0.8, 1.3):
+        c = hb.gaussian_vector(sigma).dense(0, 48)
+        assert abs(np.linalg.norm(c) - 1.0) < 1e-14
+        gx = 2**0.25 / math.sqrt(sigma) * np.exp(-math.pi * (xs / sigma) ** 2)
+        assert np.max(np.abs(c - np.trapezoid(H * gx, xs, axis=1))) < 1e-14
 
 
 def test_poly_growth_vector_envelope():

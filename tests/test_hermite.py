@@ -5,7 +5,6 @@ import numpy as np
 
 from gmc.hermite import (
     hermite_at_zero,
-    hermite_at_zero_single,
     hermite_at_zero_values,
     hermite_functions,
     hermite_scaled,
@@ -49,12 +48,6 @@ def test_values_at_zero_match_function_evaluation():
     assert np.max(np.abs(table - direct)) < 1e-13
     assert all(table[k] == 0 for k in range(1, 21, 2))
     assert abs(table[0] - 2**0.25) < 1e-15
-
-
-def test_single_value_formula_matches_recurrence():
-    table = hermite_at_zero(300)
-    for k in (0, 1, 2, 17, 100, 255, 300):
-        assert abs(hermite_at_zero_single(k) - table[k]) < 1e-12
 
 
 def test_array_values_at_zero_match_recurrence_to_high_index():

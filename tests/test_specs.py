@@ -142,7 +142,7 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(SpecParseError):
         RunConfig(tolerances={"torus_exact": -1})
     with pytest.raises(SpecParseError):
-        RunConfig(quadrature={"x_nodes": -4})
+        RunConfig(quadrature={"box_nodes": -4})
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "torus", "seed": 3, "unknown_key": 1}))
