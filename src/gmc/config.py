@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 class ToleranceTable:
     torus_exact: float = 1e-13
     heisenberg_fd: float = 5e-5
-    pair_abs_tol: float = 1e-12
     mass_tol: float = 1e-10
-    quadrature_check: float = 1e-7
 
     def override(self, **kwargs) -> "ToleranceTable":
         bad = set(kwargs) - set(self.__dataclass_fields__)
@@ -27,18 +25,17 @@ class ToleranceTable:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncations and the Heisenberg smoothing rule.
+    """Heisenberg truncations and the smoothing self-check tolerance.
 
-    box_nodes is the per-axis Gauss-Legendre count on the (p, q) plane; the
-    group-side kernels and the central t-integral are in closed form, and
-    smoothing sizes its x-space rule from the truncations. Smoothing
-    self-checks against a finer rule unless self_check is disabled.
+    truncation is the output length N; an infinite input is read at least
+    input_margin columns past it. Each test function carries its own (p, q) rule size,
+    and smoothing sizes its Gauss-Hermite rule from the truncations. Smoothing
+    always checks itself against a finer rule and a longer input, to check_tol
+    relative to the result.
     """
 
     truncation: int = 40
-    box_nodes: int = 48
     input_margin: int = 32
-    self_check: bool = True
     check_tol: float = 1e-6
 
     def override(self, **kwargs) -> "QuadratureSpec":

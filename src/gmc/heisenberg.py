@@ -19,9 +19,11 @@ form (Cahill and Glauber 1969; Folland, Harmonic Analysis in Phase Space, 1.9).
 Test functions are finite sums of sheared bump terms, so translations and Lie
 derivatives act on them exactly. The centre acts by the character
 exp(2 pi i t), so pi(f) sees f only through F(p, q) = int f(p, q, t)
-exp(2 pi i t) dt, which the terms give in closed form; smoothing integrates F
-on a Gauss-Legendre rule over the (p, q) plane against the kernels' x-space
-integrals on a Gauss-Hermite rule, which contracts faster than the closed form.
+exp(2 pi i t) dt, which the terms give in closed form. pi(f) is then the
+integral operator with kernel int F(y - x, q) exp(2 pi i q b) dq at the
+midpoint b = (x + y)/2 (Folland 1.3): smoothing takes F on a Gauss-Legendre
+rule over the (p, q) plane, the q-integral as one matrix product onto
+Gauss-Hermite nodes in b, and the Hermite functions at b -/+ p/2.
 """
 from __future__ import annotations
 
@@ -61,6 +63,9 @@ HEISENBERG_STRUCTURE = LieStructure(
 )
 
 HermiteVector = CoefficientVector
+
+# per-axis count of a test function's (p, q) Gauss-Legendre rule before derivatives
+BOX_NODES = 48
 
 
 def _require_hermite(v: CoefficientVector) -> None:
@@ -213,10 +218,10 @@ class HTestFunction:
     """
 
     terms: tuple
-    nodes: int = DEFAULT_QUADRATURE.box_nodes
+    nodes: int = BOX_NODES
 
     @staticmethod
-    def bump(jn, nodes: int = DEFAULT_QUADRATURE.box_nodes) -> "HTestFunction":
+    def bump(jn, nodes: int = BOX_NODES) -> "HTestFunction":
         """The product bump jn(p) jn(q) jn(t) of a 1-d scaled bump jn."""
         return HTestFunction((_Term(jn, np.ones((1, 1), dtype=np.complex128)),), nodes)
 
@@ -532,29 +537,21 @@ def _x_rule_size(rows: int, cols: int) -> int:
     return max(80, (rows + cols) // 2 + 32)
 
 
-def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, box_nodes: int) -> np.ndarray:
-    pn, pw = f.axis_rule(0, box_nodes)
-    qn, qw = f.axis_rule(1, box_nodes)
-    # pi(f) sees f only through its central Fourier transform at the character exp(2 pi i t)
-    f1 = f.central_transform(pn, qn, 1.0)
+def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, nodes: int) -> np.ndarray:
+    pn, pw = f.axis_rule(0, nodes)
+    qn, qw = f.axis_rule(1, nodes)
     y, w = gauss_hermite_rule(_x_rule_size(N, len(phi_vec)))
-    base = y / SQRT_2PI
-    X = base[None, :] - pn[:, None] / 2.0
-    XP = base[None, :] + pn[:, None] / 2.0
-    cols = len(phi_vec)
-    hj = hermite_scaled(XP.ravel(), cols - 1).reshape(cols, len(pn), len(y))
-    hk = hermite_scaled(X.ravel(), N - 1).reshape(N, len(pn), len(y))
-    s = np.einsum("j,jai->ai", phi_vec, hj)
-    osc = np.exp(2j * np.pi * np.einsum("b,ai->bai", qn, X))
-    r = np.einsum("kai,bai,ai,i->kab", hk, osc, s, w, optimize=True)
-    wgrid = (
-        pw[:, None]
-        * qw[None, :]
-        * f1
-        * np.exp(1j * np.pi * np.outer(pn, qn))
-        * (np.exp(-np.pi * pn * pn / 2.0) / SQRT_2PI)[:, None]
-    )
-    return np.einsum("kab,ab->k", r, wgrid)
+    b = y / SQRT_2PI  # kernel midpoints (x + y)/2
+    # the Gaussians of h at b -/+ p/2 leave exp(-y^2), the rule's weight, times
+    # exp(-pi p^2/2), and dx = dy / sqrt(2 pi)
+    gauss = np.exp(-np.pi * pn * pn / 2.0) / SQRT_2PI
+    weights = (pw * gauss)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
+    kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
+    # Hermite table columns run over the (p, b) pairs, p-major like kernel.ravel()
+    s = phi_vec @ hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), len(phi_vec) - 1)
+    hk = hermite_scaled(np.add.outer(-pn / 2.0, b).ravel(), N - 1)
+    return hk @ (s * (kernel * w).ravel())
 
 
 def smooth_by(
@@ -565,22 +562,21 @@ def smooth_by(
 ) -> HermiteVector:
     """pi(f) phi = weak integral of f(g) pi(g) phi, coefficient-wise.
 
-    Gauss-Legendre over the (p, q) support square against the closed-form
-    central transform of f; the result is a smooth (rapid-decay) vector. The computation self-checks against a finer rule
-    and a longer input truncation unless disabled.
+    In the Schrodinger model pi(f) is the integral operator whose kernel at the
+    midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
+    Gauss-Legendre over the (p, q) support square of the closed-form central
+    transform, Gauss-Hermite in b. The result is a smooth (rapid-decay) vector,
+    checked against a rule 8 nodes finer per axis and an input 24 columns longer.
     """
     _require_hermite(phi)
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
     cols = _input_extent(phi, N, _displacement_margin(f, N, quad.input_margin))
-    vec = phi.dense(0, cols - 1)
-    box_nodes = f.nodes or quad.box_nodes
-    out = _smooth_core(f, vec, N, box_nodes)
-    if quad.self_check:
-        out2 = _smooth_core(f, phi.dense(0, cols + 23), N, box_nodes + 8)
-        err = float(np.max(np.abs(out - out2)))
-        if not err <= quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
-            raise QuadratureAccuracyError("smoothing quadrature has not converged", out, out2)
+    out = _smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
+    out2 = _smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + 8)
+    err = float(np.max(np.abs(out - out2)))
+    if not err <= quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
+        raise QuadratureAccuracyError("smoothing quadrature has not converged", out, out2)
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 

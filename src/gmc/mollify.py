@@ -78,8 +78,8 @@ class BumpProfile:
 
     @staticmethod
     def standard(radius: float = 0.25, quad_nodes: int = 400) -> "BumpProfile":
-        if radius <= 0:
-            raise PreconditionError("bump radius must be positive")
+        if not 0 < radius < math.inf:
+            raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
         coarse = unit_bump_mass(quad_nodes)
         fine = unit_bump_mass(quad_nodes + 100)
         if abs(coarse - fine) > 1e-12 * (1.0 + abs(fine)):
@@ -179,7 +179,7 @@ def push_forward(jn: ScaledBump, model: GroupModel, nodes: int | None = None):
     if model.name == "heisenberg":
         if jn.dim != 3:
             raise PreconditionError("the Heisenberg pushforward takes a 3-d bump")
-        return hb.HTestFunction.bump(jn, nodes or hb.DEFAULT_QUADRATURE.box_nodes)
+        return hb.HTestFunction.bump(jn, nodes or hb.BOX_NODES)
     raise PreconditionError(f"no pushforward for model {model.name!r}")
 
 

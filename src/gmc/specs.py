@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,9 +27,12 @@ def get_model(group: str) -> GroupModel:
 
 def _numeric(token: str, spec: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise SpecParseError(f"bad numeric token {token!r} in spec {spec!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise SpecParseError(f"bad numeric token {token!r} in spec {spec!r}")
+    return value
 
 
 def _integer(token: str, spec: str) -> int:
@@ -201,23 +205,17 @@ def parse_n_list(spec: str) -> list[int]:
 # run configuration
 # --------------------------------------------------------------------------
 
-_RUNCONFIG_KEYS = {"group", "truncation", "seed", "output", "tolerances", "quadrature"}
+_RUNCONFIG_KEYS = {"seed", "output", "tolerances", "quadrature"}
 
 
 @dataclass
 class RunConfig:
-    group: str = "torus"
-    truncation: int = 40
     seed: int = 20260808
     output: str | None = None
     tolerances: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.group not in ("torus", "heisenberg"):
-            raise SpecParseError(f"unknown group {self.group!r}")
-        if self.truncation < 1:
-            raise SpecParseError("truncation must be positive")
         if self.seed < 0:
             raise SpecParseError("seed must be a nonnegative integer")
         for key, value in {**self.tolerances}.items():
@@ -228,7 +226,7 @@ class RunConfig:
         for key, value in {**self.quadrature}.items():
             if key not in QuadratureSpec.__dataclass_fields__:
                 raise SpecParseError(f"unknown quadrature key {key!r}")
-            if key != "self_check" and not (isinstance(value, (int, float)) and value > 0):
+            if not (isinstance(value, (int, float)) and value > 0):
                 raise SpecParseError(f"quadrature {key!r} must be positive")
 
     @staticmethod

@@ -3,18 +3,11 @@ import pytest
 
 from gmc import heisenberg as hb
 from gmc import torus as tr
-from gmc.config import QuadratureSpec
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
-
-
-@pytest.fixture(scope="session")
-def fast_quad():
-    """Quadrature spec without the doubled self-check, for bulk property runs."""
-    return QuadratureSpec(self_check=False)
 
 
 @pytest.fixture(scope="session")

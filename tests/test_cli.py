@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gmc
 from gmc.cli import main
@@ -281,13 +282,47 @@ def test_config_unknown_key_rejected(tmp_path):
     assert "frobnicate" in err
 
 
-def test_config_removed_x_nodes_key_rejected(tmp_path):
-    # the group-side kernels are closed form, so there is no x-rule to size
+_WIGNER_AT_ORIGIN = ("wigner", "e:0", "e:0", "--grid=0:0:1,0:0:1")
+
+# key (as the error names it) -> (config file payload, command)
+_REMOVED_KEYS = {
+    "x_nodes": ({"quadrature": {"x_nodes": 80}}, _WIGNER_AT_ORIGIN),
+    "box_nodes": ({"quadrature": {"box_nodes": 48}}, _WIGNER_AT_ORIGIN),
+    "self_check": ({"quadrature": {"self_check": False}}, _WIGNER_AT_ORIGIN),
+    "quadrature_check": ({"tolerances": {"quadrature_check": 1e-7}}, _WIGNER_AT_ORIGIN),
+    "pair_abs_tol": ({"tolerances": {"pair_abs_tol": 1e-12}}, _WIGNER_AT_ORIGIN),
+    "group": ({"group": "heisenberg"}, _WIGNER_AT_ORIGIN),
+    "truncation": ({"truncation": 40}, _WIGNER_AT_ORIGIN),
+    "tol-quadrature_check": ({}, ("verify", "uea", "--tol", "quadrature_check=1e-7")),
+}
+
+
+@pytest.mark.parametrize("case", _REMOVED_KEYS)
+def test_config_removed_key_rejected(tmp_path, case):
+    # keys that changed no result: closed-form kernels need no x-rule, test functions
+    # carry their own (p, q) rule, smoothing always self-checks, and the subcommand
+    # picks the group
+    payload, argv = _REMOVED_KEYS[case]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quadrature": {"x_nodes": 80}}))
-    code, _, err = run_cli("--config", str(cfg), "wigner", "e:0", "e:0", "--grid=0:0:1,0:0:1")
+    cfg.write_text(json.dumps(payload))
+    code, _, err = run_cli("--config", str(cfg), *argv)
     assert code == 2
-    assert "x_nodes" in err
+    assert case.removeprefix("tol-") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mollify", "--group", "heisenberg", "delta", "e:0", "bump3:radius=nan", "--n", "2"),
+        ("mollify", "--group", "torus", "comb", "comb", "band:6:fejer", "--n", "2", "--radius", "nan"),
+        ("mollify", "--group", "torus", "comb", "comb", "band:6:fejer", "--n", "2", "--radius", "inf"),
+        ("wigner", "e:0", "e:0", "--grid=0:inf:2,0:0:1"),
+    ],
+)
+def test_non_finite_number_is_bad_input(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert "error:" in err
 
 
 # --- determinism -----------------------------------------------------------------------

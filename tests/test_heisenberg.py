@@ -326,6 +326,35 @@ def test_smooth_by_output_is_certified_rapid_decay():
         assert fitted_decay_exponent(out_d, floor=1e-12) < -1.0
 
 
+_BUMP = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+
+
+@pytest.mark.parametrize(
+    "f, phi",
+    [
+        (_BUMP, hb.unit_vector(0)),
+        (_BUMP, hb.dirac_delta()),
+        (_BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q), hb.gaussian_vector(0.9)),
+        (_BUMP.left_derive(Q * Z), hb.poly_growth_vector(1.2)),
+        (_BUMP.right_translate((-0.4, 0.25, 0.3)), hb.unit_vector(7)),
+    ],
+    ids=["e0", "delta", "translated-PQ-gauss", "QZ-poly", "translated-e7"],
+)
+def test_smoothing_matches_closed_form_kernel_sum(f, phi):
+    # pi(f) phi = sum over the (p, q) rule of w F_1(p, q) pi(p, q, 0) phi, each
+    # column from the closed-form kernels as in act_group, on the same input
+    N = 40
+    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, QuadratureSpec().input_margin))
+    vec = phi.dense(0, cols - 1)
+    pn, pw = f.axis_rule(0)
+    qn, qw = f.axis_rule(1)
+    weights = (pw[:, None] * f.central_transform(pn, qn, 1.0) * qw).ravel()
+    P_, Q_ = np.meshgrid(pn, qn, indexing="ij")
+    ref = np.conj(hb._kernel_columns(np.conj(vec), N, -P_.ravel(), -Q_.ravel())) @ weights
+    got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_smooth_by_accuracy_error_on_tight_tolerance():
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     with pytest.raises(QuadratureAccuracyError):
@@ -499,6 +528,16 @@ def test_gaussian_vector_is_normalized_and_even():
         assert abs(np.linalg.norm(c) - 1.0) < 1e-14
         gx = 2**0.25 / math.sqrt(sigma) * np.exp(-math.pi * (xs / sigma) ** 2)
         assert np.max(np.abs(c - np.trapezoid(H * gx, xs, axis=1))) < 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_sigma=st.floats(-6.0, 6.0))
+def test_gaussian_vector_edge_widths_are_finite(log_sigma):
+    g = hb.gaussian_vector(10.0**log_sigma)
+    p, q = np.array([0.0, 0.5, -1.5]), np.array([0.0, 0.3, 2.0])
+    _assert_finite_or_typed_error(lambda: hb.smooth_by(_BUMP, g).prefix)
+    _assert_finite_or_typed_error(lambda: hb.fourier_wigner(g, g, p, q))
+    _assert_finite_or_typed_error(lambda: hb.gmc_eval(g, g, _BUMP))
 
 
 def test_poly_growth_vector_envelope():

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc import torus as tr
-from gmc.errors import BudgetExceeded, PreconditionError
+from gmc.errors import BudgetExceeded, GmcError, PreconditionError
 from gmc.vectors import GrowthClass, fitted_decay_exponent, pair
 
 
@@ -202,6 +204,33 @@ def test_mollify_heisenberg_delta_is_certified_smooth():
     out = mo.mollify(hb.dirac_delta(), 1, hb.HEISENBERG, profile=mo.BumpProfile.standard(0.8))
     assert out.growth is GrowthClass.RAPID_DECAY
     assert fitted_decay_exponent(out, floor=1e-12) < -1.0
+
+
+def _finite_or_typed_error(compute) -> None:
+    try:
+        value = compute()
+    except GmcError:
+        return
+    assert np.all(np.isfinite(value))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 256), radius=st.floats(0.15, 0.45))
+def test_circle_mollifier_edge_values_are_finite(n, radius):
+    # the band grows like n / radius: n = 256 at radius 0.15 is the widest case
+    _finite_or_typed_error(
+        lambda: tr.gmc_eval(tr.comb(), tr.comb(), mo.standard_mollifier(tr.TORUS, n, radius))
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 256), radius=st.floats(0.15, 0.8))
+def test_heisenberg_mollifier_edge_values_are_finite(n, radius):
+    _finite_or_typed_error(
+        lambda: hb.gmc_eval(
+            hb.dirac_delta(), hb.unit_vector(0), mo.standard_mollifier(hb.HEISENBERG, n, radius)
+        )
+    )
 
 
 # --- gmc approximation tables ----------------------------------------------------------

@@ -131,23 +131,24 @@ def test_parse_n_list():
 
 
 def test_runconfig_validation(tmp_path):
-    cfg = RunConfig(group="heisenberg", truncation=32, seed=7)
+    cfg = RunConfig(seed=7)
     assert cfg.tolerance_table().torus_exact == 1e-13
-    with pytest.raises(SpecParseError):
-        RunConfig(group="nope")
-    with pytest.raises(SpecParseError):
-        RunConfig(truncation=0)
     with pytest.raises(SpecParseError):
         RunConfig(tolerances={"not_a_key": 1e-3})
     with pytest.raises(SpecParseError):
         RunConfig(tolerances={"torus_exact": -1})
     with pytest.raises(SpecParseError):
-        RunConfig(quadrature={"box_nodes": -4})
+        RunConfig(quadrature={"input_margin": -4})
 
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"group": "torus", "seed": 3, "unknown_key": 1}))
+    path.write_text(json.dumps({"seed": 3, "unknown_key": 1}))
     with pytest.raises(SpecParseError, match="unknown_key"):
         RunConfig.from_json(str(path))
-    path.write_text(json.dumps({"group": "torus", "tolerances": {"heisenberg_fd": 1e-3}}))
+    # the group comes from the command and the truncation from the quadrature table
+    for key, value in (("group", "torus"), ("truncation", 40)):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(SpecParseError, match=key):
+            RunConfig.from_json(str(path))
+    path.write_text(json.dumps({"tolerances": {"heisenberg_fd": 1e-3}}))
     cfg2 = RunConfig.from_json(str(path))
     assert cfg2.tolerance_table().heisenberg_fd == 1e-3
