@@ -23,7 +23,9 @@ exp(2 pi i t) dt, which the terms give in closed form. pi(f) is then the
 integral operator with kernel int F(y - x, q) exp(2 pi i q b) dq at the
 midpoint b = (x + y)/2 (Folland 1.3): smoothing takes F on a Gauss-Legendre
 rule over the (p, q) plane, the q-integral as one matrix product onto
-Gauss-Hermite nodes in b, and the Hermite functions at b -/+ p/2.
+Gauss-Hermite nodes in b, and the Hermite functions at b -/+ p/2. The nodes are
+symmetric and hs_k has parity (-1)^k, so one real table at b + p/2 serves the
+input and, read with b reversed, the output.
 """
 from __future__ import annotations
 
@@ -66,6 +68,10 @@ HermiteVector = CoefficientVector
 
 # per-axis count of a test function's (p, q) Gauss-Legendre rule before derivatives
 BOX_NODES = 48
+# largest Hermite index of a gaussian_vector prefix
+GAUSSIAN_MAX_INDEX = 8192
+# entries of the largest Hermite table smoothing may build (512 MiB of float64)
+SMOOTH_TABLE_BUDGET = 1 << 26
 
 
 def _require_hermite(v: CoefficientVector) -> None:
@@ -548,10 +554,14 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, nodes: int) -> n
     weights = (pw * gauss)[:, None] * f.central_transform(pn, qn, 1.0) * qw
     # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
     kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
-    # Hermite table columns run over the (p, b) pairs, p-major like kernel.ravel()
-    s = phi_vec @ hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), len(phi_vec) - 1)
-    hk = hermite_scaled(np.add.outer(-pn / 2.0, b).ravel(), N - 1)
-    return hk @ (s * (kernel * w).ravel())
+    # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
+    # b[::-1] == -b and parity give hs_k(b - p/2) = (-1)^k hs_k(b[::-1] + p/2)
+    cols = len(phi_vec)
+    table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols) - 1)
+    s = np.stack([phi_vec.real, phi_vec.imag]) @ table[:cols]
+    v = ((s[0] + 1j * s[1]) * (kernel * w).ravel()).reshape(kernel.shape)[:, ::-1].ravel()
+    out = table[:N] @ np.stack([v.real, v.imag], axis=1)
+    return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
 
 
 def smooth_by(
@@ -565,13 +575,20 @@ def smooth_by(
     In the Schrodinger model pi(f) is the integral operator whose kernel at the
     midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
     Gauss-Legendre over the (p, q) support square of the closed-form central
-    transform, Gauss-Hermite in b. The result is a smooth (rapid-decay) vector,
-    checked against a rule 8 nodes finer per axis and an input 24 columns longer.
+    transform, Gauss-Hermite in b, and one real table of the Hermite functions
+    at b + p/2 that serves both sides by parity. The result is a smooth
+    (rapid-decay) vector, checked against a rule 8 nodes finer per axis and an
+    input 24 columns longer. A check table of more than SMOOTH_TABLE_BUDGET
+    entries raises BudgetExceeded before any is built.
     """
     _require_hermite(phi)
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
     cols = _input_extent(phi, N, _displacement_margin(f, N, quad.input_margin))
+    # the check pass builds the larger table; refuse before building either
+    entries = max(N, cols + 24) * (f.nodes + 8) * _x_rule_size(N, cols + 24)
+    if entries > SMOOTH_TABLE_BUDGET:
+        raise BudgetExceeded(f"smoothing needs a Hermite table of {entries} entries", math.inf)
     out = _smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
     out2 = _smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + 8)
     err = float(np.max(np.abs(out - out2)))
@@ -695,13 +712,26 @@ def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
 
     c_{2m} = sqrt(2 sigma/(1 + sigma^2)) (-r)^m sqrt((2m)!)/(2^m m!), c_{2m+1} = 0,
     with r = (1 - sigma^2)/(1 + sigma^2), built by the ratio -r sqrt((2m-1)/(2m)).
+    The prefix runs to index nmax, or further until the dropped squared norm is
+    below 1e-16: as c_0^2 = sqrt(1 - r^2) and C(2m, m)/4^m <= 1, it is at most
+    r^(2m) / c_0^2 past m even terms. A width that needs indices past
+    GAUSSIAN_MAX_INDEX = 8192 (sigma below about 0.049 or above about 20.4)
+    raises BudgetExceeded.
     """
-    if sigma <= 0:
-        raise PreconditionError("gaussian width must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise PreconditionError("gaussian width must be positive and finite")
     r = (1.0 - sigma * sigma) / (1.0 + sigma * sigma)
+    c0_sq = 2.0 * sigma / (1.0 + sigma * sigma)
+    if not abs(r) < 1.0:  # sigma^2 rounds away next to 1, or overflows
+        raise BudgetExceeded(f"gaussian width {sigma!r} needs an unbounded prefix", 1.0)
+    terms = 1 if r == 0.0 else math.floor(math.log(1e-16 * c0_sq) / (2.0 * math.log(abs(r)))) + 1
+    if 2 * (terms - 1) > GAUSSIAN_MAX_INDEX:
+        dropped = min(abs(r) ** (GAUSSIAN_MAX_INDEX + 2) / c0_sq, 1.0)
+        raise BudgetExceeded(f"gaussian width {sigma!r} needs indices past {GAUSSIAN_MAX_INDEX}", dropped)
+    nmax = max(nmax, 2 * (terms - 1))
     ratios = np.concatenate([[1.0], -r * np.sqrt(1.0 - 0.5 / np.arange(1, nmax // 2 + 1))])
     coeffs = np.zeros(nmax + 1, dtype=np.complex128)
-    coeffs[::2] = math.sqrt(2.0 * sigma / (1.0 + sigma * sigma)) * np.cumprod(ratios)
+    coeffs[::2] = math.sqrt(c0_sq) * np.cumprod(ratios)
     return vector_from_prefix(IndexDomain.NATURALS, 0, coeffs, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 

@@ -9,6 +9,10 @@ stable three-term recurrence
 The x-space rule of Heisenberg smoothing uses the Gaussian-free values
 hs_k(x) = h_k(x) exp(pi x^2), which obey the same recurrence and stay
 polynomial-sized at Gauss-Hermite nodes; the group-side kernels are closed form.
+Both values have parity (-1)^k, and hermite_scaled keeps it bit for bit:
+negating x negates every product of the recurrence exactly. Together with the
+exactly antisymmetric Gauss-Hermite nodes, this lets smoothing read the
+functions at b - p/2 from one table built at b + p/2.
 """
 from __future__ import annotations
 
@@ -23,18 +27,24 @@ _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
     """Gaussian-free values hs_k(x) for k = 0..nmax; shape (nmax+1, len(x)).
 
-    They grow like exp(pi x^2) and leave the float range near |x| = 15. Such
+    hermite_scaled(-x, n)[k] == (-1)^k hermite_scaled(x, n)[k] exactly. The
+    values grow like exp(pi x^2) and leave the float range near |x| = 15. Such
     entries are nan, which later arithmetic carries without warnings, and the
     callers' finiteness and self-checks turn them into typed errors.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1, x.size))
     out[0] = 2.0 ** 0.25
+    cx = _TWO_SQRT_PI * x
     if nmax >= 1:
-        out[1] = _TWO_SQRT_PI * x * out[0]
+        np.multiply(cx, out[0], out=out[1])
+    tmp = np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nmax):
-            out[k + 1] = (_TWO_SQRT_PI * x * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+        for k in range(1, nmax):  # in place, in the formula's operation order: same bits
+            row = out[k + 1]
+            np.multiply(cx, out[k], out=row)
+            row -= np.multiply(math.sqrt(k), out[k - 1], out=tmp)
+            row /= math.sqrt(k + 1)
     if not np.all(np.isfinite(out[-1])):  # a column that left the float range stays out
         out[np.isinf(out)] = np.nan
     return out
@@ -83,15 +93,18 @@ def hermite_at_zero_values(ks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw Gauss-Hermite nodes/weights for weight exp(-y^2).
+    """Gauss-Hermite nodes/weights for weight exp(-y^2), ascending.
 
-    scipy's rule stays stable at large node counts where the numpy one
+    The rule is symmetric bit for bit: y[::-1] == -y and w[::-1] == w, which
+    Heisenberg smoothing relies on to serve both sides from one Hermite table.
+    scipy's rule already is (the symmetrization changes no bit of it for
+    n = 80..400) and stays stable at large node counts where the numpy one
     overflows in the weight computation.
     """
     from scipy.special import roots_hermite
 
     y, w = roots_hermite(n)
-    return y, w
+    return (y - y[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
 @lru_cache(maxsize=32)

@@ -221,8 +221,8 @@ class RunConfig:
         for key, value in {**self.tolerances}.items():
             if key not in ToleranceTable.__dataclass_fields__:
                 raise SpecParseError(f"unknown tolerance key {key!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise SpecParseError(f"tolerance {key!r} must be positive")
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise SpecParseError(f"tolerance {key!r} must be positive and finite")
         for key, value in {**self.quadrature}.items():
             if key not in QuadratureSpec.__dataclass_fields__:
                 raise SpecParseError(f"unknown quadrature key {key!r}")

@@ -252,6 +252,15 @@ def test_verify_bad_tolerance_key():
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_verify_non_positive_tolerance_is_bad_input(value):
+    # the same rule as config-file tolerances: bad input (2), not a failed property (1)
+    code, out, err = run_cli("verify", "torus-covariance", "--tol", f"torus_exact={value}")
+    assert code == 2
+    assert "torus_exact" in err and "must be positive" in err
+    assert out == ""
+
+
 def test_verify_seed_changes_draws_but_not_verdict():
     code1, out1, _ = run_cli("verify", "torus-covariance", "--seed", "1")
     code2, out2, _ = run_cli("verify", "torus-covariance", "--seed", "2")

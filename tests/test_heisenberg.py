@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc.config import QuadratureSpec
-from gmc.errors import GmcError, PreconditionError, QuadratureAccuracyError
-from gmc.hermite import hermite_functions, hermite_series_value, legendre_on_interval
+from gmc.errors import BudgetExceeded, GmcError, PreconditionError, QuadratureAccuracyError
+from gmc.hermite import (
+    gauss_hermite_rule,
+    hermite_functions,
+    hermite_scaled,
+    hermite_series_value,
+    legendre_on_interval,
+)
 from gmc.uea import UEAElement
 from gmc.vectors import (
     GrowthClass,
@@ -355,6 +361,67 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _two_table_smooth_core(f, phi_vec, N, nodes):
+    """Reference core: complex contractions with Hermite tables at b + p/2 and b - p/2."""
+    pn, pw = f.axis_rule(0, nodes)
+    qn, qw = f.axis_rule(1, nodes)
+    y, w = gauss_hermite_rule(hb._x_rule_size(N, len(phi_vec)))
+    b = y / hb.SQRT_2PI
+    gauss = np.exp(-np.pi * pn * pn / 2.0) / hb.SQRT_2PI
+    weights = (pw * gauss)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+    kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
+    s = phi_vec @ hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), len(phi_vec) - 1)
+    hk = hermite_scaled(np.add.outer(-pn / 2.0, b).ravel(), N - 1)
+    return hk @ (s * (kernel * w).ravel())
+
+
+@pytest.mark.parametrize(
+    "f, phi, N",
+    [
+        (_BUMP, hb.dirac_delta(), 40),
+        (_BUMP, hb.unit_vector(3), 40),
+        (_BUMP, hb.act_group((0.4, -0.3, 0.2), hb.gaussian_vector(0.8), N=64), 40),
+        (_BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q), hb.gaussian_vector(0.9), 40),
+        (_BUMP.right_translate((-0.4, 0.25, 0.3)).left_derive(Q * Z), hb.poly_growth_vector(1.2), 40),
+        (_BUMP.left_translate((0.3, -0.2, 0.1)), hb.dirac_delta(), 160),
+    ],
+    ids=["delta-cols-above-N", "e3-cols-below-N", "complex-act", "translated-PQ", "QZ-poly", "delta-N160"],
+)
+def test_single_table_core_matches_two_table_formula(f, phi, N):
+    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, QuadratureSpec().input_margin))
+    vec = phi.dense(0, cols - 1)
+    ref = _two_table_smooth_core(f, vec, N, f.nodes)
+    got = hb._smooth_core(f, vec, N, f.nodes)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_smooth_core_builds_one_hermite_table(monkeypatch):
+    calls = []
+
+    def counting(x, nmax):
+        calls.append(nmax)
+        return hermite_scaled(x, nmax)
+
+    monkeypatch.setattr(hb, "hermite_scaled", counting)
+    for phi, N in ((hb.dirac_delta(), 40), (hb.unit_vector(3), 40), (hb.unit_vector(60), 40)):
+        vec = phi.dense(0, hb._input_extent(phi, N, 32) - 1)
+        calls.clear()
+        hb._smooth_core(_BUMP, vec, N, _BUMP.nodes)
+        assert calls == [max(N, len(vec)) - 1]
+    calls.clear()
+    hb.smooth_by(_BUMP, hb.unit_vector(3))
+    assert len(calls) == 2  # the result and its self-check
+
+
+def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
+    def refuse(x, nmax):
+        raise AssertionError("no Hermite table should be built")
+
+    monkeypatch.setattr(hb, "hermite_scaled", refuse)
+    with pytest.raises(BudgetExceeded):
+        hb.smooth_by(_BUMP, hb.gaussian_vector(0.1))
+
+
 def test_smooth_by_accuracy_error_on_tight_tolerance():
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     with pytest.raises(QuadratureAccuracyError):
@@ -530,10 +597,29 @@ def test_gaussian_vector_is_normalized_and_even():
         assert np.max(np.abs(c - np.trapezoid(H * gx, xs, axis=1))) < 1e-14
 
 
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.75, 1.0, 1.33, 3.0, 10.0, 20.0])
+def test_gaussian_vector_norm_across_widths(sigma):
+    g = hb.gaussian_vector(sigma)
+    assert abs(math.fsum(np.abs(g.prefix) ** 2) - 1.0) < 1e-12
+    assert abs(hb.fourier_wigner(g, g, 0.0, 0.0) - 1.0) < 1e-12
+    if 0.75 <= sigma <= 1.33:
+        assert g.stop == 49  # default widths keep the default prefix
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 0.01, 0.045, 25.0, 1e6, 1e200])
+def test_gaussian_vector_past_the_cap_raises(sigma):
+    with pytest.raises(BudgetExceeded):
+        hb.gaussian_vector(sigma)
+
+
 @settings(max_examples=20, deadline=None)
 @given(log_sigma=st.floats(-6.0, 6.0))
 def test_gaussian_vector_edge_widths_are_finite(log_sigma):
-    g = hb.gaussian_vector(10.0**log_sigma)
+    try:
+        g = hb.gaussian_vector(10.0**log_sigma)
+    except GmcError:
+        return
+    assert abs(math.fsum(np.abs(g.prefix) ** 2) - 1.0) < 1e-12
     p, q = np.array([0.0, 0.5, -1.5]), np.array([0.0, 0.3, 2.0])
     _assert_finite_or_typed_error(lambda: hb.smooth_by(_BUMP, g).prefix)
     _assert_finite_or_typed_error(lambda: hb.fourier_wigner(g, g, p, q))

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 
+import pytest
+
 from gmc.hermite import (
+    gauss_hermite_rule,
     hermite_at_zero,
     hermite_at_zero_values,
     hermite_functions,
@@ -71,3 +74,21 @@ def test_series_evaluation():
     H = hermite_functions(np.array([x]), 2)
     expected = H[0, 0] - 0.5 * H[2, 0]
     assert abs(hermite_series_value(coeffs, x) - expected) < 1e-14
+
+
+def test_scaled_values_have_exact_parity():
+    # hs_k(-x) = (-1)^k hs_k(x) bit for bit: Heisenberg smoothing reads the
+    # output side of its one table through this identity
+    x = np.concatenate([np.linspace(-15.5, 15.5, 4001), [0.0, 1e-300, 3.7e-9]])
+    hs = hermite_scaled(x, 300)
+    signs = (-1.0) ** np.arange(301)[:, None]
+    assert np.array_equal(hermite_scaled(-x, 300), signs * hs, equal_nan=True)
+
+
+@pytest.mark.parametrize("start", [80, 160, 240, 320])
+def test_gauss_hermite_rule_is_exactly_symmetric(start):
+    for n in range(start, min(start + 80, 401)):
+        y, w = gauss_hermite_rule(n)
+        assert np.array_equal(y[::-1], -y), n
+        assert np.array_equal(w[::-1], w), n
+        assert np.all(np.diff(y) > 0), n
