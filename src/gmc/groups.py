@@ -3,8 +3,9 @@
 A GroupModel packages everything the model-generic layers need: the group
 operations, the Lie structure feeding the enveloping algebra, a Haar
 quadrature factory, the modular function, and hooks into the model's
-smoothing/pairing routines. The two shipped models (torus, Heisenberg) are
-built in their own modules.
+smoothing, pairing and factorization routines. The group and algebra actions
+are module functions of each model, called directly. The two shipped models
+(torus, Heisenberg) are built in their own modules.
 """
 from __future__ import annotations
 
@@ -30,12 +31,6 @@ class GroupModel:
     haar: Callable[..., tuple[np.ndarray, np.ndarray]]
     modular_function: Callable[[Any], float]
     # model hooks consumed by the generic layers (mollifier, functionals)
-    act_group: Callable[..., CoefficientVector] = field(default=None, repr=False)
-    act_algebra: Callable[[UEAElement, CoefficientVector], CoefficientVector] = field(
-        default=None, repr=False
-    )
-    dual_act_group: Callable[..., CoefficientVector] = field(default=None, repr=False)
-    dual_act_algebra: Callable[..., CoefficientVector] = field(default=None, repr=False)
     smooth_by: Callable[..., CoefficientVector] = field(default=None, repr=False)
     gmc_eval: Callable[..., complex] = field(default=None, repr=False)
     pointwise_coefficient: Callable[..., Callable[[Any], complex]] = field(
@@ -50,9 +45,6 @@ class GroupModel:
         if self.distance is not None:
             return self.distance(a, b)
         return _element_distance(a, b)
-
-    def modular_derivative(self, i: int) -> float:
-        return self.structure.delta[i]
 
     def random_elements(self, rng: np.random.Generator, count: int, scale: float = 1.0):
         return [self.exp(scale * rng.uniform(-1.0, 1.0, size=self.dim)) for _ in range(count)]

@@ -23,8 +23,9 @@ exp(2 pi i t) dt, which the terms give in closed form. pi(f) is then the
 integral operator with kernel int F(y - x, q) exp(2 pi i q b) dq at the
 midpoint b = (x + y)/2 (Folland 1.3): smoothing takes F on a Gauss-Legendre
 rule over the (p, q) plane, the q-integral as one matrix product onto
-Gauss-Hermite nodes in b, and the Hermite functions at b -/+ p/2. The nodes are
-symmetric and hs_k has parity (-1)^k, so one real table at b + p/2 serves the
+Gauss-Hermite nodes in b, and the bounded Hermite functions at b -/+ p/2 against
+the scaled weights w exp(y^2), which absorb both Gaussians. The nodes are
+symmetric and h_k has parity (-1)^k, so one real table at b + p/2 serves the
 input and, read with b reversed, the output.
 """
 from __future__ import annotations
@@ -546,20 +547,19 @@ def _x_rule_size(rows: int, cols: int) -> int:
 def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, nodes: int) -> np.ndarray:
     pn, pw = f.axis_rule(0, nodes)
     qn, qw = f.axis_rule(1, nodes)
-    y, w = gauss_hermite_rule(_x_rule_size(N, len(phi_vec)))
+    y, W = gauss_hermite_rule(_x_rule_size(N, len(phi_vec)))
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
-    # the Gaussians of h at b -/+ p/2 leave exp(-y^2), the rule's weight, times
-    # exp(-pi p^2/2), and dx = dy / sqrt(2 pi)
-    gauss = np.exp(-np.pi * pn * pn / 2.0) / SQRT_2PI
-    weights = (pw * gauss)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+    # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
+    # are, and dx = dy / sqrt(2 pi)
+    weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
     # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
     kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
     # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
-    # b[::-1] == -b and parity give hs_k(b - p/2) = (-1)^k hs_k(b[::-1] + p/2)
+    # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     cols = len(phi_vec)
     table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols) - 1)
     s = np.stack([phi_vec.real, phi_vec.imag]) @ table[:cols]
-    v = ((s[0] + 1j * s[1]) * (kernel * w).ravel()).reshape(kernel.shape)[:, ::-1].ravel()
+    v = ((s[0] + 1j * s[1]) * (kernel * W).ravel()).reshape(kernel.shape)[:, ::-1].ravel()
     out = table[:N] @ np.stack([v.real, v.imag], axis=1)
     return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
 
@@ -575,16 +575,20 @@ def smooth_by(
     In the Schrodinger model pi(f) is the integral operator whose kernel at the
     midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
     Gauss-Legendre over the (p, q) support square of the closed-form central
-    transform, Gauss-Hermite in b, and one real table of the Hermite functions
-    at b + p/2 that serves both sides by parity. The result is a smooth
-    (rapid-decay) vector, checked against a rule 8 nodes finer per axis and an
-    input 24 columns longer. A check table of more than SMOOTH_TABLE_BUDGET
-    entries raises BudgetExceeded before any is built.
+    transform, Gauss-Hermite in b with scaled weights, and one real table of the
+    bounded Hermite functions at b + p/2 that serves both sides by parity. The
+    input is read only in the band that reaches the output, N plus the support's
+    displacement margin. The result is a smooth (rapid-decay) vector, checked
+    against a rule 8 nodes finer per axis and an input 24 columns longer. A
+    check table of more than SMOOTH_TABLE_BUDGET entries raises BudgetExceeded
+    before any is built.
     """
     _require_hermite(phi)
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
-    cols = _input_extent(phi, N, _displacement_margin(f, N, quad.input_margin))
+    # output k < N couples only to inputs below N + margin, also for a long finite phi
+    margin = _displacement_margin(f, N, quad.input_margin)
+    cols = min(_input_extent(phi, N, margin), N + margin)
     # the check pass builds the larger table; refuse before building either
     entries = max(N, cols + 24) * (f.nodes + 8) * _x_rule_size(N, cols + 24)
     if entries > SMOOTH_TABLE_BUDGET:
@@ -812,10 +816,6 @@ HEISENBERG = GroupModel(
     exp=lambda x: HeisenbergElement(*np.asarray(x, dtype=float)),
     haar=_haar,
     modular_function=lambda g: 1.0,
-    act_group=act_group,
-    act_algebra=act_algebra,
-    dual_act_group=dual_act_group,
-    dual_act_algebra=dual_act_algebra,
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,

@@ -11,7 +11,7 @@ import numpy as np
 from . import heisenberg as hb
 from . import mollify as mo
 from . import torus as tr
-from .config import QuadratureSpec, ToleranceTable
+from .config import DEFAULT_QUADRATURE, DEFAULT_TOLERANCES, QuadratureSpec, ToleranceTable
 from .errors import SpecParseError
 from .groups import GroupModel
 from .vectors import CoefficientVector
@@ -208,6 +208,10 @@ def parse_n_list(spec: str) -> list[int]:
 _RUNCONFIG_KEYS = {"seed", "output", "tolerances", "quadrature"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     seed: int = 20260808
@@ -216,18 +220,22 @@ class RunConfig:
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise SpecParseError("seed must be a nonnegative integer")
-        for key, value in {**self.tolerances}.items():
-            if key not in ToleranceTable.__dataclass_fields__:
-                raise SpecParseError(f"unknown tolerance key {key!r}")
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise SpecParseError(f"tolerance {key!r} must be positive and finite")
-        for key, value in {**self.quadrature}.items():
-            if key not in QuadratureSpec.__dataclass_fields__:
-                raise SpecParseError(f"unknown quadrature key {key!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise SpecParseError(f"quadrature {key!r} must be positive")
+        if not isinstance(self.output, (str, type(None))):
+            raise SpecParseError("output must be a path")
+        tables = (("tolerance", DEFAULT_TOLERANCES, self.tolerances),
+                  ("quadrature", DEFAULT_QUADRATURE, self.quadrature))
+        for table, defaults, given in tables:
+            if not isinstance(given, dict):
+                raise SpecParseError(f"{table} settings must be an object")
+            for key, value in given.items():
+                if key not in defaults.__dataclass_fields__:
+                    raise SpecParseError(f"unknown {table} key {key!r}")
+                if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                    raise SpecParseError(f"{table} {key!r} must be positive and finite")
+                if _is_int(getattr(defaults, key)) and not _is_int(value):
+                    raise SpecParseError(f"{table} {key!r} must be an integer")
 
     @staticmethod
     def from_json(path: str) -> "RunConfig":
@@ -235,6 +243,8 @@ class RunConfig:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecParseError(f"cannot load config {path!r}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise SpecParseError(f"config {path!r} must hold an object")
         unknown = set(payload) - _RUNCONFIG_KEYS
         if unknown:
             raise SpecParseError(f"unknown config keys: {sorted(unknown)}")

@@ -439,10 +439,6 @@ TORUS = GroupModel(
     exp=lambda x: float(np.atleast_1d(x)[0]) % 1.0,
     haar=_haar,
     modular_function=lambda g: 1.0,
-    act_group=act_group,
-    act_algebra=act_algebra,
-    dual_act_group=dual_act_group,
-    dual_act_algebra=dual_act_algebra,
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,

@@ -13,7 +13,7 @@ from gmc import torus as tr
 from gmc.cli import main as cli_main
 from gmc.config import DEFAULT_QUADRATURE, ToleranceTable
 from gmc.groups import factorize
-from gmc.hermite import hermite_functions
+from gmc.hermite import hermite_scaled
 from gmc.suites import (
     suite_mollifier,
     suite_smoothing,
@@ -127,10 +127,10 @@ def test_criterion_5_heisenberg_health():
 
         # Fourier-Wigner modulus against the direct x-space quadrature oracle
         x = np.linspace(-9, 9, 120001)
-        h0 = hermite_functions(x, 0)[0]
+        h0 = hermite_scaled(x, 0)[0]
         worst_fw = 0.0
         for p in np.linspace(-1, 1, 5):
-            h0p = hermite_functions(x + p, 0)[0]
+            h0p = hermite_scaled(x + p, 0)[0]
             for q in np.linspace(-1, 1, 5):
                 oracle = np.trapezoid(np.exp(2j * np.pi * (q * x + p * q / 2)) * h0p * h0, x)
                 got = abs(hb.fourier_wigner(e0, e0, float(p), float(q)))

@@ -283,6 +283,25 @@ def test_config_file_tolerance_override(tmp_path):
     assert code2 == 0
 
 
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ('{"quadrature": {"truncation": 40.5}}', ("mollify", "--group", "heisenberg", "delta", "e:0",
+                                                  "bump3:radius=0.4", "--n", "2")),
+        ('{"seed": 1.5}', ("verify", "uea")),
+        ('{"seed": "7"}', ("verify", "uea")),
+        ('{"quadrature": {"check_tol": Infinity}}', ("verify", "smoothing")),
+    ],
+    ids=["truncation-float", "seed-float", "seed-string", "check_tol-inf"],
+)
+def test_config_value_of_wrong_type_is_bad_input(tmp_path, payload, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    code, _, err = run_cli("--config", str(cfg), *argv)
+    assert code == 2
+    assert "error:" in err
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": True}))
@@ -371,3 +390,23 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("m,partial_sum_re")
+
+
+def test_requests_import_no_scipy():
+    # numpy is the only runtime dependency; scipy serves as a test reference only
+    src = str(Path(gmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "\n".join([
+        "import sys",
+        "from gmc.cli import main",
+        "for argv in (",
+        "    ['mollify', '--group', 'heisenberg', 'delta', 'e:0', 'bump3:radius=0.4', '--n', '2'],",
+        "    ['wigner', 'delta', 'e:0', '--grid=0:1:3,0:1:3', '--mollify', '2'],",
+        "    ['verify', 'smoothing'],",
+        "):",
+        "    assert main(argv) == 0, argv",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -13,7 +13,6 @@ from gmc.config import QuadratureSpec
 from gmc.errors import BudgetExceeded, GmcError, PreconditionError, QuadratureAccuracyError
 from gmc.hermite import (
     gauss_hermite_rule,
-    hermite_functions,
     hermite_scaled,
     hermite_series_value,
     legendre_on_interval,
@@ -37,8 +36,8 @@ def _x_space_matrix_element(g, j, k, grid=200001, half_width=10.0):
     """Trapezoid oracle for <pi(g) h_j, h_k> straight from the defining integral."""
     g = hb.as_element(g)
     x = np.linspace(-half_width, half_width, grid)
-    hj = hermite_functions(x + g.p, j)[j]
-    hk = hermite_functions(x, k)[k]
+    hj = hermite_scaled(x + g.p, j)[j]
+    hk = hermite_scaled(x, k)[k]
     phase = np.exp(2j * np.pi * (g.t + g.q * x + g.p * g.q / 2.0))
     return np.trapezoid(phase * hj * hk, x)
 
@@ -211,8 +210,8 @@ def test_algebra_ladder_on_ground_state():
     assert abs(out.coeff(0)) < 1e-14
     # independent oracle: numerical derivative of h_0 expanded against h_1
     x = np.linspace(-6, 6, 400001)
-    h0 = hermite_functions(x, 0)[0]
-    h1 = hermite_functions(x, 1)[1]
+    h0 = hermite_scaled(x, 0)[0]
+    h1 = hermite_scaled(x, 1)[1]
     coeff = np.trapezoid(np.gradient(h0, x) * h1, x)
     assert abs(out.coeff(1) - coeff) < 1e-6
 
@@ -362,17 +361,17 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
 
 
 def _two_table_smooth_core(f, phi_vec, N, nodes):
-    """Reference core: complex contractions with Hermite tables at b + p/2 and b - p/2."""
+    """Reference core: complex contractions of the bounded Hermite functions at
+    b + p/2 and b - p/2 against the scaled weights W = w exp(y^2)."""
     pn, pw = f.axis_rule(0, nodes)
     qn, qw = f.axis_rule(1, nodes)
-    y, w = gauss_hermite_rule(hb._x_rule_size(N, len(phi_vec)))
+    y, W = gauss_hermite_rule(hb._x_rule_size(N, len(phi_vec)))
     b = y / hb.SQRT_2PI
-    gauss = np.exp(-np.pi * pn * pn / 2.0) / hb.SQRT_2PI
-    weights = (pw * gauss)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+    weights = (pw / hb.SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
     kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
     s = phi_vec @ hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), len(phi_vec) - 1)
     hk = hermite_scaled(np.add.outer(-pn / 2.0, b).ravel(), N - 1)
-    return hk @ (s * (kernel * w).ravel())
+    return hk @ (s * (kernel * W).ravel())
 
 
 @pytest.mark.parametrize(
@@ -419,7 +418,26 @@ def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
 
     monkeypatch.setattr(hb, "hermite_scaled", refuse)
     with pytest.raises(BudgetExceeded):
-        hb.smooth_by(_BUMP, hb.gaussian_vector(0.1))
+        hb.smooth_by(_BUMP, hb.dirac_delta(), N=2000)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 4.0])
+def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
+    # these inputs store 473 and 301 columns; the output k < N sees only the
+    # first N + margin of them
+    phi = hb.gaussian_vector(sigma)
+    N = 40
+    band = N + hb._displacement_margin(_BUMP, N, QuadratureSpec().input_margin)
+    assert phi.finite_support and phi.stop > band
+    full = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, _BUMP.nodes)
+    got = hb.smooth_by(_BUMP, phi, N=N).dense(0, N - 1)
+    assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_smooth_by_a_narrow_gaussian_stays_in_budget():
+    # 1923 stored columns used to exceed SMOOTH_TABLE_BUDGET
+    out = hb.smooth_by(_BUMP, hb.gaussian_vector(0.1))
+    assert out.stop == 40 and np.all(np.isfinite(out.dense(0, 39)))
 
 
 def test_smooth_by_accuracy_error_on_tight_tolerance():
@@ -483,7 +501,7 @@ def test_fourier_wigner_against_x_space_oracle(rng):
     # oracle: expand phi pointwise and integrate in x space
     x = np.linspace(-10, 10, 200001)
     phi_x = hermite_series_value(phi.dense(0, phi.stop - 1), x + p)
-    h1 = hermite_functions(x, 1)[1]
+    h1 = hermite_scaled(x, 1)[1]
     phase = np.exp(2j * np.pi * (q * x + p * q / 2.0))
     oracle = np.trapezoid(phase * phi_x * h1, x)
     assert abs(got - oracle) < 1e-8
@@ -518,7 +536,7 @@ def test_fourier_wigner_delta_reaches_the_partner_band():
     # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p)
     p, q = -0.3918, -0.3265
     got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(104), p, q)
-    exact = np.exp(-1j * np.pi * p * q) * hermite_functions(np.array([-p]), 104)[104, 0]
+    exact = np.exp(-1j * np.pi * p * q) * hermite_scaled(np.array([-p]), 104)[104, 0]
     assert abs(got - exact) < 1e-12
 
 
@@ -589,7 +607,7 @@ def test_gaussian_vector_is_normalized_and_even():
     assert abs(got - target) < 1e-10
     # the closed form is normalized to rounding and matches x-space projections
     xs = np.linspace(-10, 10, 200001)
-    H = hermite_functions(xs, 48)
+    H = hermite_scaled(xs, 48)
     for sigma in (0.75, 0.8, 1.3):
         c = hb.gaussian_vector(sigma).dense(0, 48)
         assert abs(np.linalg.norm(c) - 1.0) < 1e-14

@@ -1,5 +1,6 @@
 """Mini-language parsing and run-configuration validation."""
 import json
+import math
 
 import pytest
 
@@ -139,6 +140,25 @@ def test_runconfig_validation(tmp_path):
         RunConfig(tolerances={"torus_exact": -1})
     with pytest.raises(SpecParseError):
         RunConfig(quadrature={"input_margin": -4})
+    # wrong types: integer fields take real ints only, check_tol a finite positive number
+    for kwargs in (
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": True},
+        {"quadrature": {"truncation": 40.5}},
+        {"quadrature": {"truncation": True}},
+        {"quadrature": {"input_margin": 32.0}},
+        {"quadrature": {"check_tol": math.inf}},
+        {"quadrature": {"check_tol": math.nan}},
+        {"quadrature": {"check_tol": "1e-6"}},
+        {"tolerances": {"torus_exact": True}},
+        {"tolerances": [1e-3]},
+        {"quadrature": 40},
+        {"output": 5},
+    ):
+        with pytest.raises(SpecParseError):
+            RunConfig(**kwargs)
+    assert RunConfig(quadrature={"truncation": 48, "check_tol": 1e-5}).quadrature_spec().truncation == 48
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "unknown_key": 1}))
@@ -149,6 +169,9 @@ def test_runconfig_validation(tmp_path):
         path.write_text(json.dumps({key: value}))
         with pytest.raises(SpecParseError, match=key):
             RunConfig.from_json(str(path))
+    path.write_text("5")
+    with pytest.raises(SpecParseError, match="object"):
+        RunConfig.from_json(str(path))
     path.write_text(json.dumps({"tolerances": {"heisenberg_fd": 1e-3}}))
     cfg2 = RunConfig.from_json(str(path))
     assert cfg2.tolerance_table().heisenberg_fd == 1e-3
