@@ -37,10 +37,16 @@ class BudgetExceeded(GmcError):
 
 
 class QuadratureAccuracyError(GmcError):
-    """Two quadrature resolutions disagree beyond tolerance; both values reported."""
+    """Two quadrature resolutions disagree beyond tolerance.
 
-    def __init__(self, message: str, coarse, fine):
-        super().__init__(f"{message}: coarse={coarse!r} fine={fine!r}")
+    The message gives the achieved gap and the tolerance; both results are kept
+    as attributes.
+    """
+
+    def __init__(self, message: str, gap: float, tol: float, coarse=None, fine=None):
+        super().__init__(f"{message} (gap {gap:.3g}, tolerance {tol:.3g})")
+        self.gap = gap
+        self.tol = tol
         self.coarse = coarse
         self.fine = fine
 

@@ -309,34 +309,43 @@ class HTestFunction:
 # --------------------------------------------------------------------------
 
 
-def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q) -> np.ndarray:
-    """c[j, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for j < cols at scalar or 1-d p, q.
+def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.ndarray:
+    """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols at scalar or 1-d p, q.
 
     With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry at lower index
     i = min(j, k) and offset e = |k - j| is u^e (k >= j) or (-conj u)^e (k < j) times
     w_i^(e) = exp(-x/2) x^(e/2) sqrt(i!/(i+e)!) L_i^(e)(x), which the normalized
-    Laguerre recurrence carries in i for every offset and point at once. |w| <= 1 by
-    unitarity; starts that would underflow carry a factor exp(shift), traded back as w grows.
+    Laguerre recurrence carries in i for each offset and every point at once. Only the
+    offsets the window reads are carried: none below e0, the gap between [lo, cols)
+    and the span of psi's support, and none past the farthest pair still ahead. Each
+    offset runs the same arithmetic whatever the window and each row's sum starts at
+    the same term, so every row has the bits of the lo = 0 result. |w| <= 1 by unitarity; starts that would underflow carry a
+    factor exp(shift), traded back as w grows.
     """
     p, q = np.atleast_1d(p, q)
     nz = np.flatnonzero(psi_vec)
     first, rows = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
-    size, steps = max(rows, cols), min(rows, cols)
-    # offsets still used at step i: upper terms reach rows - i, lower ones cols - (next k >= i)
-    need = np.maximum(rows - np.arange(steps), cols - nz[np.searchsorted(nz, np.arange(steps))])
+    steps = np.arange(min(rows, cols))
+    e0 = max(first - cols + 1, lo - rows + 1, 0)
+    # offsets still read at step i, from e0 on: upper terms (rows j >= max(i, lo)) reach
+    # rows - max(i, lo), lower ones cols - (next k >= i); at least one is read at every step
+    need = np.maximum(rows - np.maximum(steps, lo), cols - nz[np.searchsorted(nz, steps)]) - e0
+    band = range(e0, e0 + int(need.max(initial=0)))
+    e = np.arange(band.start, band.stop, dtype=float)[:, None]
     x = math.pi * (p * p + q * q)
-    e = np.arange(size, dtype=float)[:, None]
-    log_w = -0.5 * x - np.array([0.5 * math.lgamma(v + 1.0) for v in range(size)])[:, None]
+    log_w = -0.5 * x - np.array([0.5 * math.lgamma(v + 1.0) for v in band])[:, None]
+    skip = int(e0 == 0)  # offset 0 has no power of x
     with np.errstate(divide="ignore"):
-        log_w[1:] += e[1:] * (0.5 * np.log(x))  # -inf at x = 0, where w vanishes
+        log_w[skip:] += e[skip:] * (0.5 * np.log(x))  # -inf at x = 0, where w vanishes
     shift = np.where(np.isfinite(log_w), np.maximum(-600.0 - log_w, 0.0), 0.0)
     rescale, scale = bool(np.any(shift > 0.0)), np.exp(-shift)
     # l_{i-1}, l_i, l_{i+1} rotate through three buffers; the fourth holds a product
     bufs = [np.zeros_like(log_w), np.exp(log_w + shift), np.empty_like(log_w), np.empty_like(log_w)]
-    spin = np.exp(1j * np.arange(size)[:, None] * np.arctan2(q, -p))  # u^k
-    weighted = psi_vec[:rows, None] * spin[:rows]
-    alternating = weighted * (-1.0) ** np.arange(rows)[:, None]
-    upper = np.zeros((cols, len(p)), dtype=np.complex128)  # k >= j
+    theta = np.arctan2(q, -p)
+    span = np.arange(first, rows)[:, None]
+    weighted = psi_vec[first:rows, None] * np.exp(1j * span * theta)  # psi_k u^k
+    alternating = weighted * (-1.0) ** span
+    upper = np.zeros((cols - lo, len(p)), dtype=np.complex128)  # k >= j
     lower = np.zeros_like(upper)  # k < j
     for i, n in enumerate(need.tolist()):
         prev, cur, nxt, tmp = (b[:n] for b in bufs)
@@ -353,19 +362,25 @@ def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q) -> np.ndarray:
             shift[:n][big] -= math.log(1e150)
             scale = np.exp(-shift)
         w = cur * scale[:n] if rescale else cur
-        part, ws = weighted[max(i, first) : rows], w[max(first - i, 0) : rows - i]
-        upper[i] = np.einsum("em,em->m", part.real, ws) + 1j * np.einsum("em,em->m", part.imag, ws)
+        if i >= lo:
+            # the start must not depend on lo: numpy rounds a one-point sum by where it starts
+            s = max(i, first)
+            part, ws = weighted[s - first :], w[s - i - e0 : rows - i - e0]
+            upper[i - lo] = np.einsum("em,em->m", part.real, ws) + 1j * np.einsum("em,em->m", part.imag, ws)
         if psi_vec[i] != 0:
-            lower[i + 1 :] += alternating[i] * w[1 : cols - i]
-    return np.conj(spin[:cols]) * (upper + (-1.0) ** np.arange(cols)[:, None] * lower)
+            j = max(i + 1, lo)
+            lower[j - lo :] += alternating[i - first] * w[j - i - e0 : cols - i - e0]
+    window = np.arange(lo, cols)[:, None]
+    return np.conj(np.exp(1j * window * theta)) * (upper + (-1.0) ** window * lower)
 
 
 def matrix_element(g, j: int, k: int) -> complex:
-    """<pi(g) h_j, h_k> in closed form."""
+    """<pi(g) h_j, h_k> in closed form, from the one-column window [j, j + 1): the
+    recurrence carries the single offset |k - j|."""
     g = as_element(g)
     psi = np.zeros(k + 1)
     psi[k] = 1.0
-    return complex(np.exp(2j * np.pi * g.t) * _kernel_columns(psi, j + 1, g.p, g.q)[j, 0])
+    return complex(np.exp(2j * np.pi * g.t) * _kernel_columns(psi, j + 1, g.p, g.q, j)[0, 0])
 
 
 def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
@@ -596,8 +611,9 @@ def smooth_by(
     out = _smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
     out2 = _smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + 8)
     err = float(np.max(np.abs(out - out2)))
-    if not err <= quad.check_tol * (1.0 + float(np.max(np.abs(out2)))):
-        raise QuadratureAccuracyError("smoothing quadrature has not converged", out, out2)
+    tol = quad.check_tol * (1.0 + float(np.max(np.abs(out2))))
+    if not err <= tol:
+        raise QuadratureAccuracyError("smoothing quadrature has not converged", err, tol, out, out2)
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -620,9 +636,11 @@ def fourier_wigner(
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
     p, q are broadcast scalars or arrays, and so is the result. psi must be
-    rapid-decay; phi may be any class. An infinite phi is truncated at the psi
-    extent plus the reach of the farthest point, doubled up to max_cols until
-    the last 32 terms sum below abs_tol / 4 at every point.
+    rapid-decay; phi may be any class. The kernel is built only on windows of
+    columns j that the sum reads: a finite phi takes one, from its first nonzero
+    index to its stop. An infinite phi takes [0, psi extent + reach of the
+    farthest point), then windows of that reach past each one's end, up to
+    max_cols, until the last 32 terms sum below abs_tol / 4 at every point.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -634,22 +652,29 @@ def fourier_wigner(
     psi_vec = psi.dense(0, rows - 1)
 
     r2 = float(np.max(ps * ps + qs * qs, initial=0.0))
-    cols = max(phi.stop, 1) if phi.finite_support else min(rows + _reach(r2, rows), max_cols)
+    if phi.finite_support:
+        top = max(phi.stop, 1)
+        lo = int(np.argmax(phi.dense(0, top - 1) != 0))  # 0 when phi vanishes
+    else:
+        lo, top = 0, min(rows + _reach(r2, rows), max_cols)
+    total, last = None, np.zeros((0, len(ps)))
     while True:
-        phis = phi.dense(0, cols - 1)
-        terms = phis[:, None] * _kernel_columns(psi_vec, cols, ps, qs)
-        total = terms.sum(axis=0)
-        if not np.all(np.isfinite(total)):
-            message = f"pointwise coefficient at {cols} columns is not finite"
-            raise QuadratureAccuracyError(message, total, None)
+        terms = phi.dense(lo, top - 1)[:, None] * _kernel_columns(psi_vec, top, ps, qs, lo)
+        part = terms.sum(axis=0)
+        total = part if total is None else total + part
+        bad = int(np.count_nonzero(~np.isfinite(total)))
+        if bad:
+            message = f"pointwise coefficient at {top} columns is not finite at {bad} points"
+            raise QuadratureAccuracyError(message, bad, 0.0, total, None)
         if phi.finite_support:
             break
-        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0)))
+        last = np.concatenate([last, terms])[-32:]
+        tail_block = float(np.max(np.sum(np.abs(last), axis=0)))
         if tail_block < abs_tol / 4.0:
             break
-        if cols >= max_cols:
+        if top >= max_cols:
             raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
-        cols = min(2 * cols, max_cols)
+        lo, top = top, min(top + _reach(r2, top), max_cols)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
 

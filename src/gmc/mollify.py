@@ -82,8 +82,9 @@ class BumpProfile:
             raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
         coarse = unit_bump_mass(quad_nodes)
         fine = unit_bump_mass(quad_nodes + 100)
-        if abs(coarse - fine) > 1e-12 * (1.0 + abs(fine)):
-            raise QuadratureAccuracyError("bump normalization has not converged", coarse, fine)
+        gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
+        if gap > tol:
+            raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
         return BumpProfile(radius, 1.0 / (radius * coarse), quad_nodes)
 
     def __call__(self, x, order: int = 0) -> np.ndarray:

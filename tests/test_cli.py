@@ -353,6 +353,25 @@ def test_non_finite_number_is_bad_input(argv):
     assert "error:" in err
 
 
+def test_quadrature_accuracy_error_reports_the_gap(tmp_path):
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps({"quadrature": {"check_tol": 1e-16}}))
+    code, _, err = run_cli(
+        "--config", str(cfg), "mollify", "--group", "heisenberg", "delta", "e:0", "bump3:radius=0.4", "--n", "2"
+    )
+    assert code == 2
+    line = err.strip()
+    assert line.startswith("error: smoothing quadrature has not converged")
+    assert "gap " in line and "tolerance " in line
+    assert len(line.encode()) < 300
+
+
+def test_wigner_past_the_column_budget_is_bad_input():
+    code, _, err = run_cli("wigner", "delta", "e:900", "--grid=-2:2:3,-2:2:3")
+    assert code == 2
+    assert "needs more than max_cols" in err
+
+
 # --- determinism -----------------------------------------------------------------------
 
 

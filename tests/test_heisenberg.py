@@ -90,6 +90,40 @@ def test_kernel_rows_unitary_at_large_displacement():
         assert np.max(np.abs(np.sum(np.abs(c) ** 2, axis=0) - 1.0)) < 1e-12
 
 
+_COORD = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _kernel_window_case(draw):
+    k = draw(st.integers(0, 2000))
+    kind = draw(st.sampled_from(["unit", "sparse", "dense"]))
+    psi = np.zeros(k + 1, dtype=np.complex128)
+    psi[k] = 1.0
+    if kind == "sparse":
+        for i in draw(st.lists(st.integers(0, k), max_size=4)):
+            psi[i] = 0.5 - 0.25j
+    elif kind == "dense":
+        psi[:] = np.cos(np.arange(k + 1)) + 1j * np.sin(0.3 * np.arange(k + 1))
+        if draw(st.booleans()):
+            psi[1::2] = 0.0  # the parity gaps of an even vector
+    cols = draw(st.integers(1, 96))
+    lo = draw(st.integers(0, cols - 1))
+    points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3))
+    return psi, cols, lo, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_window_case())
+def test_kernel_window_has_the_bits_of_the_full_columns(case):
+    # at k past about 900 the starts of the far offsets underflow and are rescaled; one
+    # point takes numpy's single-column reduction, whose rounding sees where a sum starts
+    psi, cols, lo, points = case
+    p, q = (np.array(v) for v in zip(*points))
+    full = hb._kernel_columns(psi, cols, p, q)
+    assert np.array_equal(hb._kernel_columns(psi, cols, p, q, lo), full[lo:])
+    assert np.array_equal(hb._kernel_columns(psi, cols, p[0], q[0], lo), full[lo:, :1])
+
+
 def test_high_index_kernels_are_finite_and_bounded():
     v = hb.matrix_element((0.5, 0.5, 0), 1300, 1300)
     assert math.isfinite(v.real) and math.isfinite(v.imag) and abs(v) <= 1.0
@@ -567,6 +601,49 @@ def test_fourier_wigner_budget_error_reports_bound():
 def test_fourier_wigner_non_finite_is_a_typed_error():
     e700 = hb.unit_vector(700)
     _assert_finite_or_typed_error(lambda: hb.fourier_wigner(e700, e700, 0.5, 0.5))
+
+
+def _kernel_windows(monkeypatch):
+    """Record the (lo, cols) window of every _kernel_columns call."""
+    calls, inner = [], hb._kernel_columns
+
+    def spy(psi_vec, cols, p, q, lo=0):
+        calls.append((lo, cols))
+        return inner(psi_vec, cols, p, q, lo)
+
+    monkeypatch.setattr(hb, "_kernel_columns", spy)
+    return calls
+
+
+def test_fourier_wigner_of_unit_vectors_reads_one_column(monkeypatch):
+    calls = _kernel_windows(monkeypatch)
+    P, Q = np.meshgrid(np.linspace(-1.2, 1.2, 7), np.linspace(-1.2, 1.2, 9), indexing="ij")
+    got = hb.fourier_wigner(hb.unit_vector(523), hb.unit_vector(527), P, Q)
+    assert calls == [(523, 524)]
+    exact = [hb.matrix_element((p, q, 0.0), 523, 527) for p, q in zip(P.ravel(), Q.ravel())]
+    assert np.array_equal(got.ravel(), np.array(exact))
+
+
+@pytest.mark.parametrize("phi", [hb.dirac_delta(), hb.poly_growth_vector(0.8)], ids=["delta", "poly"])
+def test_fourier_wigner_windows_of_an_infinite_phi_tile_from_zero(monkeypatch, phi):
+    calls = _kernel_windows(monkeypatch)
+    P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 4), np.linspace(-1.5, 1.5, 4), indexing="ij")
+    hb.fourier_wigner(phi, hb.unit_vector(300), P, Q)
+    assert calls[0][0] == 0 and len(calls) > 1
+    assert all(lo < cols for lo, cols in calls)
+    assert all(nxt[0] == cur[1] for cur, nxt in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("k", [100, 300, 600])
+@pytest.mark.parametrize("r", [0.0, 1.5])
+def test_fourier_wigner_growing_windows_match_one_wide_window(r, k):
+    phi, psi = hb.poly_growth_vector(r), hb.unit_vector(k)
+    P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 5), np.linspace(-1.0, 1.0, 3), indexing="ij")
+    got = hb.fourier_wigner(phi, psi, P, Q)
+    cols = 1024  # the default max_cols
+    kernel = hb._kernel_columns(psi.dense(0, k), cols, P.ravel(), Q.ravel())
+    wide = (phi.dense(0, cols - 1) @ kernel).reshape(P.shape)
+    assert np.max(np.abs(got - wide)) <= 1e-12 * np.max(np.abs(wide))
 
 
 def test_pointwise_view_includes_central_phase():
