@@ -73,6 +73,12 @@ BOX_NODES = 48
 GAUSSIAN_MAX_INDEX = 8192
 # entries of the largest Hermite table smoothing may build (512 MiB of float64)
 SMOOTH_TABLE_BUDGET = 1 << 26
+# kernel rows are cut where they fall below this fraction of their peak
+KERNEL_FLOOR = 1e-20
+# entries of the largest recurrence history one pass of kernel rows keeps
+KERNEL_CHUNK = 1 << 16
+_LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
+_BLOCK = 64  # recurrence steps whose coefficients are built at once
 
 
 def _require_hermite(v: CoefficientVector) -> None:
@@ -99,10 +105,16 @@ IDENTITY = HeisenbergElement(0.0, 0.0, 0.0)
 
 
 def as_element(g) -> HeisenbergElement:
-    if isinstance(g, HeisenbergElement):
-        return g
     p, q, t = (float(v) for v in g)
-    return HeisenbergElement(p, q, t)
+    if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(t)):
+        raise PreconditionError(f"group element coordinates must be finite, got {(p, q, t)}")
+    return g if isinstance(g, HeisenbergElement) else HeisenbergElement(p, q, t)
+
+
+def _hermite_index(k) -> int:
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise PreconditionError(f"Hermite index must be a non-negative integer, got {k!r}")
+    return int(k)
 
 
 def group_mul(g, h) -> HeisenbergElement:
@@ -309,75 +321,195 @@ class HTestFunction:
 # --------------------------------------------------------------------------
 
 
+def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
+    """First, centre and last index (js, jm, J) of the kernel rows W^(k) at x = pi (p^2 + q^2).
+
+    Outside the turning points lo, hi = (sqrt k -/+ sqrt x)^2 the recurrence of
+    _kernel_rows has real characteristic roots, and the log of their ratio, summed
+    away from a turning point, is the integral phi of 2 acosh|f|, f(t) = (t + x - k) /
+    (2 sqrt(x t)): with Q = (t - lo)(t - hi) and s the sign of x - k,
+        above hi: 2 t acosh f - sqrt Q - 2 k acosh((t - x - k) / (2 sqrt(x k))),
+        below lo: s (sqrt Q - 2 k acosh((x + k - t) / (2 sqrt(x k)))) - 2 t acosh|f|.
+    The row decays like exp(-phi/2), so js and J sit where phi reaches _LOG_CUT (js = 0
+    where the row is not that small at 0). phi is convex and monotone on each side, so a
+    Newton step from any start ends outside the cut. The passes meet at jm: the band
+    centre k + floor(x) where the row oscillates fast (x <= k/3, |f| <= 1/2), else the
+    last hump before hi, at Ai's maximum, so that W_jm and W_jm+1 are never both small.
+    """
+    sk, sx = np.sqrt(k), np.sqrt(x)
+    lo, hi = (sk - sx) ** 2, (sk + sx) ** 2
+    band = k + np.floor(x)
+    airy = np.cbrt(hi * sx / (sk + 1e-100))  # Airy length at hi, huge at k = 0
+    centre = np.where(3.0 * x <= k, band, np.maximum(band, np.floor(hi - 1.02 * airy))).astype(np.int64)
+    klogk = k * np.log(np.maximum(k, 1.0))  # k log k, 0 at k = 0
+    log2sx = math.log(2.0) + np.log(sx)
+    # phi at t = 0 is x - k - k log x + k log k: rows past the cut there start later
+    far = np.flatnonzero(x - k * (2.0 * log2sx - 2.0 * math.log(2.0) + 1.0) + klogk > _LOG_CUT)
+    side = rho = tau = 1.0  # Newton above hi, then below lo for the far rows
+    turn, floor = hi, 0.0
+    if len(far):
+        at = np.r_[np.arange(len(k)), far]
+        k, x, sk, sx, lo, hi, klogk, log2sx = (v[at] for v in (k, x, sk, sx, lo, hi, klogk, log2sx))
+        side = np.r_[np.ones(len(centre)), -np.ones(len(far))]
+        up = side > 0
+        rho, tau = np.where(up, 1.0, -np.sign(x - k)), np.where(up, 1.0, np.sign(x - k))
+        turn, floor = np.where(up, hi, lo), np.where(up, 0.0, 1e-9 * lo)
+    # start at the Gaussian (k = 0) or Airy distance of the cut, whichever is nearer
+    gap = np.minimum(np.sqrt(2.0 * _LOG_CUT * turn), np.cbrt(9.0 / 16.0 * _LOG_CUT**2 * turn * sx / (sk + 1e-100)))
+    t = np.maximum(turn + side * np.maximum(gap, 1.0), floor)
+    # one Newton step: phi is convex, so from either side it lands outside the cut, on
+    # average a fraction of a step past it
+    r = np.sqrt((t - lo) * (t - hi))
+    a = np.log(np.abs(t + x - k) + r) - log2sx - 0.5 * np.log(t)  # acosh|f|
+    b = np.log(np.abs(t - x - k) + r) - log2sx
+    phi = tau * (klogk - 2.0 * k * b) - rho * r + 2.0 * side * t * a
+    t = np.maximum(t - (phi - _LOG_CUT) / (2.0 * side * a), floor)
+    n = len(centre)
+    first = np.zeros(n, dtype=np.int64)
+    first[far] = np.floor(t[n:])
+    return first, centre, np.ceil(t[:n]).astype(np.int64)
+
+
+def _kernel_rows(k: np.ndarray, x: np.ndarray, first, centre, last, ws: int, we: int) -> np.ndarray:
+    """W^(k)_j for ws <= j < we (table rows) at one (k, x) per column, each row of unit norm.
+
+    W solves sqrt(x (j+1)) W_{j+1} = (k - j - x) W_j - sqrt(x j) W_{j-1}. It runs forward
+    from first, where the row is below KERNEL_FLOOR and the wanted solution dominates,
+    to centre + 1, and backward (Miller) from last, where it is minimal, down to centre.
+    The backward part is scaled to the forward one on (centre, centre + 1) and the row
+    to unit norm; below first and past last it is 0. Below the lower turning point the
+    row has the sign of (k - x)^j.
+
+    With W_j = t_j V_j, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1}, both
+    directions read V_next = d_j V_j - V_behind with d_j = ((k - j) / sqrt x - sqrt x)
+    t_j / (t_next sqrt(j + 1 forward, j backward)): two ufunc calls a step, on one array of the
+    forward and the backward passes, at rows f0 + i and b0 - i of step i. Outside its own
+    steps a pass has d = 0, so its (V_behind, V_j) turns by quarter turns: started as the
+    right turn of (0, sign) it holds exactly (0, sign) at its first step, and it stays
+    bounded after its last. Those steps are masked out and the sums of squares taken in
+    step order, so every row does its own arithmetic whatever the others and the window.
+    """
+    n = len(k)
+    f0, b0 = int(first.min()), int(last.max())
+    steps = max(int(centre.max()) + 2 - f0, b0 + 1 - int(centre.min()))
+    rows = np.stack([f0 + np.arange(steps), np.maximum(b0 - np.arange(steps), 1)], axis=1)
+    top = max(b0, f0 + steps) + 1
+    r = np.sqrt(np.arange(1.0, top - 1) / np.arange(2.0, top))
+    t = np.ones(top)  # t_{j+1} = r_j t_{j-1}
+    t[2::2], t[3::2] = np.cumprod(r[::2])[: len(t[2::2])], np.cumprod(r[1::2])[: len(t[3::2])]
+    t_row = t[rows]  # (steps, 2): forward, backward
+    # d_j = c_j t_j / (t_next sqrt(j + 1 forward, j backward)), from the same t_j: exact
+    # arithmetic gives t_j^2, but the table's rounding must cancel in W = t V
+    g_row = t_row / (t[rows + [1, -1]] * np.sqrt(rows + [1, 0]))
+    # the own steps of each pass: forward rows first..centre, backward rows last..centre + 1
+    start = np.stack([first - f0, b0 - last])
+    stop = np.stack([centre - f0, b0 - centre - 1])
+    sign = np.stack([np.where((x < k) | (first % 2 == 0), 1.0, -1.0), np.ones(n)])
+    turn = start % 4  # start quarter turns take (0, s), (-s, 0), (0, -s), (s, 0) to (0, s)
+    v = np.empty((steps + 1, 2, n))  # v[i + 1]: V at step i; v[0] is behind step 0
+    v[0], v[1] = sign * np.array([0.0, -1.0, 0.0, 1.0])[turn], sign * np.array([1.0, 0.0, -1.0, 0.0])[turn]
+    i = np.arange(steps)[:, None, None]
+    own = (i >= start) & (i <= stop)
+    sx = np.sqrt(x)
+    d = np.empty((_BLOCK, 2, n))
+    views = list(v.reshape(steps + 1, 2 * n))
+    mul, sub = np.multiply, np.subtract  # out given by position: half the call cost
+    for b in range(0, steps - 1, _BLOCK):
+        e = min(b + _BLOCK, steps - 1)
+        db = d[: e - b]
+        sub(k, rows[b:e, :, None], db)  # exact
+        np.divide(db, sx, db)
+        sub(db, sx, db)
+        mul(db, g_row[b:e, :, None], db)
+        mul(db, own[b:e], db)
+        for dr, behind, cur, ahead in zip(db.reshape(e - b, 2 * n), views[b:], views[b + 1 :], views[b + 2 :]):
+            mul(dr, cur, ahead)
+            sub(ahead, behind, ahead)
+    # scale the backward pass to the forward one on (V_centre, V_centre+1)
+    at = np.stack([centre - f0, b0 - centre]) + 1
+    lanes = np.arange(n)
+    (f_c, b_c), (f_c1, b_c1) = v[at, [[0], [1]], lanes], v[at + [[1], [-1]], [[0], [1]], lanes]
+    v[:, 1] *= (f_c * b_c + f_c1 * b_c1) / (b_c * b_c + b_c1 * b_c1)
+    w = v[1:]
+    w *= own
+    w *= t_row[:, :, None]  # W = t V on the own steps
+    table = np.zeros((we - ws, n))
+    lo, hi = max(ws, f0), min(we, f0 + steps)
+    if lo < hi:
+        table[lo - ws : hi - ws] = w[lo - f0 : hi - f0, 0]
+    lo, hi = max(ws, b0 - steps + 1), min(we, b0 + 1)
+    if lo < hi:
+        table[lo - ws : hi - ws] += w[b0 - lo : (b0 - hi if hi <= b0 else None) : -1, 1]
+    w = w.reshape(steps, 2 * n)
+    # numpy reduces the first axis of a 2-d array with two or more columns row by row, so
+    # each column's sum runs in step order whatever the other columns
+    sums = np.add.reduce(np.multiply(w, w, out=w), axis=0)
+    table /= np.sqrt(sums[:n] + sums[n:])
+    return table
+
+
 def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.ndarray:
     """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols at scalar or 1-d p, q.
 
-    With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry at lower index
-    i = min(j, k) and offset e = |k - j| is u^e (k >= j) or (-conj u)^e (k < j) times
-    w_i^(e) = exp(-x/2) x^(e/2) sqrt(i!/(i+e)!) L_i^(e)(x), which the normalized
-    Laguerre recurrence carries in i for each offset and every point at once. Only the
-    offsets the window reads are carried: none below e0, the gap between [lo, cols)
-    and the span of psi's support, and none past the farthest pair still ahead. Each
-    offset runs the same arithmetic whatever the window and each row's sum starts at
-    the same term, so every row has the bits of the lo = 0 result. |w| <= 1 by unitarity; starts that would underflow carry a
-    factor exp(shift), traded back as w grows.
+    With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry is u^(k-j) W^(k)_j,
+    and each row W^(k) of a nonzero psi_k comes from one three-term recurrence in j
+    (_kernel_rows), run over its own extent (_row_extents): O(k + band) steps, whatever
+    the window. Rows are built for every pair of a nonzero psi_k and a point whose extent
+    meets the window, in chunks of at most KERNEL_CHUNK history entries, and summed in
+    increasing k. Each pair's arithmetic depends on neither the window nor the other
+    pairs, so every row has the bits of the lo = 0 result, and a point the bits it has
+    alone. A point whose rows all lie outside the window, an overflowing x included,
+    gives zeros; x below 1e-200 is taken as 1e-200, where the kernel is the identity
+    to 1e-100.
     """
     p, q = np.atleast_1d(p, q)
-    nz = np.flatnonzero(psi_vec)
-    first, rows = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
-    steps = np.arange(min(rows, cols))
-    e0 = max(first - cols + 1, lo - rows + 1, 0)
-    # offsets still read at step i, from e0 on: upper terms (rows j >= max(i, lo)) reach
-    # rows - max(i, lo), lower ones cols - (next k >= i); at least one is read at every step
-    need = np.maximum(rows - np.maximum(steps, lo), cols - nz[np.searchsorted(nz, steps)]) - e0
-    band = range(e0, e0 + int(need.max(initial=0)))
-    e = np.arange(band.start, band.stop, dtype=float)[:, None]
-    x = math.pi * (p * p + q * q)
-    log_w = -0.5 * x - np.array([0.5 * math.lgamma(v + 1.0) for v in band])[:, None]
-    skip = int(e0 == 0)  # offset 0 has no power of x
-    with np.errstate(divide="ignore"):
-        log_w[skip:] += e[skip:] * (0.5 * np.log(x))  # -inf at x = 0, where w vanishes
-    shift = np.where(np.isfinite(log_w), np.maximum(-600.0 - log_w, 0.0), 0.0)
-    rescale, scale = bool(np.any(shift > 0.0)), np.exp(-shift)
-    # l_{i-1}, l_i, l_{i+1} rotate through three buffers; the fourth holds a product
-    bufs = [np.zeros_like(log_w), np.exp(log_w + shift), np.empty_like(log_w), np.empty_like(log_w)]
+    m = len(p)
+    out = np.zeros((cols - lo, m), dtype=np.complex128)
+    size = np.abs(psi_vec)
+    ks = np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
+    if not len(ks) or cols <= lo:
+        return out
+    # |a| past 1e6 puts the row past every window; below 1e-100 it is the identity
+    x = np.maximum(math.pi * np.minimum(np.hypot(p, q), 1e6) ** 2, 1e-200)
+    lane_k, lane_x = np.repeat(ks.astype(float), m), np.tile(x, len(ks))  # k-major pairs
+    first, centre, last = _row_extents(lane_k, lane_x)
+    live = np.flatnonzero((first < cols) & (last >= lo))
+    if not len(live):
+        return out
+    ws, we = max(lo, int(first[live].min())), min(cols, int(last[live].max()) + 1)
+    # complex products go through real ufuncs: numpy's complex multiply may or may not
+    # fuse a multiply-add depending on its loop, which would tie a point's bits to the shape
     theta = np.arctan2(q, -p)
-    span = np.arange(first, rows)[:, None]
-    weighted = psi_vec[first:rows, None] * np.exp(1j * span * theta)  # psi_k u^k
-    alternating = weighted * (-1.0) ** span
-    upper = np.zeros((cols - lo, len(p)), dtype=np.complex128)  # k >= j
-    lower = np.zeros_like(upper)  # k < j
-    for i, n in enumerate(need.tolist()):
-        prev, cur, nxt, tmp = (b[:n] for b in bufs)
-        if i:
-            np.subtract(2 * i - 1 + e[:n], x, out=nxt)
-            nxt *= cur
-            nxt -= np.multiply(np.sqrt((i - 1) * (i - 1 + e[:n])), prev, out=tmp)
-            nxt /= np.sqrt(i * (i + e[:n]))
-            bufs = bufs[1:3] + bufs[:1] + bufs[3:]
-            prev, cur = cur, nxt
-        if rescale and (big := np.abs(cur) > 1e150).any():
-            cur[big] /= 1e150
-            prev[big] /= 1e150
-            shift[:n][big] -= math.log(1e150)
-            scale = np.exp(-shift)
-        w = cur * scale[:n] if rescale else cur
-        if i >= lo:
-            # the start must not depend on lo: numpy rounds a one-point sum by where it starts
-            s = max(i, first)
-            part, ws = weighted[s - first :], w[s - i - e0 : rows - i - e0]
-            upper[i - lo] = np.einsum("em,em->m", part.real, ws) + 1j * np.einsum("em,em->m", part.imag, ws)
-        if psi_vec[i] != 0:
-            j = max(i + 1, lo)
-            lower[j - lo :] += alternating[i - first] * w[j - i - e0 : cols - i - e0]
-    window = np.arange(lo, cols)[:, None]
-    return np.conj(np.exp(1j * window * theta)) * (upper + (-1.0) ** window * lower)
+    spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
+    c, s = psi_vec.real[ks, None], psi_vec.imag[ks, None]
+    weight = (c * spin.real - s * spin.imag, c * spin.imag + s * spin.real)  # psi_k u^(k - k0)
+    re, im = np.zeros((2, we - ws, m))
+    span = int(last[live].max() - first[live].min()) + 2
+    step = max(KERNEL_CHUNK // (2 * max(span, we - ws)), 1)
+    for start in range(0, len(live), step):
+        lanes = live[start : start + step]
+        table = _kernel_rows(
+            lane_k[lanes], lane_x[lanes], first[lanes], centre[lanes], last[lanes], ws, we
+        )
+        # lanes are k-major: each row's points are one run of table columns
+        row, point = np.divmod(lanes, m)
+        runs = np.searchsorted(row, np.arange(row[0], row[-1] + 2)).tolist()
+        for r, a, b in zip(range(row[0], row[-1] + 1), runs, runs[1:]):
+            pts = slice(None) if b - a == m else point[a:b]
+            for acc, w in zip((re, im), weight):
+                acc[:, pts] += w[r, pts] * table[:, a:b]
+    turn = np.exp(1j * (ks[0] - np.arange(ws, we))[:, None] * theta)  # u^(k0 - j)
+    block = out[ws - lo : we - lo]
+    np.multiply(re, turn.real, block.real)
+    block.real -= im * turn.imag
+    np.add(np.multiply(re, turn.imag, re), np.multiply(im, turn.real, im), block.imag)
+    return out
 
 
 def matrix_element(g, j: int, k: int) -> complex:
-    """<pi(g) h_j, h_k> in closed form, from the one-column window [j, j + 1): the
-    recurrence carries the single offset |k - j|."""
-    g = as_element(g)
+    """<pi(g) h_j, h_k> in closed form, from the one-column window [j, j + 1) of row k:
+    one recurrence over the row's extent, about k + band steps (none if j is outside it)."""
+    g, j, k = as_element(g), _hermite_index(j), _hermite_index(k)
     psi = np.zeros(k + 1)
     psi[k] = 1.0
     return complex(np.exp(2j * np.pi * g.t) * _kernel_columns(psi, j + 1, g.p, g.q, j)[0, 0])
@@ -648,10 +780,13 @@ def fourier_wigner(
         raise PreconditionError("pointwise evaluation needs a rapid-decay second argument")
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     ps, qs = p.ravel(), q.ravel()
+    if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(qs))):
+        raise PreconditionError("displacements p and q must be finite")
     rows = psi.stop if psi.finite_support else _extent_for_abs_tail(psi, abs_tol / 8.0)
     psi_vec = psi.dense(0, rows - 1)
 
-    r2 = float(np.max(ps * ps + qs * qs, initial=0.0))
+    # past |p|, |q| ~ 1e150 the reach is past max_cols anyway, and p^2 would overflow
+    r2 = float(np.max(np.minimum(np.hypot(ps, qs), 1e150), initial=0.0)) ** 2
     if phi.finite_support:
         top = max(phi.stop, 1)
         lo = int(np.argmax(phi.dense(0, top - 1) != 0))  # 0 when phi vanishes
@@ -713,6 +848,7 @@ def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:
 
 
 def unit_vector(k: int) -> HermiteVector:
+    k = _hermite_index(k)
     prefix = np.zeros(k + 1, dtype=np.complex128)
     prefix[k] = 1.0
     return CoefficientVector(

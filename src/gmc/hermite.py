@@ -33,7 +33,9 @@ def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
     hermite_scaled(-x, n)[k] == (-1)^k hermite_scaled(x, n)[k] exactly. Where
     the start 2^{1/4} exp(-pi x^2) would underflow (|x| > 13.8), a column starts
     at exp(_FLOOR) and carries a factor exp(shift), traded back by _STEP as its
-    values grow, as in heisenberg._kernel_columns, so every value is finite.
+    values grow, so every value is finite. (heisenberg._kernel_columns needs no
+    such factor: it starts each kernel row where the row is negligible and scales
+    it to unit norm afterwards.)
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     log_h0 = 0.25 * math.log(2.0) - math.pi * x * x

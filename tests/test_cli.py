@@ -353,6 +353,21 @@ def test_non_finite_number_is_bad_input(argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec", ["e:-1", "e:2.5", "e:x"])
+def test_bad_hermite_index_is_bad_input(spec):
+    code, _, err = run_cli("wigner", spec, "e:0", "--grid=0:1:2,0:1:2")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_wigner_at_the_edge_of_the_float_range_reads_zero():
+    # pi (p^2 + q^2) overflows: the kernel row lies past every column, with no warning
+    code, out, _ = run_cli("wigner", "e:0", "e:0", "--grid=1e308:1e308:2,0:1:2")
+    assert code == 0
+    _, rows = _parse_csv(out)
+    assert [row[2:] for row in rows] == [[0.0, 0.0, 0.0]] * 4
+
+
 def test_quadrature_accuracy_error_reports_the_gap(tmp_path):
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps({"quadrature": {"check_tol": 1e-16}}))

@@ -1,6 +1,8 @@
 """Schrodinger representation: matrix elements, group/algebra actions, smoothing."""
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -82,8 +84,8 @@ def test_kernel_rows_unitary_at_large_displacement():
     # row k of pi(p, q, 0) has unit norm; 900 columns hold its whole band for |p|, |q| <= 4
     ps = np.array([4.0, -4.0, 0.0, 2.5, -3.2, 0.05])
     qs = np.array([4.0, 3.3, -4.0, -2.5, 0.7, 0.0])
-    # at k = 2000 the recurrence starts of offsets past about 920 underflow and are rescaled
-    for k, cols, m in ((0, 900, 6), (40, 900, 6), (150, 900, 6), (2000, 3300, 2)):
+    # at k = 2000 the rows start some 900 columns below k, where they are negligible
+    for k, cols, m in ((0, 900, 6), (40, 900, 6), (150, 900, 6), (2000, 3300, 2), (2000, 3300, 6)):
         psi = np.zeros(k + 1)
         psi[k] = 1.0
         c = hb._kernel_columns(psi, cols, ps[:m], qs[:m])
@@ -115,13 +117,144 @@ def _kernel_window_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(_kernel_window_case())
 def test_kernel_window_has_the_bits_of_the_full_columns(case):
-    # at k past about 900 the starts of the far offsets underflow and are rescaled; one
-    # point takes numpy's single-column reduction, whose rounding sees where a sum starts
+    # a window must not change a row's arithmetic, nor may the other points
     psi, cols, lo, points = case
     p, q = (np.array(v) for v in zip(*points))
     full = hb._kernel_columns(psi, cols, p, q)
     assert np.array_equal(hb._kernel_columns(psi, cols, p, q, lo), full[lo:])
     assert np.array_equal(hb._kernel_columns(psi, cols, p[0], q[0], lo), full[lo:, :1])
+
+
+def _decimal_pi():
+    """pi to the current decimal precision (the recipe in the decimal module's documentation)."""
+    decimal.getcontext().prec += 2
+    last, t, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+    while total != last:
+        last = total
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        total += t
+    decimal.getcontext().prec -= 2
+    return +total
+
+
+def _reference_row(k, p, q, cols):
+    """W_j = u^(j-k) <pi(p, q, 0) h_j, h_k>, j < cols, at the float point (p, q), in 160 digits.
+
+    x = pi (p^2 + q^2) is taken exactly from the floats. The row runs forward from the
+    closed form W_0 = exp(-x/2) x^(k/2) / sqrt(k!) through
+    sqrt(x (j+1)) W_{j+1} = (k - j - x) W_j - sqrt(x j) W_{j-1}. Past the band that
+    direction also grows the other solution, by far less than 10^100 before the row
+    falls below 1e-40 (where it stops: the rest is 0), so 160 digits keep 60.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 160
+        x = _decimal_pi() * (Decimal(p) ** 2 + Decimal(q) ** 2)
+        if x == 0:
+            return np.eye(1, cols, k)[0]
+        sx = x.sqrt()
+        prev, cur = Decimal(0), (-x / 2).exp() * x ** (Decimal(k) / 2) / Decimal(math.factorial(k)).sqrt()
+        row = np.zeros(cols)
+        for j in range(cols):
+            row[j] = float(cur)
+            if j > k + x and abs(cur) < Decimal("1e-40"):
+                break
+            prev, cur = cur, ((k - j - x) * cur - sx * Decimal(j).sqrt() * prev) / (sx * Decimal(j + 1).sqrt())
+        return row
+
+
+def _reference_laguerre(j, k, p, q):
+    """W_j for j <= k from the closed form exp(-x/2) x^((k-j)/2) sqrt(j!/k!) L_j^(k-j)(x), 80 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        x = _decimal_pi() * (Decimal(p) ** 2 + Decimal(q) ** 2)
+        a, prev, cur = k - j, Decimal(0), Decimal(1)  # L_{-1}, L_0
+        for i in range(j):
+            prev, cur = cur, ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
+        scale = (-x / 2).exp() * x ** (Decimal(a) / 2) * (Decimal(math.factorial(j)) / math.factorial(k)).sqrt()
+        return float(scale * cur)
+
+
+_REFERENCE_POINTS = [(0.0, 0.0), (0.05, 0.0), (1e-3, -2e-3), (4.0, 4.0), (-4.0, 3.3), (2.5, -2.5)]
+
+
+def test_reference_rows_match_the_laguerre_closed_form():
+    # the reference shares the recurrence with the code; check it against the closed form
+    for p, q in _REFERENCE_POINTS[1:]:
+        row = _reference_row(40, p, q, 41)
+        for j in (0, 7, 25, 39, 40):
+            assert abs(row[j] - _reference_laguerre(j, 40, p, q)) <= 1e-15 * max(abs(row[j]), 1e-300)
+
+
+@pytest.mark.parametrize("k", [0, 1, 40, 410, 600, 2000])
+def test_kernel_rows_match_a_high_precision_reference(k):
+    # unit-norm rows satisfy the unitarity rows by construction; this checks their values
+    p, q = (np.array(v) for v in zip(*_REFERENCE_POINTS))
+    cols = 3300 if k == 2000 else k + 1300
+    psi = np.zeros(k + 1)
+    psi[k] = 1.0
+    got = hb._kernel_columns(psi, cols, p, q)
+    theta = np.arctan2(q, -p)
+    for m, (pm, qm) in enumerate(_REFERENCE_POINTS):
+        ref = _reference_row(k, pm, qm, cols) * np.exp(1j * (k - np.arange(cols)) * theta[m])
+        assert np.max(np.abs(got[:, m] - ref)) < 1e-14, (pm, qm)
+
+
+def test_kernel_rows_do_not_depend_on_the_chunk_budget(monkeypatch):
+    psi = np.cos(np.arange(40)) * (np.arange(40) % 3 != 1)
+    P, Q = np.meshgrid(np.linspace(-2.0, 2.0, 4), np.linspace(-1.0, 3.0, 3), indexing="ij")
+    whole = hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10)
+    monkeypatch.setattr(hb, "KERNEL_CHUNK", 2000)  # a few rows of pairs per pass
+    assert np.array_equal(hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10), whole)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(1e308, 1e308), (-1e200, 0.0), (0.0, 3e160), (1e5, -1e5)],
+)
+def test_kernel_past_every_window_is_exactly_zero(p, q):
+    # x = pi (p^2 + q^2) overflows or puts every row far past the columns: no warning, no nan
+    for j, k in ((0, 0), (3, 3), (40, 2)):
+        assert hb.matrix_element((p, q, 0.0), j, k) == 0
+    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(5), np.array([p, 0.3]), np.array([q, 0.2]))
+    assert got[0] == 0 and np.isfinite(got[1])
+
+
+@pytest.mark.parametrize("p, q", [(5e-324, 0.0), (0.0, -5e-324), (1e-300, 1e-300), (1e-160, 0.0)])
+def test_kernel_at_subnormal_displacement_is_the_identity(p, q):
+    for k in (0, 3, 2000):
+        psi = np.zeros(k + 1)
+        psi[k] = 1.0
+        col = hb._kernel_columns(psi, k + 3, p, q)[:, 0]
+        assert np.max(np.abs(col - np.eye(1, k + 3, k)[0])) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "j, k, error",
+    [(-1, 0, PreconditionError), (0, -1, PreconditionError), (2.5, 0, PreconditionError), (0, 1.0, PreconditionError)],
+)
+def test_bad_hermite_indices_are_typed_errors(j, k, error):
+    with pytest.raises(error):
+        hb.matrix_element((0.3, 0.2, 0.0), j, k)
+
+
+def test_negative_unit_vector_is_a_typed_error():
+    with pytest.raises(PreconditionError):
+        hb.unit_vector(-1)
+
+
+@pytest.mark.parametrize("g", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+def test_non_finite_group_elements_are_typed_errors(g):
+    with pytest.raises(PreconditionError):
+        hb.matrix_element(g, 3, 3)
+    with pytest.raises(PreconditionError):
+        hb.act_group(g, hb.unit_vector(2))
+
+
+def test_fourier_wigner_of_non_finite_points_is_a_typed_error():
+    with pytest.raises(PreconditionError):
+        hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(2), np.array([0.1, math.nan]), 0.2)
 
 
 def test_high_index_kernels_are_finite_and_bounded():
@@ -572,6 +705,15 @@ def test_fourier_wigner_delta_reaches_the_partner_band():
     got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(104), p, q)
     exact = np.exp(-1j * np.pi * p * q) * hermite_scaled(np.array([-p]), 104)[104, 0]
     assert abs(got - exact) < 1e-12
+
+
+@pytest.mark.parametrize("k", [410, 600])
+def test_fourier_wigner_delta_is_the_hermite_function_at_high_index(k):
+    # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p) across the benchmark's heavy range
+    P, Q = np.meshgrid(np.linspace(-1.7, 1.7, 5), np.linspace(-1.7, 1.7, 5), indexing="ij")
+    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(k), P, Q)
+    exact = np.exp(-1j * np.pi * P * Q) * hermite_scaled(-P.ravel(), k)[k].reshape(P.shape)
+    assert np.max(np.abs(got - exact)) < 1e-12
 
 
 def test_fourier_wigner_array_matches_scalar_calls():
