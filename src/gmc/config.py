@@ -25,17 +25,16 @@ class ToleranceTable:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Heisenberg truncations and the smoothing self-check tolerance.
+    """Heisenberg truncation and the smoothing self-check tolerance.
 
     truncation is the output length N; an infinite input is read at least
-    input_margin columns past it. Each test function carries its own (p, q) rule size,
-    and smoothing sizes its Gauss-Hermite rule from the truncations. Smoothing
-    always checks itself against a finer rule and a longer input, to check_tol
-    relative to the result.
+    heisenberg.INPUT_MARGIN columns past it. Each test function carries its own
+    (p, q) rule size, and smoothing sizes its Gauss-Hermite rule from the
+    truncations. Smoothing always checks itself against a finer rule and a
+    longer input, to check_tol relative to the result.
     """
 
     truncation: int = 40
-    input_margin: int = 32
     check_tol: float = 1e-6
 
     def override(self, **kwargs) -> "QuadratureSpec":

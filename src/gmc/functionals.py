@@ -10,13 +10,14 @@ derivatives act on the functional by dualizing onto the test function:
     right_derive(F, D)(f)    = F(R(A(D)) f)
 
 with tD the transpose and A the antipode (equal on the unimodular models
-shipped here). Functionals stay closures with provenance; pointwise views
-exist only when the second vector is rapid-decay.
+shipped here). A functional keeps these operations as data, latest first,
+and reads its provenance off them; pointwise views exist only when the
+second vector is rapid-decay.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import PreconditionError
 from .groups import GroupModel
@@ -26,27 +27,28 @@ from .vectors import CoefficientVector, GrowthClass
 
 @dataclass(frozen=True)
 class GMCFunctional:
+    """F(f) = <pi(f) phi, psi>, after the dualized operations in ops.
+
+    ops holds (tag, argument, test-function method, its argument) per
+    translation or derivative, latest first; evaluate applies them in order.
+    """
+
     phi: CoefficientVector
     psi: CoefficientVector
     model: GroupModel
-    transform: Optional[Callable] = field(default=None, repr=False)
-    provenance: str = "direct"
+    ops: tuple = ()
     eval_options: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, f) -> complex:
-        ff = self.transform(f) if self.transform is not None else f
-        return self.model.gmc_eval(self.phi, self.psi, ff, **self.eval_options)
+        for _, _, method, arg in self.ops:
+            f = getattr(f, method)(arg)
+        return self.model.gmc_eval(self.phi, self.psi, f, **self.eval_options)
 
     __call__ = evaluate
 
-    def _chain(self, outer: Callable, provenance: str) -> "GMCFunctional":
-        old = self.transform
-
-        def transform(f):
-            g = outer(f)
-            return old(g) if old is not None else g
-
-        return replace(self, transform=transform, provenance=f"{provenance} o {self.provenance}")
+    @property
+    def provenance(self) -> str:
+        return " o ".join([f"{tag}({arg})" for tag, arg, _, _ in self.ops] + ["direct"])
 
 
 def gmc_functional(phi, psi, model: GroupModel, **eval_options) -> GMCFunctional:
@@ -54,23 +56,20 @@ def gmc_functional(phi, psi, model: GroupModel, **eval_options) -> GMCFunctional
 
 
 def left_translate(F: GMCFunctional, h) -> GMCFunctional:
-    hinv = F.model.inverse(h)
-    return F._chain(lambda f: f.left_translate(hinv), f"left-translated({h})")
+    return replace(F, ops=(("left-translated", h, "left_translate", F.model.inverse(h)),) + F.ops)
 
 
 def right_translate(F: GMCFunctional, h) -> GMCFunctional:
-    hinv = F.model.inverse(h)
-    return F._chain(lambda f: f.right_translate(hinv), f"right-translated({h})")
+    return replace(F, ops=(("right-translated", h, "right_translate", F.model.inverse(h)),) + F.ops)
 
 
 def left_derive(F: GMCFunctional, d: UEAElement) -> GMCFunctional:
-    dt = uea_transpose(d)
-    return F._chain(lambda f: f.left_derive(dt), f"left-derived({d})")
+    return replace(F, ops=(("left-derived", d, "left_derive", uea_transpose(d)),) + F.ops)
 
 
 def right_derive(F: GMCFunctional, d: UEAElement) -> GMCFunctional:
     da = uea_antipode(d, F.model.structure.delta)
-    return F._chain(lambda f: f.right_derive(da), f"right-derived({d})")
+    return replace(F, ops=(("right-derived", d, "right_derive", da),) + F.ops)
 
 
 def smooth_function_view(F: GMCFunctional) -> Callable:
@@ -84,7 +83,7 @@ def smooth_function_view(F: GMCFunctional) -> Callable:
         and F.psi.growth is not GrowthClass.RAPID_DECAY
     ):
         raise PreconditionError("smooth view requires a rapid-decay vector on one side")
-    if F.transform is not None:
+    if F.ops:
         raise PreconditionError("smooth view is defined for direct functionals only")
     return F.model.pointwise_coefficient(F.phi, F.psi)
 

@@ -69,6 +69,8 @@ HermiteVector = CoefficientVector
 
 # per-axis count of a test function's (p, q) Gauss-Legendre rule before derivatives
 BOX_NODES = 48
+# an infinite input is read at least this many columns past the output truncation
+INPUT_MARGIN = 32
 # largest Hermite index of a gaussian_vector prefix
 GAUSSIAN_MAX_INDEX = 8192
 # entries of the largest Hermite table smoothing may build (512 MiB of float64)
@@ -115,6 +117,11 @@ def _hermite_index(k) -> int:
     if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 0:
         raise PreconditionError(f"Hermite index must be a non-negative integer, got {k!r}")
     return int(k)
+
+
+def _character(t) -> complex:
+    """exp(2 pi i t), its whole turns dropped first: fmod is exact and keeps |t| < 1 as it is."""
+    return np.exp(2j * np.pi * np.fmod(t, 1.0))
 
 
 def group_mul(g, h) -> HeisenbergElement:
@@ -206,7 +213,7 @@ class _Term:
 
         rows = factor(pn, p0, a, beta, self.poly.shape[0])
         cols = factor(qn, q0, b, gamma, self.poly.shape[1])
-        scale = np.exp(2j * np.pi * lam * t0) * (-2j * np.pi * lam) ** k
+        scale = _character(lam * t0) * (-2j * np.pi * lam) ** k
         return scale * self.bump.axis_transform(lam) * (rows @ self.poly @ cols.T)
 
 
@@ -512,7 +519,7 @@ def matrix_element(g, j: int, k: int) -> complex:
     g, j, k = as_element(g), _hermite_index(j), _hermite_index(k)
     psi = np.zeros(k + 1)
     psi[k] = 1.0
-    return complex(np.exp(2j * np.pi * g.t) * _kernel_columns(psi, j + 1, g.p, g.q, j)[0, 0])
+    return complex(_character(g.t) * _kernel_columns(psi, j + 1, g.p, g.q, j)[0, 0])
 
 
 def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
@@ -532,18 +539,20 @@ def _reach(r2: float, level: int) -> int:
 
 
 def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
-    """Input truncation margin scaled to the support's phase-space reach."""
+    """Input truncation margin scaled to the support's phase-space reach.
+
+    Smoothing reads Hermite functions at p/2 and phases q b, which leave the
+    float range past |p|, |q| = 1e150: such supports are refused. Past p^2 + q^2
+    = 1e16 the reach is past any table smoothing may build, and is taken there.
+    """
     pm = float(np.max(np.abs(f.support[0])))
     qm = float(np.max(np.abs(f.support[1])))
-    return max(base, _reach(pm * pm + qm * qm, N))
+    if not max(pm, qm) <= 1e150:
+        raise PreconditionError(f"test function support reaches |p| or |q| = {max(pm, qm):.3g}, past 1e150")
+    return max(base, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
-def act_group(
-    g,
-    phi: HermiteVector,
-    N: int = DEFAULT_QUADRATURE.truncation,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> HermiteVector:
+def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
     """First N coefficients of pi(g) phi via the matrix of the action."""
     _require_hermite(phi)
     g = as_element(g)
@@ -553,25 +562,20 @@ def act_group(
         raise PreconditionError(
             f"truncation N={N} is below the stored support extent {phi.stop}"
         )
-    cols = _input_extent(phi, N, quad.input_margin)
+    cols = _input_extent(phi, N, INPUT_MARGIN)
     vec = phi.dense(0, cols - 1)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
-    out = np.exp(2j * np.pi * g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
+    out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
-def dual_act_group(
-    g,
-    psi: HermiteVector,
-    N: int = DEFAULT_QUADRATURE.truncation,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> HermiteVector:
+def dual_act_group(g, psi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
     """Contragredient action: (pi*(g) psi)_k = <psi, pi(g^{-1}) h_k>."""
     _require_hermite(psi)
     ginv = group_inv(as_element(g))
-    rows = _input_extent(psi, N, quad.input_margin)
+    rows = _input_extent(psi, N, INPUT_MARGIN)
     vec = psi.dense(0, rows - 1)
-    out = np.exp(2j * np.pi * ginv.t) * _kernel_columns(vec, N, ginv.p, ginv.q)[:, 0]
+    out = _character(ginv.t) * _kernel_columns(vec, N, ginv.p, ginv.q)[:, 0]
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -734,12 +738,12 @@ def smooth_by(
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
     # output k < N couples only to inputs below N + margin, also for a long finite phi
-    margin = _displacement_margin(f, N, quad.input_margin)
+    margin = _displacement_margin(f, N, INPUT_MARGIN)
     cols = min(_input_extent(phi, N, margin), N + margin)
     # the check pass builds the larger table; refuse before building either
     entries = max(N, cols + 24) * (f.nodes + 8) * _x_rule_size(N, cols + 24)
     if entries > SMOOTH_TABLE_BUDGET:
-        raise BudgetExceeded(f"smoothing needs a Hermite table of {entries} entries", math.inf)
+        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
     out = _smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
     out2 = _smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + 8)
     err = float(np.max(np.abs(out - out2)))
@@ -836,8 +840,7 @@ def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:
 
     def view(g) -> complex:
         g = as_element(g)
-        central = np.exp(2j * np.pi * (g.t))
-        return complex(central * fourier_wigner(phi, psi, g.p, g.q))
+        return complex(_character(g.t) * fourier_wigner(phi, psi, g.p, g.q))
 
     return view
 
@@ -952,34 +955,13 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
 # --------------------------------------------------------------------------
 
 
-def _haar(box: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre rule over a coordinate box (Haar = Lebesgue here)."""
-    box = np.asarray(box, dtype=float).reshape(3, 2)
-    axes = [legendre_on_interval(a, b, nodes) for a, b in box]
-    P, Q, T = np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij")
-    W = np.einsum("a,b,c->abc", axes[0][1], axes[1][1], axes[2][1])
-    pts = np.stack([P.ravel(), Q.ravel(), T.ravel()], axis=1)
-    return pts, W.ravel()
-
-
-def _distance(a, b) -> float:
-    a, b = as_element(a), as_element(b)
-    return max(abs(a.p - b.p), abs(a.q - b.q), abs(a.t - b.t))
-
-
 HEISENBERG = GroupModel(
     name="heisenberg",
     dim=3,
     structure=HEISENBERG_STRUCTURE,
-    identity=IDENTITY,
-    multiply=group_mul,
     inverse=group_inv,
-    exp=lambda x: HeisenbergElement(*np.asarray(x, dtype=float)),
-    haar=_haar,
-    modular_function=lambda g: 1.0,
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,
     factorization=factorize_heisenberg,
-    distance=_distance,
 )

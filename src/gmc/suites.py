@@ -192,10 +192,10 @@ def suite_heisenberg_covariance(
     worst_rt, worst_lt = 0.0, 0.0
     for _ in range(3):
         h = hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3))
-        lhs = hb.gmc_eval(hb.act_group(h, phi, N=N + 16, quad=quad), psi, f, N=N, quad=quad)
+        lhs = hb.gmc_eval(hb.act_group(h, phi, N=N + 16), psi, f, N=N, quad=quad)
         rhs = hb.gmc_eval(phi, psi, f.right_translate(hb.group_inv(h)), N=N, quad=quad)
         worst_rt = max(worst_rt, abs(lhs - rhs))
-        lhs2 = hb.gmc_eval(phi, hb.dual_act_group(h, psi, N=N + 16, quad=quad), f, N=N, quad=quad)
+        lhs2 = hb.gmc_eval(phi, hb.dual_act_group(h, psi, N=N + 16), f, N=N, quad=quad)
         rhs2 = hb.gmc_eval(phi, psi, f.left_translate(hb.group_inv(h)), N=N, quad=quad)
         worst_lt = max(worst_lt, abs(lhs2 - rhs2))
 

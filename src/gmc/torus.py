@@ -71,11 +71,11 @@ def comb(extent: int = 64) -> TorusSequence:
     )
 
 
-ones = comb
-
 
 def poly(r: int, extent: int = 64) -> TorusSequence:
     """a_n = n^r (with a_0 = 1 for r = 0); polynomial growth of degree r."""
+    if r < 0:
+        raise PreconditionError(f"poly degree must be nonnegative, got {r}")
     ns = np.arange(-extent, extent + 1)
     if r == 0:
         vals = np.ones_like(ns, dtype=np.complex128)
@@ -216,6 +216,8 @@ class TorusTestFunction:
 
 def band(B: int, profile: str | Sequence[complex] = "ones") -> TorusTestFunction:
     """Named band-limited profiles, or an explicit coefficient list of length 2B+1."""
+    if B < 0:
+        raise PreconditionError(f"band limit must be nonnegative, got {B}")
     ns = np.arange(-B, B + 1)
     if isinstance(profile, str):
         if profile == "ones":
@@ -324,7 +326,7 @@ def gmc_eval(a: TorusSequence, b: TorusSequence, f: TorusTestFunction, **_ignore
 def series_partial_sum(a: TorusSequence, m: int, f: TorusTestFunction) -> complex:
     """Pairing of the order-m partial Fourier sum of a against f.
 
-    For m >= bandwidth this is bit-identical to gmc_eval(a, ones, f): the same
+    For m >= bandwidth this is bit-identical to gmc_eval(a, comb(), f): the same
     terms are added in the same order.
     """
     if m < 0:
@@ -418,30 +420,13 @@ def pointwise_coefficient(a: TorusSequence, b: TorusSequence) -> Callable[[float
 # --------------------------------------------------------------------------
 
 
-def _haar(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced circle rule: exact for band-limited integrands below order nodes."""
-    pts = np.arange(nodes) / nodes
-    return pts, np.full(nodes, 1.0 / nodes)
-
-
-def _circle_distance(s: float, t: float) -> float:
-    d = abs((float(s) - float(t)) % 1.0)
-    return min(d, 1.0 - d)
-
-
 TORUS = GroupModel(
     name="torus",
     dim=1,
     structure=TORUS_STRUCTURE,
-    identity=0.0,
-    multiply=lambda s, t: (s + t) % 1.0,
     inverse=lambda t: (-t) % 1.0,
-    exp=lambda x: float(np.atleast_1d(x)[0]) % 1.0,
-    haar=_haar,
-    modular_function=lambda g: 1.0,
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,
     factorization=factorize_torus,
-    distance=_circle_distance,
 )

@@ -316,6 +316,7 @@ _WIGNER_AT_ORIGIN = ("wigner", "e:0", "e:0", "--grid=0:0:1,0:0:1")
 _REMOVED_KEYS = {
     "x_nodes": ({"quadrature": {"x_nodes": 80}}, _WIGNER_AT_ORIGIN),
     "box_nodes": ({"quadrature": {"box_nodes": 48}}, _WIGNER_AT_ORIGIN),
+    "input_margin": ({"quadrature": {"input_margin": 32}}, _WIGNER_AT_ORIGIN),
     "self_check": ({"quadrature": {"self_check": False}}, _WIGNER_AT_ORIGIN),
     "quadrature_check": ({"tolerances": {"quadrature_check": 1e-7}}, _WIGNER_AT_ORIGIN),
     "pair_abs_tol": ({"tolerances": {"pair_abs_tol": 1e-12}}, _WIGNER_AT_ORIGIN),
@@ -345,12 +346,22 @@ def test_config_removed_key_rejected(tmp_path, case):
         ("mollify", "--group", "torus", "comb", "comb", "band:6:fejer", "--n", "2", "--radius", "nan"),
         ("mollify", "--group", "torus", "comb", "comb", "band:6:fejer", "--n", "2", "--radius", "inf"),
         ("wigner", "e:0", "e:0", "--grid=0:inf:2,0:0:1"),
+        # numbers outside a spec's range
+        ("torus-series", "comb", "band:-1:ones", "--m-max", "1"),
+        ("torus-series", "poly:-1", "band:4:fejer", "--m-max", "2"),
+        ("mollify", "--group", "heisenberg", "e:0", "e:0", "bump3:center=(1e200,0,0)", "--n", "2"),
+        ("mollify", "--group", "heisenberg", "delta", "e:0", "bump3:center=(1e200,0,0)", "--n", "2"),
+        ("mollify", "--group", "heisenberg", "e:0", "e:0", "bump3:center=(1e308,0,0)", "--n", "2"),
+        ("mollify", "--group", "heisenberg", "delta", "e:0", "bump3:center=(1e308,0,0)", "--n", "2"),
+        ("mollify", "--group", "heisenberg", "e:0", "e:0", "bump3:center=(0,1e308,0)", "--n", "2"),
+        ("mollify", "--group", "heisenberg", "delta", "e:0", "bump3:center=(0,1e308,0)", "--n", "2"),
     ],
 )
 def test_non_finite_number_is_bad_input(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("spec", ["e:-1", "e:2.5", "e:x"])

@@ -52,6 +52,20 @@ def test_matrix_element_central_phase():
     assert abs(got - 1j) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1e17, -1e17, 1e300, 1e308, 2.0**52 + 0.5])
+def test_central_phase_drops_whole_turns_exactly(t):
+    # exp(2 pi i t) depends on t mod 1 only, and so do all four group-side routes
+    e0 = hb.unit_vector(0)
+    phase = np.exp(2j * np.pi * (t % 1.0))
+    g = (0.0, 0.0, t)
+    assert abs(hb.matrix_element(g, 0, 0) - phase) < 1e-15
+    assert abs(hb.pointwise_coefficient(e0, e0)(g) - phase) < 1e-15
+    assert abs(hb.act_group(g, e0).coeff(0) - phase) < 1e-15
+    assert abs(hb.dual_act_group(g, e0).coeff(0) - np.conj(phase)) < 1e-15
+    base = hb.gmc_eval(e0, e0, _BUMP)
+    assert abs(hb.gmc_eval(e0, e0, _BUMP.left_translate(g)) - phase * base) < 1e-15
+
+
 def test_matrix_element_orthonormality_at_identity():
     assert abs(hb.matrix_element(hb.IDENTITY, 0, 1)) < 1e-14
     assert abs(hb.matrix_element(hb.IDENTITY, 3, 3) - 1) < 1e-14
@@ -516,7 +530,7 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
     # pi(f) phi = sum over the (p, q) rule of w F_1(p, q) pi(p, q, 0) phi, each
     # column from the closed-form kernels as in act_group, on the same input
     N = 40
-    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, QuadratureSpec().input_margin))
+    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, hb.INPUT_MARGIN))
     vec = phi.dense(0, cols - 1)
     pn, pw = f.axis_rule(0)
     qn, qw = f.axis_rule(1)
@@ -554,7 +568,7 @@ def _two_table_smooth_core(f, phi_vec, N, nodes):
     ids=["delta-cols-above-N", "e3-cols-below-N", "complex-act", "translated-PQ", "QZ-poly", "delta-N160"],
 )
 def test_single_table_core_matches_two_table_formula(f, phi, N):
-    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, QuadratureSpec().input_margin))
+    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, hb.INPUT_MARGIN))
     vec = phi.dense(0, cols - 1)
     ref = _two_table_smooth_core(f, vec, N, f.nodes)
     got = hb._smooth_core(f, vec, N, f.nodes)
@@ -594,7 +608,7 @@ def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # first N + margin of them
     phi = hb.gaussian_vector(sigma)
     N = 40
-    band = N + hb._displacement_margin(_BUMP, N, QuadratureSpec().input_margin)
+    band = N + hb._displacement_margin(_BUMP, N, hb.INPUT_MARGIN)
     assert phi.finite_support and phi.stop > band
     full = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, _BUMP.nodes)
     got = hb.smooth_by(_BUMP, phi, N=N).dense(0, N - 1)

@@ -146,17 +146,7 @@ def test_pushforward_unknown_model():
     from gmc.groups import GroupModel
     from gmc.uea import LieStructure
 
-    other = GroupModel(
-        name="other",
-        dim=1,
-        structure=LieStructure(labels=("X",)),
-        identity=0.0,
-        multiply=lambda a, b: a + b,
-        inverse=lambda a: -a,
-        exp=lambda x: float(np.atleast_1d(x)[0]),
-        haar=lambda n: (np.zeros(1), np.ones(1)),
-        modular_function=lambda g: 1.0,
-    )
+    other = GroupModel(name="other", dim=1, structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
     prof = mo.BumpProfile.standard(0.25)
     with pytest.raises(PreconditionError):
         mo.push_forward(mo.make_jn(prof, 1, 1), other)

@@ -1,10 +1,26 @@
-"""Smoke tests of the scripts under scripts/: each runs as a subprocess."""
+"""Smoke tests of the scripts under scripts/ (each runs as a subprocess) and of the
+benchmark's tracer on the current tree."""
+import contextlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import gmc
+import gmc.cli
+import gmc.functionals
+import gmc.groups
+import gmc.heisenberg
+import gmc.hermite
+import gmc.mollify
+import gmc.specs
+import gmc.suites
+import gmc.torus
+import gmc.uea
+import gmc.vectors
+from gmc.errors import GmcError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +46,39 @@ def test_mollifier_study_script_writes_both_tables(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "n,value_re,value_im,residual"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
+
+
+def _bindings():
+    """Every name the tracer may rebind: module globals, class attributes, model fields."""
+    out = {}
+    for name, module in sys.modules.items():
+        if name == "gmc" or name.startswith("gmc."):
+            out.update({(name, key): value for key, value in vars(module).items()})
+    for cls in (gmc.functionals.GMCFunctional, gmc.mollify.BumpProfile, gmc.vectors.CoefficientVector):
+        out.update({(cls, key): value for key, value in vars(cls).items()})
+    for model in (gmc.torus.TORUS, gmc.heisenberg.HEISENBERG):
+        out.update({(model.name, key): value for key, value in vars(model).items()})
+    return out
+
+
+def test_benchmark_tracer_wraps_and_restores_the_current_tree():
+    # perfbench --trace 1 wraps every boundary in spans.BOUNDARIES by name; a rename
+    # or a moved function in src/ breaks it, so install it here, read-only
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _bindings()
+    tracer = spans.Tracer(GmcError)
+    tracer.install()
+    try:
+        assert gmc.cli.main is not before[("gmc.cli", "main")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gmc.cli.main(["wigner", "e:0", "e:0", "--grid=0:1:2,0:1:2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["heisenberg.fourier_wigner"] == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

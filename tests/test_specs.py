@@ -139,7 +139,7 @@ def test_runconfig_validation(tmp_path):
     with pytest.raises(SpecParseError):
         RunConfig(tolerances={"torus_exact": -1})
     with pytest.raises(SpecParseError):
-        RunConfig(quadrature={"input_margin": -4})
+        RunConfig(quadrature={"truncation": -4})
     # wrong types: integer fields take real ints only, check_tol a finite positive number
     for kwargs in (
         {"seed": 1.5},
@@ -147,7 +147,7 @@ def test_runconfig_validation(tmp_path):
         {"seed": True},
         {"quadrature": {"truncation": 40.5}},
         {"quadrature": {"truncation": True}},
-        {"quadrature": {"input_margin": 32.0}},
+        {"quadrature": {"truncation": 40.0}},
         {"quadrature": {"check_tol": math.inf}},
         {"quadrature": {"check_tol": math.nan}},
         {"quadrature": {"check_tol": "1e-6"}},

@@ -404,8 +404,3 @@ def test_test_function_pointwise_evaluation():
     for t in (0.0, 0.25, 0.4):
         assert abs(f(t) - (1 + math.cos(2 * math.pi * t))) < 1e-14
 
-
-def test_haar_rule_integrates_band_functions():
-    f = tr.band(3, "gauss")
-    pts, w = tr.TORUS.haar(16)
-    assert abs(np.sum(w * f(pts)) - f.fhat(0)) < 1e-14
