@@ -8,6 +8,7 @@ usage/parse/precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -149,6 +150,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmc",

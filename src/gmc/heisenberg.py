@@ -455,37 +455,50 @@ def _kernel_rows(k: np.ndarray, x: np.ndarray, first, centre, last, ws: int, we:
     return table
 
 
-def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.ndarray:
-    """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols at scalar or 1-d p, q.
+def _cmul(a, b) -> np.ndarray:
+    """a * b, broadcast, from real ufuncs: numpy's complex multiply fuses a multiply-add
+    in some loops and not in others, which would tie a value's bits to the array shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> tuple:
+    """(ws, c): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we at
+    scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach.
 
     With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry is u^(k-j) W^(k)_j,
-    and each row W^(k) of a nonzero psi_k comes from one three-term recurrence in j
-    (_kernel_rows), run over its own extent (_row_extents): O(k + band) steps, whatever
-    the window. Rows are built for every pair of a nonzero psi_k and a point whose extent
-    meets the window, in chunks of at most KERNEL_CHUNK history entries, and summed in
-    increasing k. Each pair's arithmetic depends on neither the window nor the other
-    pairs, so every row has the bits of the lo = 0 result, and a point the bits it has
-    alone. A point whose rows all lie outside the window, an overflowing x included,
-    gives zeros; x below 1e-200 is taken as 1e-200, where the kernel is the identity
-    to 1e-100.
+    and each row W^(k) of a nonzero psi_k depends on k and x only. It comes from one
+    three-term recurrence in j (_kernel_rows), run over its own extent (_row_extents):
+    O(k + band) steps, whatever the window. One row is built for every pair of a nonzero
+    psi_k and a distinct x whose extent meets [lo, cols), in chunks of at most
+    KERNEL_CHUNK history entries, and read by every point at that x; the points' sums
+    run in increasing k. A row's arithmetic depends on neither the window nor the other
+    rows, so every entry has the bits of the lo = 0 result, and a point the bits it has
+    alone. Columns outside [ws, we) are 0, and so is a point whose rows all lie outside
+    [lo, cols), an overflowing x included; x below 1e-200 is taken as 1e-200, where the
+    kernel is the identity to 1e-100.
     """
     p, q = np.atleast_1d(p, q)
     m = len(p)
-    out = np.zeros((cols - lo, m), dtype=np.complex128)
     size = np.abs(psi_vec)
     ks = np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
+    nothing = lo, np.zeros((0, m), dtype=np.complex128)
     if not len(ks) or cols <= lo:
-        return out
+        return nothing
     # |a| past 1e6 puts the row past every window; below 1e-100 it is the identity
     x = np.maximum(math.pi * np.minimum(np.hypot(p, q), 1e6) ** 2, 1e-200)
-    lane_k, lane_x = np.repeat(ks.astype(float), m), np.tile(x, len(ks))  # k-major pairs
+    xs, at = np.unique(x, return_inverse=True)  # the row of x[i] is built at xs[at[i]]
+    n = len(xs)
+    lane_k, lane_x = np.repeat(ks.astype(float), n), np.tile(xs, len(ks))  # k-major
     first, centre, last = _row_extents(lane_k, lane_x)
     live = np.flatnonzero((first < cols) & (last >= lo))
     if not len(live):
-        return out
+        return nothing
     ws, we = max(lo, int(first[live].min())), min(cols, int(last[live].max()) + 1)
-    # complex products go through real ufuncs: numpy's complex multiply may or may not
-    # fuse a multiply-add depending on its loop, which would tie a point's bits to the shape
+    # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
     c, s = psi_vec.real[ks, None], psi_vec.imag[ks, None]
@@ -493,23 +506,41 @@ def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.nda
     re, im = np.zeros((2, we - ws, m))
     span = int(last[live].max() - first[live].min()) + 2
     step = max(KERNEL_CHUNK // (2 * max(span, we - ws)), 1)
+    by_radius = np.argsort(at, kind="stable")  # the points of xs[i] are by_radius[bound[i]:bound[i + 1]]
+    bound = np.searchsorted(at[by_radius], np.arange(n + 1))
     for start in range(0, len(live), step):
         lanes = live[start : start + step]
         table = _kernel_rows(
             lane_k[lanes], lane_x[lanes], first[lanes], centre[lanes], last[lanes], ws, we
         )
-        # lanes are k-major: each row's points are one run of table columns
-        row, point = np.divmod(lanes, m)
+        # lanes are k-major: each row's radii are one run of table columns, and each
+        # point reads the column of its radius
+        row, radius = np.divmod(lanes, n)
         runs = np.searchsorted(row, np.arange(row[0], row[-1] + 2)).tolist()
         for r, a, b in zip(range(row[0], row[-1] + 1), runs, runs[1:]):
-            pts = slice(None) if b - a == m else point[a:b]
+            if b - a == n:
+                pts, rows = slice(None), table[:, a + at]
+            else:  # the points of the run's radii, found in their own count of steps
+                count = bound[radius[a:b] + 1] - bound[radius[a:b]]
+                skip = np.repeat(bound[radius[a:b]] - np.cumsum(count) + count, count)
+                pts = by_radius[np.arange(count.sum()) + skip]
+                rows = table[:, np.repeat(np.arange(a, b), count)]
             for acc, w in zip((re, im), weight):
-                acc[:, pts] += w[r, pts] * table[:, a:b]
+                acc[:, pts] += w[r, pts] * rows
     turn = np.exp(1j * (ks[0] - np.arange(ws, we))[:, None] * theta)  # u^(k0 - j)
-    block = out[ws - lo : we - lo]
+    block = np.empty((we - ws, m), dtype=np.complex128)
     np.multiply(re, turn.real, block.real)
     block.real -= im * turn.imag
     np.add(np.multiply(re, turn.imag, re), np.multiply(im, turn.real, im), block.imag)
+    return ws, block
+
+
+def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.ndarray:
+    """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols: the
+    block of _kernel_block, with zeros where no row reaches."""
+    ws, block = _kernel_block(psi_vec, cols, p, q, lo)
+    out = np.zeros((cols - lo, block.shape[1]), dtype=np.complex128)
+    out[ws - lo : ws - lo + len(block)] = block
     return out
 
 
@@ -772,11 +803,13 @@ def fourier_wigner(
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
     p, q are broadcast scalars or arrays, and so is the result. psi must be
-    rapid-decay; phi may be any class. The kernel is built only on windows of
-    columns j that the sum reads: a finite phi takes one, from its first nonzero
-    index to its stop. An infinite phi takes [0, psi extent + reach of the
-    farthest point), then windows of that reach past each one's end, up to
-    max_cols, until the last 32 terms sum below abs_tol / 4 at every point.
+    rapid-decay; phi may be any class. The kernel is built once, as one block of
+    the columns j the sum reads (_kernel_block): a finite phi's from its first
+    nonzero index to its stop, an infinite phi's from 0 to the last column a row
+    of psi reaches at any point, or to max_cols if that comes first. The terms are
+    summed in increasing j, so a point has the bits it has alone. If the block of
+    an infinite phi reaches max_cols and its last 32 terms do not sum below
+    abs_tol / 4 at every point, BudgetExceeded.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -789,31 +822,25 @@ def fourier_wigner(
     rows = psi.stop if psi.finite_support else _extent_for_abs_tail(psi, abs_tol / 8.0)
     psi_vec = psi.dense(0, rows - 1)
 
-    # past |p|, |q| ~ 1e150 the reach is past max_cols anyway, and p^2 would overflow
-    r2 = float(np.max(np.minimum(np.hypot(ps, qs), 1e150), initial=0.0)) ** 2
     if phi.finite_support:
         top = max(phi.stop, 1)
         lo = int(np.argmax(phi.dense(0, top - 1) != 0))  # 0 when phi vanishes
     else:
-        lo, top = 0, min(rows + _reach(r2, rows), max_cols)
-    total, last = None, np.zeros((0, len(ps)))
-    while True:
-        terms = phi.dense(lo, top - 1)[:, None] * _kernel_columns(psi_vec, top, ps, qs, lo)
-        part = terms.sum(axis=0)
-        total = part if total is None else total + part
-        bad = int(np.count_nonzero(~np.isfinite(total)))
-        if bad:
-            message = f"pointwise coefficient at {top} columns is not finite at {bad} points"
-            raise QuadratureAccuracyError(message, bad, 0.0, total, None)
-        if phi.finite_support:
-            break
-        last = np.concatenate([last, terms])[-32:]
-        tail_block = float(np.max(np.sum(np.abs(last), axis=0)))
-        if tail_block < abs_tol / 4.0:
-            break
-        if top >= max_cols:
+        lo, top = 0, max_cols
+    ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo)
+    we = ws + len(kernel)
+    terms = _cmul(phi.dense(ws, we - 1)[:, None], kernel)
+    total = np.zeros(len(ps), dtype=np.complex128)
+    if we > ws:  # cumsum adds in increasing j, where sum would add a lone point's terms pairwise
+        total += np.cumsum(terms, axis=0)[-1]
+    bad = int(np.count_nonzero(~np.isfinite(total)))
+    if bad:
+        message = f"pointwise coefficient at {we} columns is not finite at {bad} points"
+        raise QuadratureAccuracyError(message, bad, 0.0, total, None)
+    if not phi.finite_support and we >= max_cols:
+        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0)))
+        if not tail_block < abs_tol / 4.0:
             raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
-        lo, top = top, min(top + _reach(r2, top), max_cols)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
 
@@ -834,13 +861,23 @@ def _extent_for_abs_tail(v: CoefficientVector, tol: float) -> int:
 
 
 def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:
-    """g -> <pi(g) phi, psi> = exp(2 pi i t) * fourier_wigner(phi, psi, p, q)."""
+    """g -> <pi(g) phi, psi> = exp(2 pi i t) * fourier_wigner(phi, psi, p, q).
+
+    g is one group element, or an (..., 3) array of (p, q, t) rows: that takes one
+    fourier_wigner call and gives an (...) array, each value with the bits of its
+    single-element call.
+    """
     if psi.growth is not GrowthClass.RAPID_DECAY:
         raise PreconditionError("pointwise view requires a rapid-decay partner")
 
-    def view(g) -> complex:
-        g = as_element(g)
-        return complex(_character(g.t) * fourier_wigner(phi, psi, g.p, g.q))
+    def view(g):
+        g = np.asarray(tuple(g) if isinstance(g, HeisenbergElement) else g, dtype=float)
+        if g.shape[-1:] != (3,):
+            raise PreconditionError(f"group elements are (p, q, t) rows, got shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise PreconditionError("group element coordinates must be finite")
+        value = _cmul(_character(g[..., 2]), fourier_wigner(phi, psi, g[..., 0], g[..., 1]))
+        return complex(value) if g.ndim == 1 else value
 
     return view
 

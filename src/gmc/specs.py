@@ -12,9 +12,12 @@ from . import heisenberg as hb
 from . import mollify as mo
 from . import torus as tr
 from .config import DEFAULT_QUADRATURE, DEFAULT_TOLERANCES, QuadratureSpec, ToleranceTable
-from .errors import SpecParseError
+from .errors import BudgetExceeded, SpecParseError
 from .groups import GroupModel
 from .vectors import CoefficientVector
+
+# points of the largest (p, q) grid a spec may ask for (16 Mi; 256 MiB per float64 array)
+GRID_POINTS = 1 << 24
 
 
 def get_model(group: str) -> GroupModel:
@@ -172,7 +175,10 @@ def parse_mollifier(spec: str) -> tuple[int, float]:
 
 
 def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
-    """"p0:p1:np,q0:q1:nq" -> (p values, q values)."""
+    """"p0:p1:np,q0:q1:nq" -> (p values, q values).
+
+    A grid of more than GRID_POINTS points raises BudgetExceeded before any axis is built.
+    """
     parts = spec.split(",")
     if len(parts) != 2:
         raise SpecParseError(f"grid spec needs two axes, got {spec!r}")
@@ -185,8 +191,11 @@ def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:
         count = _integer(bits[2], spec)
         if count < 1:
             raise SpecParseError(f"grid axis needs at least one point in {spec!r}")
-        axes.append(np.linspace(lo, hi, count))
-    return axes[0], axes[1]
+        axes.append((lo, hi, count))
+    points = axes[0][2] * axes[1][2]
+    if points > GRID_POINTS:
+        raise BudgetExceeded(f"grid of {points} points is past the limit of {GRID_POINTS}", math.inf)
+    return np.linspace(*axes[0]), np.linspace(*axes[1])
 
 
 def parse_n_list(spec: str) -> list[int]:

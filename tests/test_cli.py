@@ -398,6 +398,32 @@ def test_wigner_past_the_column_budget_is_bad_input():
     assert "needs more than max_cols" in err
 
 
+def test_wigner_past_the_grid_budget_is_bad_input():
+    # refused before the grid is built, not a memory error from meshgrid
+    code, out, err = run_cli("wigner", "e:0", "e:0", "--grid=0:1:100000,0:1:100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: grid of 10000000000 points") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_successive_main_calls_share_no_state():
+    # the parser is built once per process; nothing of one call may reach the next
+    code, out, _ = run_cli("verify", "torus-covariance", "--tol", "torus_exact=1e-30")
+    assert code == 1 and out.endswith("0/4 properties passed\n")
+    code, out, _ = run_cli("verify", "torus-covariance")
+    src = str(Path(gmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gmc.cli", "verify", "torus-covariance"], capture_output=True, text=True, env=env
+    )
+    assert code == 0 and fresh.returncode == 0
+    assert out == fresh.stdout
+    code, _, err = run_cli("wigner", "e:x", "e:0", "--grid=0:1:2,0:1:2")
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run_cli("wigner", "e:0")
+    assert code == 2 and "required" in err
+
+
 # --- determinism -----------------------------------------------------------------------
 
 

@@ -214,7 +214,7 @@ def test_heisenberg_view_quadrature_consistency():
     view = smooth_function_view(F)
     pts, w = _box_rule(f.support, 16)
     assert abs(np.sum(w) - np.prod(np.diff(f.support))) < 1e-13
-    vals = np.array([view(hb.HeisenbergElement(*g)) for g in pts])
+    vals = view(pts)  # one Fourier-Wigner call for all 4096 points
     fvals = f.evaluator(pts[:, 0], pts[:, 1], pts[:, 2])
     quad = np.sum(w * vals * fvals)
     assert abs(quad - F(f)) < 1e-4

@@ -125,18 +125,23 @@ def _kernel_window_case(draw):
     cols = draw(st.integers(1, 96))
     lo = draw(st.integers(0, cols - 1))
     points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3))
+    if draw(st.booleans()):  # sign flips and the p <-> q swap share the first point's rows
+        p0, q0 = points[0]
+        points += [(-p0, q0), (p0, -q0), (-p0, -q0), (q0, p0)]
     return psi, cols, lo, points
 
 
 @settings(max_examples=60, deadline=None)
 @given(_kernel_window_case())
 def test_kernel_window_has_the_bits_of_the_full_columns(case):
-    # a window must not change a row's arithmetic, nor may the other points
+    # a window must not change a row's arithmetic, nor may the other points, nor the
+    # points that share a radius and so read the same rows
     psi, cols, lo, points = case
     p, q = (np.array(v) for v in zip(*points))
     full = hb._kernel_columns(psi, cols, p, q)
     assert np.array_equal(hb._kernel_columns(psi, cols, p, q, lo), full[lo:])
     assert np.array_equal(hb._kernel_columns(psi, cols, p[0], q[0], lo), full[lo:, :1])
+    assert np.array_equal(hb._kernel_columns(psi, cols, p[-1], q[-1], lo), full[lo:, -1:])
 
 
 def _decimal_pi():
@@ -217,10 +222,13 @@ def test_kernel_rows_match_a_high_precision_reference(k):
 
 def test_kernel_rows_do_not_depend_on_the_chunk_budget(monkeypatch):
     psi = np.cos(np.arange(40)) * (np.arange(40) % 3 != 1)
-    P, Q = np.meshgrid(np.linspace(-2.0, 2.0, 4), np.linspace(-1.0, 3.0, 3), indexing="ij")
-    whole = hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10)
-    monkeypatch.setattr(hb, "KERNEL_CHUNK", 2000)  # a few rows of pairs per pass
-    assert np.array_equal(hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10), whole)
+    # the second grid is symmetric: passes that split a row's radii still reach all their points
+    for ps, qs in ((np.linspace(-2.0, 2.0, 4), np.linspace(-1.0, 3.0, 3)), (np.linspace(-1.5, 1.5, 5),) * 2):
+        P, Q = np.meshgrid(ps, qs, indexing="ij")
+        whole = hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10)
+        with monkeypatch.context() as patch:
+            patch.setattr(hb, "KERNEL_CHUNK", 2000)  # a few rows of pairs per pass
+            assert np.array_equal(hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10), whole)
 
 
 @pytest.mark.parametrize(
@@ -760,14 +768,14 @@ def test_fourier_wigner_non_finite_is_a_typed_error():
 
 
 def _kernel_windows(monkeypatch):
-    """Record the (lo, cols) window of every _kernel_columns call."""
-    calls, inner = [], hb._kernel_columns
+    """Record the (lo, cols) window of every _kernel_block call."""
+    calls, inner = [], hb._kernel_block
 
     def spy(psi_vec, cols, p, q, lo=0):
         calls.append((lo, cols))
         return inner(psi_vec, cols, p, q, lo)
 
-    monkeypatch.setattr(hb, "_kernel_columns", spy)
+    monkeypatch.setattr(hb, "_kernel_block", spy)
     return calls
 
 
@@ -780,14 +788,34 @@ def test_fourier_wigner_of_unit_vectors_reads_one_column(monkeypatch):
     assert np.array_equal(got.ravel(), np.array(exact))
 
 
-@pytest.mark.parametrize("phi", [hb.dirac_delta(), hb.poly_growth_vector(0.8)], ids=["delta", "poly"])
-def test_fourier_wigner_windows_of_an_infinite_phi_tile_from_zero(monkeypatch, phi):
+@pytest.mark.parametrize(
+    "phi, psi, shape",
+    [
+        (hb.dirac_delta(), hb.unit_vector(410), (7, 6)),
+        (hb.dirac_delta(), hb.gaussian_vector(0.8), (9, 9)),
+        (hb.poly_growth_vector(0.8), hb.unit_vector(300), (4, 4)),
+        (hb.gaussian_vector(0.8), hb.unit_vector(40), (5, 5)),
+    ],
+    ids=["delta-e410", "delta-gauss", "poly-e300", "gauss-e40"],
+)
+def test_fourier_wigner_builds_each_kernel_row_once(monkeypatch, phi, psi, shape):
+    # one block per call, from 0 for an infinite phi, and one row per (k, x) in it
     calls = _kernel_windows(monkeypatch)
-    P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 4), np.linspace(-1.5, 1.5, 4), indexing="ij")
-    hb.fourier_wigner(phi, hb.unit_vector(300), P, Q)
-    assert calls[0][0] == 0 and len(calls) > 1
-    assert all(lo < cols for lo, cols in calls)
-    assert all(nxt[0] == cur[1] for cur, nxt in zip(calls, calls[1:]))
+    built, inner = [], hb._kernel_rows
+
+    def spy(k, x, *rest):
+        built.extend(zip(k.tolist(), x.tolist()))
+        return inner(k, x, *rest)
+
+    monkeypatch.setattr(hb, "_kernel_rows", spy)
+    P, Q = np.meshgrid(np.linspace(-1.68, 1.68, shape[0]), np.linspace(-1.68, 1.68, shape[1]), indexing="ij")
+    got = hb.fourier_wigner(phi, psi, P, Q)
+    assert calls == [(0, 1024)] if not phi.finite_support else len(calls) == 1
+    assert built and len(set(built)) == len(built)
+    # the symmetric grid has fewer radii than points, and each radius gets its own rows
+    radii = len(np.unique(np.hypot(P, Q)))
+    assert radii < P.size and len({x for _, x in built}) <= radii
+    assert np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("k", [100, 300, 600])
@@ -806,6 +834,31 @@ def test_pointwise_view_includes_central_phase():
     view = hb.pointwise_coefficient(hb.unit_vector(0), hb.unit_vector(0))
     g = hb.HeisenbergElement(0.0, 0.0, 0.25)
     assert abs(view(g) - 1j) < 1e-12
+
+
+def test_pointwise_view_of_an_array_has_the_bits_of_single_calls():
+    g = np.array(
+        [[0.3, -0.2, 0.1], [-0.3, 0.2, 7.25], [0.2, 0.3, -1e17], [0.0, 0.0, 0.5], [1.1, -0.4, 0.0], [-0.2, -0.3, 0.3]]
+    )
+    skew = vector_from_prefix(
+        IndexDomain.NATURALS, 0, np.array([0.3 + 0.1j, -0.2j, 0.5, 0.1 + 0.4j]), GrowthClass.RAPID_DECAY, degree=-8.0
+    )
+    pairs = (
+        (hb.gaussian_vector(0.8), hb.unit_vector(3)),
+        (hb.dirac_delta(), hb.unit_vector(5)),
+        (skew, hb.gaussian_vector(1.2)),
+    )
+    for phi, psi in pairs:
+        view = hb.pointwise_coefficient(phi, psi)
+        got = view(g.reshape(2, 3, 3))
+        assert got.shape == (2, 3)
+        single = np.array([view(hb.HeisenbergElement(*row)) for row in g])
+        assert np.array_equal(got.ravel().view(np.int64), single.view(np.int64))
+        assert view(tuple(g[1])) == single[1]
+    with pytest.raises(PreconditionError):
+        view(np.zeros((4, 2)))
+    with pytest.raises(PreconditionError):
+        view(np.array([[0.0, 0.0, math.inf]]))
 
 
 # --- standard vectors ------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Smoke tests of the scripts under scripts/ (each runs as a subprocess) and of the
-benchmark's tracer on the current tree."""
+"""Smoke tests of the scripts under scripts/ (each runs as a subprocess), of the bench
+script's aggregation on canned output, and of the benchmark's tracer on the current tree."""
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -82,3 +83,45 @@ def test_benchmark_tracer_wraps_and_restores_the_current_tree():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench_script", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(ops, p50, failed=0):
+    metrics = {"ops_per_s": {"value": ops, "unit": "1/s"}, "op_p50_ms": {"value": p50, "unit": "ms"}}
+    detail = {"workload": "wigner-table", "machine": {"nproc": 2, "numpy": "x"}}
+    result = {"correct": True, "attempted": 84, "failed": failed, "metrics": metrics}
+    return "\n".join(
+        [f"# wigner-table ops_per_s = {ops!r} 1/s", "# detail " + json.dumps(detail), json.dumps(result)]
+    ) + "\n"
+
+
+def test_bench_script_takes_medians_of_canned_runs():
+    # the aggregation of scripts/bench.py, on perfbench output written out here (no runs)
+    bench = _bench_module()
+    result, detail = bench.parse_run(_canned_run(150.0, 3.0))
+    assert detail["machine"]["nproc"] == 2 and result["attempted"] == 84
+    base = bench.aggregate(
+        [bench.parse_run(_canned_run(ops, p50))[0] for ops, p50 in ((150.0, 3.0), (170.0, 2.0), (160.0, 4.0))],
+        ["ops_per_s", "op_p50_ms", "setup_s"],
+    )
+    assert base["runs"] == 3 and base["attempted"] == 252 and base["failed"] == 0 and base["correct"]
+    assert base["metrics"]["ops_per_s"] == {"median": 160.0, "unit": "1/s", "values": [150.0, 170.0, 160.0]}
+    assert base["metrics"]["op_p50_ms"]["median"] == 3.0
+    assert "setup_s" not in base["metrics"]  # a metric no run reports is left out
+    even = bench.aggregate([bench.parse_run(_canned_run(ops, 1.0, 1))[0] for ops in (100.0, 200.0)], ["ops_per_s"])
+    assert even["metrics"]["ops_per_s"]["median"] == 150.0 and even["failed"] == 2
+    change = bench.aggregate(
+        [bench.parse_run(_canned_run(ops, p50))[0] for ops, p50 in ((300.0, 2.0), (170.0, 2.5), (320.0, 1.0))],
+        ["ops_per_s", "op_p50_ms"],
+    )
+    got = bench.compare(base, change, {"ops_per_s": "higher", "op_p50_ms": "lower", "setup_s": "lower"})
+    assert got["ops_per_s"] == {"median_ratio": 2.0, "better_pairs": 2, "pairs": 3}
+    assert got["op_p50_ms"] == {"median_ratio": 2.0 / 3.0, "better_pairs": 2, "pairs": 3}
+    assert "setup_s" not in got
+    assert bench._seeds("1-3,7") == [1, 2, 3, 7]

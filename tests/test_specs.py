@@ -6,8 +6,9 @@ import pytest
 
 from gmc import heisenberg as hb
 from gmc import torus as tr
-from gmc.errors import SpecParseError
+from gmc.errors import BudgetExceeded, SpecParseError
 from gmc.specs import (
+    GRID_POINTS,
     RunConfig,
     get_model,
     parse_grid,
@@ -121,6 +122,16 @@ def test_parse_grid():
         parse_grid("-1:1:5")
     with pytest.raises(SpecParseError):
         parse_grid("-1:1:0,0:1:2")
+
+
+def test_parse_grid_refuses_a_grid_past_the_point_budget():
+    ps, qs = parse_grid("0:1:3000,0:1:3000")
+    assert len(ps) == len(qs) == 3000
+    ps, qs = parse_grid("0:1:4096,-1:1:4096")  # exactly GRID_POINTS
+    assert len(ps) * len(qs) == GRID_POINTS
+    for spec in ("0:1:100000,0:1:100000", "0:1:4097,0:1:4096", "0:1:1,0:1:100000000000000000000"):
+        with pytest.raises(BudgetExceeded):
+            parse_grid(spec)
 
 
 def test_parse_n_list():
