@@ -8,12 +8,14 @@ For every workload and seed, each checkout in turn runs
     python3 perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0
 
 in a subprocess from its own root, so the checkouts alternate run by run, and the one
-that goes first alternates from seed to seed (a seed may be listed twice). The file
-holds, per checkout and workload, each end-to-end metric of BENCHMARK.json with its
-values in seed order and their median, and the machine info from the runs' `# detail`
-line. With two or more checkouts, each later one is compared with the first: per
-metric, the median of the per-seed ratios and the number of seeds on which it is
-better, in the direction BENCHMARK.json gives.
+that goes first alternates from seed to seed (a seed may be listed twice). Then each
+checkout runs the workload once more with --trace 1 on the first seed. The file holds,
+per checkout and workload, each end-to-end metric of BENCHMARK.json with its values in
+seed order and their median, the per-layer metrics of BENCHMARK.json from the traced
+run, and the machine info from the runs' `# detail` line. With two or more checkouts,
+each later one is compared with the first: per end-to-end metric, the median of the
+per-seed ratios and the number of seeds on which it is better, in the direction
+BENCHMARK.json gives.
 """
 from __future__ import annotations
 
@@ -52,6 +54,11 @@ def aggregate(results: list[dict], metrics: list[str]) -> dict:
     return out
 
 
+def per_layer(result: dict, names: list[str]) -> dict:
+    """The listed per-layer metrics of a --trace 1 run, each as {"value", "unit"}."""
+    return {name: result["metrics"][name] for name in names if name in result["metrics"]}
+
+
 def compare(base: dict, other: dict, better: dict) -> dict:
     """Per metric: the median of other/base over paired runs, and the pairs where other is better."""
     out = {}
@@ -86,9 +93,9 @@ def _commit(root: Path) -> dict:
     return {"commit": head, "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))} if head else {}
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_one(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {root.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -109,11 +116,13 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layers = [m["name"] for m in spec.get("per_layer", [])]
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     checkouts = [(name, Path(path).resolve()) for name, _, path in (c.partition("=") for c in args.checkout)]
     seeds = _seeds(args.seeds)
 
     runs = {name: {w: [] for w in workloads} for name, _ in checkouts}
+    traced = {name: {} for name, _ in checkouts}
     machine = {}
     for w in workloads:
         for i, seed in enumerate(seeds):
@@ -124,13 +133,21 @@ def main(argv=None) -> int:
                 runs[name][w].append(result)
                 ops = result["metrics"].get("ops_per_s", {}).get("value")
                 print(f"{w} seed {seed} {name}: ops_per_s {ops} ({time.perf_counter() - start:.0f} s)", file=sys.stderr)
+        for name, root in checkouts:
+            traced[name][w] = per_layer(run_one(root, w, seeds[0], args.seconds, trace=1)[0], layers)
 
     report = {
         "label": args.label,
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, seeds {args.seeds}, checkouts alternating",
+        "command": (
+            f"perfbench/run.py --seconds {args.seconds:g} --trace 0, seeds {args.seeds}, checkouts alternating;"
+            f" per_layer from one --trace 1 run on seed {seeds[0]}"
+        ),
         "machine": machine,
         "checkouts": {
-            name: {**_commit(root), "workloads": {w: aggregate(runs[name][w], list(better)) for w in workloads}}
+            name: {
+                **_commit(root),
+                "workloads": {w: {**aggregate(runs[name][w], list(better)), "per_layer": traced[name][w]} for w in workloads},
+            }
             for name, root in checkouts
         },
     }

@@ -8,7 +8,7 @@ through a test function realizes a distribution on the group.
 
 from .config import DEFAULT_QUADRATURE, DEFAULT_TOLERANCES, QuadratureSpec, ToleranceTable
 from .groups import GroupModel, factorize
-from .uea import LieStructure, UEAElement, uea_antipode, uea_conj_transpose, uea_multiply, uea_transpose
+from .uea import LieStructure, UEAElement, uea_antipode, uea_multiply, uea_transpose
 from .vectors import (
     CoefficientVector,
     GrowthClass,
@@ -34,7 +34,6 @@ __all__ = [
     "factorize",
     "pair",
     "uea_antipode",
-    "uea_conj_transpose",
     "uea_multiply",
     "uea_transpose",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -31,20 +32,27 @@ from .specs import (
 from .suites import run_suite
 from .vectors import GrowthClass
 
+# grid points per fourier_wigner call of gmc wigner: bounds the kernel block's memory
+GRID_BLOCK = 1 << 16
+# CSV lines joined per write
+CSV_CHUNK = 4096
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    """Header and rows as CSV, written in chunks of CSV_CHUNK lines."""
+    rows = iter(rows)
+    fh = sys.stdout if path is None else open(path, "w", newline="")
+    try:
+        fh.write(",".join(header) + "\n")
+        for chunk in iter(lambda: list(itertools.islice(rows, CSV_CHUNK)), []):
+            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in chunk))
+    finally:
+        if path is not None:
+            fh.close()
 
 
 def _load_config(args) -> RunConfig:
@@ -103,9 +111,16 @@ def cmd_wigner(args) -> int:
             "distribution second vector needs --mollify <n> to be evaluated pointwise"
         )
     ps, qs = parse_grid(args.grid)
-    P, Q = np.meshgrid(ps, qs, indexing="ij")
-    vals = hb.fourier_wigner(phi, psi, P, Q)
-    rows = zip(P.ravel(), Q.ravel(), vals.real.ravel(), vals.imag.ravel(), np.abs(vals).ravel())
+    P, Q = (a.ravel() for a in np.meshgrid(ps, qs, indexing="ij"))
+    # a point's value does not depend on the others in its call, so blocks keep its bits;
+    # blocks in order of radius share the kernel rows of a radius, and every block is
+    # done before any line is written
+    order = np.argsort(np.hypot(P, Q), kind="stable")
+    vals = np.empty(P.size, dtype=np.complex128)
+    for i in range(0, P.size, GRID_BLOCK):
+        at = order[i : i + GRID_BLOCK]
+        vals[at] = hb.fourier_wigner(phi, psi, P[at], Q[at])
+    rows = zip(P, Q, vals.real, vals.imag, np.abs(vals))
     _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows)
     return 0
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,12 @@ KERNEL_FLOOR = 1e-20
 # entries of the largest recurrence history one pass of kernel rows keeps
 KERNEL_CHUNK = 1 << 16
 _LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
+# smoothing's Gauss-Hermite rule is grown until the phase exp(2 pi i q b) moves no Hermite
+# function past the rule's exact degree by more than this fraction of its kernel row's peak
+PHASE_FLOOR = 1e-12
+# the finer (p, q) rule and the longer input that smoothing checks itself against
+CHECK_NODES = 8
+CHECK_COLUMNS = 24
 _BLOCK = 64  # recurrence steps whose coefficients are built at once
 
 
@@ -328,7 +335,7 @@ class HTestFunction:
 # --------------------------------------------------------------------------
 
 
-def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
+def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
     """First, centre and last index (js, jm, J) of the kernel rows W^(k) at x = pi (p^2 + q^2).
 
     Outside the turning points lo, hi = (sqrt k -/+ sqrt x)^2 the recurrence of
@@ -337,7 +344,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
     (2 sqrt(x t)): with Q = (t - lo)(t - hi) and s the sign of x - k,
         above hi: 2 t acosh f - sqrt Q - 2 k acosh((t - x - k) / (2 sqrt(x k))),
         below lo: s (sqrt Q - 2 k acosh((x + k - t) / (2 sqrt(x k)))) - 2 t acosh|f|.
-    The row decays like exp(-phi/2), so js and J sit where phi reaches _LOG_CUT (js = 0
+    The row decays like exp(-phi/2), so js and J sit where phi reaches cut (js = 0
     where the row is not that small at 0). phi is convex and monotone on each side, so a
     Newton step from any start ends outside the cut. The passes meet at jm: the band
     centre k + floor(x) where the row oscillates fast (x <= k/3, |f| <= 1/2), else the
@@ -351,7 +358,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
     klogk = k * np.log(np.maximum(k, 1.0))  # k log k, 0 at k = 0
     log2sx = math.log(2.0) + np.log(sx)
     # phi at t = 0 is x - k - k log x + k log k: rows past the cut there start later
-    far = np.flatnonzero(x - k * (2.0 * log2sx - 2.0 * math.log(2.0) + 1.0) + klogk > _LOG_CUT)
+    far = np.flatnonzero(x - k * (2.0 * log2sx - 2.0 * math.log(2.0) + 1.0) + klogk > cut)
     side = rho = tau = 1.0  # Newton above hi, then below lo for the far rows
     turn, floor = hi, 0.0
     if len(far):
@@ -362,7 +369,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
         rho, tau = np.where(up, 1.0, -np.sign(x - k)), np.where(up, 1.0, np.sign(x - k))
         turn, floor = np.where(up, hi, lo), np.where(up, 0.0, 1e-9 * lo)
     # start at the Gaussian (k = 0) or Airy distance of the cut, whichever is nearer
-    gap = np.minimum(np.sqrt(2.0 * _LOG_CUT * turn), np.cbrt(9.0 / 16.0 * _LOG_CUT**2 * turn * sx / (sk + 1e-100)))
+    gap = np.minimum(np.sqrt(2.0 * cut * turn), np.cbrt(9.0 / 16.0 * cut**2 * turn * sx / (sk + 1e-100)))
     t = np.maximum(turn + side * np.maximum(gap, 1.0), floor)
     # one Newton step: phi is convex, so from either side it lands outside the cut, on
     # average a fraction of a step past it
@@ -370,7 +377,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
     a = np.log(np.abs(t + x - k) + r) - log2sx - 0.5 * np.log(t)  # acosh|f|
     b = np.log(np.abs(t - x - k) + r) - log2sx
     phi = tau * (klogk - 2.0 * k * b) - rho * r + 2.0 * side * t * a
-    t = np.maximum(t - (phi - _LOG_CUT) / (2.0 * side * a), floor)
+    t = np.maximum(t - (phi - cut) / (2.0 * side * a), floor)
     n = len(centre)
     first = np.zeros(n, dtype=np.int64)
     first[far] = np.floor(t[n:])
@@ -721,29 +728,80 @@ def dual_act_algebra(d: UEAElement, psi: HermiteVector) -> HermiteVector:
 # --------------------------------------------------------------------------
 
 
-def _x_rule_size(rows: int, cols: int) -> int:
-    """Gauss-Hermite count able to integrate degree rows+cols exactly, plus margin."""
-    return max(80, (rows + cols) // 2 + 32)
+@lru_cache(maxsize=256)
+def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
+    """Gauss-Hermite count for the midpoint b of smoothing, outputs k < rows, inputs j < cols.
+
+    With n nodes the rule is exact on poly(y) exp(-y^2) to degree 2n - 1, and
+    h_j(b + p/2) h_k(b - p/2) is such a product of degree j + k (the shifts by p/2
+    cancel in the Gaussian): the base count max(80, (rows + cols) // 2 + 32) covers
+    it with margin. The phase exp(2 pi i q b) = exp(i sqrt(2 pi) q y) of the q-kernel
+    is the displacement pi(0, q, 0), so on the shorter side it takes h_k to the levels
+    of the kernel row W^(k) at x = pi q^2. The rule grows only when the row of that
+    side's top function, cut at PHASE_FLOOR of its peak (_row_extents), reaches past
+    the degree the longer side leaves, 2n - 1 - (max(rows, cols) - 1); then n is the
+    count where it does not, about (max(rows, cols) + (sqrt(k) + sqrt(pi) q_max)^2) / 2.
+    """
+    n = max(80, (rows + cols) // 2 + 32)
+    x = math.pi * min(q_max * q_max, 1e16)  # as in _displacement_margin
+    if x > 0.0:
+        k = float(min(rows, cols) - 1)
+        last = int(_row_extents(np.array([k]), np.array([x]), -2.0 * math.log(PHASE_FLOOR))[2][0])
+        n = max(n, (max(rows, cols) + last + 1) // 2)
+    return n
 
 
-def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, nodes: int) -> np.ndarray:
-    pn, pw = f.axis_rule(0, nodes)
-    qn, qw = f.axis_rule(1, nodes)
-    y, W = gauss_hermite_rule(_x_rule_size(N, len(phi_vec)))
+def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0) -> tuple:
+    """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
+    extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
+    in b, and how far they are from converged, in output units.
+
+    One table of the bounded Hermite functions at b + p/2 serves the input, the output
+    (by parity) and the extra columns, whose contribution is the first part of the gap.
+    The (p, q) check builds no table. As a function of p, h_j(b + p/2) h_k(b - p/2) has
+    its spectrum in |alpha| <= sqrt((2 max(N, cols) + 1) / (2 pi)), the band of the
+    Hermite functions, so the (p, q) rule enters the result only through the p-sums
+    T(alpha, b) = sum_p K(p, b) exp(2 pi i alpha p) of the q-kernel K on the b-nodes.
+    Their largest change under a rule CHECK_NODES finer per axis, relative to their
+    largest value, times 1 + max |out| is the second part.
+    """
+    (p0, p1), (q0, q1) = f.support[:2]
+    y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
-    # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
-    # are, and dx = dy / sqrt(2 pi)
-    weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
-    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
-    kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
+
+    def q_kernel(nodes):
+        # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
+        # are, and dx = dy / sqrt(2 pi)
+        pn, pw = legendre_on_interval(p0, p1, nodes)
+        qn, qw = legendre_on_interval(q0, q1, nodes)
+        weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
+        return pn, weights @ np.exp(2j * np.pi * np.outer(qn, b))
+
+    pn, kernel = q_kernel(f.nodes)
     # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
     # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
-    cols = len(phi_vec)
-    table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols) - 1)
-    s = np.stack([phi_vec.real, phi_vec.imag]) @ table[:cols]
-    v = ((s[0] + 1j * s[1]) * (kernel * W).ravel()).reshape(kernel.shape)[:, ::-1].ravel()
-    out = table[:N] @ np.stack([v.real, v.imag], axis=1)
-    return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
+    cols = len(phi_vec) - extra
+    table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols + extra) - 1)
+    kw = (kernel * W).ravel()
+
+    def contract(vec, rows):
+        s = np.stack([vec.real, vec.imag]) @ rows
+        v = ((s[0] + 1j * s[1]) * kw).reshape(kernel.shape)[:, ::-1].ravel()
+        out = table[:N] @ np.stack([v.real, v.imag], axis=1)
+        return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
+
+    out = contract(phi_vec[:cols], table[:cols])
+    gap = float(np.max(np.abs(contract(phi_vec[cols:], table[cols : cols + extra])))) if extra else 0.0
+    # alpha in steps of a quarter over the p half-width, p centred: a common phase leaves |T|
+    pc, half = (p0 + p1) / 2.0, (p1 - p0) / 2.0
+    amax = math.sqrt((2.0 * max(N, cols) + 1.0) / (2.0 * math.pi))
+    alpha = np.linspace(-amax, amax, 2 * int(math.ceil(4.0 * amax * half)) + 1)
+    pn2, kernel2 = q_kernel(f.nodes + CHECK_NODES)
+    T = np.exp(2j * np.pi * np.outer(alpha, pn - pc)) @ kernel
+    dT = T - np.exp(2j * np.pi * np.outer(alpha, pn2 - pc)) @ kernel2
+    scale = 1.0 + float(np.max(np.abs(out)))
+    return out, gap + float(np.max(np.abs(dT))) / max(float(np.max(np.abs(T))), 1e-300) * scale
 
 
 def smooth_by(
@@ -760,10 +818,19 @@ def smooth_by(
     transform, Gauss-Hermite in b with scaled weights, and one real table of the
     bounded Hermite functions at b + p/2 that serves both sides by parity. The
     input is read only in the band that reaches the output, N plus the support's
-    displacement margin. The result is a smooth (rapid-decay) vector, checked
-    against a rule 8 nodes finer per axis and an input 24 columns longer. A
-    check table of more than SMOOTH_TABLE_BUDGET entries raises BudgetExceeded
-    before any is built.
+    displacement margin. The result is a smooth (rapid-decay) vector from one pass,
+    with three guards:
+
+    - the b-rule is sized in advance from the support's max |q| (_x_rule_size), so
+      that it resolves the phase exp(2 pi i q b) on top of the Hermite degrees;
+    - the (p, q) rule is checked against one CHECK_NODES finer per axis on the
+      central transform alone (_smooth_core), with no second Hermite table;
+    - an input with nonzero coefficients past the band continues the same Hermite
+      table by CHECK_COLUMNS rows, and what those columns add is measured.
+
+    A combined gap above quad.check_tol (1 + max |result|) raises
+    QuadratureAccuracyError. A table of more than SMOOTH_TABLE_BUDGET entries, b-rule
+    growth included, raises BudgetExceeded before any is built.
     """
     _require_hermite(phi)
     if N < 1:
@@ -771,16 +838,15 @@ def smooth_by(
     # output k < N couples only to inputs below N + margin, also for a long finite phi
     margin = _displacement_margin(f, N, INPUT_MARGIN)
     cols = min(_input_extent(phi, N, margin), N + margin)
-    # the check pass builds the larger table; refuse before building either
-    entries = max(N, cols + 24) * (f.nodes + 8) * _x_rule_size(N, cols + 24)
+    extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
+    rule = _x_rule_size(N, cols, float(np.max(np.abs(f.support[1]))))
+    entries = max(N, cols + extra) * f.nodes * rule
     if entries > SMOOTH_TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
-    out = _smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
-    out2 = _smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + 8)
-    err = float(np.max(np.abs(out - out2)))
-    tol = quad.check_tol * (1.0 + float(np.max(np.abs(out2))))
-    if not err <= tol:
-        raise QuadratureAccuracyError("smoothing quadrature has not converged", err, tol, out, out2)
+    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra)
+    tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))
+    if not gap <= tol:
+        raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out)
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 

@@ -59,13 +59,6 @@ def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-def hermite_series_value(coeffs: np.ndarray, x) -> np.ndarray | complex:
-    """Pointwise sum_k coeffs[k] h_k(x)."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    out = coeffs @ hermite_scaled(x, len(coeffs) - 1)
-    return complex(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 @lru_cache(maxsize=64)
 def hermite_at_zero(nmax: int) -> np.ndarray:
     """h_k(0) for k = 0..nmax (zero at odd k): h_{k+1}(0) = -sqrt(k/(k+1)) h_{k-1}(0)."""

@@ -273,12 +273,6 @@ def uea_antipode(d: UEAElement, delta: tuple[float, ...] | None = None) -> UEAEl
     return out
 
 
-def uea_conj_transpose(d: UEAElement) -> UEAElement:
-    """Conjugate transpose: coefficient-conjugated transpose (used in tests)."""
-    t = uea_transpose(d)
-    return UEAElement(t.structure, {a: c.conjugate() for a, c in t.terms.items()})
-
-
 def monomial_words(d: UEAElement) -> Iterator[tuple[tuple[int, ...], complex]]:
     """Terms as generator words (letter sequences) with coefficients."""
     for alpha, c in d.sorted_terms():

@@ -398,6 +398,35 @@ def test_wigner_past_the_column_budget_is_bad_input():
     assert "needs more than max_cols" in err
 
 
+def test_wigner_blocks_give_the_bytes_of_single_point_calls(monkeypatch):
+    import gmc.cli as cli
+    from gmc import heisenberg as hb
+    from gmc.specs import parse_vector
+
+    argv = ("wigner", "gauss:0.8", "e:3", "--grid=-1.5:1.5:9,-1:1:9")
+    code, whole, _ = run_cli(*argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "GRID_BLOCK", 7)
+    monkeypatch.setattr(cli, "CSV_CHUNK", 5)
+    code, blocked, _ = run_cli(*argv)
+    assert code == 0 and blocked == whole
+    phi, psi = parse_vector("heisenberg", "gauss:0.8"), parse_vector("heisenberg", "e:3")
+    for line in whole.splitlines()[1::17]:
+        p, q = (float(v) for v in line.split(",")[:2])
+        value = hb.fourier_wigner(phi, psi, p, q)
+        parts = (p, q, value.real, value.imag, np.abs(value))
+        assert line == ",".join(format(float(v), ".17g") for v in parts)
+
+
+def test_wigner_prints_no_partial_grid_when_a_block_fails(monkeypatch):
+    import gmc.cli as cli
+
+    monkeypatch.setattr(cli, "GRID_BLOCK", 2)
+    code, out, err = run_cli("wigner", "delta", "e:900", "--grid=-2:2:3,-2:2:3")
+    assert code == 2 and out == ""
+    assert "needs more than max_cols" in err
+
+
 def test_wigner_past_the_grid_budget_is_bad_input():
     # refused before the grid is built, not a memory error from meshgrid
     code, out, err = run_cli("wigner", "e:0", "e:0", "--grid=0:1:100000,0:1:100000")

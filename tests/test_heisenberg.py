@@ -16,7 +16,6 @@ from gmc.errors import BudgetExceeded, GmcError, PreconditionError, QuadratureAc
 from gmc.hermite import (
     gauss_hermite_rule,
     hermite_scaled,
-    hermite_series_value,
     legendre_on_interval,
 )
 from gmc.uea import UEAElement
@@ -579,11 +578,13 @@ def test_single_table_core_matches_two_table_formula(f, phi, N):
     cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, hb.INPUT_MARGIN))
     vec = phi.dense(0, cols - 1)
     ref = _two_table_smooth_core(f, vec, N, f.nodes)
-    got = hb._smooth_core(f, vec, N, f.nodes)
+    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, len(vec)))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_smooth_core_builds_one_hermite_table(monkeypatch):
+    # one table per call: the result, the extra input columns of an infinite or long
+    # input, and the (p, q) check, which reads only the central transform
     calls = []
 
     def counting(x, nmax):
@@ -591,14 +592,20 @@ def test_smooth_core_builds_one_hermite_table(monkeypatch):
         return hermite_scaled(x, nmax)
 
     monkeypatch.setattr(hb, "hermite_scaled", counting)
-    for phi, N in ((hb.dirac_delta(), 40), (hb.unit_vector(3), 40), (hb.unit_vector(60), 40)):
-        vec = phi.dense(0, hb._input_extent(phi, N, 32) - 1)
+    f = _BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q)
+    for phi, N in (
+        (hb.dirac_delta(), 40),
+        (hb.unit_vector(3), 40),
+        (hb.unit_vector(60), 40),
+        (hb.gaussian_vector(0.2), 40),
+        (hb.poly_growth_vector(1.2), 56),
+    ):
+        margin = hb._displacement_margin(f, N, hb.INPUT_MARGIN)
+        cols = min(hb._input_extent(phi, N, margin), N + margin)
+        extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
         calls.clear()
-        hb._smooth_core(_BUMP, vec, N, _BUMP.nodes)
-        assert calls == [max(N, len(vec)) - 1]
-    calls.clear()
-    hb.smooth_by(_BUMP, hb.unit_vector(3))
-    assert len(calls) == 2  # the result and its self-check
+        hb.smooth_by(f, phi, N=N)
+        assert calls == [max(N, cols + extra) - 1]
 
 
 def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
@@ -618,7 +625,7 @@ def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     N = 40
     band = N + hb._displacement_margin(_BUMP, N, hb.INPUT_MARGIN)
     assert phi.finite_support and phi.stop > band
-    full = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, _BUMP.nodes)
+    full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop))
     got = hb.smooth_by(_BUMP, phi, N=N).dense(0, N - 1)
     assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -633,6 +640,136 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     with pytest.raises(QuadratureAccuracyError):
         hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(check_tol=1e-16))
+
+
+def _two_pass_smooth(f, phi, N, quad=QuadratureSpec()):
+    """The former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
+    axis and an input CHECK_COLUMNS longer, both on the base Gauss-Hermite rule, each
+    through the two-table reference core. Returns (result, check)."""
+    margin = hb._displacement_margin(f, N, hb.INPUT_MARGIN)
+    cols = min(hb._input_extent(phi, N, margin), N + margin)
+    out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
+    out2 = _two_table_smooth_core(f, phi.dense(0, cols + hb.CHECK_COLUMNS - 1), N, f.nodes + hb.CHECK_NODES)
+    return out, out2
+
+
+_VECTORS = {
+    "e": lambda u: hb.unit_vector(int(8 * u)),
+    "gauss": lambda u: hb.gaussian_vector(0.75 + 0.58 * u),
+    "delta": lambda u: hb.dirac_delta(),
+    "poly-growth": lambda u: hb.poly_growth_vector(1.5 * u),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_VECTORS)),
+    u=st.floats(0.0, 1.0),
+    n=st.integers(1, 4),
+    radius=st.floats(0.4, 0.8),
+    move=st.sampled_from(["", "Lt", "Rt"]),
+    h=st.tuples(*(st.floats(-0.3, 0.3),) * 3),
+    chain=st.lists(st.tuples(st.sampled_from("LR"), st.sampled_from("PQZ")), max_size=2),
+)
+def test_one_pass_matches_the_two_pass_oracle(kind, u, n, radius, move, h, chain):
+    # workload-like cases: the one-pass result is within check_tol of the former
+    # check pass, and its gap is below check_tol, as the two passes' was
+    phi = _VECTORS[kind](u)
+    f = mo.standard_mollifier(hb.HEISENBERG, n=n, radius=radius)
+    if move:
+        f = f.left_translate(h) if move == "Lt" else f.right_translate(h)
+    for side, letter in chain:
+        d = {"P": P, "Q": Q, "Z": Z}[letter]
+        f = f.left_derive(d) if side == "L" else f.right_derive(d)
+    N, tol = 40, QuadratureSpec().check_tol
+    out, out2 = _two_pass_smooth(f, phi, N)
+    assert np.max(np.abs(out - out2)) <= tol * (1.0 + np.max(np.abs(out2)))
+    got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
+    assert np.max(np.abs(got - out2)) <= tol * (1.0 + np.max(np.abs(out2)))
+    assert np.max(np.abs(got - out)) <= 1e-12 * (1.0 + np.max(np.abs(out)))
+
+
+@pytest.mark.parametrize(
+    "f, phi",
+    [
+        (mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=8), hb.unit_vector(0)),
+        (mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=16), hb.dirac_delta()),
+        (_BUMP.left_translate((0, 6, 0)), hb.dirac_delta()),
+    ],
+    ids=["coarse-pq-e0", "coarse-pq-delta", "short-band-delta"],
+)
+def test_smooth_by_refuses_what_the_two_pass_check_refused(f, phi):
+    # a (p, q) rule too coarse for the bump, and an input band too short for a far centre
+    out, out2 = _two_pass_smooth(f, phi, 40)
+    assert np.max(np.abs(out - out2)) > QuadratureSpec().check_tol * (1.0 + np.max(np.abs(out2)))
+    with pytest.raises(QuadratureAccuracyError) as err:
+        hb.smooth_by(f, phi)
+    assert err.value.gap > err.value.tol
+
+
+def _weighted_wigner_oracle(f, phi, psi, nodes=160):
+    """<pi(f) phi, psi> = int int F_1(p, q) <pi(p, q, 0) phi, psi> dp dq, with no smoothing.
+
+    The kernel is read as conj(fourier_wigner(psi, phi, -p, -q)) when psi has more
+    nonzero coefficients than phi, which builds fewer kernel rows."""
+    pn, pw = f.axis_rule(0, nodes)
+    qn, qw = f.axis_rule(1, nodes)
+    P_, Q_ = np.meshgrid(pn, qn, indexing="ij")
+    if np.count_nonzero(psi.prefix) > np.count_nonzero(phi.prefix) and phi.finite_support:
+        fw = np.conj(hb.fourier_wigner(psi, phi, -P_, -Q_))
+    else:
+        fw = hb.fourier_wigner(phi, psi, P_, Q_)
+    return complex(pw @ (f.central_transform(pn, qn, 1.0) * fw) @ qw)
+
+
+_SMALL_BUMP = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.25)
+_PAIRS = {
+    "e0-e0": (hb.unit_vector(0), hb.unit_vector(0)),
+    "e3-gauss": (hb.unit_vector(3), hb.gaussian_vector(0.8)),
+}
+
+
+@pytest.mark.parametrize("centre", [(0, 6, 0), (0, 8, 0), (0, 10, 0), (0, 20, 0), (10, 0, 0), (20, 0, 0)])
+@pytest.mark.parametrize("pair_", sorted(_PAIRS))
+def test_far_centres_give_the_oracle_or_a_typed_error(centre, pair_):
+    # the b-rule used to stay at 80 nodes here and return 4.9e-5 at q = 8 and 4.2e-2 at
+    # q = 10 for values below 1e-16
+    phi, psi = _PAIRS[pair_]
+    f = _SMALL_BUMP.left_translate(centre)
+    ref = _weighted_wigner_oracle(f, phi, psi)
+    assert abs(ref - _weighted_wigner_oracle(f, phi, psi, 200)) < 1e-14
+    try:
+        got = hb.gmc_eval(phi, psi, f)
+    except GmcError:
+        return
+    assert abs(got - ref) < 1e-10
+
+
+@pytest.mark.parametrize("q, value", [(3.0, 0.0606), (3.5, -0.0365), (10.0, -0.00531)])
+def test_far_centre_delta_gives_the_oracle_or_a_typed_error(q, value):
+    f = _SMALL_BUMP.left_translate((0, q, 0))
+    ref = _weighted_wigner_oracle(f, hb.dirac_delta(), hb.unit_vector(0))
+    assert abs(ref - value) < 5e-5
+    try:
+        got = hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), f)
+    except GmcError:
+        return
+    assert abs(got - ref) < 1e-6
+
+
+def test_x_rule_grows_only_past_the_base_rule():
+    # workload and suite supports reach |q| <= 1.1: the base rule; far centres grow it
+    # like q^2, and a tiny or huge q_max is finite or refused by the table budget
+    for rows, cols in ((40, 1), (40, 9), (40, 49), (40, 103), (43, 107)):
+        base = hb._x_rule_size(rows, cols)
+        assert base == max(80, (rows + cols) // 2 + 32)
+        assert hb._x_rule_size(rows, cols, 1.1) == base
+        assert hb._x_rule_size(rows, cols, 1e-160) == base
+    grown = [hb._x_rule_size(40, 1, q) for q in (6.25, 8.25, 10.25, 20.25)]
+    assert grown == sorted(grown) and grown[0] > 80
+    assert 0.9 < grown[-1] / (math.pi * 20.25**2 / 2) < 2.0
+    with pytest.raises(BudgetExceeded):
+        hb.smooth_by(_SMALL_BUMP.left_translate((0, 1e150, 0)), hb.unit_vector(0))
 
 
 def test_smooth_by_non_finite_is_a_typed_error():
@@ -689,7 +826,7 @@ def test_fourier_wigner_against_x_space_oracle(rng):
     got = hb.fourier_wigner(phi, psi, p, q)
     # oracle: expand phi pointwise and integrate in x space
     x = np.linspace(-10, 10, 200001)
-    phi_x = hermite_series_value(phi.dense(0, phi.stop - 1), x + p)
+    phi_x = phi.dense(0, phi.stop - 1) @ hermite_scaled(x + p, phi.stop - 1)
     h1 = hermite_scaled(x, 1)[1]
     phase = np.exp(2j * np.pi * (q * x + p * q / 2.0))
     oracle = np.trapezoid(phase * phi_x * h1, x)
@@ -877,7 +1014,7 @@ def test_delta_pairing_is_evaluation_at_zero(rng):
     vals = rng.normal(size=12)
     v = vector_from_prefix(IndexDomain.NATURALS, 0, vals, GrowthClass.RAPID_DECAY)
     got = pair(hb.dirac_delta(), v)
-    pointwise = hermite_series_value(vals, 0.0)
+    pointwise = vals @ hermite_scaled(0.0, len(vals) - 1)[:, 0]
     assert abs(got - pointwise) < 1e-12
 
 
@@ -889,7 +1026,7 @@ def test_gaussian_vector_is_normalized_and_even():
     # pointwise check against the defining Gaussian
     x = 0.4
     target = 2**0.25 / math.sqrt(0.8) * math.exp(-math.pi * (x / 0.8) ** 2)
-    got = hermite_series_value(g.dense(0, g.stop - 1), x)
+    got = (g.dense(0, g.stop - 1) @ hermite_scaled(x, g.stop - 1))[0]
     assert abs(got - target) < 1e-10
     # the closed form is normalized to rounding and matches x-space projections
     xs = np.linspace(-10, 10, 200001)

