@@ -760,25 +760,26 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
     (by parity) and the extra columns, whose contribution is the first part of the gap.
     The (p, q) check builds no table. As a function of p, h_j(b + p/2) h_k(b - p/2) has
     its spectrum in |alpha| <= sqrt((2 max(N, cols) + 1) / (2 pi)), the band of the
-    Hermite functions, so the (p, q) rule enters the result only through the p-sums
-    T(alpha, b) = sum_p K(p, b) exp(2 pi i alpha p) of the q-kernel K on the b-nodes.
-    Their largest change under a rule CHECK_NODES finer per axis, relative to their
-    largest value, times 1 + max |out| is the second part.
+    Hermite functions, and b stays within the b-nodes, so the (p, q) rule enters the
+    result only through the transform T(alpha, beta) = sum_{p,q} w F_1(p, q)
+    exp(2 pi i (alpha p + beta q)) over that box. Its largest change under a rule
+    CHECK_NODES finer per axis, relative to its largest value, times 1 + max |out| is
+    the second part.
     """
     (p0, p1), (q0, q1) = f.support[:2]
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
 
-    def q_kernel(nodes):
+    def weight_grid(nodes):
         # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
         # are, and dx = dy / sqrt(2 pi)
         pn, pw = legendre_on_interval(p0, p1, nodes)
         qn, qw = legendre_on_interval(q0, q1, nodes)
-        weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
-        # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
-        return pn, weights @ np.exp(2j * np.pi * np.outer(qn, b))
+        return pn, qn, (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
 
-    pn, kernel = q_kernel(f.nodes)
+    pn, qn, weights = weight_grid(f.nodes)
+    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
+    kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
     # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
     # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     cols = len(phi_vec) - extra
@@ -793,13 +794,21 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
 
     out = contract(phi_vec[:cols], table[:cols])
     gap = float(np.max(np.abs(contract(phi_vec[cols:], table[cols : cols + extra])))) if extra else 0.0
-    # alpha in steps of a quarter over the p half-width, p centred: a common phase leaves |T|
-    pc, half = (p0 + p1) / 2.0, (p1 - p0) / 2.0
-    amax = math.sqrt((2.0 * max(N, cols) + 1.0) / (2.0 * math.pi))
-    alpha = np.linspace(-amax, amax, 2 * int(math.ceil(4.0 * amax * half)) + 1)
-    pn2, kernel2 = q_kernel(f.nodes + CHECK_NODES)
-    T = np.exp(2j * np.pi * np.outer(alpha, pn - pc)) @ kernel
-    dT = T - np.exp(2j * np.pi * np.outer(alpha, pn2 - pc)) @ kernel2
+
+    def phases(x, lo, hi, top):
+        # exp(2 pi i f (x - centre)) for f across [-top, top] in steps of a quarter over
+        # the half-width, enough to see a transform's largest modulus (a common phase
+        # leaves it as it is); powers by cumprod are accurate enough for a check
+        m = max(int(math.ceil(2.0 * top * (hi - lo))), 1)
+        up = np.cumprod(np.broadcast_to(np.exp(2j * np.pi * (top / m) * (x - (lo + hi) / 2.0)), (m, len(x))), axis=0)
+        return np.concatenate([np.conj(up[::-1]), np.ones((1, len(x))), up])
+
+    pn2, qn2, weights2 = weight_grid(f.nodes + CHECK_NODES)
+    ep = phases(np.r_[pn, pn2], p0, p1, math.sqrt((2.0 * max(N, cols) + 1.0) / (2.0 * math.pi)))
+    eq = phases(np.r_[qn, qn2], q0, q1, float(b[-1]))
+    n = f.nodes
+    T = ep[:, :n] @ weights @ eq[:, :n].T
+    dT = T - ep[:, n:] @ weights2 @ eq[:, n:].T
     scale = 1.0 + float(np.max(np.abs(out)))
     return out, gap + float(np.max(np.abs(dT))) / max(float(np.max(np.abs(T))), 1e-300) * scale
 
