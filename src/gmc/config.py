@@ -31,9 +31,9 @@ class QuadratureSpec:
     heisenberg.INPUT_MARGIN columns past it. Each test function carries its own
     (p, q) rule size, and smoothing sizes its Gauss-Hermite rule from the
     truncations and the support's largest |q|. Smoothing runs one pass and checks
-    it, to check_tol relative to the result: its (p, q) rule against a finer one
-    on the central transform, and an input with coefficients past the band it
-    reads against a longer one on the same Hermite table.
+    it, to check_tol relative to the result: its (p, q) rule against a finer one,
+    and an input with coefficients past the band it reads against a longer one,
+    both on the same Hermite table.
     """
 
     truncation: int = 40

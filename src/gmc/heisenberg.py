@@ -754,63 +754,59 @@ def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
 def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0) -> tuple:
     """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
     extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
-    in b, and how far they are from converged, in output units.
+    in b, and how far they move, in output units, with the extra columns and with a
+    (p, q) rule CHECK_NODES finer per axis.
 
     One table of the bounded Hermite functions at b + p/2 serves the input, the output
-    (by parity) and the extra columns, whose contribution is the first part of the gap.
-    The (p, q) check builds no table. As a function of p, h_j(b + p/2) h_k(b - p/2) has
-    its spectrum in |alpha| <= sqrt((2 max(N, cols) + 1) / (2 pi)), the band of the
-    Hermite functions, and b stays within the b-nodes, so the (p, q) rule enters the
-    result only through the transform T(alpha, beta) = sum_{p,q} w F_1(p, q)
-    exp(2 pi i (alpha p + beta q)) over that box. Its largest change under a rule
-    CHECK_NODES finer per axis, relative to its largest value, times 1 + max |out| is
-    the second part.
+    (by parity) and the extra columns. The finer rule's q-kernel needs only the closed-
+    form central transform; its p-sum is taken over the f.nodes p-nodes through the
+    Lagrange interpolation from them to the finer ones (barycentric, Gauss-Legendre
+    weights), which the Hermite products, band-limited in p, follow. So the check
+    contracts the kernel difference through the same table, and builds no other.
     """
     (p0, p1), (q0, q1) = f.support[:2]
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
 
-    def weight_grid(nodes):
+    def q_kernel(nodes):
         # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
         # are, and dx = dy / sqrt(2 pi)
         pn, pw = legendre_on_interval(p0, p1, nodes)
         qn, qw = legendre_on_interval(q0, q1, nodes)
-        return pn, qn, (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier
+        # transform; b[::-1] == -b, so the phases of the upper half are conjugates
+        half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
+        return pn, pw, weights @ np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
 
-    pn, qn, weights = weight_grid(f.nodes)
-    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
-    kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
+    pn, pw, kernel = q_kernel(f.nodes)
     # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
     # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     cols = len(phi_vec) - extra
     table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols + extra) - 1)
-    kw = (kernel * W).ravel()
 
-    def contract(vec, rows):
+    def at_input(vec, rows):  # sum_j vec_j h_j(b + p/2), as (real, imaginary) rows
         s = np.stack([vec.real, vec.imag]) @ rows
-        v = ((s[0] + 1j * s[1]) * kw).reshape(kernel.shape)[:, ::-1].ravel()
+        return s[0] + 1j * s[1]
+
+    def contract(v):  # (-1)^k sum over (p, b) of h_k(b - p/2) v(p, b)
+        v = v.reshape(kernel.shape)[:, ::-1].ravel()
         out = table[:N] @ np.stack([v.real, v.imag], axis=1)
         return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
 
-    out = contract(phi_vec[:cols], table[:cols])
-    gap = float(np.max(np.abs(contract(phi_vec[cols:], table[cols : cols + extra])))) if extra else 0.0
-
-    def phases(x, lo, hi, top):
-        # exp(2 pi i f (x - centre)) for f across [-top, top] in steps of a quarter over
-        # the half-width, enough to see a transform's largest modulus (a common phase
-        # leaves it as it is); powers by cumprod are accurate enough for a check
-        m = max(int(math.ceil(2.0 * top * (hi - lo))), 1)
-        up = np.cumprod(np.broadcast_to(np.exp(2j * np.pi * (top / m) * (x - (lo + hi) / 2.0)), (m, len(x))), axis=0)
-        return np.concatenate([np.conj(up[::-1]), np.ones((1, len(x))), up])
-
-    pn2, qn2, weights2 = weight_grid(f.nodes + CHECK_NODES)
-    ep = phases(np.r_[pn, pn2], p0, p1, math.sqrt((2.0 * max(N, cols) + 1.0) / (2.0 * math.pi)))
-    eq = phases(np.r_[qn, qn2], q0, q1, float(b[-1]))
-    n = f.nodes
-    T = ep[:, :n] @ weights @ eq[:, :n].T
-    dT = T - ep[:, n:] @ weights2 @ eq[:, n:].T
-    scale = 1.0 + float(np.max(np.abs(out)))
-    return out, gap + float(np.max(np.abs(dT))) / max(float(np.max(np.abs(T))), 1e-300) * scale
+    s = at_input(phi_vec[:cols], table[:cols])
+    out = contract(s * (kernel * W).ravel())
+    # the finer rule, its p-sum pulled back onto pn by the interpolation matrix
+    pn2, _, kernel2 = q_kernel(f.nodes + CHECK_NODES)
+    x = (2.0 * pn - p0 - p1) / (p1 - p0)
+    lam = (-1.0) ** np.arange(f.nodes) * np.sqrt((1.0 - x * x) * pw)
+    hit = pn2[:, None] == pn  # an odd count shares the node 0 with the finer rule
+    c = lam / np.where(hit, 1.0, pn2[:, None] - pn)
+    lagrange = np.where(hit.any(axis=1, keepdims=True), hit, c / c.sum(axis=1, keepdims=True))
+    moved = s * ((lagrange.T @ kernel2 - kernel) * W).ravel()
+    if extra:
+        moved += at_input(phi_vec[cols:], table[cols : cols + extra]) * (kernel * W).ravel()
+    return out, float(np.max(np.abs(contract(moved))))
 
 
 def smooth_by(
@@ -832,8 +828,8 @@ def smooth_by(
 
     - the b-rule is sized in advance from the support's max |q| (_x_rule_size), so
       that it resolves the phase exp(2 pi i q b) on top of the Hermite degrees;
-    - the (p, q) rule is checked against one CHECK_NODES finer per axis on the
-      central transform alone (_smooth_core), with no second Hermite table;
+    - the (p, q) rule is checked against one CHECK_NODES finer per axis, from the
+      central transform and the same Hermite table (_smooth_core), with no second;
     - an input with nonzero coefficients past the band continues the same Hermite
       table by CHECK_COLUMNS rows, and what those columns add is measured.
 

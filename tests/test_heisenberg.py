@@ -672,8 +672,9 @@ _VECTORS = {
     chain=st.lists(st.tuples(st.sampled_from("LR"), st.sampled_from("PQZ")), max_size=2),
 )
 def test_one_pass_matches_the_two_pass_oracle(kind, u, n, radius, move, h, chain):
-    # workload-like cases: the one-pass result is within check_tol of the former
-    # check pass, and its gap is below check_tol, as the two passes' was
+    # workload-like cases: where the former check passed with room, the one-pass result
+    # is within check_tol of the former check pass; where it failed by a clear margin,
+    # the one pass raises too (near the tolerance either outcome is right)
     phi = _VECTORS[kind](u)
     f = mo.standard_mollifier(hb.HEISENBERG, n=n, radius=radius)
     if move:
@@ -681,12 +682,17 @@ def test_one_pass_matches_the_two_pass_oracle(kind, u, n, radius, move, h, chain
     for side, letter in chain:
         d = {"P": P, "Q": Q, "Z": Z}[letter]
         f = f.left_derive(d) if side == "L" else f.right_derive(d)
-    N, tol = 40, QuadratureSpec().check_tol
+    N, check_tol = 40, QuadratureSpec().check_tol
     out, out2 = _two_pass_smooth(f, phi, N)
-    assert np.max(np.abs(out - out2)) <= tol * (1.0 + np.max(np.abs(out2)))
-    got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
-    assert np.max(np.abs(got - out2)) <= tol * (1.0 + np.max(np.abs(out2)))
-    assert np.max(np.abs(got - out)) <= 1e-12 * (1.0 + np.max(np.abs(out)))
+    tol = check_tol * (1.0 + np.max(np.abs(out2)))
+    old_gap = np.max(np.abs(out - out2))
+    if old_gap > 2.0 * tol:
+        with pytest.raises(QuadratureAccuracyError):
+            hb.smooth_by(f, phi, N=N)
+    elif old_gap <= tol / 2.0:
+        got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
+        assert np.max(np.abs(got - out2)) <= tol
+        assert np.max(np.abs(got - out)) <= 1e-12 * (1.0 + np.max(np.abs(out)))
 
 
 @pytest.mark.parametrize(
