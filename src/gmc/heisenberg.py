@@ -768,18 +768,19 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
 
-    def q_kernel(nodes):
+    def rule_grid(nodes):
         # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
         # are, and dx = dy / sqrt(2 pi)
         pn, pw = legendre_on_interval(p0, p1, nodes)
         qn, qw = legendre_on_interval(q0, q1, nodes)
         weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
-        # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier
-        # transform; b[::-1] == -b, so the phases of the upper half are conjugates
+        # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
         half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
-        return pn, pw, weights @ np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
+        return pn, pw, weights, np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
 
-    pn, pw, kernel = q_kernel(f.nodes)
+    pn, pw, weights, phases = rule_grid(f.nodes)
+    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
+    kernel = weights @ phases
     # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
     # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     cols = len(phi_vec) - extra
@@ -795,17 +796,19 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
         return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
 
     s = at_input(phi_vec[:cols], table[:cols])
-    out = contract(s * (kernel * W).ravel())
+    kw = (kernel * W).ravel()
+    out = contract(s * kw)
     # the finer rule, its p-sum pulled back onto pn by the interpolation matrix
-    pn2, _, kernel2 = q_kernel(f.nodes + CHECK_NODES)
+    pn2, _, weights2, phases2 = rule_grid(f.nodes + CHECK_NODES)
     x = (2.0 * pn - p0 - p1) / (p1 - p0)
     lam = (-1.0) ** np.arange(f.nodes) * np.sqrt((1.0 - x * x) * pw)
     hit = pn2[:, None] == pn  # an odd count shares the node 0 with the finer rule
     c = lam / np.where(hit, 1.0, pn2[:, None] - pn)
     lagrange = np.where(hit.any(axis=1, keepdims=True), hit, c / c.sum(axis=1, keepdims=True))
-    moved = s * ((lagrange.T @ kernel2 - kernel) * W).ravel()
+    kernel2 = (lagrange.T @ weights2) @ phases2
+    moved = s * ((kernel2 * W).ravel() - kw)
     if extra:
-        moved += at_input(phi_vec[cols:], table[cols : cols + extra]) * (kernel * W).ravel()
+        moved += at_input(phi_vec[cols:], table[cols : cols + extra]) * kw
     return out, float(np.max(np.abs(contract(moved))))
 
 
