@@ -583,8 +583,8 @@ def test_single_table_core_matches_two_table_formula(f, phi, N):
 
 
 def test_smooth_core_builds_one_hermite_table(monkeypatch):
-    # one table per call: the result, the extra input columns of an infinite or long
-    # input, and the (p, q) check, which reads only the central transform
+    # one table per call: it serves the result, the extra input columns of an infinite
+    # or long input, and the (p, q) check
     calls = []
 
     def counting(x, nmax):
@@ -642,10 +642,10 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
         hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(check_tol=1e-16))
 
 
-def _two_pass_smooth(f, phi, N, quad=QuadratureSpec()):
+def _two_pass_smooth(f, phi, N):
     """The former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
-    axis and an input CHECK_COLUMNS longer, both on the base Gauss-Hermite rule, each
-    through the two-table reference core. Returns (result, check)."""
+    axis and an input CHECK_COLUMNS longer, each on the base Gauss-Hermite rule of its
+    input length and through the two-table reference core. Returns (result, check)."""
     margin = hb._displacement_margin(f, N, hb.INPUT_MARGIN)
     cols = min(hb._input_extent(phi, N, margin), N + margin)
     out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
