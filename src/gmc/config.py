@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import SpecParseError
+
 
 @dataclass(frozen=True)
 class ToleranceTable:
@@ -19,7 +21,7 @@ class ToleranceTable:
     def override(self, **kwargs) -> "ToleranceTable":
         bad = set(kwargs) - set(self.__dataclass_fields__)
         if bad:
-            raise KeyError(f"unknown tolerance keys: {sorted(bad)}")
+            raise SpecParseError(f"unknown tolerance keys: {sorted(bad)}")
         return replace(self, **kwargs)
 
 
@@ -42,7 +44,7 @@ class QuadratureSpec:
     def override(self, **kwargs) -> "QuadratureSpec":
         bad = set(kwargs) - set(self.__dataclass_fields__)
         if bad:
-            raise KeyError(f"unknown quadrature keys: {sorted(bad)}")
+            raise SpecParseError(f"unknown quadrature keys: {sorted(bad)}")
         return replace(self, **kwargs)
 
 

@@ -10,9 +10,12 @@ derivatives act on the functional by dualizing onto the test function:
     right_derive(F, D)(f)    = F(R(A(D)) f)
 
 with tD the transpose and A the antipode (equal on the unimodular models
-shipped here). A functional keeps these operations as data, latest first,
-and reads its provenance off them; pointwise views exist only when the
-second vector is rapid-decay.
+shipped here), and h^{-1} the model's inverse (exact negation on the circle,
+so a dualized translation rounds like the direct one). A functional keeps
+these operations as data, latest first, and reads its provenance off them;
+pointwise views exist only when the second vector is rapid-decay. The
+property suites evaluate their dualized sides through this module, which is
+the only place these rules are written down.
 """
 from __future__ import annotations
 

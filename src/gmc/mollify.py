@@ -138,9 +138,11 @@ def make_jn(profile: BumpProfile, n: int, dim: int) -> ScaledBump:
 # Largest FFT the circle pushforward may take: 2^22 samples resolve a band of
 # about a million frequencies (n = 1100 at radius 0.15) in about 230 MB.
 _FFT_SAMPLE_CAP = 1 << 22
+# circle pushforward coefficients below this are aliasing noise and cut from the band
+_COEFF_FLOOR = 1e-14
 
 
-def _torus_pushforward(jn: ScaledBump, coeff_floor: float = 1e-14) -> tr.TorusTestFunction:
+def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
     """Fourier coefficients of the pushed-forward bump, truncated at the floor.
 
     The trapezoid rule on `size` equispaced points of one period, taken by one
@@ -160,14 +162,14 @@ def _torus_pushforward(jn: ScaledBump, coeff_floor: float = 1e-14) -> tr.TorusTe
         samples = jn.axis((np.arange(size) - size // 2) / size)
         table = np.fft.rfft(np.fft.ifftshift(samples)).real / size
         aliased = float(np.max(np.abs(table[size // 4 :])))
-        if aliased < coeff_floor:
+        if aliased < _COEFF_FLOOR:
             break
         if 2 * size > _FFT_SAMPLE_CAP:
             raise BudgetExceeded(
                 f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", aliased
             )
         size *= 2
-    big = np.nonzero(np.abs(table) >= coeff_floor)[0]
+    big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
     cut = int(big[-1]) if len(big) else 0
     coeffs = np.concatenate([table[cut:0:-1], table[: cut + 1]]).astype(np.complex128)
     return tr.TorusTestFunction(coeffs, real_valued=True)

@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import functionals as fn
 from . import heisenberg as hb
 from . import mollify as mo
 from . import torus as tr
 from .config import DEFAULT_QUADRATURE, QuadratureSpec, ToleranceTable
+from .errors import SpecParseError
 from .groups import factorize
 from .uea import UEAElement, uea_antipode, uea_multiply, uea_transpose
 from .vectors import (
@@ -29,6 +31,9 @@ HP = UEAElement.generator(hb.HEISENBERG_STRUCTURE, "P")
 HQ = UEAElement.generator(hb.HEISENBERG_STRUCTURE, "Q")
 HZ = UEAElement.generator(hb.HEISENBERG_STRUCTURE, "Z")
 TX = UEAElement.generator(tr.TORUS_STRUCTURE, "X")
+
+# random cases of the torus covariance suite
+TORUS_CASES = 200
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,11 @@ class PropertyResult:
 def _element_gap(a: UEAElement, b: UEAElement) -> float:
     keys = set(a.terms) | set(b.terms)
     return max((abs(a.coefficient(k) - b.coefficient(k)) for k in keys), default=0.0)
+
+
+def _worst_rise(values: list[float]) -> float:
+    """Largest increase between consecutive values; 0.0 when they never increase."""
+    return max([0.0] + [later - earlier for earlier, later in zip(values, values[1:])])
 
 
 def _random_uea(structure, rng, degree=2, span=4) -> UEAElement:
@@ -108,28 +118,22 @@ def suite_uea(seed: int, tolerances: ToleranceTable) -> list[PropertyResult]:
     ]
 
 
-def suite_torus_covariance(
-    seed: int, tolerances: ToleranceTable, cases: int = 200
-) -> list[PropertyResult]:
+def suite_torus_covariance(seed: int, tolerances: ToleranceTable) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(cases):
+    for _ in range(TORUS_CASES):
         B = int(rng.integers(1, 17))
         extent = B + int(rng.integers(0, 6))
         size = 2 * extent + 1
-        a = vector_from_prefix(
-            IndexDomain.INTEGERS,
-            -extent,
-            rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size),
-            GrowthClass.POLYNOMIAL_GROWTH,
-            degree=0.0,
-        )
-        b = vector_from_prefix(
-            IndexDomain.INTEGERS,
-            -extent,
-            rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size),
-            GrowthClass.POLYNOMIAL_GROWTH,
-            degree=0.0,
+        a, b = (
+            vector_from_prefix(
+                IndexDomain.INTEGERS,
+                -extent,
+                rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size),
+                GrowthClass.POLYNOMIAL_GROWTH,
+                degree=0.0,
+            )
+            for _ in range(2)
         )
         f = tr.TorusTestFunction(
             rng.uniform(-1, 1, 2 * B + 1) + 1j * rng.uniform(-1, 1, 2 * B + 1)
@@ -140,34 +144,14 @@ def suite_torus_covariance(
             terms[(m,)] = w / (1.0 + (2 * math.pi * B) ** m)
         D = UEAElement(tr.TORUS_STRUCTURE, terms)
         s = float(rng.uniform(0, 1))
-        worst[0] = max(
-            worst[0],
-            abs(
-                tr.gmc_eval(tr.act_group(s, a), b, f)
-                - tr.gmc_eval(a, b, f.right_translate(-s))
-            ),
+        F = fn.gmc_functional(a, b, tr.TORUS)
+        gaps = (
+            tr.gmc_eval(tr.act_group(s, a), b, f) - fn.right_translate(F, s)(f),
+            tr.gmc_eval(a, tr.dual_act_group(s, b), f) - fn.left_translate(F, s)(f),
+            tr.gmc_eval(a, tr.dual_act_algebra(D, b), f) - fn.left_derive(F, D)(f),
+            tr.gmc_eval(tr.act_algebra(D, a), b, f) - fn.right_derive(F, D)(f),
         )
-        worst[1] = max(
-            worst[1],
-            abs(
-                tr.gmc_eval(a, tr.dual_act_group(s, b), f)
-                - tr.gmc_eval(a, b, f.left_translate(-s))
-            ),
-        )
-        worst[2] = max(
-            worst[2],
-            abs(
-                tr.gmc_eval(a, tr.dual_act_algebra(D, b), f)
-                - tr.gmc_eval(a, b, f.left_derive(uea_transpose(D)))
-            ),
-        )
-        worst[3] = max(
-            worst[3],
-            abs(
-                tr.gmc_eval(tr.act_algebra(D, a), b, f)
-                - tr.gmc_eval(a, b, f.right_derive(uea_antipode(D)))
-            ),
-        )
+        worst = [max(w, abs(g)) for w, g in zip(worst, gaps)]
     tol = tolerances.torus_exact
     names = [
         "right-translation-covariance",
@@ -188,34 +172,29 @@ def suite_heisenberg_covariance(
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     phi, psi = hb.unit_vector(0), hb.unit_vector(1)
     N = quad.truncation
+    F = fn.gmc_functional(phi, psi, hb.HEISENBERG, N=N, quad=quad)
 
     worst_rt, worst_lt = 0.0, 0.0
     for _ in range(3):
         h = hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3))
         lhs = hb.gmc_eval(hb.act_group(h, phi, N=N + 16), psi, f, N=N, quad=quad)
-        rhs = hb.gmc_eval(phi, psi, f.right_translate(hb.group_inv(h)), N=N, quad=quad)
-        worst_rt = max(worst_rt, abs(lhs - rhs))
+        worst_rt = max(worst_rt, abs(lhs - fn.right_translate(F, h)(f)))
         lhs2 = hb.gmc_eval(phi, hb.dual_act_group(h, psi, N=N + 16), f, N=N, quad=quad)
-        rhs2 = hb.gmc_eval(phi, psi, f.left_translate(hb.group_inv(h)), N=N, quad=quad)
-        worst_lt = max(worst_lt, abs(lhs2 - rhs2))
+        worst_lt = max(worst_lt, abs(lhs2 - fn.left_translate(F, h)(f)))
 
     worst_rd, worst_ld = 0.0, 0.0
     for D in (HP, HQ, HZ):
         lhs = hb.gmc_eval(hb.act_algebra(D, phi), psi, f, N=N, quad=quad)
-        rhs = hb.gmc_eval(phi, psi, f.right_derive(uea_antipode(D)), N=N, quad=quad)
-        worst_rd = max(worst_rd, abs(lhs - rhs))
+        worst_rd = max(worst_rd, abs(lhs - fn.right_derive(F, D)(f)))
         lhs2 = hb.gmc_eval(phi, hb.dual_act_algebra(D, psi), f, N=N, quad=quad)
-        rhs2 = hb.gmc_eval(phi, psi, f.left_derive(uea_transpose(D)), N=N, quad=quad)
-        worst_ld = max(worst_ld, abs(lhs2 - rhs2))
+        worst_ld = max(worst_ld, abs(lhs2 - fn.left_derive(F, D)(f)))
 
     # functoriality of composed right translations
     h1 = hb.HeisenbergElement(0.2, -0.3, 0.1)
     h2 = hb.HeisenbergElement(-0.1, 0.25, -0.2)
-    f12 = f.right_translate(hb.group_inv(h1)).right_translate(hb.group_inv(h2))
-    f_prod = f.right_translate(hb.group_inv(hb.group_mul(h1, h2)))
     functorial = abs(
-        hb.gmc_eval(phi, psi, f12, N=N, quad=quad)
-        - hb.gmc_eval(phi, psi, f_prod, N=N, quad=quad)
+        fn.right_translate(fn.right_translate(F, h2), h1)(f)
+        - fn.right_translate(F, hb.group_mul(h1, h2))(f)
     )
     return [
         PropertyResult("right-translation-covariance", worst_rt, tol),
@@ -298,22 +277,14 @@ def suite_mollifier(
         abs(pair(mo.mollify(eta, n, tr.TORUS, profile=prof_t), v) - base)
         for n in (1, 2, 4, 8, 16, 32, 64)
     ]
-    monotone_violation = max(
-        [0.0] + [resid[i + 1] - resid[i] for i in range(len(resid) - 1)]
-    )
-    results.append(PropertyResult("torus-pairing-monotone", monotone_violation, 0.0))
+    results.append(PropertyResult("torus-pairing-monotone", _worst_rise(resid), 0.0))
     results.append(PropertyResult("torus-pairing-residual-n64", resid[-1], 1e-6))
 
     # distributional approximation residuals decrease on both models
     f = tr.band(8, "fejer")
     rows = mo.gmc_approx(tr.comb(), tr.comb(), f, [2, 4, 8, 16], tr.TORUS, profile=prof_t)
-    r = [row[2] for row in rows]
     results.append(
-        PropertyResult(
-            "torus-gmc-approx-decreasing",
-            max([0.0] + [r[i + 1] - r[i] for i in range(len(r) - 1)]),
-            0.0,
-        )
+        PropertyResult("torus-gmc-approx-decreasing", _worst_rise([row[2] for row in rows]), 0.0)
     )
     f_h = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     rows_h = mo.gmc_approx(
@@ -325,12 +296,9 @@ def suite_mollifier(
         profile=prof_h,
         quad=quad,
     )
-    r_h = [row[2] for row in rows_h]
     results.append(
         PropertyResult(
-            "heisenberg-gmc-approx-decreasing",
-            max([0.0] + [r_h[i + 1] - r_h[i] for i in range(len(r_h) - 1)]),
-            0.0,
+            "heisenberg-gmc-approx-decreasing", _worst_rise([row[2] for row in rows_h]), 0.0
         )
     )
     # smoothing certificate at two truncations
@@ -358,37 +326,31 @@ def suite_structure(
     f = tr.TorusTestFunction(
         rng.uniform(-1, 1, 13) + 1j * rng.uniform(-1, 1, 13)
     )
-    worst = 0.0
-    for k in (0, 2, 5):
-        base = tr.gmc_eval(tr.unit(k), tr.comb(), f)
-        for s in (0.13, 0.41, 0.77):
-            shifted = tr.gmc_eval(tr.unit(k), tr.comb(), f.right_translate(-s))
-            worst = max(worst, abs(shifted - np.exp(2j * np.pi * k * s) * base))
+    worst = max(
+        fn.semi_invariance_residual(
+            tr.unit(k), (0.13, 0.41, 0.77), lambda s, k=k: np.exp(2j * np.pi * k * s),
+            tr.comb(), f, tr.TORUS,
+        )
+        for k in (0, 2, 5)
+    )
     results.append(
         PropertyResult("torus-semi-invariance", worst, tolerances.torus_exact)
     )
 
     # Heisenberg: delta is invariant under the position subgroup
     f_h = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
-    delta = hb.dirac_delta()
-    base = hb.gmc_eval(delta, hb.unit_vector(0), f_h, quad=quad)
-    worst_h = 0.0
-    for qv in (0.3, -0.5):
-        shifted = hb.gmc_eval(
-            delta,
-            hb.unit_vector(0),
-            f_h.right_translate(hb.group_inv(hb.HeisenbergElement(0, qv, 0))),
-            quad=quad,
-        )
-        worst_h = max(worst_h, abs(shifted - base))
+    positions = [hb.HeisenbergElement(0, qv, 0) for qv in (0.3, -0.5)]
+    worst_h = fn.semi_invariance_residual(
+        hb.dirac_delta(), positions, lambda h: 1.0, hb.unit_vector(0), f_h, hb.HEISENBERG, quad=quad
+    )
     results.append(
         PropertyResult("heisenberg-delta-semi-invariance", worst_h, tolerances.heisenberg_fd)
     )
 
     # orthogonality: disjoint torus supports evaluate to exactly zero
     worst_orth = max(
-        abs(tr.gmc_eval(tr.unit(1), tr.unit(2), f)),
-        abs(tr.gmc_eval(tr.unit(-3), tr.unit(0), f)),
+        fn.orthogonality_test(tr.unit(j), tr.unit(k), [f], tr.TORUS)[1]
+        for j, k in ((1, 2), (-3, 0))
     )
     results.append(PropertyResult("torus-disjoint-orthogonality", worst_orth, 0.0))
 
@@ -425,7 +387,7 @@ def suite_structure(
         D, u = factorize(a, tr.TORUS)
         ft = tr.band(6, "fejer")
         lhs_v = tr.gmc_eval(a, tr.comb(), ft)
-        rhs_v = tr.gmc_eval(u, tr.comb(), ft.right_derive(uea_antipode(D)))
+        rhs_v = fn.right_derive(fn.gmc_functional(u, tr.comb(), tr.TORUS), D)(ft)
         worst_t = max(worst_t, abs(lhs_v - rhs_v) / (1 + abs(lhs_v)))
     results.append(
         PropertyResult("torus-structure-witness", worst_t, tolerances.torus_exact)
@@ -433,9 +395,8 @@ def suite_structure(
     phi = hb.poly_growth_vector(0.0)
     D, u = factorize(phi, hb.HEISENBERG)
     lhs_v = hb.gmc_eval(phi, hb.unit_vector(0), f_h, quad=quad)
-    rhs_v = hb.gmc_eval(
-        u, hb.unit_vector(0), f_h.right_derive(uea_antipode(D)), quad=quad
-    )
+    F = fn.gmc_functional(u, hb.unit_vector(0), hb.HEISENBERG, quad=quad)
+    rhs_v = fn.right_derive(F, D)(f_h)
     results.append(
         PropertyResult(
             "heisenberg-structure-witness", abs(lhs_v - rhs_v), tolerances.heisenberg_fd
@@ -461,9 +422,9 @@ def run_suite(
     quad: QuadratureSpec | None = None,
 ) -> list[PropertyResult]:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise SpecParseError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     tolerances = tolerances or ToleranceTable()
-    fn = SUITES[name]
+    suite = SUITES[name]
     if name in ("uea", "torus-covariance"):
-        return fn(seed, tolerances)
-    return fn(seed, tolerances, quad or DEFAULT_QUADRATURE)
+        return suite(seed, tolerances)
+    return suite(seed, tolerances, quad or DEFAULT_QUADRATURE)

@@ -253,7 +253,7 @@ def _spectral_factors(d: UEAElement, ns: np.ndarray, sign: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def act_group(t: float, a: TorusSequence, **_ignored) -> TorusSequence:
+def act_group(t: float, a: TorusSequence) -> TorusSequence:
     """(pi(T_t) a)_n = a_n exp(2 pi i n t); growth class and envelope unchanged."""
     _require_torus(a)
     ns = np.arange(a.start, a.stop)
@@ -264,7 +264,7 @@ def act_group(t: float, a: TorusSequence, **_ignored) -> TorusSequence:
     return CoefficientVector(a.domain, a.start, prefix, a.envelope, a.growth, tail)
 
 
-def dual_act_group(t: float, b: TorusSequence, **_ignored) -> TorusSequence:
+def dual_act_group(t: float, b: TorusSequence) -> TorusSequence:
     """Contragredient action pi*(T_t) b = act_group(-t, b)."""
     return act_group(-t, b)
 
@@ -307,7 +307,7 @@ def dual_act_algebra(d: UEAElement, b: TorusSequence) -> TorusSequence:
     return act_algebra(uea_transpose(d), b)
 
 
-def smooth_by(f: TorusTestFunction, a: TorusSequence, **_ignored) -> TorusSequence:
+def smooth_by(f: TorusTestFunction, a: TorusSequence) -> TorusSequence:
     """(pi(f) a)_n = a_n fhat(-n); band-limited, hence rapid decay, output."""
     _require_torus(a)
     B = f.bandwidth
@@ -318,7 +318,7 @@ def smooth_by(f: TorusTestFunction, a: TorusSequence, **_ignored) -> TorusSequen
     )
 
 
-def gmc_eval(a: TorusSequence, b: TorusSequence, f: TorusTestFunction, **_ignored) -> complex:
+def gmc_eval(a: TorusSequence, b: TorusSequence, f: TorusTestFunction) -> complex:
     """<pi(f) a, b> = sum over the band of a_n fhat(-n) b_n (finite, exact)."""
     return pair(smooth_by(f, a), b)
 
@@ -424,7 +424,7 @@ TORUS = GroupModel(
     name="torus",
     dim=1,
     structure=TORUS_STRUCTURE,
-    inverse=lambda t: (-t) % 1.0,
+    inverse=lambda t: -t,
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,

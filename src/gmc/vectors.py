@@ -30,6 +30,12 @@ from .errors import (
 )
 
 _ENVELOPE_SLACK = 1.0 + 1e-9
+# largest extent cauchy_extent probes before giving up
+_CAUCHY_EXTENT_CAP = 1 << 62
+# steepen_envelope samples a tail no further out than this index
+_STEEPEN_PROBE_EXTENT = 4096
+# most terms an infinite pairing may sum
+_PAIR_MAX_TERMS = 1 << 21
 
 
 class IndexDomain(enum.Enum):
@@ -240,12 +246,12 @@ class CoefficientVector:
             self.envelope.constant**2, s, extent, self.domain is IndexDomain.INTEGERS
         )
 
-    def cauchy_extent(self, tol: float, max_extent: int = 1 << 62) -> int:
+    def cauchy_extent(self, tol: float) -> int:
         """Smallest probed extent whose certified L2 tail is below tol."""
         n = max(abs(self.start), abs(self.stop - 1), 8)
         while self.l2_tail_bound(n) > tol:
             n *= 2
-            if n > max_extent:
+            if n > _CAUCHY_EXTENT_CAP:
                 raise BudgetExceeded(
                     "envelope cannot certify an L2 tail below tolerance",
                     self.l2_tail_bound(n // 2),
@@ -334,7 +340,7 @@ def vector_from_prefix(
     )
 
 
-def steepen_envelope(vec: CoefficientVector, target_degree: float, probe_extent: int = 4096) -> GrowthEnvelope:
+def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:
     """Validate a steeper envelope for an all-orders (rapid-decay) vector.
 
     Samples the stored prefix plus tail probes; this realizes the testable
@@ -345,7 +351,7 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float, probe_extent:
     ks = np.arange(vec.start, vec.stop)
     if not vec.finite_support:
         lo = max(abs(vec.start), abs(vec.stop - 1), 1)
-        probes = np.arange(lo, min(probe_extent, 8 * lo) + 1, max(1, lo // 8))
+        probes = np.arange(lo, min(_STEEPEN_PROBE_EXTENT, 8 * lo) + 1, max(1, lo // 8))
         if vec.domain is IndexDomain.INTEGERS:
             probes = np.concatenate([probes, -probes])
         ks = np.concatenate([ks, probes])
@@ -357,22 +363,11 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float, probe_extent:
 # --- pairing ----------------------------------------------------------------
 
 
-def _interleaved(domain: IndexDomain, m: int) -> np.ndarray:
-    """Fixed index order: 0, 1, -1, 2, -2, ... truncated to extent m."""
-    if domain is IndexDomain.NATURALS:
-        return np.arange(0, m + 1)
-    order = np.zeros(2 * m + 1, dtype=np.int64)
-    order[1::2] = np.arange(1, m + 1)
-    order[2::2] = -order[1::2]
-    return order
-
-
-def _kahan(values: Iterable[complex]) -> complex:
+def _fsum(z: np.ndarray) -> complex:
     """Correctly rounded sum: math.fsum of the real and of the imaginary parts.
 
     Exact rounding makes the result independent of the summation order.
     """
-    z = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=np.complex128)
     return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
@@ -388,7 +383,6 @@ def pair(
     phi: CoefficientVector,
     v: CoefficientVector,
     abs_tol: float = 1e-12,
-    max_terms: int = 1 << 21,
 ) -> complex:
     """Bilinear pairing sum_k phi_k v_k with adaptive envelope-certified cutoff.
 
@@ -405,16 +399,9 @@ def pair(
 
     if phi.finite_support or v.finite_support:
         # products vanish outside a finite support; the sum is exact
-        if phi.finite_support and v.finite_support:
-            extent = max(
-                abs(phi.start), abs(phi.stop - 1), abs(v.start), abs(v.stop - 1), 0
-            )
-        elif phi.finite_support:
-            extent = max(abs(phi.start), abs(phi.stop - 1), 0)
-        else:
-            extent = max(abs(v.start), abs(v.stop - 1), 0)
-        order = _interleaved(phi.domain, extent)
-        return _kahan(phi.coeffs(order) * v.coeffs(order))
+        extent = max(max(abs(w.start), abs(w.stop - 1)) for w in (phi, v) if w.finite_support)
+        ks = phi._range(extent)
+        return _fsum(phi.coeffs(ks) * v.coeffs(ks))
 
     env_phi, env_v = phi.envelope, v.envelope
     s = env_phi.degree + env_v.degree
@@ -436,13 +423,13 @@ def pair(
     while _tail_integral_bound(constant, s, extent, two_sided) > abs_tol:
         extent *= 2
         terms = 2 * extent + 1 if two_sided else extent + 1
-        if terms > max_terms:
+        if terms > _PAIR_MAX_TERMS:
             raise BudgetExceeded(
-                f"pairing needs more than {max_terms} terms for abs_tol={abs_tol}",
+                f"pairing needs more than {_PAIR_MAX_TERMS} terms for abs_tol={abs_tol}",
                 _tail_integral_bound(constant, s, extent // 2, two_sided),
             )
-    order = _interleaved(phi.domain, extent)
-    return _kahan(phi.coeffs(order) * v.coeffs(order))
+    ks = phi._range(extent)
+    return _fsum(phi.coeffs(ks) * v.coeffs(ks))
 
 
 # --- rapid-decay diagnostics -------------------------------------------------

@@ -11,6 +11,9 @@ import pytest
 
 import gmc
 from gmc.cli import main
+from gmc.config import QuadratureSpec, ToleranceTable
+from gmc.errors import GmcError, SpecParseError
+from gmc.suites import run_suite
 
 
 def run_cli(*argv):
@@ -237,6 +240,16 @@ def test_verify_unknown_suite():
     code, _, err = run_cli("verify", "everything")
     assert code == 2
     assert "everything" in err
+
+
+def test_unknown_names_raise_typed_errors():
+    # typed, so the CLI reports bad input without catching every KeyError a suite raises
+    with pytest.raises(GmcError, match="nope"):
+        run_suite("nope", 1)
+    with pytest.raises(SpecParseError, match="nope"):
+        ToleranceTable().override(nope=1.0)
+    with pytest.raises(SpecParseError, match="nope"):
+        QuadratureSpec().override(nope=1)
 
 
 def test_verify_tightened_tolerance_fails():

@@ -20,6 +20,7 @@ from gmc.functionals import (
 )
 from gmc.hermite import legendre_on_interval
 from gmc.uea import UEAElement
+from gmc.vectors import GrowthClass, IndexDomain, vector_from_prefix
 
 TX = UEAElement.generator(tr.TORUS_STRUCTURE, "X")
 HP = UEAElement.generator(hb.HEISENBERG_STRUCTURE, "P")
@@ -74,6 +75,23 @@ def test_right_translate_matches_vector_route(rng):
     H = gmc_functional(tr.act_group(s, a), b, tr.TORUS)
     for f in _torus_probes(rng):
         assert abs(G(f) - H(f)) <= 1e-13 * (1 + abs(G(f)))
+
+
+def test_torus_translations_dualize_by_exact_negation(rng):
+    # the torus inverse is -s, not (-s) % 1, whose rounding of 1 - s moves every phase
+    for _ in range(20):
+        a, b = (
+            vector_from_prefix(
+                IndexDomain.INTEGERS, -8, rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17),
+                GrowthClass.POLYNOMIAL_GROWTH, degree=0.0,
+            )
+            for _ in range(2)
+        )
+        f = _torus_probes(rng, count=1)[0]
+        s = float(rng.uniform(0, 1))
+        F = gmc_functional(a, b, tr.TORUS)
+        assert left_translate(F, s)(f) == tr.gmc_eval(a, b, f.left_translate(-s))
+        assert right_translate(F, s)(f) == tr.gmc_eval(a, b, f.right_translate(-s))
 
 
 def test_translation_round_trip(rng):
