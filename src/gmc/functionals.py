@@ -71,7 +71,7 @@ def left_derive(F: GMCFunctional, d: UEAElement) -> GMCFunctional:
 
 
 def right_derive(F: GMCFunctional, d: UEAElement) -> GMCFunctional:
-    da = uea_antipode(d, F.model.structure.delta)
+    da = uea_antipode(d)
     return replace(F, ops=(("right-derived", d, "right_derive", da),) + F.ops)
 
 

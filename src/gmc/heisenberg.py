@@ -43,7 +43,6 @@ from .errors import BudgetExceeded, PreconditionError, QuadratureAccuracyError
 from .groups import GroupModel
 from .hermite import (
     gauss_hermite_rule,
-    hermite_at_zero,
     hermite_scaled,
     legendre_on_interval,
 )
@@ -54,7 +53,10 @@ from .vectors import (
     GrowthEnvelope,
     IndexDomain,
     Tail,
+    _tail_integral_bound,
+    formula_vector,
     pair,
+    steepen_envelope,
     vector_from_prefix,
 )
 
@@ -88,6 +90,8 @@ PHASE_FLOOR = 1e-12
 CHECK_NODES = 8
 CHECK_COLUMNS = 24
 _BLOCK = 64  # recurrence steps whose coefficients are built at once
+# largest extent _extent_for_abs_tail may reach
+_TAIL_EXTENT_CAP = 1 << 22
 
 
 def _require_hermite(v: CoefficientVector) -> None:
@@ -590,18 +594,30 @@ def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
     return max(base, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
+def _action_input(v: CoefficientVector, N: int) -> np.ndarray:
+    """The coefficients a group action reads from a rapid-decay or finitely supported v.
+
+    A finite v is read to its stop. An infinite v is read at least INPUT_MARGIN
+    columns past N, and as far as its envelope certifies the dropped coefficients
+    to sum below 1e-14 in modulus: kernel entries are at most 1 in modulus, so
+    that bounds every output's truncation error, whatever the group element.
+    """
+    if not (v.growth is GrowthClass.RAPID_DECAY or v.finite_support):
+        raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
+    if v.finite_support:
+        return v.dense(0, max(v.stop, 1) - 1)
+    return v.dense(0, max(N + INPUT_MARGIN, _extent_for_abs_tail(v, 1e-14)) - 1)
+
+
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
     """First N coefficients of pi(g) phi via the matrix of the action."""
     _require_hermite(phi)
     g = as_element(g)
-    if not (phi.growth is GrowthClass.RAPID_DECAY or phi.finite_support):
-        raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
-    if N < phi.stop and not _tail_negligible(phi, N):
+    vec = _action_input(phi, N)
+    if N < phi.stop and not np.all(np.abs(phi.dense(N, phi.stop - 1)) < 1e-14):
         raise PreconditionError(
             f"truncation N={N} is below the stored support extent {phi.stop}"
         )
-    cols = _input_extent(phi, N, INPUT_MARGIN)
-    vec = phi.dense(0, cols - 1)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
     out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
@@ -611,14 +627,9 @@ def dual_act_group(g, psi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation
     """Contragredient action: (pi*(g) psi)_k = <psi, pi(g^{-1}) h_k>."""
     _require_hermite(psi)
     ginv = group_inv(as_element(g))
-    rows = _input_extent(psi, N, INPUT_MARGIN)
-    vec = psi.dense(0, rows - 1)
+    vec = _action_input(psi, N)
     out = _character(ginv.t) * _kernel_columns(vec, N, ginv.p, ginv.q)[:, 0]
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
-
-
-def _tail_negligible(phi: CoefficientVector, N: int, tol: float = 1e-14) -> bool:
-    return bool(np.all(np.abs(phi.dense(N, phi.stop - 1)) < tol)) if N < phi.stop else True
 
 
 # --------------------------------------------------------------------------
@@ -919,18 +930,15 @@ def fourier_wigner(
 
 
 def _extent_for_abs_tail(v: CoefficientVector, tol: float) -> int:
+    """Smallest doubling of max(v.stop, 8) past which v's envelope bounds sum |v_k| by tol."""
     env = v.envelope
-    s, c = env.degree, env.constant
-    if s >= -1.0:
-        from .vectors import steepen_envelope
-
+    if env.degree >= -1.0:
         env = steepen_envelope(v, -3.0)
-        s, c = env.degree, env.constant
     n = max(v.stop, 8)
-    while c * (1.0 + n) ** (s + 1.0) / (-(s + 1.0)) > tol:
+    while (bound := _tail_integral_bound(env.constant, env.degree, n, False)) > tol:
+        if 2 * n > _TAIL_EXTENT_CAP:
+            raise BudgetExceeded("tail extent exceeds budget", bound)
         n *= 2
-        if n > (1 << 22):
-            raise BudgetExceeded("tail extent exceeds budget", float("inf"))
     return n
 
 
@@ -976,13 +984,8 @@ def unit_vector(k: int) -> HermiteVector:
 
 def dirac_delta(prefix_len: int = 64) -> HermiteVector:
     """Tempered-distribution delta at the origin: c_k = h_k(0)."""
-    return CoefficientVector(
-        IndexDomain.NATURALS,
-        0,
-        hermite_at_zero(prefix_len - 1).astype(np.complex128),
-        GrowthEnvelope(1.2, 0.0),
-        GrowthClass.POLYNOMIAL_GROWTH,
-        Tail.formula("hermite_zero"),
+    return formula_vector(
+        IndexDomain.NATURALS, 0, prefix_len, GrowthEnvelope(1.2, 0.0), GrowthClass.POLYNOMIAL_GROWTH, "hermite_zero"
     )
 
 
@@ -1015,15 +1018,9 @@ def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
 
 
 def poly_growth_vector(r: float, prefix_len: int = 64) -> HermiteVector:
-    ks = np.arange(prefix_len)
-    vals = ((1.0 + ks) ** r).astype(np.complex128)
-    return CoefficientVector(
-        IndexDomain.NATURALS,
-        0,
-        vals,
-        GrowthEnvelope(1.0 + 1e-12, float(r)),
-        GrowthClass.POLYNOMIAL_GROWTH,
-        Tail.formula("shifted_power", float(r)),
+    envelope = GrowthEnvelope(1.0 + 1e-12, float(r))
+    return formula_vector(
+        IndexDomain.NATURALS, 0, prefix_len, envelope, GrowthClass.POLYNOMIAL_GROWTH, "shifted_power", float(r)
     )
 
 
@@ -1049,15 +1046,8 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
     )
     D = osc**m
 
-    ks = np.arange(phi.start, phi.stop)
-    prefix = phi.prefix / (ks + 1.5) ** m
-    tail = phi.tail
-    if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=phi.tail.fn: _b(k) / (k + 1.5) ** m)
     envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders)
-    u = CoefficientVector(
-        phi.domain, phi.start, prefix, envelope, GrowthClass.SQUARE_SUMMABLE, tail
-    )
+    u = phi.map(lambda c, k: c / (k + 1.5) ** m, envelope, GrowthClass.SQUARE_SUMMABLE)
     return D, u
 
 

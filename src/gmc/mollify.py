@@ -29,6 +29,9 @@ from .groups import GroupModel
 from .hermite import legendre_on_interval
 from .vectors import CoefficientVector
 
+# Gauss-Legendre nodes of a bump's 1-d quadratures (its mass, its Fourier transform)
+BUMP_NODES = 400
+
 
 @lru_cache(maxsize=None)
 def _bump_derivative_poly(order: int) -> Polynomial:
@@ -62,7 +65,7 @@ def _bump_unit(u: np.ndarray, order: int = 0) -> np.ndarray:
     return out
 
 
-def unit_bump_mass(nodes: int = 400) -> float:
+def unit_bump_mass(nodes: int = BUMP_NODES) -> float:
     """Quadrature value of the 1-d normalization integral over [-1, 1]."""
     x, w = legendre_on_interval(-1.0, 1.0, nodes)
     return float(w @ _bump_unit(x))
@@ -74,18 +77,17 @@ class BumpProfile:
 
     radius: float
     normalization: float
-    quad_nodes: int
 
     @staticmethod
-    def standard(radius: float = 0.25, quad_nodes: int = 400) -> "BumpProfile":
+    def standard(radius: float = 0.25) -> "BumpProfile":
         if not 0 < radius < math.inf:
             raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
-        coarse = unit_bump_mass(quad_nodes)
-        fine = unit_bump_mass(quad_nodes + 100)
+        coarse = unit_bump_mass(BUMP_NODES)
+        fine = unit_bump_mass(BUMP_NODES + 100)
         gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
         if gap > tol:
             raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
-        return BumpProfile(radius, 1.0 / (radius * coarse), quad_nodes)
+        return BumpProfile(radius, 1.0 / (radius * coarse))
 
     def __call__(self, x, order: int = 0) -> np.ndarray:
         """The bump, or its order-th derivative, at x."""
@@ -93,7 +95,7 @@ class BumpProfile:
         return scale * _bump_unit(np.asarray(x, dtype=float) / self.radius, order)
 
     def mass(self, nodes: int | None = None) -> float:
-        x, w = legendre_on_interval(-self.radius, self.radius, nodes or self.quad_nodes)
+        x, w = legendre_on_interval(-self.radius, self.radius, nodes or BUMP_NODES)
         return float(w @ self(x))
 
 
@@ -119,7 +121,7 @@ class ScaledBump:
 
     def axis_transform(self, lam: float, nodes: int | None = None) -> float:
         """int n j(n x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: j is even)."""
-        x, w = legendre_on_interval(-self.radius, self.radius, nodes or self.profile.quad_nodes)
+        x, w = legendre_on_interval(-self.radius, self.radius, nodes or BUMP_NODES)
         return float(w @ (self.axis(x) * np.cos(2.0 * np.pi * lam * x)))
 
     def axis_mass(self, nodes: int | None = None) -> float:

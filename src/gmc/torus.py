@@ -26,7 +26,7 @@ from .vectors import (
     GrowthClass,
     GrowthEnvelope,
     IndexDomain,
-    Tail,
+    formula_vector,
     pair,
     vector_from_prefix,
 )
@@ -59,84 +59,42 @@ def unit(n: int) -> TorusSequence:
     )
 
 
+def _formula(envelope: GrowthEnvelope, growth: GrowthClass, extent: int, name: str, *params) -> TorusSequence:
+    return formula_vector(IndexDomain.INTEGERS, -extent, extent + 1, envelope, growth, name, *params)
+
+
 def comb(extent: int = 64) -> TorusSequence:
     """The constant sequence of ones (the Dirac-comb distribution vector)."""
-    return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=-extent,
-        prefix=np.ones(2 * extent + 1, dtype=np.complex128),
-        envelope=GrowthEnvelope(1.0, 0.0),
-        growth=GrowthClass.POLYNOMIAL_GROWTH,
-        tail=Tail.formula("const", 1.0),
-    )
-
+    return _formula(GrowthEnvelope(1.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH, extent, "const", 1.0)
 
 
 def poly(r: int, extent: int = 64) -> TorusSequence:
     """a_n = n^r (with a_0 = 1 for r = 0); polynomial growth of degree r."""
     if r < 0:
         raise PreconditionError(f"poly degree must be nonnegative, got {r}")
-    ns = np.arange(-extent, extent + 1)
-    if r == 0:
-        vals = np.ones_like(ns, dtype=np.complex128)
-    else:
-        vals = (ns.astype(float) ** r).astype(np.complex128)
-    return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=-extent,
-        prefix=vals,
-        envelope=GrowthEnvelope(1.0, float(r)),
-        growth=GrowthClass.POLYNOMIAL_GROWTH,
-        tail=Tail.formula("power", float(r)),
-    )
+    return _formula(GrowthEnvelope(1.0, float(r)), GrowthClass.POLYNOMIAL_GROWTH, extent, "power", float(r))
 
 
 def geometric(ratio: float, extent: int = 64) -> TorusSequence:
     """a_n = ratio^{|n|}, rapid decay for |ratio| < 1."""
     if not 0 < abs(ratio) < 1:
         raise PreconditionError("geometric ratio must satisfy 0 < |ratio| < 1")
-    ns = np.arange(-extent, extent + 1)
-    vals = (abs(ratio) ** np.abs(ns)).astype(np.complex128)
-    if ratio < 0:
-        vals *= (-1.0) ** np.abs(ns)
     degree = -8.0
     scan = np.arange(0, max(2048, int(200.0 / -math.log(abs(ratio)))) + 1)
     constant = float(np.max(abs(ratio) ** scan * (1.0 + scan) ** -degree)) * (1 + 1e-12)
-    return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=-extent,
-        prefix=vals,
-        envelope=GrowthEnvelope(constant, degree, all_orders=True),
-        growth=GrowthClass.RAPID_DECAY,
-        tail=Tail.formula("geometric", ratio),
-    )
+    envelope = GrowthEnvelope(constant, degree, all_orders=True)
+    return _formula(envelope, GrowthClass.RAPID_DECAY, extent, "geometric", ratio)
 
 
 def inverse_quadratic(power: int = 1, extent: int = 64) -> TorusSequence:
     """a_n = (1+n^2)^{-power}; square-summable for power >= 1."""
-    ns = np.arange(-extent, extent + 1)
-    vals = ((1.0 + ns.astype(float) ** 2) ** (-power)).astype(np.complex128)
     # (1+k^2)^{-p} <= 2^p (1+|k|)^{-2p} since 1+k^2 >= (1+|k|)^2 / 2
-    return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=-extent,
-        prefix=vals,
-        envelope=GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power),
-        growth=GrowthClass.SQUARE_SUMMABLE,
-        tail=Tail.formula("inv_quadratic", power),
-    )
+    envelope = GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power)
+    return _formula(envelope, GrowthClass.SQUARE_SUMMABLE, extent, "inv_quadratic", power)
 
 
 def alternating(extent: int = 64) -> TorusSequence:
-    ns = np.arange(-extent, extent + 1)
-    return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=-extent,
-        prefix=((-1.0) ** np.abs(ns)).astype(np.complex128),
-        envelope=GrowthEnvelope(1.0, 0.0),
-        growth=GrowthClass.POLYNOMIAL_GROWTH,
-        tail=Tail.formula("alternating"),
-    )
+    return _formula(GrowthEnvelope(1.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH, extent, "alternating")
 
 
 # --------------------------------------------------------------------------
@@ -256,12 +214,7 @@ def _spectral_factors(d: UEAElement, ns: np.ndarray, sign: float) -> np.ndarray:
 def act_group(t: float, a: TorusSequence) -> TorusSequence:
     """(pi(T_t) a)_n = a_n exp(2 pi i n t); growth class and envelope unchanged."""
     _require_torus(a)
-    ns = np.arange(a.start, a.stop)
-    prefix = a.prefix * np.exp(2j * np.pi * ns * t)
-    tail = a.tail
-    if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) * np.exp(2j * np.pi * k * t))
-    return CoefficientVector(a.domain, a.start, prefix, a.envelope, a.growth, tail)
+    return a.map(lambda c, k: c * np.exp(2j * np.pi * k * t))
 
 
 def dual_act_group(t: float, b: TorusSequence) -> TorusSequence:
@@ -272,15 +225,8 @@ def dual_act_group(t: float, b: TorusSequence) -> TorusSequence:
 def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
     _require_torus(a)
-    ns = np.arange(a.start, a.stop)
-    prefix = a.prefix * _spectral_factors(d, ns, sign=+1.0)
     coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
     deg = max((alpha[0] for alpha, _ in d.sorted_terms()), default=0)
-
-    tail = a.tail
-    if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) * _spectral_factors(d, k, sign=+1.0))
-
     if deg == 0:
         envelope = GrowthEnvelope(
             a.envelope.constant * max(coeff_l1, 1e-300),
@@ -299,7 +245,7 @@ def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
             if a.growth is GrowthClass.RAPID_DECAY
             else GrowthClass.POLYNOMIAL_GROWTH
         )
-    return CoefficientVector(a.domain, a.start, prefix, envelope, growth, tail)
+    return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope, growth)
 
 
 def dual_act_algebra(d: UEAElement, b: TorusSequence) -> TorusSequence:
@@ -369,32 +315,19 @@ def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
     base = UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)})
     D = base**m
 
-    ns = np.arange(a.start, a.stop)
-    prefix = a.prefix / (1.0 + ns.astype(float) ** 2) ** m
-    tail = a.tail
-    if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail.fn: _b(k) / (1.0 + k.astype(float) ** 2) ** m)
     envelope = GrowthEnvelope(
         a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders
     )
-    u = CoefficientVector(
-        a.domain, a.start, prefix, envelope, GrowthClass.SQUARE_SUMMABLE, tail
-    )
+    u = a.map(lambda c, k: c / (1.0 + k.astype(float) ** 2) ** m, envelope, GrowthClass.SQUARE_SUMMABLE)
     return D, u
 
 
-def project_subrep(a: TorusSequence, keep: Callable[[int], bool]) -> TorusSequence:
-    """Zero all coefficients outside the index predicate; commutes with actions."""
+def project_subrep(a: TorusSequence, keep: Callable[[np.ndarray], np.ndarray]) -> TorusSequence:
+    """Zero all coefficients outside the index predicate; commutes with actions.
+
+    keep maps an int64 index array to a boolean array of the same shape."""
     _require_torus(a)
-
-    def kept(ks: np.ndarray) -> np.ndarray:
-        return np.array([bool(keep(int(n))) for n in ks], dtype=bool)
-
-    prefix = np.where(kept(np.arange(a.start, a.stop)), a.prefix, 0j)
-    tail = a.tail
-    if not tail.is_zero:
-        tail = Tail.closure(lambda k, _b=a.tail.fn: np.where(kept(k), _b(k), 0j))
-    return CoefficientVector(a.domain, a.start, prefix, a.envelope, a.growth, tail)
+    return a.map(lambda c, k: np.where(keep(k), c, 0j))
 
 
 def pointwise_coefficient(a: TorusSequence, b: TorusSequence) -> Callable[[float], complex]:

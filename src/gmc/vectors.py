@@ -7,6 +7,8 @@ the role of distribution vectors, and square-summable vectors sit in between.
 
 Tails are array-valued: a formula maps an int64 index array to a complex128
 array, so reading a range of coefficients is one prefix slice plus one tail call.
+A formula_vector's prefix is its tail formula on the stored indices, and every
+coefficient-wise operator acts on prefix and tail alike through CoefficientVector.map.
 
 The pairing is bilinear: pair(phi, v) = sum_k phi_k v_k, one product array
 summed with math.fsum on its real and imaginary parts (correctly rounded, so
@@ -218,6 +220,20 @@ class CoefficientVector:
         """Coefficients for indices lo..hi inclusive."""
         return self.coeffs(np.arange(lo, hi + 1))
 
+    def map(
+        self, fn: Callable, envelope: GrowthEnvelope | None = None, growth: GrowthClass | None = None
+    ) -> "CoefficientVector":
+        """The vector with coefficients fn(c_k, k), for an fn acting elementwise on
+        value and index arrays: on the prefix, and through one closure on the tail.
+        The envelope and growth class are kept unless given."""
+        tail = self.tail
+        if not tail.is_zero:
+            tail = Tail.closure(lambda k, _b=tail.fn: fn(_b(k), k))
+        prefix = fn(self.prefix, np.arange(self.start, self.stop))
+        return CoefficientVector(
+            self.domain, self.start, prefix, envelope or self.envelope, growth or self.growth, tail
+        )
+
     @property
     def finite_support(self) -> bool:
         return self.tail.is_zero
@@ -312,10 +328,8 @@ def vector_from_prefix(
     values,
     growth: GrowthClass,
     degree: float | None = None,
-    tail: Tail = ZERO_TAIL,
-    all_orders: bool | None = None,
 ) -> CoefficientVector:
-    """Build a vector with an envelope validated against the given prefix."""
+    """Build a finitely supported vector with an envelope validated against its values."""
     values = np.asarray(values, dtype=np.complex128)
     if degree is None:
         degree = {
@@ -328,16 +342,17 @@ def vector_from_prefix(
     base = float(np.max(np.abs(values) / scale)) if len(values) else 1.0
     # a non-finite base falls through to CoefficientVector, which rejects the prefix
     constant = max(base * (1 + 1e-12), 1e-300) if 0 < base < math.inf else 1.0
-    if all_orders is None:
-        all_orders = growth is GrowthClass.RAPID_DECAY
-    return CoefficientVector(
-        domain=domain,
-        start=start,
-        prefix=values,
-        envelope=GrowthEnvelope(constant, degree, all_orders),
-        growth=growth,
-        tail=tail,
-    )
+    envelope = GrowthEnvelope(constant, degree, growth is GrowthClass.RAPID_DECAY)
+    return CoefficientVector(domain, start, values, envelope, growth)
+
+
+def formula_vector(
+    domain: IndexDomain, start: int, stop: int, envelope: GrowthEnvelope, growth: GrowthClass, name: str, *params
+) -> CoefficientVector:
+    """The vector whose every coefficient is the named tail formula: the prefix,
+    indices start..stop-1, is the formula there, so prefix and tail cannot disagree."""
+    tail = Tail.formula(name, *params)
+    return CoefficientVector(domain, start, tail.fn(np.arange(start, stop)), envelope, growth, tail)
 
 
 def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:

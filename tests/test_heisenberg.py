@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gmc import heisenberg as hb
 from gmc import mollify as mo
+from gmc import torus as tr
 from gmc.config import QuadratureSpec
 from gmc.errors import BudgetExceeded, GmcError, PreconditionError, QuadratureAccuracyError
 from gmc.hermite import (
@@ -20,8 +21,11 @@ from gmc.hermite import (
 )
 from gmc.uea import UEAElement
 from gmc.vectors import (
+    CoefficientVector,
     GrowthClass,
+    GrowthEnvelope,
     IndexDomain,
+    Tail,
     fitted_decay_exponent,
     pair,
     vector_from_prefix,
@@ -380,6 +384,28 @@ def test_dual_act_group_is_contragredient(rng):
     for k in (0, 3, 7):
         direct = pair(psi, hb.act_group(hb.group_inv(g), hb.unit_vector(k), N=48))
         assert abs(dual.coeff(k) - direct) < 1e-10
+
+
+def test_dual_act_group_rejects_distribution_vectors():
+    with pytest.raises(PreconditionError):
+        hb.dual_act_group((0.6, 0.6, 0), hb.dirac_delta())
+
+
+def _geometric_hermite(ratio=0.9, stored=8):
+    envelope = tr.geometric(ratio).envelope  # the same sequence on k >= 0
+    prefix = ratio ** np.arange(stored)
+    return CoefficientVector(
+        IndexDomain.NATURALS, 0, prefix, envelope, GrowthClass.RAPID_DECAY, Tail.formula("geometric", ratio)
+    )
+
+
+@pytest.mark.parametrize("g", [(0.6, 0.6, 0.0), (1.5, 1.0, 0.0), (3.0, 3.0, 0.2)])
+def test_group_actions_read_an_infinite_input_to_its_certified_tail(g):
+    # 0.9^1000 ~ 1e-46: a 1000-column finite copy is the exact input to double precision
+    v = _geometric_hermite()
+    ref = vector_from_prefix(IndexDomain.NATURALS, 0, v.dense(0, 999), GrowthClass.RAPID_DECAY)
+    assert hb.act_group(g, v).prefix.tobytes() == hb.act_group(g, ref, N=1000).prefix[:40].tobytes()
+    assert hb.dual_act_group(g, v).prefix.tobytes() == hb.dual_act_group(g, ref).prefix.tobytes()
 
 
 # --- algebra action -----------------------------------------------------------------
@@ -903,6 +929,17 @@ def test_fourier_wigner_budget_error_reports_bound():
     with pytest.raises(BudgetExceeded) as info:
         hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0, max_cols=64)
     assert info.value.achieved_bound > 0
+
+
+def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
+    # envelope (1 + k)^-1.5: the bound at the last extent within budget, 2^22, is 2 / sqrt(1 + 2^22)
+    psi = CoefficientVector(
+        IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, -1.5), GrowthClass.RAPID_DECAY,
+        Tail.formula("shifted_power", -1.5),
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        hb.fourier_wigner(hb.unit_vector(0), psi, 0.1, 0.2)
+    assert math.isclose(info.value.achieved_bound, 2.0 / math.sqrt(1.0 + 2**22), rel_tol=1e-12)
 
 
 def test_fourier_wigner_non_finite_is_a_typed_error():

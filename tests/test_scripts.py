@@ -40,6 +40,18 @@ def test_property_suites_script_passes_all_six():
     assert sum(line.startswith("[ok ]") for line in proc.stdout.splitlines()) == 6
 
 
+def test_property_suites_script_lines_are_gmc_verify_output():
+    proc = _run_script("run_property_suites.py", "--lines", "--seed", "1", "--seed", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        for seed in (1, 2):
+            for suite in sorted(gmc.suites.SUITES):
+                assert gmc.cli.main(["verify", suite, "--seed", str(seed)]) == 0
+    assert len(gmc.suites.SUITES) == 6
+    assert proc.stdout == expected.getvalue()
+
+
 def test_mollifier_study_script_writes_both_tables(tmp_path):
     proc = _run_script("run_mollifier_study.py", "--out-dir", str(tmp_path), "--n", "2,4")
     assert proc.returncode == 0, proc.stderr

@@ -119,17 +119,17 @@ def test_normal_ordering_confluence(seed):
 
 def test_antipode_unimodular_equals_transpose():
     for e in (X, X * X):
-        assert uea_antipode(e, TS.delta) == uea_transpose(e)
+        assert uea_antipode(e) == uea_transpose(e)
     rng = np.random.default_rng(5)
     for _ in range(20):
         e = _random_element(HS, rng)
-        assert uea_antipode(e, HS.delta) == uea_transpose(e)
+        assert uea_antipode(e) == uea_transpose(e)
 
 
 def test_antipode_identity_and_generator():
-    assert uea_antipode(ONE_H, HS.delta) == ONE_H
-    assert uea_antipode(P, HS.delta) == -1.0 * P
-    got = uea_antipode(P * Q, HS.delta)
+    assert uea_antipode(ONE_H) == ONE_H
+    assert uea_antipode(P) == -1.0 * P
+    got = uea_antipode(P * Q)
     assert got == UEAElement(HS, {(1, 1, 0): 1.0, (0, 0, 1): -1.0})
 
 
@@ -137,7 +137,7 @@ def test_antipode_with_modular_derivative():
     # on a non-unimodular table A(X) = -X - delta(X)
     s = LieStructure(labels=("A",), delta=(2.0,))
     a = UEAElement.generator(s, "A")
-    got = uea_antipode(a, s.delta)
+    got = uea_antipode(a)
     assert got == UEAElement(s, {(1,): -1.0, (0,): -2.0})
 
 

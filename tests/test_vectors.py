@@ -328,6 +328,9 @@ def _derived_vectors():
         hb.dual_act_algebra(Q * Q * P, psi),
         hb.act_algebra(P, hb.act_algebra(Q * Q, psi)),
         hb.factorize_heisenberg(psi)[1],
+        a.map(lambda c, k: c * (k + 0.5)),
+        b.map(lambda c, k: np.where(k % 2 == 0, c, -c)),
+        phi.map(lambda c, k: np.conj(c) * k, GrowthEnvelope(1.2, 1.0), GrowthClass.POLYNOMIAL_GROWTH),
     ]
 
 
@@ -347,3 +350,55 @@ def test_array_reads_match_single_reads_exactly(ks):
         assert np.array_equal(v.dense(idx.min(), idx.max()), v.coeffs(np.arange(idx.min(), idx.max() + 1)))
         if v.domain is IndexDomain.NATURALS:
             assert np.all(got[idx < 0] == 0)
+
+
+def _formula_constructors():
+    from gmc import heisenberg as hb
+
+    return {
+        "comb": tr.comb(),
+        "poly-0": tr.poly(0),
+        "poly-3": tr.poly(3),
+        "geometric-0.5": tr.geometric(0.5),
+        "geometric-neg": tr.geometric(-0.3),
+        "inverse-quadratic": tr.inverse_quadratic(2),
+        "alternating": tr.alternating(),
+        "delta": hb.dirac_delta(),
+        "delta-700": hb.dirac_delta(700),
+        "poly-growth": hb.poly_growth_vector(1.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_formula_constructors()))
+def test_formula_constructors_store_their_tail_formula(name):
+    # the prefix is the tail formula on the stored indices, bit for bit
+    v = _formula_constructors()[name]
+    assert not v.finite_support
+    assert v.prefix.tobytes() == v.tail.fn(np.arange(v.start, v.stop)).tobytes()
+
+
+def test_map_applies_one_function_to_prefix_and_tail():
+    a = tr.geometric(-0.6, extent=4)
+    fn = lambda c, k: c * np.exp(0.3j * k) / (2.0 + k * k)
+    mapped = a.map(fn)
+    assert (mapped.start, mapped.stop) == (a.start, a.stop)
+    assert mapped.envelope == a.envelope and mapped.growth is a.growth
+    ks = np.arange(-40, 41)
+    assert mapped.coeffs(ks).tobytes() == fn(a.coeffs(ks), ks).tobytes()
+    env = GrowthEnvelope(a.envelope.constant, a.envelope.degree - 2.0, True)
+    moved = a.map(fn, env, GrowthClass.SQUARE_SUMMABLE)
+    assert moved.envelope == env and moved.growth is GrowthClass.SQUARE_SUMMABLE
+    assert vector_from_prefix(IndexDomain.INTEGERS, 0, [1.0], GrowthClass.RAPID_DECAY).map(fn).finite_support
+
+
+def test_project_subrep_reads_its_predicate_on_index_arrays():
+    seen = []
+
+    def keep(k):
+        seen.append(type(k))
+        return k % 3 == 1
+
+    v = tr.project_subrep(tr.poly(2, extent=5), keep)
+    ks = np.arange(-30, 31)
+    assert np.array_equal(v.coeffs(ks), np.where(ks % 3 == 1, ks.astype(float) ** 2, 0.0))
+    assert seen and all(t is np.ndarray for t in seen)
