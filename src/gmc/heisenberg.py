@@ -556,12 +556,8 @@ def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.nda
 
 
 def matrix_element(g, j: int, k: int) -> complex:
-    """<pi(g) h_j, h_k> in closed form, from the one-column window [j, j + 1) of row k:
-    one recurrence over the row's extent, about k + band steps (none if j is outside it)."""
-    g, j, k = as_element(g), _hermite_index(j), _hermite_index(k)
-    psi = np.zeros(k + 1)
-    psi[k] = 1.0
-    return complex(_character(g.t) * _kernel_columns(psi, j + 1, g.p, g.q, j)[0, 0])
+    """<pi(g) h_j, h_k>: the pointwise coefficient of the basis vectors h_j, h_k at g."""
+    return pointwise_coefficient(unit_vector(j), unit_vector(k))(g)
 
 
 def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
@@ -614,22 +610,16 @@ def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> 
     _require_hermite(phi)
     g = as_element(g)
     vec = _action_input(phi, N)
-    if N < phi.stop and not np.all(np.abs(phi.dense(N, phi.stop - 1)) < 1e-14):
-        raise PreconditionError(
-            f"truncation N={N} is below the stored support extent {phi.stop}"
-        )
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
     out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
 def dual_act_group(g, psi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
-    """Contragredient action: (pi*(g) psi)_k = <psi, pi(g^{-1}) h_k>."""
-    _require_hermite(psi)
-    ginv = group_inv(as_element(g))
-    vec = _action_input(psi, N)
-    out = _character(ginv.t) * _kernel_columns(vec, N, ginv.p, ginv.q)[:, 0]
-    return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
+    """Contragredient action: pi*(g) = conj pi(g) = pi(sigma g) in the real Hermite basis,
+    with sigma(p, q, t) = (p, -q, -t) the automorphism of _contragredient_element."""
+    g = as_element(g)
+    return act_group((g.p, -g.q, -g.t), psi, N)
 
 
 # --------------------------------------------------------------------------

@@ -80,8 +80,10 @@ def geometric(ratio: float, extent: int = 64) -> TorusSequence:
     if not 0 < abs(ratio) < 1:
         raise PreconditionError("geometric ratio must satisfy 0 < |ratio| < 1")
     degree = -8.0
-    scan = np.arange(0, max(2048, int(200.0 / -math.log(abs(ratio)))) + 1)
-    constant = float(np.max(abs(ratio) ** scan * (1.0 + scan) ** -degree)) * (1 + 1e-12)
+    # |ratio|^n (1+n)^8 is log-concave in n with its peak at 1 + n = 8 / -log|ratio|
+    top = -degree / -math.log(abs(ratio)) - 1.0
+    peak = np.array([max(math.floor(top), 0), max(math.ceil(top), 0)])
+    constant = float(np.max(abs(ratio) ** peak * (1.0 + peak) ** -degree)) * (1 + 1e-12)
     envelope = GrowthEnvelope(constant, degree, all_orders=True)
     return _formula(envelope, GrowthClass.RAPID_DECAY, extent, "geometric", ratio)
 
@@ -227,24 +229,10 @@ def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     _require_torus(a)
     coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
     deg = max((alpha[0] for alpha, _ in d.sorted_terms()), default=0)
-    if deg == 0:
-        envelope = GrowthEnvelope(
-            a.envelope.constant * max(coeff_l1, 1e-300),
-            a.envelope.degree,
-            a.envelope.all_orders,
-        )
-        growth = a.growth
-    else:
-        envelope = GrowthEnvelope(
-            a.envelope.constant * coeff_l1,
-            a.envelope.degree + deg,
-            a.envelope.all_orders,
-        )
-        growth = (
-            GrowthClass.RAPID_DECAY
-            if a.growth is GrowthClass.RAPID_DECAY
-            else GrowthClass.POLYNOMIAL_GROWTH
-        )
+    envelope = GrowthEnvelope(
+        a.envelope.constant * max(coeff_l1, 1e-300), a.envelope.degree + deg, a.envelope.all_orders
+    )
+    growth = a.growth if deg == 0 or a.growth is GrowthClass.RAPID_DECAY else GrowthClass.POLYNOMIAL_GROWTH
     return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope, growth)
 
 

@@ -38,6 +38,8 @@ _CAUCHY_EXTENT_CAP = 1 << 62
 _STEEPEN_PROBE_EXTENT = 4096
 # most terms an infinite pairing may sum
 _PAIR_MAX_TERMS = 1 << 21
+# largest |index| a vector may store: int64 keeps room for index arithmetic past it
+_INDEX_BOUND = 1 << 62
 
 
 class IndexDomain(enum.Enum):
@@ -181,7 +183,9 @@ class CoefficientVector:
         if not np.all(np.isfinite(arr)):
             k = self.start + int(np.argmin(np.isfinite(arr)))
             raise PreconditionError(f"coefficient at index {k} is not finite")
-        ks = np.arange(self.start, self.start + len(arr))
+        if max(abs(self.start), abs(self.stop - 1)) > _INDEX_BOUND:
+            raise PreconditionError(f"stored indices {self.start}..{self.stop - 1} reach past 2^62")
+        ks = np.arange(self.start, self.stop)
         bounds = self.envelope.constant * (1.0 + np.abs(ks)) ** self.envelope.degree
         bad = np.nonzero(np.abs(arr) > bounds * _ENVELOPE_SLACK + 1e-300)[0]
         if len(bad):
@@ -413,9 +417,10 @@ def pair(
     two_sided = phi.domain is IndexDomain.INTEGERS
 
     if phi.finite_support or v.finite_support:
-        # products vanish outside a finite support; the sum is exact
-        extent = max(max(abs(w.start), abs(w.stop - 1)) for w in (phi, v) if w.finite_support)
-        ks = phi._range(extent)
+        # products vanish outside the overlap of the finite supports; the sum is exact
+        lo = max(w.start for w in (phi, v) if w.finite_support)
+        hi = min(w.stop for w in (phi, v) if w.finite_support)
+        ks = np.arange(lo, max(lo, hi))
         return _fsum(phi.coeffs(ks) * v.coeffs(ks))
 
     env_phi, env_v = phi.envelope, v.envelope

@@ -75,6 +75,19 @@ def test_series_parse_failure_names_token():
     assert "combz" in err
 
 
+def test_series_geometric_ratio_near_one_runs():
+    # the envelope constant comes from the peak of |r|^n (1+n)^8, not from a scan to it
+    code, stdout, err = run_cli("torus-series", "geometric:0.9999999", "band:4:fejer", "--m-max", "3")
+    assert code == 0, err
+    assert len(_parse_csv(stdout)[1]) == 4
+
+
+def test_series_index_past_int64_exits_2():
+    code, _, err = run_cli("torus-series", "unit:999999999999999999999", "band:4:fejer", "--m-max", "3")
+    assert code == 2
+    assert "2^62" in err
+
+
 # --- wigner -----------------------------------------------------------------------
 
 

@@ -327,6 +327,14 @@ def test_matrix_column_near_unitary():
 # --- group action ------------------------------------------------------------------
 
 
+def _geometric_hermite(ratio=0.9, stored=8):
+    envelope = tr.geometric(ratio).envelope  # the same sequence on k >= 0
+    prefix = ratio ** np.arange(stored)
+    return CoefficientVector(
+        IndexDomain.NATURALS, 0, prefix, envelope, GrowthClass.RAPID_DECAY, Tail.formula("geometric", ratio)
+    )
+
+
 def test_act_group_central_element_scalar():
     phi = hb.gaussian_vector(0.8)
     out = hb.act_group((0, 0, 0.3), phi, N=56)
@@ -370,10 +378,11 @@ def test_act_group_rejects_distribution_vectors():
         hb.act_group((0.1, 0, 0), hb.dirac_delta())
 
 
-def test_act_group_rejects_insufficient_truncation():
+def test_act_group_truncation_below_the_support_is_exact():
+    # the first N outputs read every stored input column, whatever N is
     phi = hb.unit_vector(30)
-    with pytest.raises(PreconditionError):
-        hb.act_group((0.1, 0, 0), phi, N=10)
+    g = (0.7, -0.4, 0.1)
+    assert hb.act_group(g, phi, N=10).prefix.tobytes() == hb.act_group(g, phi, N=64).prefix[:10].tobytes()
 
 
 def test_dual_act_group_is_contragredient(rng):
@@ -386,17 +395,18 @@ def test_dual_act_group_is_contragredient(rng):
         assert abs(dual.coeff(k) - direct) < 1e-10
 
 
+@pytest.mark.parametrize("psi", [hb.unit_vector(7), hb.gaussian_vector(0.6), _geometric_hermite()])
+def test_dual_act_group_is_act_group_through_sigma(psi):
+    # pi*(g) = pi(sigma g), sigma(p, q, t) = (p, -q, -t)
+    for p, q, t in ((0.4, -0.2, 0.15), (1.5, 1.0, 0.0), (-2.0, 0.3, 0.7)):
+        for N in (8, 40):
+            dual = hb.dual_act_group((p, q, t), psi, N).prefix
+            assert np.array_equal(dual, hb.act_group((p, -q, -t), psi, N).prefix)
+
+
 def test_dual_act_group_rejects_distribution_vectors():
     with pytest.raises(PreconditionError):
         hb.dual_act_group((0.6, 0.6, 0), hb.dirac_delta())
-
-
-def _geometric_hermite(ratio=0.9, stored=8):
-    envelope = tr.geometric(ratio).envelope  # the same sequence on k >= 0
-    prefix = ratio ** np.arange(stored)
-    return CoefficientVector(
-        IndexDomain.NATURALS, 0, prefix, envelope, GrowthClass.RAPID_DECAY, Tail.formula("geometric", ratio)
-    )
 
 
 @pytest.mark.parametrize("g", [(0.6, 0.6, 0.0), (1.5, 1.0, 0.0), (3.0, 3.0, 0.2)])

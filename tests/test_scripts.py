@@ -74,6 +74,14 @@ def _bindings():
     return out
 
 
+def test_compare_outputs_script_finds_no_difference_with_itself():
+    proc = _run_script(
+        "compare_outputs.py", str(ROOT), "--seeds", "1", "--blocks", "1", "--workloads", "wigner-table,circle-mollify"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 of 12 requests differ"
+
+
 def test_benchmark_tracer_wraps_and_restores_the_current_tree():
     # perfbench --trace 1 wraps every boundary in spans.BOUNDARIES by name; a rename
     # or a moved function in src/ breaks it, so install it here, read-only

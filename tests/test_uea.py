@@ -124,6 +124,12 @@ def test_antipode_unimodular_equals_transpose():
     for _ in range(20):
         e = _random_element(HS, rng)
         assert uea_antipode(e) == uea_transpose(e)
+    # float coefficients, exponents up to 3: both come from one pass, so they agree to the last bit
+    for structure in (HS, TS):
+        for _ in range(30):
+            terms = {tuple(rng.integers(0, 4, structure.dim)): complex(*rng.normal(size=2)) for _ in range(6)}
+            e = UEAElement(structure, terms)
+            assert uea_antipode(e) == uea_transpose(e)
 
 
 def test_antipode_identity_and_generator():

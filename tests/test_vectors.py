@@ -82,6 +82,15 @@ def test_pair_unit_vectors():
     assert pair(tr.unit(3), tr.unit(4)) == 0
 
 
+def test_pair_reads_only_the_finite_support():
+    # a sum over [-2^62, 2^62] would not finish; the overlap with the support is one term
+    assert pair(tr.unit(2**62), tr.comb()) == 1
+    assert pair(tr.comb(), tr.unit(-(2**62))) == 1
+    assert pair(tr.unit(5), tr.unit(-5)) == 0
+    with pytest.raises(PreconditionError):
+        tr.unit(2**62 + 1)
+
+
 def test_pair_comb_with_exponential_decay():
     # closed-form geometric series: sum_n e^{-|n|} = (1+e^{-1})/(1-e^{-1})
     expected = (1 + math.exp(-1)) / (1 - math.exp(-1))
