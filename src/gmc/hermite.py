@@ -77,14 +77,17 @@ def hermite_at_zero_values(ks: np.ndarray) -> np.ndarray:
     whose next term, 17/(14336 m^7), is below 1e-20 there. Both hold to a few ulp.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    m = np.maximum(ks // 2, _ZERO_SERIES_FROM)
-    inv = 1.0 / m
-    series = (-1.0) ** m * 2.0 ** 0.25 * (math.pi * m) ** -0.25 * np.exp(
-        inv * (-1.0 / 16.0 + inv * inv * (1.0 / 384.0 - inv * inv / 1280.0))
-    )
     last = 2 * _ZERO_SERIES_FROM
-    near = hermite_at_zero(last)[np.minimum(ks, last)]
-    return np.where(ks < last, near, np.where(ks % 2 == 1, 0.0, series))
+    out = np.asarray(hermite_at_zero(last)[np.minimum(ks, last)])  # a 0-d index gives a scalar
+    far = ks >= last
+    if far.any():
+        m = ks[far] // 2
+        inv = 1.0 / m
+        series = (-1.0) ** m * 2.0 ** 0.25 * (math.pi * m) ** -0.25 * np.exp(
+            inv * (-1.0 / 16.0 + inv * inv * (1.0 / 384.0 - inv * inv / 1280.0))
+        )
+        out[far] = np.where(ks[far] % 2 == 1, 0.0, series)
+    return out
 
 
 @lru_cache(maxsize=64)

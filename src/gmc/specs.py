@@ -1,6 +1,7 @@
 """Mini-language parsing for CLI vector, test-function, and run specs."""
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -99,9 +100,12 @@ def _parse_band(spec: str) -> tr.TorusTestFunction:
     coeffs = []
     for token in profile.split(","):
         try:
-            coeffs.append(complex(token))
+            value = complex(token)
         except ValueError:
-            raise SpecParseError(f"bad coefficient token {token!r} in spec {spec!r}") from None
+            value = complex(math.nan)
+        if not cmath.isfinite(value):
+            raise SpecParseError(f"bad coefficient token {token!r} in spec {spec!r}")
+        coeffs.append(value)
     if len(coeffs) != 2 * B + 1:
         raise SpecParseError(
             f"band:{B} needs {2 * B + 1} coefficients, got {len(coeffs)} in {spec!r}"

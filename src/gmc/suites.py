@@ -216,8 +216,9 @@ def suite_smoothing(
     results = []
     for name, phi in (("ground-state", hb.unit_vector(0)), ("delta", hb.dirac_delta())):
         worst_left, worst_right = 0.0, 0.0
+        # P, Q and Z all have degree 1, so one smoothing serves all three
+        inner = hb.smooth_by(f, phi, N=N + 3, quad=quad)
         for D in (HP, HQ, HZ):
-            inner = hb.smooth_by(f, phi, N=N + D.degree + 2, quad=quad)
             lhs = hb.act_algebra(D, inner)
             rhs = hb.smooth_by(f.left_derive(D), phi, N=N, quad=quad)
             worst_left = max(

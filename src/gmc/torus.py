@@ -26,6 +26,7 @@ from .vectors import (
     GrowthClass,
     GrowthEnvelope,
     IndexDomain,
+    _fsum,
     formula_vector,
     pair,
     vector_from_prefix,
@@ -112,9 +113,11 @@ class TorusTestFunction:
     real_valued: bool = False
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128).copy()
+        arr = np.array(self.coeffs, dtype=np.complex128, order="C")
         if len(arr) % 2 != 1:
             raise PreconditionError("coefficient array must have odd length 2B+1")
+        if not np.isfinite(arr).all():
+            raise PreconditionError("band coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         if self.real_valued:
@@ -228,7 +231,7 @@ def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
     _require_torus(a)
     coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
-    deg = max((alpha[0] for alpha, _ in d.sorted_terms()), default=0)
+    deg = d.degree
     envelope = GrowthEnvelope(
         a.envelope.constant * max(coeff_l1, 1e-300), a.envelope.degree + deg, a.envelope.all_orders
     )
@@ -252,9 +255,25 @@ def smooth_by(f: TorusTestFunction, a: TorusSequence) -> TorusSequence:
     )
 
 
+def _band_sum(a: TorusSequence, f: TorusTestFunction, m: int, b: TorusSequence | None) -> complex:
+    """sum over |n| <= min(m, B) of (a_n fhat(-n)) b_n, with b_n = 1 when b is None:
+    the products pair(smooth_by(f, a), b) forms, without the exact zeros it adds
+    outside b's finite support, so the correctly rounded sums agree bit for bit."""
+    _require_torus(a)
+    B = f.bandwidth
+    lo, hi = -min(m, B), min(m, B) + 1
+    if b is not None:
+        _require_torus(b)
+        if b.finite_support:
+            lo, hi = max(lo, b.start), min(hi, b.stop)
+    hi = max(lo, hi)
+    bs = np.ones(hi - lo, np.complex128) if b is None else b.dense(lo, hi - 1)
+    return _fsum(a.dense(lo, hi - 1), f.coeffs[::-1][lo + B : hi + B], bs)
+
+
 def gmc_eval(a: TorusSequence, b: TorusSequence, f: TorusTestFunction) -> complex:
     """<pi(f) a, b> = sum over the band of a_n fhat(-n) b_n (finite, exact)."""
-    return pair(smooth_by(f, a), b)
+    return _band_sum(a, f, f.bandwidth, b)
 
 
 def series_partial_sum(a: TorusSequence, m: int, f: TorusTestFunction) -> complex:
@@ -265,9 +284,7 @@ def series_partial_sum(a: TorusSequence, m: int, f: TorusTestFunction) -> comple
     """
     if m < 0:
         raise PreconditionError("partial-sum order must be nonnegative")
-    smoothed = smooth_by(f, a)
-    truncated = project_subrep(smoothed, lambda n: abs(n) <= m)
-    return pair(truncated, comb())
+    return _band_sum(a, f, m, None)
 
 
 def dominated_sequence_check(

@@ -83,13 +83,12 @@ class UEAElement:
 
     def __post_init__(self):
         cleaned = {}
+        dim = self.structure.dim
         for alpha, c in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.structure.dim:
-                raise ValueError(
-                    f"multi-index {alpha} does not match basis of length {self.structure.dim}"
-                )
-            if any(a < 0 for a in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != dim:
+                raise ValueError(f"multi-index {alpha} does not match basis of length {dim}")
+            if alpha and min(alpha) < 0:
                 raise ValueError(f"negative exponent in multi-index {alpha}")
             c = complex(c)
             if abs(c) > _DROP:
@@ -235,6 +234,9 @@ def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
 def _reverse_negated(d: UEAElement, shift) -> UEAElement:
     """The anti-automorphism X_i -> -X_i - shift[i]: each word reversed, each letter
     replaced by its image, and every resulting product normal-ordered."""
+    if not d.structure.brackets and not any(shift):
+        # commuting generators: X^alpha keeps its place and changes sign |alpha| times
+        return UEAElement(d.structure, {a: 0j + (-c if sum(a) % 2 else c) for a, c in d.sorted_terms()})
     out: dict[tuple[int, ...], complex] = {}
     for alpha, c in d.sorted_terms():
         words = [((), c)]

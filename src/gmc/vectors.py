@@ -16,8 +16,11 @@ independent of the order) under an envelope-driven adaptive cutoff.
 """
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -174,24 +177,25 @@ class CoefficientVector:
     tail: Tail = field(default=ZERO_TAIL)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.prefix, dtype=np.complex128)
-        arr = arr.copy()
+        arr = np.array(self.prefix, dtype=np.complex128, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "prefix", arr)
         if self.domain is IndexDomain.NATURALS and self.start < 0:
             raise PreconditionError("natural-number domain cannot start below 0")
-        if not np.all(np.isfinite(arr)):
+        mags = np.abs(arr)
+        # |c| overflows to inf for some finite c, so an infinite |c| is checked on the entries
+        if not np.isfinite(mags).all() and not np.isfinite(arr).all():
             k = self.start + int(np.argmin(np.isfinite(arr)))
             raise PreconditionError(f"coefficient at index {k} is not finite")
         if max(abs(self.start), abs(self.stop - 1)) > _INDEX_BOUND:
             raise PreconditionError(f"stored indices {self.start}..{self.stop - 1} reach past 2^62")
         ks = np.arange(self.start, self.stop)
         bounds = self.envelope.constant * (1.0 + np.abs(ks)) ** self.envelope.degree
-        bad = np.nonzero(np.abs(arr) > bounds * _ENVELOPE_SLACK + 1e-300)[0]
+        bad = np.nonzero(mags > bounds * _ENVELOPE_SLACK + 1e-300)[0]
         if len(bad):
             k = int(ks[bad[0]])
             raise EnvelopeViolation(
-                f"coefficient at index {k} has |c|={abs(arr[bad[0]]):.6e}, "
+                f"coefficient at index {k} has |c|={mags[bad[0]]:.6e}, "
                 f"envelope allows {self.envelope.bound(k):.6e}"
             )
 
@@ -221,7 +225,10 @@ class CoefficientVector:
         return out
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
-        """Coefficients for indices lo..hi inclusive."""
+        """Coefficients for indices lo..hi inclusive, as a fresh array: a copy of
+        the prefix slice when the run lies inside the prefix."""
+        if self.start <= lo <= hi + 1 <= self.stop:
+            return self.prefix[lo - self.start : hi + 1 - self.start].copy()
         return self.coeffs(np.arange(lo, hi + 1))
 
     def map(
@@ -246,12 +253,9 @@ class CoefficientVector:
         """Partial sums of |c_k|^2 over expanding symmetric/natural ranges."""
         out = []
         for m in extents:
-            idx = self._range(m)
+            idx = np.arange(-m if self.domain is IndexDomain.INTEGERS else 0, m + 1)
             out.append(float(np.sum(np.abs(self.coeffs(idx)) ** 2)))
         return out
-
-    def _range(self, m: int) -> np.ndarray:
-        return np.arange(-m if self.domain is IndexDomain.INTEGERS else 0, m + 1)
 
     def l2_tail_bound(self, extent: int) -> float:
         """Envelope-certified bound on sum of |c_k|^2 beyond the extent.
@@ -382,12 +386,22 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnve
 # --- pairing ----------------------------------------------------------------
 
 
-def _fsum(z: np.ndarray) -> complex:
-    """Correctly rounded sum: math.fsum of the real and of the imaginary parts.
+def _fsum(*factors: np.ndarray) -> complex:
+    """Correctly rounded sum of the elementwise product of the factors, taken
+    left to right: math.fsum of its real and of its imaginary parts.
 
-    Exact rounding makes the result independent of the summation order.
+    Exact rounding makes the result independent of the summation order. A
+    product or a sum past the float range raises PreconditionError.
     """
-    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = functools.reduce(operator.mul, factors)
+    try:  # a non-finite term gives a non-finite sum, or ValueError from fsum on inf - inf
+        total = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+        if cmath.isfinite(total):
+            return total
+    except (OverflowError, ValueError):
+        pass
+    raise PreconditionError("the sum leaves the float range")
 
 
 def _tail_integral_bound(constant: float, s: float, extent: int, two_sided: bool) -> float:
@@ -419,9 +433,8 @@ def pair(
     if phi.finite_support or v.finite_support:
         # products vanish outside the overlap of the finite supports; the sum is exact
         lo = max(w.start for w in (phi, v) if w.finite_support)
-        hi = min(w.stop for w in (phi, v) if w.finite_support)
-        ks = np.arange(lo, max(lo, hi))
-        return _fsum(phi.coeffs(ks) * v.coeffs(ks))
+        hi = min(w.stop for w in (phi, v) if w.finite_support) - 1
+        return _fsum(phi.dense(lo, hi), v.dense(lo, hi))
 
     env_phi, env_v = phi.envelope, v.envelope
     s = env_phi.degree + env_v.degree
@@ -448,8 +461,8 @@ def pair(
                 f"pairing needs more than {_PAIR_MAX_TERMS} terms for abs_tol={abs_tol}",
                 _tail_integral_bound(constant, s, extent // 2, two_sided),
             )
-    ks = phi._range(extent)
-    return _fsum(phi.coeffs(ks) * v.coeffs(ks))
+    lo = -extent if two_sided else 0
+    return _fsum(phi.dense(lo, extent), v.dense(lo, extent))
 
 
 # --- rapid-decay diagnostics -------------------------------------------------

@@ -75,6 +75,19 @@ def test_series_parse_failure_names_token():
     assert "combz" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-infj"])
+def test_series_non_finite_band_coefficient_names_token(token):
+    code, _, err = run_cli("torus-series", "comb", f"band:1:1,{token},1", "--m-max", "1")
+    assert code == 2
+    assert f"bad coefficient token {token!r}" in err
+
+
+def test_series_sum_past_the_float_range_exits_2():
+    code, _, err = run_cli("torus-series", "comb", "band:1:1e308,1e308,1e308", "--m-max", "1")
+    assert code == 2
+    assert err.startswith("error:") and "envelope" not in err
+
+
 def test_series_geometric_ratio_near_one_runs():
     # the envelope constant comes from the peak of |r|^n (1+n)^8, not from a scan to it
     code, stdout, err = run_cli("torus-series", "geometric:0.9999999", "band:4:fejer", "--m-max", "3")

@@ -60,6 +60,22 @@ def test_array_values_at_zero_match_recurrence_to_high_index():
     np.testing.assert_allclose(got, table, rtol=1e-11, atol=0)
 
 
+def test_values_at_zero_take_the_series_only_from_602():
+    # indices 0-2000, shuffled into a 2-D shape: the table below 602, the series from 602 on
+    ks = np.random.default_rng(4).permutation(2001).reshape(29, 69)
+    got = hermite_at_zero_values(ks)
+    assert got.shape == ks.shape
+    near = ks < 602
+    assert got[near].tobytes() == hermite_at_zero(602)[ks[near]].tobytes()
+    m = ks[~near] // 2
+    inv = 1.0 / m
+    series = (-1.0) ** m * 2.0**0.25 * (math.pi * m) ** -0.25 * np.exp(
+        inv * (-1.0 / 16.0 + inv * inv * (1.0 / 384.0 - inv * inv / 1280.0))
+    )
+    assert got[~near].tobytes() == np.where(ks[~near] % 2 == 1, 0.0, series).tobytes()
+    assert np.all(got[ks % 2 == 1] == 0)
+
+
 def hermite_series_value(coeffs: np.ndarray, x) -> np.ndarray | complex:
     """Pointwise sum_k coeffs[k] h_k(x) (reference helper)."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)

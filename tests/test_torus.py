@@ -10,7 +10,7 @@ from gmc import torus as tr
 from gmc.errors import PreconditionError
 from gmc.groups import factorize
 from gmc.uea import UEAElement, uea_antipode, uea_transpose
-from gmc.vectors import GrowthClass, IndexDomain, vector_from_prefix
+from gmc.vectors import GrowthClass, IndexDomain, pair, vector_from_prefix
 
 TS = tr.TORUS_STRUCTURE
 X = UEAElement.generator(TS, "X")
@@ -185,6 +185,63 @@ def test_series_partial_sums_stabilize_exactly(rng):
         if m >= B:
             assert s == limit  # bit-identical stabilization
         previous = s
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+def _band_sum_vectors(rng):
+    """Finite vectors inside, across and outside the band, and formula tails."""
+    return [
+        _random_sequence(rng, 2),
+        vector_from_prefix(IndexDomain.INTEGERS, 5, rng.normal(size=9) + 0j, GrowthClass.POLYNOMIAL_GROWTH),
+        vector_from_prefix(IndexDomain.INTEGERS, -30, rng.normal(size=4) + 1j, GrowthClass.RAPID_DECAY),
+        tr.unit(0),
+        tr.comb(),
+        tr.poly(2),
+        tr.geometric(0.5, extent=6),
+        tr.inverse_quadratic(1, extent=3),
+    ]
+
+
+def test_band_sum_equals_pairing_the_smoothed_vector(rng):
+    vectors = _band_sum_vectors(rng)
+    for B in range(17):
+        f = _random_band(rng, B)
+        for a in vectors:
+            smoothed = tr.smooth_by(f, a)
+            for b in vectors:
+                assert _bits(tr.gmc_eval(a, b, f)) == _bits(pair(smoothed, b))
+            for m in sorted({0, max(B - 1, 0), B, B + 1, B + 5}):
+                truncated = tr.project_subrep(smoothed, lambda n: abs(n) <= m)
+                assert _bits(tr.series_partial_sum(a, m, f)) == _bits(pair(truncated, tr.comb()))
+
+
+def test_band_sum_refuses_products_past_the_float_range():
+    big = vector_from_prefix(IndexDomain.INTEGERS, -1, [1e300, 1e300, 1e300], GrowthClass.POLYNOMIAL_GROWTH)
+    f = tr.TorusTestFunction(np.array([1e300, 1.0, 1.0]))
+    with pytest.raises(PreconditionError):
+        tr.gmc_eval(big, tr.comb(), f)
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sum(big, 1, f)
+    # the sum of three finite products past the float range
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sum(tr.comb(), 1, tr.TorusTestFunction(np.full(3, 1e308)))
+
+
+def test_band_sum_builds_no_vector(rng, monkeypatch):
+    from gmc.vectors import CoefficientVector
+
+    a, b, f = _random_sequence(rng, 6), tr.poly(1), _random_band(rng, 4)
+    built = []
+    original = CoefficientVector.__post_init__
+    monkeypatch.setattr(CoefficientVector, "__post_init__", lambda v: built.append(v) or original(v))
+    tr.gmc_eval(a, b, f)
+    tr.series_partial_sum(a, 2, f)
+    assert built == []
+    tr.smooth_by(f, a)
+    assert len(built) == 1
 
 
 def test_series_partial_sum_order_zero():
@@ -396,6 +453,14 @@ def test_band_real_valued_flag_checked():
     with pytest.raises(PreconditionError):
         tr.TorusTestFunction(np.array([1j, 1.0, 1j]), real_valued=True)
     tr.TorusTestFunction(np.array([1j, 1.0, -1j]), real_valued=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_test_function_refuses_non_finite_coefficients(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        tr.TorusTestFunction(np.array([1.0, 1.0, bad]))
+    with pytest.raises(PreconditionError):
+        tr.band(1, [bad, 1.0, 1.0])
 
 
 def test_test_function_pointwise_evaluation():

@@ -132,6 +132,18 @@ def test_antipode_unimodular_equals_transpose():
             assert uea_antipode(e) == uea_transpose(e)
 
 
+def test_transpose_on_commuting_generators_flips_signs_only():
+    # an abelian structure: X^alpha reversed is X^alpha, so tX^alpha = (-1)^|alpha| X^alpha
+    ab = LieStructure(labels=("X", "Y"))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        e = _random_element(ab, rng)
+        expected = UEAElement(ab, {a: (-1) ** sum(a) * c for a, c in e.terms.items()})
+        assert uea_transpose(e) == expected == uea_antipode(e)
+        f = _random_element(ab, rng)
+        assert uea_transpose(uea_multiply(e, f)) == uea_multiply(uea_transpose(f), uea_transpose(e))
+
+
 def test_antipode_identity_and_generator():
     assert uea_antipode(ONE_H) == ONE_H
     assert uea_antipode(P) == -1.0 * P

@@ -242,6 +242,50 @@ def test_non_finite_prefix_is_rejected(bad):
         vector_from_prefix(IndexDomain.NATURALS, 0, [bad, 0.5], GrowthClass.RAPID_DECAY)
 
 
+def test_construction_messages_name_the_first_offender():
+    env = GrowthEnvelope(2.0, 0.0)
+    # finiteness is checked before the envelope, and the first offender is named
+    with pytest.raises(PreconditionError, match=r"^coefficient at index 4 is not finite$"):
+        CoefficientVector(IndexDomain.INTEGERS, 2, [1.0, 5.0, math.nan, math.inf], env, GrowthClass.POLYNOMIAL_GROWTH)
+    with pytest.raises(EnvelopeViolation) as err:
+        CoefficientVector(IndexDomain.INTEGERS, -1, [1.0, 2.5, 1.0, 9.0], env, GrowthClass.POLYNOMIAL_GROWTH)
+    assert str(err.value) == "coefficient at index 0 has |c|=2.500000e+00, envelope allows 2.000000e+00"
+    # a finite coefficient whose modulus overflows breaks the envelope, not finiteness
+    with pytest.raises(EnvelopeViolation, match=r"index 1 has \|c\|=inf"):
+        CoefficientVector(IndexDomain.INTEGERS, 0, [1.0, complex(1.5e308, 1.5e308)], env, GrowthClass.POLYNOMIAL_GROWTH)
+
+
+def test_pairing_past_the_float_range_is_a_typed_error():
+    big = vector_from_prefix(IndexDomain.INTEGERS, 0, [1e300], GrowthClass.POLYNOMIAL_GROWTH)
+    with pytest.raises(PreconditionError):
+        pair(big, vector_from_prefix(IndexDomain.INTEGERS, 0, [1e300], GrowthClass.RAPID_DECAY))
+    three = vector_from_prefix(IndexDomain.INTEGERS, 0, [1e300] * 3, GrowthClass.POLYNOMIAL_GROWTH)
+    with pytest.raises(PreconditionError):
+        pair(three, vector_from_prefix(IndexDomain.INTEGERS, 0, [1e8] * 3, GrowthClass.RAPID_DECAY))
+
+
+def test_dense_reads_match_element_reads():
+    from gmc import heisenberg as hb
+
+    rng = np.random.default_rng(11)
+    vectors = [
+        vector_from_prefix(IndexDomain.INTEGERS, -5, rng.normal(size=11) + 1j, GrowthClass.POLYNOMIAL_GROWTH),
+        vector_from_prefix(IndexDomain.NATURALS, 3, rng.normal(size=6) + 0j, GrowthClass.RAPID_DECAY),
+        tr.geometric(-0.4, extent=6),
+        hb.dirac_delta(20),
+    ]
+    for v in vectors:
+        # runs inside the prefix, runs leaving it on either side, empty runs, indices below 0
+        runs = [(v.start, v.stop - 1), (v.start + 1, v.stop - 2), (v.start - 4, v.start + 2)]
+        runs += [(v.stop - 2, v.stop + 3), (v.start + 2, v.start + 1), (-9, -2)]
+        for lo, hi in runs:
+            got = v.dense(lo, hi)
+            assert got.tobytes() == np.array([v.coeff(k) for k in range(lo, hi + 1)], np.complex128).tobytes()
+            assert got.flags.writeable and not np.shares_memory(got, v.prefix)
+        ks = np.array([[v.start - 2, v.start], [v.stop - 1, v.stop + 1]])
+        assert np.array_equal(v.coeffs(ks), np.array([[v.coeff(k) for k in row] for row in ks]))
+
+
 def test_fitted_decay_exponent_is_minus_inf_below_three_points():
     # two usable points: decays faster than any power, the steepest possible fit
     v = vector_from_prefix(IndexDomain.INTEGERS, -1, [0.5, 1.0, 0.5], GrowthClass.RAPID_DECAY)
