@@ -98,17 +98,14 @@ def cmd_wigner(args) -> int:
             profile = None
         if n < 1:
             raise SpecParseError("--mollify takes a positive index")
-        if phi.growth is GrowthClass.POLYNOMIAL_GROWTH:
-            phi = mo.mollify(
-                phi, n, hb.HEISENBERG, profile=profile, N=quad.truncation, quad=quad
-            )
-        if psi.growth is GrowthClass.POLYNOMIAL_GROWTH:
-            psi = mo.mollify(
-                psi, n, hb.HEISENBERG, profile=profile, N=quad.truncation, quad=quad
-            )
-    elif psi.growth is GrowthClass.POLYNOMIAL_GROWTH:
+        phi, psi = (
+            v if v.growth is GrowthClass.RAPID_DECAY
+            else mo.mollify(v, n, hb.HEISENBERG, profile=profile, N=quad.truncation, quad=quad)
+            for v in (phi, psi)
+        )
+    elif psi.growth is not GrowthClass.RAPID_DECAY:
         raise SpecParseError(
-            "distribution second vector needs --mollify <n> to be evaluated pointwise"
+            "second vector is not rapid-decay: it needs --mollify <n> to be evaluated pointwise"
         )
     ps, qs = parse_grid(args.grid)
     P, Q = (a.ravel() for a in np.meshgrid(ps, qs, indexing="ij"))

@@ -20,7 +20,6 @@ from .vectors import CoefficientVector, GrowthClass
 @dataclass(frozen=True)
 class GroupModel:
     name: str
-    dim: int
     structure: LieStructure
     inverse: Callable[[Any], Any]
     # model hooks consumed by the generic layers (mollifier, functionals)

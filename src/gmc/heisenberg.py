@@ -53,10 +53,8 @@ from .vectors import (
     GrowthEnvelope,
     IndexDomain,
     Tail,
-    _tail_integral_bound,
     formula_vector,
     pair,
-    steepen_envelope,
     vector_from_prefix,
 )
 
@@ -90,8 +88,6 @@ PHASE_FLOOR = 1e-12
 CHECK_NODES = 8
 CHECK_COLUMNS = 24
 _BLOCK = 64  # recurrence steps whose coefficients are built at once
-# largest extent _extent_for_abs_tail may reach
-_TAIL_EXTENT_CAP = 1 << 22
 
 
 def _require_hermite(v: CoefficientVector) -> None:
@@ -602,7 +598,7 @@ def _action_input(v: CoefficientVector, N: int) -> np.ndarray:
         raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
     if v.finite_support:
         return v.dense(0, max(v.stop, 1) - 1)
-    return v.dense(0, max(N + INPUT_MARGIN, _extent_for_abs_tail(v, 1e-14)) - 1)
+    return v.dense(0, max(N + INPUT_MARGIN, v.abs_tail_extent(1e-14)) - 1)
 
 
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
@@ -692,17 +688,7 @@ def act_algebra(d: UEAElement, phi: HermiteVector) -> HermiteVector:
     tail = phi.tail
     if not tail.is_zero:
         tail = Tail.closure(lambda k: _algebra_at(d, phi, k))
-    envelope = _algebra_envelope(d, phi.envelope)
-    ladder_steps = max(
-        (alpha[0] + alpha[1] for alpha, _ in d.sorted_terms()), default=0
-    )
-    if ladder_steps == 0:
-        growth = phi.growth
-    elif phi.growth is GrowthClass.RAPID_DECAY:
-        growth = GrowthClass.RAPID_DECAY
-    else:
-        growth = GrowthClass.POLYNOMIAL_GROWTH
-    return CoefficientVector(phi.domain, 0, prefix, envelope, growth, tail)
+    return CoefficientVector(phi.domain, 0, prefix, _algebra_envelope(d, phi.envelope), tail)
 
 
 def _contragredient_element(d: UEAElement) -> UEAElement:
@@ -894,7 +880,7 @@ def fourier_wigner(
     ps, qs = p.ravel(), q.ravel()
     if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(qs))):
         raise PreconditionError("displacements p and q must be finite")
-    rows = psi.stop if psi.finite_support else _extent_for_abs_tail(psi, abs_tol / 8.0)
+    rows = psi.stop if psi.finite_support else psi.abs_tail_extent(abs_tol / 8.0)
     psi_vec = psi.dense(0, rows - 1)
 
     if phi.finite_support:
@@ -917,19 +903,6 @@ def fourier_wigner(
         if not tail_block < abs_tol / 4.0:
             raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
-
-
-def _extent_for_abs_tail(v: CoefficientVector, tol: float) -> int:
-    """Smallest doubling of max(v.stop, 8) past which v's envelope bounds sum |v_k| by tol."""
-    env = v.envelope
-    if env.degree >= -1.0:
-        env = steepen_envelope(v, -3.0)
-    n = max(v.stop, 8)
-    while (bound := _tail_integral_bound(env.constant, env.degree, n, False)) > tol:
-        if 2 * n > _TAIL_EXTENT_CAP:
-            raise BudgetExceeded("tail extent exceeds budget", bound)
-        n *= 2
-    return n
 
 
 def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:
@@ -963,20 +936,12 @@ def unit_vector(k: int) -> HermiteVector:
     k = _hermite_index(k)
     prefix = np.zeros(k + 1, dtype=np.complex128)
     prefix[k] = 1.0
-    return CoefficientVector(
-        IndexDomain.NATURALS,
-        0,
-        prefix,
-        GrowthEnvelope(1.0, 0.0, all_orders=True),
-        GrowthClass.RAPID_DECAY,
-    )
+    return CoefficientVector(IndexDomain.NATURALS, 0, prefix, GrowthEnvelope(1.0, 0.0, all_orders=True))
 
 
 def dirac_delta(prefix_len: int = 64) -> HermiteVector:
     """Tempered-distribution delta at the origin: c_k = h_k(0)."""
-    return formula_vector(
-        IndexDomain.NATURALS, 0, prefix_len, GrowthEnvelope(1.2, 0.0), GrowthClass.POLYNOMIAL_GROWTH, "hermite_zero"
-    )
+    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, GrowthEnvelope(1.2, 0.0), "hermite_zero")
 
 
 def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
@@ -1009,9 +974,7 @@ def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
 
 def poly_growth_vector(r: float, prefix_len: int = 64) -> HermiteVector:
     envelope = GrowthEnvelope(1.0 + 1e-12, float(r))
-    return formula_vector(
-        IndexDomain.NATURALS, 0, prefix_len, envelope, GrowthClass.POLYNOMIAL_GROWTH, "shifted_power", float(r)
-    )
+    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, envelope, "shifted_power", float(r))
 
 
 # --------------------------------------------------------------------------
@@ -1037,7 +1000,7 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
     D = osc**m
 
     envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders)
-    u = phi.map(lambda c, k: c / (k + 1.5) ** m, envelope, GrowthClass.SQUARE_SUMMABLE)
+    u = phi.map(lambda c, k: c / (k + 1.5) ** m, envelope)
     return D, u
 
 
@@ -1048,7 +1011,6 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
 
 HEISENBERG = GroupModel(
     name="heisenberg",
-    dim=3,
     structure=HEISENBERG_STRUCTURE,
     inverse=group_inv,
     smooth_by=smooth_by,

@@ -4,8 +4,8 @@ The profile is the standard compactly supported bump c exp(-1/(1-(x/r)^2)),
 normalized by quadrature at construction time (the 1-d normalization integral
 is computed, never hard-coded). Scaling j_n(x) = n^dim j(n x) shrinks the
 support while preserving unit mass; the pushforward through exp turns the
-scaled bump into a test function on the group (both shipped models have unit
-Jacobian on the relevant region).
+scaled bump into a test function on the group, whose dimension is the model's
+(both shipped models have unit Jacobian on the relevant region).
 
 On the circle the pushforward's Fourier coefficients are fhat(m) = jhat(m/n).
 One real FFT of the bump sampled on a period gives the whole band; the FFT
@@ -101,11 +101,11 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class ScaledBump:
-    """j_n(x) = n^dim j(n x), the product over dim axes of the 1-d factor n j(n x)."""
+    """j_n(x) = n^dim j(n x), the product over the group's dim axes of the 1-d
+    factor n j(n x)."""
 
     profile: BumpProfile
     n: int
-    dim: int
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,8 +128,8 @@ class ScaledBump:
         return self.axis_transform(0.0, nodes)
 
 
-def make_jn(profile: BumpProfile, n: int, dim: int) -> ScaledBump:
-    return ScaledBump(profile, n, dim)
+def make_jn(profile: BumpProfile, n: int) -> ScaledBump:
+    return ScaledBump(profile, n)
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +152,6 @@ def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
     doubles until every entry from size/4 on is below the floor, so the kept
     band carries no aliasing above it.
     """
-    if jn.dim != 1:
-        raise PreconditionError("the circle pushforward takes a 1-d bump")
     if not jn.radius < 0.5:
         min_n = int(math.floor(2.0 * jn.profile.radius)) + 1
         raise PreconditionError(
@@ -182,8 +180,6 @@ def push_forward(jn: ScaledBump, model: GroupModel, nodes: int | None = None):
     if model.name == "torus":
         return _torus_pushforward(jn)
     if model.name == "heisenberg":
-        if jn.dim != 3:
-            raise PreconditionError("the Heisenberg pushforward takes a 3-d bump")
         return hb.HTestFunction.bump(jn, nodes or hb.BOX_NODES)
     raise PreconditionError(f"no pushforward for model {model.name!r}")
 
@@ -191,7 +187,7 @@ def push_forward(jn: ScaledBump, model: GroupModel, nodes: int | None = None):
 def standard_mollifier(model: GroupModel, n: int, radius: float = 0.25, **kwargs):
     """J_n for the standard profile at the given radius."""
     profile = BumpProfile.standard(radius)
-    return push_forward(make_jn(profile, n, model.dim), model, **kwargs)
+    return push_forward(make_jn(profile, n), model, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +204,7 @@ def mollify(
 ) -> CoefficientVector:
     """pi(J_n) eta: a smooth vector approximating eta as n grows."""
     profile = profile or BumpProfile.standard()
-    f = push_forward(make_jn(profile, n, model.dim), model)
+    f = push_forward(make_jn(profile, n), model)
     return model.smooth_by(f, eta, **smooth_kwargs)
 
 

@@ -265,9 +265,9 @@ def suite_mollifier(
     prof_t = mo.BumpProfile.standard(0.25)
     prof_h = mo.BumpProfile.standard(0.5)
     for n in (1, 2, 4, 8):
-        f_t = mo.push_forward(mo.make_jn(prof_t, n, 1), tr.TORUS)
+        f_t = mo.push_forward(mo.make_jn(prof_t, n), tr.TORUS)
         worst_mass = max(worst_mass, abs(f_t.fhat(0) - 1.0))
-        f_h = mo.push_forward(mo.make_jn(prof_h, n, 3), hb.HEISENBERG)
+        f_h = mo.push_forward(mo.make_jn(prof_h, n), hb.HEISENBERG)
         worst_mass = max(worst_mass, abs(f_h.integral(96) - 1.0))
     results.append(PropertyResult("mollifier-unit-mass", worst_mass, tolerances.mass_tol))
 

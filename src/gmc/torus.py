@@ -52,28 +52,24 @@ def _require_torus(a: CoefficientVector) -> None:
 
 def unit(n: int) -> TorusSequence:
     return CoefficientVector(
-        domain=IndexDomain.INTEGERS,
-        start=n,
-        prefix=np.array([1.0 + 0j]),
-        envelope=GrowthEnvelope(1.0, 0.0, all_orders=True),
-        growth=GrowthClass.RAPID_DECAY,
+        IndexDomain.INTEGERS, n, np.array([1.0 + 0j]), GrowthEnvelope(1.0, 0.0, all_orders=True)
     )
 
 
-def _formula(envelope: GrowthEnvelope, growth: GrowthClass, extent: int, name: str, *params) -> TorusSequence:
-    return formula_vector(IndexDomain.INTEGERS, -extent, extent + 1, envelope, growth, name, *params)
+def _formula(envelope: GrowthEnvelope, extent: int, name: str, *params) -> TorusSequence:
+    return formula_vector(IndexDomain.INTEGERS, -extent, extent + 1, envelope, name, *params)
 
 
 def comb(extent: int = 64) -> TorusSequence:
     """The constant sequence of ones (the Dirac-comb distribution vector)."""
-    return _formula(GrowthEnvelope(1.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH, extent, "const", 1.0)
+    return _formula(GrowthEnvelope(1.0, 0.0), extent, "const", 1.0)
 
 
 def poly(r: int, extent: int = 64) -> TorusSequence:
     """a_n = n^r (with a_0 = 1 for r = 0); polynomial growth of degree r."""
     if r < 0:
         raise PreconditionError(f"poly degree must be nonnegative, got {r}")
-    return _formula(GrowthEnvelope(1.0, float(r)), GrowthClass.POLYNOMIAL_GROWTH, extent, "power", float(r))
+    return _formula(GrowthEnvelope(1.0, float(r)), extent, "power", float(r))
 
 
 def geometric(ratio: float, extent: int = 64) -> TorusSequence:
@@ -86,18 +82,18 @@ def geometric(ratio: float, extent: int = 64) -> TorusSequence:
     peak = np.array([max(math.floor(top), 0), max(math.ceil(top), 0)])
     constant = float(np.max(abs(ratio) ** peak * (1.0 + peak) ** -degree)) * (1 + 1e-12)
     envelope = GrowthEnvelope(constant, degree, all_orders=True)
-    return _formula(envelope, GrowthClass.RAPID_DECAY, extent, "geometric", ratio)
+    return _formula(envelope, extent, "geometric", ratio)
 
 
 def inverse_quadratic(power: int = 1, extent: int = 64) -> TorusSequence:
-    """a_n = (1+n^2)^{-power}; square-summable for power >= 1."""
+    """a_n = (1+n^2)^{-power}; square-summable for power >= 1, the constant 1 for power 0."""
     # (1+k^2)^{-p} <= 2^p (1+|k|)^{-2p} since 1+k^2 >= (1+|k|)^2 / 2
     envelope = GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power)
-    return _formula(envelope, GrowthClass.SQUARE_SUMMABLE, extent, "inv_quadratic", power)
+    return _formula(envelope, extent, "inv_quadratic", power)
 
 
 def alternating(extent: int = 64) -> TorusSequence:
-    return _formula(GrowthEnvelope(1.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH, extent, "alternating")
+    return _formula(GrowthEnvelope(1.0, 0.0), extent, "alternating")
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +227,10 @@ def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
     _require_torus(a)
     coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
-    deg = d.degree
     envelope = GrowthEnvelope(
-        a.envelope.constant * max(coeff_l1, 1e-300), a.envelope.degree + deg, a.envelope.all_orders
+        a.envelope.constant * max(coeff_l1, 1e-300), a.envelope.degree + d.degree, a.envelope.all_orders
     )
-    growth = a.growth if deg == 0 or a.growth is GrowthClass.RAPID_DECAY else GrowthClass.POLYNOMIAL_GROWTH
-    return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope, growth)
+    return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope)
 
 
 def dual_act_algebra(d: UEAElement, b: TorusSequence) -> TorusSequence:
@@ -311,19 +305,21 @@ def dominated_sequence_check(
 def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
     """Constructive factorization a = pi(D) u with u square-summable.
 
-    D = (1 - X^2 / 4 pi^2)^m and u_n = a_n / (1+n^2)^m with m = floor(r/2)+1,
-    so that applying D multiplies the n-th coefficient by (1+n^2)^m exactly.
+    D = (1 - X^2 / 4 pi^2)^m and u_n = a_n / (1+n^2)^m, so that applying D
+    multiplies the n-th coefficient by (1+n^2)^m exactly. u's envelope has
+    degree r - 2m, and m = floor((r + 1/2) / 2) + 1, the least m with
+    2m > r + 1/2, puts it below -1/2.
     """
     _require_torus(a)
     r = a.envelope.degree
-    m = int(math.floor(r / 2.0)) + 1
+    m = int(math.floor((r + 0.5) / 2.0)) + 1
     base = UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)})
     D = base**m
 
     envelope = GrowthEnvelope(
         a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders
     )
-    u = a.map(lambda c, k: c / (1.0 + k.astype(float) ** 2) ** m, envelope, GrowthClass.SQUARE_SUMMABLE)
+    u = a.map(lambda c, k: c / (1.0 + k.astype(float) ** 2) ** m, envelope)
     return D, u
 
 
@@ -360,7 +356,6 @@ def pointwise_coefficient(a: TorusSequence, b: TorusSequence) -> Callable[[float
 
 TORUS = GroupModel(
     name="torus",
-    dim=1,
     structure=TORUS_STRUCTURE,
     inverse=lambda t: -t,
     smooth_by=smooth_by,

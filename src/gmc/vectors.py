@@ -2,8 +2,9 @@
 
 A CoefficientVector stores a finite prefix of complex coefficients plus an
 optional formula tail, together with a growth envelope |c_k| <= C (1+|k|)^r.
-Rapid-decay vectors play the role of smooth vectors, polynomial-growth vectors
-the role of distribution vectors, and square-summable vectors sit in between.
+The envelope alone decides the growth class: rapid-decay vectors (all orders)
+play the role of smooth vectors, square-summable vectors (r < -1/2) sit in
+between, and polynomial-growth vectors are the distribution vectors.
 
 Tails are array-valued: a formula maps an int64 index array to a complex128
 array, so reading a range of coefficients is one prefix slice plus one tail call.
@@ -37,6 +38,8 @@ from .errors import (
 _ENVELOPE_SLACK = 1.0 + 1e-9
 # largest extent cauchy_extent probes before giving up
 _CAUCHY_EXTENT_CAP = 1 << 62
+# largest extent abs_tail_extent may reach
+_TAIL_EXTENT_CAP = 1 << 22
 # steepen_envelope samples a tail no further out than this index
 _STEEPEN_PROBE_EXTENT = 4096
 # most terms an infinite pairing may sum
@@ -61,7 +64,7 @@ class GrowthEnvelope:
     """Bound |c_k| <= constant * (1+|k|)**degree.
 
     all_orders marks rapid decay: the bound is claimed for every steeper
-    (more negative) exponent with some finite constant, which steepen()
+    (more negative) exponent with some finite constant, which steepen_envelope
     validates by sampling when needed.
     """
 
@@ -77,6 +80,14 @@ class GrowthEnvelope:
 
     def bound(self, k: int) -> float:
         return self.constant * (1.0 + abs(k)) ** self.degree
+
+    @property
+    def growth(self) -> GrowthClass:
+        """The class the bound certifies: all orders is rapid decay, and a degree
+        below -1/2 makes sum (1+|k|)^(2 degree) finite, hence square-summable."""
+        if self.all_orders:
+            return GrowthClass.RAPID_DECAY
+        return GrowthClass.SQUARE_SUMMABLE if self.degree < -0.5 else GrowthClass.POLYNOMIAL_GROWTH
 
 
 # --- formula tails ---------------------------------------------------------
@@ -166,14 +177,14 @@ class CoefficientVector:
 
     prefix holds coefficients for indices start .. start+len(prefix)-1; the
     tail supplies every other index. Immutable after construction; the
-    envelope is validated over the stored prefix, never inferred.
+    envelope is validated over the stored prefix, never inferred, and its
+    class is the vector's.
     """
 
     domain: IndexDomain
     start: int
     prefix: np.ndarray
     envelope: GrowthEnvelope
-    growth: GrowthClass
     tail: Tail = field(default=ZERO_TAIL)
 
     def __post_init__(self):
@@ -200,6 +211,10 @@ class CoefficientVector:
             )
 
     # -- access -------------------------------------------------------------
+
+    @property
+    def growth(self) -> GrowthClass:
+        return self.envelope.growth
 
     @property
     def stop(self) -> int:
@@ -231,19 +246,15 @@ class CoefficientVector:
             return self.prefix[lo - self.start : hi + 1 - self.start].copy()
         return self.coeffs(np.arange(lo, hi + 1))
 
-    def map(
-        self, fn: Callable, envelope: GrowthEnvelope | None = None, growth: GrowthClass | None = None
-    ) -> "CoefficientVector":
+    def map(self, fn: Callable, envelope: GrowthEnvelope | None = None) -> "CoefficientVector":
         """The vector with coefficients fn(c_k, k), for an fn acting elementwise on
         value and index arrays: on the prefix, and through one closure on the tail.
-        The envelope and growth class are kept unless given."""
+        The envelope is kept unless given."""
         tail = self.tail
         if not tail.is_zero:
             tail = Tail.closure(lambda k, _b=tail.fn: fn(_b(k), k))
         prefix = fn(self.prefix, np.arange(self.start, self.stop))
-        return CoefficientVector(
-            self.domain, self.start, prefix, envelope or self.envelope, growth or self.growth, tail
-        )
+        return CoefficientVector(self.domain, self.start, prefix, envelope or self.envelope, tail)
 
     @property
     def finite_support(self) -> bool:
@@ -272,15 +283,18 @@ class CoefficientVector:
 
     def cauchy_extent(self, tol: float) -> int:
         """Smallest probed extent whose certified L2 tail is below tol."""
-        n = max(abs(self.start), abs(self.stop - 1), 8)
-        while self.l2_tail_bound(n) > tol:
-            n *= 2
-            if n > _CAUCHY_EXTENT_CAP:
-                raise BudgetExceeded(
-                    "envelope cannot certify an L2 tail below tolerance",
-                    self.l2_tail_bound(n // 2),
-                )
-        return n
+        start = max(abs(self.start), abs(self.stop - 1), 8)
+        message = "envelope cannot certify an L2 tail below tolerance"
+        return _certified_extent(self.l2_tail_bound, start, tol, _CAUCHY_EXTENT_CAP, message)
+
+    def abs_tail_extent(self, tol: float) -> int:
+        """Smallest doubling of max(stop, 8) past which the envelope bounds the sum
+        of |c_k| over k >= it by tol; a degree of -1 or more is steepened to -3 first."""
+        env = self.envelope
+        if env.degree >= -1.0:
+            env = steepen_envelope(self, -3.0)
+        bound = lambda n: _tail_integral_bound(env.constant, env.degree, n, False)
+        return _certified_extent(bound, max(self.stop, 8), tol, _TAIL_EXTENT_CAP, "tail extent exceeds budget")
 
     # -- serialization -------------------------------------------------------
 
@@ -302,7 +316,8 @@ class CoefficientVector:
 
     @staticmethod
     def from_json(payload: Mapping) -> "CoefficientVector":
-        """Inverse of to_json; a missing or malformed key raises SpecParseError."""
+        """Inverse of to_json; a missing or malformed key raises SpecParseError,
+        and so does a "growth" entry that is not the envelope's class."""
         try:
             tail_spec = payload.get("tail", {"name": "zero", "params": []})
             if tail_spec["name"] == "zero":
@@ -310,16 +325,22 @@ class CoefficientVector:
             else:
                 tail = Tail.formula(tail_spec["name"], *tail_spec.get("params", []))
             env = payload["envelope"]
-            return CoefficientVector(
+            envelope = GrowthEnvelope(env["constant"], env["degree"], env.get("all_orders", False))
+            stated = GrowthClass(payload.get("growth", envelope.growth.value))
+            vec = CoefficientVector(
                 domain=IndexDomain(payload["index_domain"]),
                 start=int(payload["start"]),
                 prefix=np.array([complex(re, im) for re, im in payload["coefficients"]]),
-                envelope=GrowthEnvelope(env["constant"], env["degree"], env.get("all_orders", False)),
-                growth=GrowthClass(payload["growth"]),
+                envelope=envelope,
                 tail=tail,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SpecParseError(f"malformed vector payload: {exc!r}") from None
+        if stated is not vec.growth:
+            raise SpecParseError(
+                f"vector payload states growth {stated.value!r}, its envelope gives {vec.growth.value!r}"
+            )
+        return vec
 
 
 class UnsupportedOperationTail(PreconditionError):
@@ -337,7 +358,10 @@ def vector_from_prefix(
     growth: GrowthClass,
     degree: float | None = None,
 ) -> CoefficientVector:
-    """Build a finitely supported vector with an envelope validated against its values."""
+    """Build a finitely supported vector with an envelope validated against its values.
+
+    growth picks the default degree and the all-orders flag; a degree that puts
+    the envelope in another class raises PreconditionError."""
     values = np.asarray(values, dtype=np.complex128)
     if degree is None:
         degree = {
@@ -351,16 +375,18 @@ def vector_from_prefix(
     # a non-finite base falls through to CoefficientVector, which rejects the prefix
     constant = max(base * (1 + 1e-12), 1e-300) if 0 < base < math.inf else 1.0
     envelope = GrowthEnvelope(constant, degree, growth is GrowthClass.RAPID_DECAY)
-    return CoefficientVector(domain, start, values, envelope, growth)
+    if envelope.growth is not growth:
+        raise PreconditionError(f"degree {degree} gives a {envelope.growth.value} envelope, not {growth.value}")
+    return CoefficientVector(domain, start, values, envelope)
 
 
 def formula_vector(
-    domain: IndexDomain, start: int, stop: int, envelope: GrowthEnvelope, growth: GrowthClass, name: str, *params
+    domain: IndexDomain, start: int, stop: int, envelope: GrowthEnvelope, name: str, *params
 ) -> CoefficientVector:
     """The vector whose every coefficient is the named tail formula: the prefix,
     indices start..stop-1, is the formula there, so prefix and tail cannot disagree."""
     tail = Tail.formula(name, *params)
-    return CoefficientVector(domain, start, tail.fn(np.arange(start, stop)), envelope, growth, tail)
+    return CoefficientVector(domain, start, tail.fn(np.arange(start, stop)), envelope, tail)
 
 
 def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:
@@ -381,6 +407,20 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnve
     ratios = np.abs(vec.coeffs(ks)) / (1.0 + np.abs(ks)) ** target_degree
     best = float(np.max(ratios, initial=1e-300))
     return GrowthEnvelope(best * (1 + 1e-9), target_degree, True)
+
+
+# --- certified truncation ----------------------------------------------------
+
+
+def _certified_extent(bound: Callable[[int], float], start: int, tol: float, cap: int, message: str) -> int:
+    """The first of start, 2 start, 4 start, ... whose tail bound is at most tol.
+    Doubling past cap raises BudgetExceeded with the bound at the last one probed."""
+    n = start
+    while (b := bound(n)) > tol:
+        if 2 * n > cap:
+            raise BudgetExceeded(message, b)
+        n *= 2
+    return n
 
 
 # --- pairing ----------------------------------------------------------------
@@ -452,15 +492,12 @@ def pair(
                 "declared envelopes do not certify a convergent pairing", math.inf
             )
 
-    extent = max(abs(phi.start), abs(phi.stop - 1), abs(v.start), abs(v.stop - 1), 8)
-    while _tail_integral_bound(constant, s, extent, two_sided) > abs_tol:
-        extent *= 2
-        terms = 2 * extent + 1 if two_sided else extent + 1
-        if terms > _PAIR_MAX_TERMS:
-            raise BudgetExceeded(
-                f"pairing needs more than {_PAIR_MAX_TERMS} terms for abs_tol={abs_tol}",
-                _tail_integral_bound(constant, s, extent // 2, two_sided),
-            )
+    start = max(abs(phi.start), abs(phi.stop - 1), abs(v.start), abs(v.stop - 1), 8)
+    bound = lambda n: _tail_integral_bound(constant, s, n, two_sided)
+    # the largest extent whose 2 extent + 1 (or extent + 1) terms stay within the budget
+    cap = (_PAIR_MAX_TERMS - 1) // 2 if two_sided else _PAIR_MAX_TERMS - 1
+    message = f"pairing needs more than {_PAIR_MAX_TERMS} terms for abs_tol={abs_tol}"
+    extent = _certified_extent(bound, start, abs_tol, cap, message)
     lo = -extent if two_sided else 0
     return _fsum(phi.dense(lo, extent), v.dense(lo, extent))
 

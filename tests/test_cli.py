@@ -157,6 +157,23 @@ def test_wigner_accepts_mollifier_spec_string():
     assert code2 == 2 and "soon" in err
 
 
+def test_wigner_mollifies_every_side_that_is_not_rapid_decay(tmp_path):
+    from gmc import heisenberg as hb
+
+    grid = ("--grid", "0:0.5:2,0:0:1")
+    code, _, err = run_cli("wigner", "e:0", "poly-growth:-0.6", *grid)
+    assert code == 2 and "needs --mollify" in err
+    code, mollified, _ = run_cli("wigner", "poly-growth:-0.6", "e:0", *grid, "--mollify", "2")
+    assert code == 0
+    # the same square-summable vector from a file: smoothed under --mollify, read as is without
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps(hb.poly_growth_vector(-0.6).to_json()))
+    assert json.loads(path.read_text())["growth"] == "square_summable"
+    assert run_cli("wigner", f"json:{path}", "e:0", *grid, "--mollify", "2") == (0, mollified, "")
+    code, plain, _ = run_cli("wigner", f"json:{path}", "e:0", *grid)
+    assert code == 0 and plain != mollified
+
+
 def test_wigner_mollified_delta_converges(tmp_path):
     values = {}
     for n in (8, 16):

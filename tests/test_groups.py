@@ -74,6 +74,6 @@ def test_factorize_heisenberg_oscillator(r):
 
 
 def test_factorize_without_strategy_errors():
-    bare = GroupModel(name="bare", dim=1, structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
+    bare = GroupModel(name="bare", structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
     with pytest.raises(UnsupportedOperation):
         factorize(tr.poly(1), bare)

@@ -331,7 +331,7 @@ def _geometric_hermite(ratio=0.9, stored=8):
     envelope = tr.geometric(ratio).envelope  # the same sequence on k >= 0
     prefix = ratio ** np.arange(stored)
     return CoefficientVector(
-        IndexDomain.NATURALS, 0, prefix, envelope, GrowthClass.RAPID_DECAY, Tail.formula("geometric", ratio)
+        IndexDomain.NATURALS, 0, prefix, envelope, Tail.formula("geometric", ratio)
     )
 
 
@@ -469,6 +469,17 @@ def test_dual_algebra_duality_identity(rng):
         lhs = pair(hb.dual_act_algebra(D, psi), v)
         rhs = pair(psi, hb.act_algebra(uea_transpose(D), v))
         assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
+
+
+def test_ladder_steps_keep_a_square_summable_label_while_the_envelope_does():
+    # each ladder step raises the envelope degree by 1/2; Z steps none
+    v = hb.poly_growth_vector(-2.0)
+    assert v.growth is GrowthClass.SQUARE_SUMMABLE
+    assert hb.act_algebra(P, v).growth is GrowthClass.SQUARE_SUMMABLE
+    assert hb.act_algebra(P * Q, v).growth is GrowthClass.SQUARE_SUMMABLE
+    assert hb.act_algebra(Z * Z, v).growth is GrowthClass.SQUARE_SUMMABLE
+    assert hb.act_algebra(P * Q * P, v).growth is GrowthClass.POLYNOMIAL_GROWTH
+    assert hb.act_algebra(P * Q * P, hb.gaussian_vector()).growth is GrowthClass.RAPID_DECAY
 
 
 def test_algebra_acts_on_formula_tails():
@@ -942,9 +953,10 @@ def test_fourier_wigner_budget_error_reports_bound():
 
 
 def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
-    # envelope (1 + k)^-1.5: the bound at the last extent within budget, 2^22, is 2 / sqrt(1 + 2^22)
+    # envelope (1 + k)^-1.5, claimed to all orders: the bound at the last extent within
+    # budget, 2^22, is 2 / sqrt(1 + 2^22)
     psi = CoefficientVector(
-        IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, -1.5), GrowthClass.RAPID_DECAY,
+        IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, -1.5, all_orders=True),
         Tail.formula("shifted_power", -1.5),
     )
     with pytest.raises(BudgetExceeded) as info:

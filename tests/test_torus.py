@@ -335,6 +335,35 @@ def test_factorize_polynomial_growth(r):
     assert abs(s[2] - s[1]) < abs(s[1] - s[0]) + 1e-15
 
 
+@pytest.mark.parametrize("r", [1.5, 3.6])
+def test_factorize_non_integer_degree_gives_square_summable(r):
+    # 2m > r + 1/2 puts u's envelope degree r - 2m below -1/2
+    a = tr.poly(r)
+    D, u = tr.factorize_torus(a)
+    assert u.growth is GrowthClass.SQUARE_SUMMABLE and u.envelope.degree < -0.5
+    assert factorize(a, tr.TORUS)[1].growth is GrowthClass.SQUARE_SUMMABLE
+    ns = np.arange(-40, 41)
+    assert np.allclose(tr.act_algebra(D, u).coeffs(ns), a.coeffs(ns), rtol=1e-12, atol=0.0)
+    assert u.l2_tail_bound(u.cauchy_extent(1e-8)) < 1e-8
+
+
+def test_factorize_integer_degrees_keep_their_element():
+    # m = floor((r + 1/2) / 2) + 1 is floor(r / 2) + 1 for every integer r >= 0
+    for r in range(8):
+        D, _ = tr.factorize_torus(tr.poly(r))
+        assert D.degree == 2 * (r // 2 + 1)
+
+
+def test_labels_follow_the_envelope():
+    assert tr.inverse_quadratic(0).growth is GrowthClass.POLYNOMIAL_GROWTH
+    a = tr.inverse_quadratic(1)
+    assert a.growth is GrowthClass.SQUARE_SUMMABLE
+    # degree -2 + 1 is still square-summable; one more derivative reaches degree 0
+    assert tr.act_algebra(X, a).growth is GrowthClass.SQUARE_SUMMABLE
+    assert tr.act_algebra(X * X, a).growth is GrowthClass.POLYNOMIAL_GROWTH
+    assert tr.act_algebra(X, tr.geometric(0.5)).growth is GrowthClass.RAPID_DECAY
+
+
 def test_factorize_comb_norm_value():
     # closed form: sum over Z of (1+n^2)^{-2} = (pi/2)(coth pi + pi/sinh^2 pi)
     _, u = tr.factorize_torus(tr.comb())

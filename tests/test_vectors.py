@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmc.errors import (
     BudgetExceeded,
     EnvelopeViolation,
+    GmcError,
     PreconditionError,
     SpecParseError,
     UnpairedDistributions,
@@ -43,7 +44,6 @@ def test_envelope_violation_detected_at_construction():
             -1,
             np.array([1.0, 5.0, 1.0]),
             GrowthEnvelope(1.0, 0.0),
-            GrowthClass.POLYNOMIAL_GROWTH,
         )
 
 
@@ -53,8 +53,7 @@ def test_naturals_cannot_start_negative():
             IndexDomain.NATURALS,
             -2,
             np.array([1.0]),
-            GrowthEnvelope(1.0, 0.0),
-            GrowthClass.RAPID_DECAY,
+            GrowthEnvelope(1.0, 0.0, all_orders=True),
         )
 
 
@@ -117,7 +116,6 @@ def test_pair_budget_error_reports_bound():
         0,
         np.array([1.0]),
         GrowthEnvelope(1.0, -0.8),
-        GrowthClass.SQUARE_SUMMABLE,
         Tail.formula("shifted_power", -0.8),
     )
     with pytest.raises(BudgetExceeded):
@@ -236,7 +234,7 @@ def test_unknown_tail_formula_is_a_parse_error():
 def test_non_finite_prefix_is_rejected(bad):
     with pytest.raises(PreconditionError, match="index 3"):
         CoefficientVector(
-            IndexDomain.INTEGERS, 2, [1.0, bad], GrowthEnvelope(2.0, 0.0), GrowthClass.POLYNOMIAL_GROWTH
+            IndexDomain.INTEGERS, 2, [1.0, bad], GrowthEnvelope(2.0, 0.0)
         )
     with pytest.raises(PreconditionError):
         vector_from_prefix(IndexDomain.NATURALS, 0, [bad, 0.5], GrowthClass.RAPID_DECAY)
@@ -246,13 +244,13 @@ def test_construction_messages_name_the_first_offender():
     env = GrowthEnvelope(2.0, 0.0)
     # finiteness is checked before the envelope, and the first offender is named
     with pytest.raises(PreconditionError, match=r"^coefficient at index 4 is not finite$"):
-        CoefficientVector(IndexDomain.INTEGERS, 2, [1.0, 5.0, math.nan, math.inf], env, GrowthClass.POLYNOMIAL_GROWTH)
+        CoefficientVector(IndexDomain.INTEGERS, 2, [1.0, 5.0, math.nan, math.inf], env)
     with pytest.raises(EnvelopeViolation) as err:
-        CoefficientVector(IndexDomain.INTEGERS, -1, [1.0, 2.5, 1.0, 9.0], env, GrowthClass.POLYNOMIAL_GROWTH)
+        CoefficientVector(IndexDomain.INTEGERS, -1, [1.0, 2.5, 1.0, 9.0], env)
     assert str(err.value) == "coefficient at index 0 has |c|=2.500000e+00, envelope allows 2.000000e+00"
     # a finite coefficient whose modulus overflows breaks the envelope, not finiteness
     with pytest.raises(EnvelopeViolation, match=r"index 1 has \|c\|=inf"):
-        CoefficientVector(IndexDomain.INTEGERS, 0, [1.0, complex(1.5e308, 1.5e308)], env, GrowthClass.POLYNOMIAL_GROWTH)
+        CoefficientVector(IndexDomain.INTEGERS, 0, [1.0, complex(1.5e308, 1.5e308)], env)
 
 
 def test_pairing_past_the_float_range_is_a_typed_error():
@@ -353,8 +351,7 @@ def _formula_vectors():
             for domain, start in domains:
                 out.append(
                     CoefficientVector(
-                        domain, start, np.full(7, 0.25 + 0.5j), GrowthEnvelope(1.0, 0.0),
-                        GrowthClass.POLYNOMIAL_GROWTH, tail,
+                        domain, start, np.full(7, 0.25 + 0.5j), GrowthEnvelope(1.0, 0.0), tail,
                     )
                 )
     return out
@@ -383,7 +380,7 @@ def _derived_vectors():
         hb.factorize_heisenberg(psi)[1],
         a.map(lambda c, k: c * (k + 0.5)),
         b.map(lambda c, k: np.where(k % 2 == 0, c, -c)),
-        phi.map(lambda c, k: np.conj(c) * k, GrowthEnvelope(1.2, 1.0), GrowthClass.POLYNOMIAL_GROWTH),
+        phi.map(lambda c, k: np.conj(c) * k, GrowthEnvelope(1.2, 1.0)),
     ]
 
 
@@ -438,8 +435,9 @@ def test_map_applies_one_function_to_prefix_and_tail():
     assert mapped.envelope == a.envelope and mapped.growth is a.growth
     ks = np.arange(-40, 41)
     assert mapped.coeffs(ks).tobytes() == fn(a.coeffs(ks), ks).tobytes()
-    env = GrowthEnvelope(a.envelope.constant, a.envelope.degree - 2.0, True)
-    moved = a.map(fn, env, GrowthClass.SQUARE_SUMMABLE)
+    # a given envelope replaces the old one, and its class is the mapped vector's
+    env = GrowthEnvelope(a.envelope.constant, a.envelope.degree - 2.0)
+    moved = a.map(fn, env)
     assert moved.envelope == env and moved.growth is GrowthClass.SQUARE_SUMMABLE
     assert vector_from_prefix(IndexDomain.INTEGERS, 0, [1.0], GrowthClass.RAPID_DECAY).map(fn).finite_support
 
@@ -455,3 +453,190 @@ def test_project_subrep_reads_its_predicate_on_index_arrays():
     ks = np.arange(-30, 31)
     assert np.array_equal(v.coeffs(ks), np.where(ks % 3 == 1, ks.astype(float) ** 2, 0.0))
     assert seen and all(t is np.ndarray for t in seen)
+
+
+# --- growth class from the envelope ------------------------------------------------
+
+
+def test_growth_class_is_read_off_the_envelope():
+    below, above = math.nextafter(-0.5, -math.inf), math.nextafter(-0.5, math.inf)
+    assert GrowthEnvelope(1.0, below).growth is GrowthClass.SQUARE_SUMMABLE
+    assert GrowthEnvelope(1.0, -0.5).growth is GrowthClass.POLYNOMIAL_GROWTH
+    assert GrowthEnvelope(1.0, above).growth is GrowthClass.POLYNOMIAL_GROWTH
+    for degree in (below, -0.5, above, -8.0, 3.0):
+        assert GrowthEnvelope(1.0, degree, all_orders=True).growth is GrowthClass.RAPID_DECAY
+    v = CoefficientVector(IndexDomain.INTEGERS, 0, [1.0], GrowthEnvelope(1.0, below))
+    assert v.growth is v.envelope.growth is GrowthClass.SQUARE_SUMMABLE
+
+
+def test_vector_from_prefix_refuses_a_degree_of_another_class():
+    vals = [1.0, 0.5, 0.25]
+    for growth, degree in [
+        (GrowthClass.POLYNOMIAL_GROWTH, -1.0),
+        (GrowthClass.SQUARE_SUMMABLE, -0.5),
+        (GrowthClass.SQUARE_SUMMABLE, 0.0),
+    ]:
+        with pytest.raises(PreconditionError, match=f"{growth.value}"):
+            vector_from_prefix(IndexDomain.NATURALS, 0, vals, growth, degree=degree)
+    for growth, degree in [
+        (GrowthClass.POLYNOMIAL_GROWTH, -0.5),
+        (GrowthClass.SQUARE_SUMMABLE, -0.75),
+        (GrowthClass.RAPID_DECAY, 2.0),
+        (GrowthClass.RAPID_DECAY, None),
+        (GrowthClass.SQUARE_SUMMABLE, None),
+        (GrowthClass.POLYNOMIAL_GROWTH, None),
+    ]:
+        assert vector_from_prefix(IndexDomain.NATURALS, 0, vals, growth, degree=degree).growth is growth
+
+
+@pytest.mark.parametrize(
+    "v", [tr.geometric(0.5, extent=4), tr.inverse_quadratic(1, extent=4), tr.comb(extent=4)]
+)
+def test_json_growth_is_the_envelope_class(v):
+    payload = json.loads(json.dumps(v.to_json()))
+    assert payload["growth"] == v.growth.value
+    assert CoefficientVector.from_json(payload).growth is v.growth
+    del payload["growth"]
+    w = CoefficientVector.from_json(payload)
+    assert w.growth is v.growth and w.envelope == v.envelope
+
+
+def test_json_growth_that_contradicts_the_envelope_is_a_parse_error():
+    payload = tr.comb(extent=4).to_json()
+    payload["growth"] = "rapid_decay"
+    with pytest.raises(SpecParseError, match="'rapid_decay'.*'polynomial_growth'"):
+        CoefficientVector.from_json(payload)
+    payload["growth"] = "smooth"
+    with pytest.raises(SpecParseError, match="malformed"):
+        CoefficientVector.from_json(payload)
+
+
+# --- certified extents -------------------------------------------------------------
+# Reference loops for the three certified extents, each written out on its own:
+# pair's infinite branch (at most 2^21 terms), cauchy_extent (extents to 2^62) and
+# abs_tail_extent (one-sided, extents to 2^22). The library computes all three through
+# one loop; these pin every extent, message and reported bound to the written-out rules.
+
+
+def _ref_pair_extent(constant, s, start, tol, two_sided):
+    from gmc.vectors import _tail_integral_bound
+
+    extent = start
+    while _tail_integral_bound(constant, s, extent, two_sided) > tol:
+        extent *= 2
+        terms = 2 * extent + 1 if two_sided else extent + 1
+        if terms > 1 << 21:
+            raise BudgetExceeded(
+                f"pairing needs more than {1 << 21} terms for abs_tol={tol}",
+                _tail_integral_bound(constant, s, extent // 2, two_sided),
+            )
+    return extent
+
+
+def _ref_cauchy_extent(v, tol):
+    n = max(abs(v.start), abs(v.stop - 1), 8)
+    while v.l2_tail_bound(n) > tol:
+        n *= 2
+        if n > 1 << 62:
+            raise BudgetExceeded("envelope cannot certify an L2 tail below tolerance", v.l2_tail_bound(n // 2))
+    return n
+
+
+def _ref_abs_tail_extent(v, tol):
+    from gmc.vectors import _tail_integral_bound
+
+    env = v.envelope
+    if env.degree >= -1.0:
+        env = steepen_envelope(v, -3.0)
+    n = max(v.stop, 8)
+    while (bound := _tail_integral_bound(env.constant, env.degree, n, False)) > tol:
+        if 2 * n > 1 << 22:
+            raise BudgetExceeded("tail extent exceeds budget", bound)
+        n *= 2
+    return n
+
+
+def _outcome(fn):
+    """("ok", extent), or the error's type, message and reported bound, compared bit for bit."""
+    try:
+        return ("ok", fn())
+    except GmcError as exc:
+        return (type(exc).__name__, str(exc), repr(getattr(exc, "achieved_bound", None)))
+
+
+def _edge_tols(bound, start, cap):
+    """Fixed tolerances, plus the bound itself and its float neighbours at the extents
+    around the cap, where the loop stops exactly or runs out of budget."""
+    tols = [1.0, 1e-6, 1e-12, 1e-300, 0.0]
+    probes = [start << j for j in range(70) if start << j <= 4 * max(cap, start)]
+    for n in probes[:2] + probes[-4:]:
+        b = bound(n)
+        tols += [b, math.nextafter(b, 0.0), math.nextafter(b, math.inf)]
+    return tols
+
+
+def _quiet_tail():
+    return Tail.formula("const", 0.0)  # zeros: an infinite vector that costs nothing to read
+
+
+def test_pair_extent_matches_the_reference_loop(monkeypatch):
+    from gmc.vectors import _tail_integral_bound
+
+    seen = []
+
+    def dense(self, lo, hi):
+        seen.append(hi)
+        return np.zeros(1, dtype=np.complex128)
+
+    monkeypatch.setattr(CoefficientVector, "dense", dense)
+    compared = budget = 0
+    for two_sided in (True, False):
+        domain = IndexDomain.INTEGERS if two_sided else IndexDomain.NATURALS
+        cap = (1 << 20) - 1 if two_sided else (1 << 21) - 1
+        for start in (8, 100, cap // 2, cap // 2 + 1, cap - 1, cap, cap + 1, 2 * cap):
+            for constant in (1e-6, 1.0, 1e12):
+                for s in (-1.0001, -1.5, -2.0, -9.0):
+                    bound = lambda n: _tail_integral_bound(constant, s, n, two_sided)
+                    phi = CoefficientVector(domain, start, [0j], GrowthEnvelope(constant, s), _quiet_tail())
+                    v = CoefficientVector(domain, 0, [0j], GrowthEnvelope(1.0, 0.0), _quiet_tail())
+                    for tol in _edge_tols(bound, start, cap):
+                        seen.clear()
+                        got = _outcome(lambda: (pair(phi, v, abs_tol=tol), seen[-1])[1])
+                        want = _outcome(lambda: _ref_pair_extent(constant, s, start, tol, two_sided))
+                        assert got == want, (two_sided, start, constant, s, tol)
+                        compared += 1
+                        budget += got[0] != "ok"
+    assert budget and budget < compared
+
+
+def test_cauchy_and_abs_tail_extents_match_the_reference_loops():
+    from gmc.vectors import _tail_integral_bound
+
+    compared = budget = 0
+    for constant in (1e-6, 1.0, 1e12):
+        for degree, all_orders in ((-0.51, False), (-0.75, False), (-1.5, False), (-4.0, False), (-0.5, True)):
+            env = GrowthEnvelope(constant, degree, all_orders)
+            l2 = lambda n: _tail_integral_bound(constant**2, 2.0 * degree, n, True)
+            for start in (8, 1000, (1 << 61) - 1, 1 << 61, (1 << 62) - 1, 1 << 62):
+                for domain in IndexDomain:
+                    v = CoefficientVector(domain, start, [0j], env, _quiet_tail())
+                    for tol in _edge_tols(l2, start, 1 << 62):
+                        got = _outcome(lambda: v.cauchy_extent(tol))
+                        assert got == _outcome(lambda: _ref_cauchy_extent(v, tol)), (constant, degree, start, tol)
+                        compared += 1
+                        budget += got[0] != "ok"
+            cap = 1 << 22
+            for stop in (1, 8, 9, 1000, cap // 2, cap - 1, cap, cap + 1, 2 * cap):
+                v = CoefficientVector(IndexDomain.NATURALS, stop - 1, [0j], env, _quiet_tail())
+                e = steepen_envelope(v, -3.0) if all_orders else env
+                one = lambda n: _tail_integral_bound(e.constant, e.degree, n, False)
+                for tol in _edge_tols(one, max(stop, 8), cap):
+                    got = _outcome(lambda: v.abs_tail_extent(tol))
+                    assert got == _outcome(lambda: _ref_abs_tail_extent(v, tol)), (constant, degree, stop, tol)
+                    compared += 1
+                    budget += got[0] != "ok"
+    # a finitely supported vector certifies a zero L2 tail past its stored indices
+    finite = vector_from_prefix(IndexDomain.INTEGERS, -3, [1.0] * 7, GrowthClass.POLYNOMIAL_GROWTH)
+    for tol in (0.0, 1e-12, 1.0):
+        assert _outcome(lambda: finite.cauchy_extent(tol)) == _outcome(lambda: _ref_cauchy_extent(finite, tol))
+    assert budget and budget < compared
