@@ -100,7 +100,7 @@ def cmd_wigner(args) -> int:
             raise SpecParseError("--mollify takes a positive index")
         phi, psi = (
             v if v.growth is GrowthClass.RAPID_DECAY
-            else mo.mollify(v, n, hb.HEISENBERG, profile=profile, N=quad.truncation, quad=quad)
+            else mo.mollify(v, n, hb.HEISENBERG, profile=profile, quad=quad)
             for v in (phi, psi)
         )
     elif psi.growth is not GrowthClass.RAPID_DECAY:
@@ -130,9 +130,7 @@ def cmd_mollify(args) -> int:
     f = parse_test_function(args.group, args.test_function)
     n_list = parse_n_list(args.n)
     profile = mo.BumpProfile.standard(args.radius)
-    kwargs = {}
-    if args.group == "heisenberg":
-        kwargs = {"N": cfg.quadrature_spec().truncation, "quad": cfg.quadrature_spec()}
+    kwargs = {"quad": cfg.quadrature_spec()} if args.group == "heisenberg" else {}
     rows_raw = mo.gmc_approx(eta, zeta, f, n_list, model, profile=profile, **kwargs)
     rows = [(n, v.real, v.imag, r) for (n, v, r) in rows_raw]
     _write_csv(cfg.output, ["n", "value_re", "value_im", "residual"], rows)
@@ -216,9 +214,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

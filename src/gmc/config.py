@@ -29,9 +29,9 @@ class ToleranceTable:
 class QuadratureSpec:
     """Heisenberg truncation and the smoothing self-check tolerance.
 
-    truncation is the output length N; an infinite input is read at least
-    heisenberg.INPUT_MARGIN columns past it. Each test function carries its own
-    (p, q) rule size, and smoothing sizes its Gauss-Hermite rule from the
+    truncation is the only output length N of smoothing; an infinite input is read
+    at least heisenberg.INPUT_MARGIN columns past it. A test function's (p, q) rule
+    size is read off its terms, and smoothing sizes its Gauss-Hermite rule from the
     truncations and the support's largest |q|. Smoothing runs one pass and checks
     it, to check_tol relative to the result: its (p, q) rule against a finer one,
     and an input with coefficients past the band it reads against a longer one,

@@ -246,17 +246,22 @@ class HTestFunction:
 
     Translations move the terms' places and Lie derivatives follow the product
     rule, both exactly; the central transform int f(p, q, t) exp(2 pi i lam t) dt,
-    all that pi(f) sees of f, is closed form on the (p, q) plane. nodes is the
-    per-axis count of the (p, q) Gauss-Legendre rule, grown by 16 per derivative.
+    all that pi(f) sees of f, is closed form on the (p, q) plane. The size of its
+    (p, q) rule, nodes, is read off the terms, so no operation carries it along.
     """
 
     terms: tuple
-    nodes: int = BOX_NODES
 
     @staticmethod
-    def bump(jn, nodes: int = BOX_NODES) -> "HTestFunction":
+    def bump(jn) -> "HTestFunction":
         """The product bump jn(p) jn(q) jn(t) of a 1-d scaled bump jn."""
-        return HTestFunction((_Term(jn, np.ones((1, 1), dtype=np.complex128)),), nodes)
+        return HTestFunction((_Term(jn, np.ones((1, 1), dtype=np.complex128)),))
+
+    @property
+    def nodes(self) -> int:
+        """Per-axis count of the (p, q) Gauss-Legendre rule: BOX_NODES, and 16 more per
+        derivative order of the sharpest term, as derivatives sharpen the integrand."""
+        return BOX_NODES + 16 * max((sum(term.orders) for term in self.terms), default=0)
 
     @property
     def support(self) -> np.ndarray:
@@ -289,7 +294,7 @@ class HTestFunction:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "HTestFunction") -> "HTestFunction":
-        return HTestFunction(_merged(self.terms + other.terms), max(self.nodes, other.nodes))
+        return HTestFunction(_merged(self.terms + other.terms))
 
     def __rmul__(self, scalar) -> "HTestFunction":
         return replace(self, terms=tuple(replace(t, poly=scalar * t.poly) for t in self.terms))
@@ -320,8 +325,7 @@ class HTestFunction:
             for letter in reversed(word):
                 cur = [out for term in cur for out in term.derived(*fields[letter])]
             terms += [replace(term, poly=c * term.poly) for term in cur]
-        # derivatives sharpen the integrand; grow the rule with the order
-        return HTestFunction(_merged(terms), self.nodes + 16 * d.degree)
+        return HTestFunction(_merged(terms))
 
     def left_derive(self, d: UEAElement) -> "HTestFunction":
         return self._derive(d, "L")
@@ -556,12 +560,6 @@ def matrix_element(g, j: int, k: int) -> complex:
     return pointwise_coefficient(unit_vector(j), unit_vector(k))(g)
 
 
-def _input_extent(phi: CoefficientVector, minimum: int, margin: int) -> int:
-    if phi.finite_support:
-        return max(phi.stop, 1)
-    return max(phi.stop, minimum + margin)
-
-
 def _reach(r2: float, level: int) -> int:
     """Columns past `level` coupled by group elements with p^2 + q^2 <= r2.
 
@@ -572,8 +570,8 @@ def _reach(r2: float, level: int) -> int:
     return int(math.ceil(2.6 * math.sqrt(s * (level + 32)) + s)) + 16
 
 
-def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
-    """Input truncation margin scaled to the support's phase-space reach.
+def _displacement_margin(f: HTestFunction, N: int) -> int:
+    """Input truncation margin, at least INPUT_MARGIN, scaled to the support's phase-space reach.
 
     Smoothing reads Hermite functions at p/2 and phases q b, which leave the
     float range past |p|, |q| = 1e150: such supports are refused. Past p^2 + q^2
@@ -583,7 +581,7 @@ def _displacement_margin(f: HTestFunction, N: int, base: int) -> int:
     qm = float(np.max(np.abs(f.support[1])))
     if not max(pm, qm) <= 1e150:
         raise PreconditionError(f"test function support reaches |p| or |q| = {max(pm, qm):.3g}, past 1e150")
-    return max(base, _reach(min(pm * pm + qm * qm, 1e16), N))
+    return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
 def _action_input(v: CoefficientVector, N: int) -> np.ndarray:
@@ -799,13 +797,10 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
     return out, float(np.max(np.abs(contract(moved))))
 
 
-def smooth_by(
-    f: HTestFunction,
-    phi: HermiteVector,
-    N: int = DEFAULT_QUADRATURE.truncation,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> HermiteVector:
-    """pi(f) phi = weak integral of f(g) pi(g) phi, coefficient-wise.
+def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> HermiteVector:
+    """pi(f) phi = weak integral of f(g) pi(g) phi, coefficient-wise: its first
+    N = quad.truncation coefficients (another length is another QuadratureSpec,
+    replace(quad, truncation=...)), on the f.nodes (p, q) rule.
 
     In the Schrodinger model pi(f) is the integral operator whose kernel at the
     midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
@@ -828,11 +823,12 @@ def smooth_by(
     growth included, raises BudgetExceeded before any is built.
     """
     _require_hermite(phi)
+    N = quad.truncation
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
     # output k < N couples only to inputs below N + margin, also for a long finite phi
-    margin = _displacement_margin(f, N, INPUT_MARGIN)
-    cols = min(_input_extent(phi, N, margin), N + margin)
+    band = N + _displacement_margin(f, N)
+    cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
     rule = _x_rule_size(N, cols, float(np.max(np.abs(f.support[1]))))
     entries = max(N, cols + extra) * f.nodes * rule
@@ -849,13 +845,11 @@ def gmc_eval(
     phi: HermiteVector,
     psi: HermiteVector,
     f: HTestFunction,
-    N: int = DEFAULT_QUADRATURE.truncation,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
     abs_tol: float = 1e-12,
 ) -> complex:
-    """<pi(f) phi, psi>: smooth phi first, then pair with psi."""
-    smoothed = smooth_by(f, phi, N=N, quad=quad)
-    return pair(smoothed, psi, abs_tol=abs_tol)
+    """<pi(f) phi, psi>: smooth phi to quad.truncation coefficients, then pair with psi."""
+    return pair(smooth_by(f, phi, quad), psi, abs_tol=abs_tol)
 
 
 def fourier_wigner(

@@ -128,10 +128,6 @@ class ScaledBump:
         return self.axis_transform(0.0, nodes)
 
 
-def make_jn(profile: BumpProfile, n: int) -> ScaledBump:
-    return ScaledBump(profile, n)
-
-
 # --------------------------------------------------------------------------
 # pushforward through exp
 # --------------------------------------------------------------------------
@@ -172,22 +168,21 @@ def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
     big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
     cut = int(big[-1]) if len(big) else 0
     coeffs = np.concatenate([table[cut:0:-1], table[: cut + 1]]).astype(np.complex128)
-    return tr.TorusTestFunction(coeffs, real_valued=True)
+    return tr.TorusTestFunction(coeffs)
 
 
-def push_forward(jn: ScaledBump, model: GroupModel, nodes: int | None = None):
+def push_forward(jn: ScaledBump, model: GroupModel):
     """Model test function carrying the scaled bump through exp (unit Jacobian)."""
     if model.name == "torus":
         return _torus_pushforward(jn)
     if model.name == "heisenberg":
-        return hb.HTestFunction.bump(jn, nodes or hb.BOX_NODES)
+        return hb.HTestFunction.bump(jn)
     raise PreconditionError(f"no pushforward for model {model.name!r}")
 
 
-def standard_mollifier(model: GroupModel, n: int, radius: float = 0.25, **kwargs):
+def standard_mollifier(model: GroupModel, n: int, radius: float = 0.25):
     """J_n for the standard profile at the given radius."""
-    profile = BumpProfile.standard(radius)
-    return push_forward(make_jn(profile, n), model, **kwargs)
+    return push_forward(ScaledBump(BumpProfile.standard(radius), n), model)
 
 
 # --------------------------------------------------------------------------
@@ -202,9 +197,9 @@ def mollify(
     profile: BumpProfile | None = None,
     **smooth_kwargs,
 ) -> CoefficientVector:
-    """pi(J_n) eta: a smooth vector approximating eta as n grows."""
-    profile = profile or BumpProfile.standard()
-    f = push_forward(make_jn(profile, n), model)
+    """pi(J_n) eta: a smooth vector approximating eta as n grows. The keyword
+    arguments go to the model's smooth_by (on the Heisenberg group, quad)."""
+    f = push_forward(ScaledBump(profile or BumpProfile.standard(), n), model)
     return model.smooth_by(f, eta, **smooth_kwargs)
 
 
@@ -220,13 +215,15 @@ def gmc_approx(
     """Rows (n, value, residual) for the smooth approximations against f.
 
     value is the coefficient of the mollified vector paired through f and
-    residual its distance to the unmollified evaluation.
+    residual its distance to the unmollified evaluation. The keyword arguments
+    go to the model's gmc_eval and to mollify, so on the Heisenberg group one
+    quad sets the truncation of every smoothing.
     """
     base = model.gmc_eval(eta, zeta, f, **eval_kwargs)
     rows = []
     for n in n_list:
         approx = model.gmc_eval(
-            mollify(eta, n, model, profile=profile), zeta, f, **eval_kwargs
+            mollify(eta, n, model, profile=profile, **eval_kwargs), zeta, f, **eval_kwargs
         )
         rows.append((n, approx, abs(approx - base)))
     return rows

@@ -7,7 +7,7 @@ verify subcommand prints one line per row and exits nonzero when any fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,21 +172,21 @@ def suite_heisenberg_covariance(
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     phi, psi = hb.unit_vector(0), hb.unit_vector(1)
     N = quad.truncation
-    F = fn.gmc_functional(phi, psi, hb.HEISENBERG, N=N, quad=quad)
+    F = fn.gmc_functional(phi, psi, hb.HEISENBERG, quad=quad)
 
     worst_rt, worst_lt = 0.0, 0.0
     for _ in range(3):
         h = hb.HeisenbergElement(*rng.uniform(-0.6, 0.6, 3))
-        lhs = hb.gmc_eval(hb.act_group(h, phi, N=N + 16), psi, f, N=N, quad=quad)
+        lhs = hb.gmc_eval(hb.act_group(h, phi, N=N + 16), psi, f, quad=quad)
         worst_rt = max(worst_rt, abs(lhs - fn.right_translate(F, h)(f)))
-        lhs2 = hb.gmc_eval(phi, hb.dual_act_group(h, psi, N=N + 16), f, N=N, quad=quad)
+        lhs2 = hb.gmc_eval(phi, hb.dual_act_group(h, psi, N=N + 16), f, quad=quad)
         worst_lt = max(worst_lt, abs(lhs2 - fn.left_translate(F, h)(f)))
 
     worst_rd, worst_ld = 0.0, 0.0
     for D in (HP, HQ, HZ):
-        lhs = hb.gmc_eval(hb.act_algebra(D, phi), psi, f, N=N, quad=quad)
+        lhs = hb.gmc_eval(hb.act_algebra(D, phi), psi, f, quad=quad)
         worst_rd = max(worst_rd, abs(lhs - fn.right_derive(F, D)(f)))
-        lhs2 = hb.gmc_eval(phi, hb.dual_act_algebra(D, psi), f, N=N, quad=quad)
+        lhs2 = hb.gmc_eval(phi, hb.dual_act_algebra(D, psi), f, quad=quad)
         worst_ld = max(worst_ld, abs(lhs2 - fn.left_derive(F, D)(f)))
 
     # functoriality of composed right translations
@@ -217,16 +217,16 @@ def suite_smoothing(
     for name, phi in (("ground-state", hb.unit_vector(0)), ("delta", hb.dirac_delta())):
         worst_left, worst_right = 0.0, 0.0
         # P, Q and Z all have degree 1, so one smoothing serves all three
-        inner = hb.smooth_by(f, phi, N=N + 3, quad=quad)
+        inner = hb.smooth_by(f, phi, replace(quad, truncation=N + 3))
         for D in (HP, HQ, HZ):
             lhs = hb.act_algebra(D, inner)
-            rhs = hb.smooth_by(f.left_derive(D), phi, N=N, quad=quad)
+            rhs = hb.smooth_by(f.left_derive(D), phi, quad)
             worst_left = max(
                 worst_left,
                 float(np.linalg.norm(lhs.dense(0, N - 1) - rhs.dense(0, N - 1))),
             )
-            lhs2 = hb.smooth_by(f, hb.act_algebra(D, phi), N=N, quad=quad)
-            rhs2 = hb.smooth_by(f.right_derive(uea_antipode(D)), phi, N=N, quad=quad)
+            lhs2 = hb.smooth_by(f, hb.act_algebra(D, phi), quad)
+            rhs2 = hb.smooth_by(f.right_derive(uea_antipode(D)), phi, quad)
             worst_right = max(
                 worst_right,
                 float(np.linalg.norm(lhs2.dense(0, N - 1) - rhs2.dense(0, N - 1))),
@@ -235,7 +235,8 @@ def suite_smoothing(
         results.append(PropertyResult(f"right-derivative-route-{name}", worst_right, tol))
     # the smoothed output carries a certified rapid-decay signature at two truncations
     for N_cert in (N, N + 16):
-        out = hb.smooth_by(f, hb.unit_vector(0), N=N_cert, quad=quad)
+        quad_cert = replace(quad, truncation=N_cert)
+        out = hb.smooth_by(f, hb.unit_vector(0), quad_cert)
         results.append(
             PropertyResult(
                 f"rapid-decay-certificate-ground-state-N{N_cert}",
@@ -243,7 +244,7 @@ def suite_smoothing(
                 -4.0,
             )
         )
-        out_d = hb.smooth_by(f, hb.dirac_delta(), N=N_cert, quad=quad)
+        out_d = hb.smooth_by(f, hb.dirac_delta(), quad_cert)
         results.append(
             PropertyResult(
                 f"rapid-decay-certificate-delta-N{N_cert}",
@@ -265,9 +266,9 @@ def suite_mollifier(
     prof_t = mo.BumpProfile.standard(0.25)
     prof_h = mo.BumpProfile.standard(0.5)
     for n in (1, 2, 4, 8):
-        f_t = mo.push_forward(mo.make_jn(prof_t, n), tr.TORUS)
+        f_t = mo.push_forward(mo.ScaledBump(prof_t, n), tr.TORUS)
         worst_mass = max(worst_mass, abs(f_t.fhat(0) - 1.0))
-        f_h = mo.push_forward(mo.make_jn(prof_h, n), hb.HEISENBERG)
+        f_h = mo.push_forward(mo.ScaledBump(prof_h, n), hb.HEISENBERG)
         worst_mass = max(worst_mass, abs(f_h.integral(96) - 1.0))
     results.append(PropertyResult("mollifier-unit-mass", worst_mass, tolerances.mass_tol))
 
@@ -304,7 +305,8 @@ def suite_mollifier(
     )
     # smoothing certificate at two truncations
     for N_cert in (quad.truncation, quad.truncation + 16):
-        out = mo.mollify(hb.dirac_delta(), 1, hb.HEISENBERG, profile=mo.BumpProfile.standard(0.8), N=N_cert, quad=quad)
+        quad_cert = replace(quad, truncation=N_cert)
+        out = mo.mollify(hb.dirac_delta(), 1, hb.HEISENBERG, profile=mo.BumpProfile.standard(0.8), quad=quad_cert)
         results.append(
             PropertyResult(
                 f"mollify-decay-certificate-N{N_cert}",

@@ -106,7 +106,6 @@ class TorusTestFunction:
     """f(t) = sum_{|n| <= B} coeffs[n] exp(2 pi i n t); coeffs index -B..B."""
 
     coeffs: np.ndarray
-    real_valued: bool = False
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128, order="C")
@@ -116,12 +115,11 @@ class TorusTestFunction:
             raise PreconditionError("band coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        if self.real_valued:
-            flipped = np.conj(arr[::-1])
-            if not np.allclose(arr, flipped, atol=1e-14):
-                raise PreconditionError(
-                    "declared real-valued but fhat(-n) != conj(fhat(n))"
-                )
+
+    @property
+    def real_valued(self) -> bool:
+        """fhat(-n) = conj(fhat(n)) over the band, up to np.allclose with atol 1e-14."""
+        return bool(np.allclose(self.coeffs, np.conj(self.coeffs[::-1]), atol=1e-14))
 
     @property
     def bandwidth(self) -> int:
@@ -187,7 +185,7 @@ def band(B: int, profile: str | Sequence[complex] = "ones") -> TorusTestFunction
             coeffs = np.exp(-((2.0 * ns / max(B, 1)) ** 2)).astype(np.complex128)
         else:
             raise PreconditionError(f"unknown band profile {profile!r}")
-        return TorusTestFunction(coeffs, real_valued=True)
+        return TorusTestFunction(coeffs)
     coeffs = np.asarray(list(profile), dtype=np.complex128)
     if len(coeffs) != 2 * B + 1:
         raise PreconditionError(

@@ -414,7 +414,10 @@ def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnve
 
 def _certified_extent(bound: Callable[[int], float], start: int, tol: float, cap: int, message: str) -> int:
     """The first of start, 2 start, 4 start, ... whose tail bound is at most tol.
-    Doubling past cap raises BudgetExceeded with the bound at the last one probed."""
+    A start past cap, or doubling past it, raises BudgetExceeded, with the bound at the
+    last extent probed within cap (inf when there is none)."""
+    if start > cap:
+        raise BudgetExceeded(message, math.inf)
     n = start
     while (b := bound(n)) > tol:
         if 2 * n > cap:

@@ -174,6 +174,29 @@ def test_wigner_mollifies_every_side_that_is_not_rapid_decay(tmp_path):
     assert code == 0 and plain != mollified
 
 
+def test_wigner_stored_index_past_the_tail_budget_exits_2(tmp_path, monkeypatch):
+    # one zero coefficient at index 10^9 and a geometric tail: the tail extent starts
+    # past its cap, so the budget refuses it before a 10^9-entry array is asked for
+    from gmc.vectors import CoefficientVector
+
+    dense = CoefficientVector.dense
+
+    def bounded(self, lo, hi):
+        assert hi - lo < 1 << 22, (lo, hi)
+        return dense(self, lo, hi)
+
+    monkeypatch.setattr(CoefficientVector, "dense", bounded)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "index_domain": "naturals", "start": 10**9, "coefficients": [[0.0, 0.0]],
+        "tail": {"name": "geometric", "params": [0.5]},
+        "envelope": {"constant": 1.0, "degree": -8.0, "all_orders": True},
+    }))
+    code, out, err = run_cli("wigner", "e:0", f"json:{path}", "--grid=0:1:2,0:1:2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tail extent exceeds budget")
+
+
 def test_wigner_mollified_delta_converges(tmp_path):
     values = {}
     for n in (8, 16):
@@ -259,6 +282,40 @@ def test_mollify_heisenberg_delta(tmp_path):
     assert code == 0
     _, rows = _parse_csv(out.read_text())
     assert rows[0][3] > rows[1][3] > 0
+
+
+_MOLLIFY_HEISENBERG = ("mollify", "--group", "heisenberg", "delta", "e:0", "bump3:radius=0.4", "--n", "2,4")
+
+
+@pytest.mark.parametrize(
+    "argv, lengths",
+    [
+        (("verify", "heisenberg-covariance"), {64}),
+        (("verify", "smoothing"), {64, 67, 80}),
+        (("verify", "mollifier"), {64, 80}),
+        (("verify", "structure"), {64}),
+        (_MOLLIFY_HEISENBERG, {64}),
+    ],
+    ids=["heisenberg-covariance", "smoothing", "mollifier", "structure", "mollify"],
+)
+def test_every_smoothing_runs_at_the_configured_truncation(tmp_path, monkeypatch, argv, lengths):
+    # the truncation is quad.truncation, and the suites' other lengths are 64 + 3 and
+    # 64 + 16; none may fall back to the default of 40
+    from gmc import heisenberg as hb
+
+    seen = []
+    core = hb._smooth_core
+
+    def spy(f, phi_vec, N, *args):
+        seen.append(N)
+        return core(f, phi_vec, N, *args)
+
+    monkeypatch.setattr(hb, "_smooth_core", spy)
+    cfg = tmp_path / "n64.json"
+    cfg.write_text(json.dumps({"quadrature": {"truncation": 64}}))
+    code, _, err = run_cli("--config", str(cfg), *argv)
+    assert code == 0, err
+    assert seen and set(seen) == lengths
 
 
 def test_mollify_injectivity_violation_exits_2():

@@ -523,8 +523,8 @@ def test_smoothing_left_derivative_route():
     e0 = hb.unit_vector(0)
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     for D, bound in ((P, 1e-9), (Q, 1e-9), (P * Q, 1e-8)):
-        lhs = hb.act_algebra(D, hb.smooth_by(f, e0, N=44))
-        rhs = hb.smooth_by(f.left_derive(D), e0, N=40)
+        lhs = hb.act_algebra(D, hb.smooth_by(f, e0, quad=QuadratureSpec(truncation=44)))
+        rhs = hb.smooth_by(f.left_derive(D), e0, quad=QuadratureSpec(truncation=40))
         assert np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39)) < bound
 
 
@@ -534,11 +534,11 @@ def test_group_translation_smoothing_routes(rng):
     phi = hb.unit_vector(0)
     for _ in range(3):
         h = hb.HeisenbergElement(*rng.uniform(-0.5, 0.5, 3))
-        lhs = hb.act_group(h, hb.smooth_by(f, phi, N=56), N=40)
-        rhs = hb.smooth_by(f.left_translate(h), phi, N=40)
+        lhs = hb.act_group(h, hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=56)), N=40)
+        rhs = hb.smooth_by(f.left_translate(h), phi, quad=QuadratureSpec(truncation=40))
         assert np.linalg.norm(lhs.dense(0, 39) - rhs.dense(0, 39)) < 1e-13
-        lhs2 = hb.smooth_by(f, hb.act_group(h, phi, N=56), N=40)
-        rhs2 = hb.smooth_by(f.right_translate(hb.group_inv(h)), phi, N=40)
+        lhs2 = hb.smooth_by(f, hb.act_group(h, phi, N=56), quad=QuadratureSpec(truncation=40))
+        rhs2 = hb.smooth_by(f.right_translate(hb.group_inv(h)), phi, quad=QuadratureSpec(truncation=40))
         assert np.linalg.norm(lhs2.dense(0, 39) - rhs2.dense(0, 39)) < 1e-13
 
 
@@ -559,10 +559,10 @@ def test_smooth_by_output_is_certified_rapid_decay():
     # coefficients, the smoothed delta shows its decay more slowly
     f = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.8)
     for N in (40, 56):
-        out = hb.smooth_by(f, hb.unit_vector(0), N=N)
+        out = hb.smooth_by(f, hb.unit_vector(0), quad=QuadratureSpec(truncation=N))
         assert out.growth is GrowthClass.RAPID_DECAY
         assert fitted_decay_exponent(out, floor=1e-12) < -4.0
-        out_d = hb.smooth_by(f, hb.dirac_delta(), N=N)
+        out_d = hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(truncation=N))
         assert fitted_decay_exponent(out_d, floor=1e-12) < -1.0
 
 
@@ -584,15 +584,21 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
     # pi(f) phi = sum over the (p, q) rule of w F_1(p, q) pi(p, q, 0) phi, each
     # column from the closed-form kernels as in act_group, on the same input
     N = 40
-    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, hb.INPUT_MARGIN))
-    vec = phi.dense(0, cols - 1)
+    vec = phi.dense(0, _input_band(f, phi, N) - 1)
     pn, pw = f.axis_rule(0)
     qn, qw = f.axis_rule(1)
     weights = (pw[:, None] * f.central_transform(pn, qn, 1.0) * qw).ravel()
     P_, Q_ = np.meshgrid(pn, qn, indexing="ij")
     ref = np.conj(hb._kernel_columns(np.conj(vec), N, -P_.ravel(), -Q_.ravel())) @ weights
-    got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
+    got = hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _input_band(f, phi, N):
+    """The input columns smoothing reads: N plus the displacement margin, or a shorter
+    finite phi to its stop."""
+    band = N + hb._displacement_margin(f, N)
+    return min(max(phi.stop, 1), band) if phi.finite_support else band
 
 
 def _two_table_smooth_core(f, phi_vec, N, nodes):
@@ -622,8 +628,7 @@ def _two_table_smooth_core(f, phi_vec, N, nodes):
     ids=["delta-cols-above-N", "e3-cols-below-N", "complex-act", "translated-PQ", "QZ-poly", "delta-N160"],
 )
 def test_single_table_core_matches_two_table_formula(f, phi, N):
-    cols = hb._input_extent(phi, N, hb._displacement_margin(f, N, hb.INPUT_MARGIN))
-    vec = phi.dense(0, cols - 1)
+    vec = phi.dense(0, _input_band(f, phi, N) - 1)
     ref = _two_table_smooth_core(f, vec, N, f.nodes)
     got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, len(vec)))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -647,11 +652,10 @@ def test_smooth_core_builds_one_hermite_table(monkeypatch):
         (hb.gaussian_vector(0.2), 40),
         (hb.poly_growth_vector(1.2), 56),
     ):
-        margin = hb._displacement_margin(f, N, hb.INPUT_MARGIN)
-        cols = min(hb._input_extent(phi, N, margin), N + margin)
+        cols = _input_band(f, phi, N)
         extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
         calls.clear()
-        hb.smooth_by(f, phi, N=N)
+        hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N))
         assert calls == [max(N, cols + extra) - 1]
 
 
@@ -661,7 +665,7 @@ def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
 
     monkeypatch.setattr(hb, "hermite_scaled", refuse)
     with pytest.raises(BudgetExceeded):
-        hb.smooth_by(_BUMP, hb.dirac_delta(), N=2000)
+        hb.smooth_by(_BUMP, hb.dirac_delta(), quad=QuadratureSpec(truncation=2000))
 
 
 @pytest.mark.parametrize("sigma", [0.2, 4.0])
@@ -670,10 +674,10 @@ def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # first N + margin of them
     phi = hb.gaussian_vector(sigma)
     N = 40
-    band = N + hb._displacement_margin(_BUMP, N, hb.INPUT_MARGIN)
+    band = N + hb._displacement_margin(_BUMP, N)
     assert phi.finite_support and phi.stop > band
     full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop))
-    got = hb.smooth_by(_BUMP, phi, N=N).dense(0, N - 1)
+    got = hb.smooth_by(_BUMP, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
     assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
 
 
@@ -693,8 +697,7 @@ def _two_pass_smooth(f, phi, N):
     """The former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
     axis and an input CHECK_COLUMNS longer, each on the base Gauss-Hermite rule of its
     input length and through the two-table reference core. Returns (result, check)."""
-    margin = hb._displacement_margin(f, N, hb.INPUT_MARGIN)
-    cols = min(hb._input_extent(phi, N, margin), N + margin)
+    cols = _input_band(f, phi, N)
     out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
     out2 = _two_table_smooth_core(f, phi.dense(0, cols + hb.CHECK_COLUMNS - 1), N, f.nodes + hb.CHECK_NODES)
     return out, out2
@@ -735,24 +738,25 @@ def test_one_pass_matches_the_two_pass_oracle(kind, u, n, radius, move, h, chain
     old_gap = np.max(np.abs(out - out2))
     if old_gap > 2.0 * tol:
         with pytest.raises(QuadratureAccuracyError):
-            hb.smooth_by(f, phi, N=N)
+            hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N))
     elif old_gap <= tol / 2.0:
-        got = hb.smooth_by(f, phi, N=N).dense(0, N - 1)
+        got = hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
         assert np.max(np.abs(got - out2)) <= tol
         assert np.max(np.abs(got - out)) <= 1e-12 * (1.0 + np.max(np.abs(out)))
 
 
 @pytest.mark.parametrize(
-    "f, phi",
+    "f, phi, box_nodes",
     [
-        (mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=8), hb.unit_vector(0)),
-        (mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=16), hb.dirac_delta()),
-        (_BUMP.left_translate((0, 6, 0)), hb.dirac_delta()),
+        (_BUMP, hb.unit_vector(0), 8),
+        (_BUMP, hb.dirac_delta(), 16),
+        (_BUMP.left_translate((0, 6, 0)), hb.dirac_delta(), hb.BOX_NODES),
     ],
     ids=["coarse-pq-e0", "coarse-pq-delta", "short-band-delta"],
 )
-def test_smooth_by_refuses_what_the_two_pass_check_refused(f, phi):
+def test_smooth_by_refuses_what_the_two_pass_check_refused(f, phi, box_nodes, monkeypatch):
     # a (p, q) rule too coarse for the bump, and an input band too short for a far centre
+    monkeypatch.setattr(hb, "BOX_NODES", box_nodes)
     out, out2 = _two_pass_smooth(f, phi, 40)
     assert np.max(np.abs(out - out2)) > QuadratureSpec().check_tol * (1.0 + np.max(np.abs(out2)))
     with pytest.raises(QuadratureAccuracyError) as err:
@@ -825,11 +829,12 @@ def test_x_rule_grows_only_past_the_base_rule():
         hb.smooth_by(_SMALL_BUMP.left_translate((0, 1e150, 0)), hb.unit_vector(0))
 
 
-def test_smooth_by_non_finite_is_a_typed_error():
+def test_smooth_by_non_finite_is_a_typed_error(monkeypatch):
     # at N = 700 the Gauss-Hermite x-rule overflows the Hermite recurrence; an
     # 8-node (p, q) rule keeps the run small, the x-rule is the same
-    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8, nodes=8)
-    _assert_finite_or_typed_error(lambda: hb.smooth_by(f, hb.dirac_delta(), N=700).prefix)
+    monkeypatch.setattr(hb, "BOX_NODES", 8)
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+    _assert_finite_or_typed_error(lambda: hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(truncation=700)).prefix)
 
 
 # --- generalized matrix coefficients --------------------------------------------------
@@ -1220,3 +1225,46 @@ def test_translations_move_point_values_exactly(rng):
         g = hb.HeisenbergElement(*rng.uniform(-0.3, 0.3, 3))
         assert abs(f.left_translate(h)(g) - f(hb.group_mul(hb.group_inv(h), g))) < 1e-12
         assert abs(f.right_translate(h)(g) - f(hb.group_mul(g, h))) < 1e-12
+
+
+def _random_element(rng, degree):
+    """A sum of one or two monomials, the first of the given degree."""
+    terms = {}
+    for top in (degree, int(rng.integers(0, degree + 1)))[: int(rng.integers(1, 3))]:
+        cut = np.sort(rng.integers(0, top + 1, 2))
+        terms[(int(cut[0]), int(cut[1] - cut[0]), int(top - cut[1]))] = complex(*rng.uniform(-2, 2, 2))
+    return UEAElement(HS, terms)
+
+
+def test_node_count_is_the_accumulated_rule(rng):
+    # the (p, q) rule read off the terms against the rule a stored count accumulated:
+    # BOX_NODES for a bump, kept by translations and scalar multiples, the larger of
+    # the two for a sum, and 16 more per degree of each derivative
+    def step(f, old, depth):
+        kind = rng.choice(["left", "right", "scale", "sum", "derive"])
+        h = rng.uniform(-0.5, 0.5, 3)
+        if kind == "left":
+            return f.left_translate(h), old
+        if kind == "right":
+            return f.right_translate(h), old
+        if kind == "scale":
+            return complex(*rng.uniform(-2, 2, 2)) * f, old
+        if kind == "sum" and depth < 2:
+            g, g_old = chain(depth + 1)
+            return f + g, max(old, g_old)
+        degree = int(rng.integers(0, 4))
+        if old + 16 * degree > hb.BOX_NODES + 16 * 5:  # keeps the term count small
+            return f, old
+        d = _random_element(rng, degree)
+        f = f.left_derive(d) if rng.integers(2) else f.right_derive(d)
+        return f, old + 16 * d.degree
+
+    def chain(depth=0):
+        f, old = mo.standard_mollifier(hb.HEISENBERG, n=int(rng.integers(1, 4)), radius=0.6), hb.BOX_NODES
+        for _ in range(int(rng.integers(1, 6))):
+            f, old = step(f, old, depth)
+            assert f.nodes == old
+        return f, old
+
+    counts = {chain()[1] for _ in range(40)}
+    assert len(counts) > 3

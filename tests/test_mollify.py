@@ -37,8 +37,8 @@ def test_profile_support():
 
 def test_scaled_bump_geometry():
     prof = mo.BumpProfile.standard(0.25)
-    j1 = mo.make_jn(prof, 1)
-    j4 = mo.make_jn(prof, 4)
+    j1 = mo.ScaledBump(prof, 1)
+    j4 = mo.ScaledBump(prof, 4)
     assert j4.radius == pytest.approx(0.0625)
     # peak scales linearly with n in one dimension
     assert j4.axis(np.array([0.0]))[0] == pytest.approx(4 * j1.axis(np.array([0.0]))[0])
@@ -48,15 +48,15 @@ def test_scaled_bump_geometry():
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_scaled_bump_unit_mass(n):
     prof = mo.BumpProfile.standard(0.25)
-    jn = mo.make_jn(prof, n)
+    jn = mo.ScaledBump(prof, n)
     assert abs(jn.axis_mass() - 1.0) < 1e-10
     assert abs(jn.axis_mass(nodes=600) - 1.0) < 1e-10
 
 
-def test_make_jn_rejects_zero_index():
+def test_scaled_bump_rejects_zero_index():
     prof = mo.BumpProfile.standard(0.25)
     with pytest.raises(PreconditionError):
-        mo.make_jn(prof, 0)
+        mo.ScaledBump(prof, 0)
 
 
 # --- pushforwards ---------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
     # fhat(m) = jhat(m/n) for the unit-scale profile; QAWO handles the oscillation
     prof = mo.BumpProfile.standard(0.25)
     n = 64
-    f = mo.push_forward(mo.make_jn(prof, n), tr.TORUS)
+    f = mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS)
     B = f.bandwidth
     assert abs(f.fhat(B)) >= 1e-14 > abs(f.fhat(B + 1))
     for m in (0, B // 2, B - 40, B):
@@ -88,15 +88,15 @@ def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
 def test_torus_pushforward_sample_cap(monkeypatch):
     prof = mo.BumpProfile.standard(0.25)
     monkeypatch.setattr(mo, "_FFT_SAMPLE_CAP", 1 << 14)
-    mo.push_forward(mo.make_jn(prof, 4), tr.TORUS)
+    mo.push_forward(mo.ScaledBump(prof, 4), tr.TORUS)
     with pytest.raises(BudgetExceeded):
-        mo.push_forward(mo.make_jn(prof, 64), tr.TORUS)
+        mo.push_forward(mo.ScaledBump(prof, 64), tr.TORUS)
 
 
 def test_torus_pushforward_matches_direct_transform():
     # independent oracle: adaptive quadrature of the defining integral
     prof = mo.BumpProfile.standard(0.25)
-    jn = mo.make_jn(prof, 2)
+    jn = mo.ScaledBump(prof, 2)
     f = mo.push_forward(jn, tr.TORUS)
     for m in (0, 1, 3, 7):
         oracle = quad(
@@ -113,7 +113,7 @@ def test_torus_pushforward_coefficients_approach_one():
     prof = mo.BumpProfile.standard(0.25)
     for m in (1, 2, 5):
         vals = [
-            mo.push_forward(mo.make_jn(prof, n), tr.TORUS).fhat(m)
+            mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS).fhat(m)
             for n in (2, 4, 8, 16)
         ]
         diffs = [abs(1.0 - v) for v in vals]
@@ -123,13 +123,13 @@ def test_torus_pushforward_coefficients_approach_one():
 def test_torus_pushforward_injectivity_radius():
     prof = mo.BumpProfile.standard(1.2)
     with pytest.raises(PreconditionError, match="n >= 3"):
-        mo.push_forward(mo.make_jn(prof, 2), tr.TORUS)
-    mo.push_forward(mo.make_jn(prof, 3), tr.TORUS)
+        mo.push_forward(mo.ScaledBump(prof, 2), tr.TORUS)
+    mo.push_forward(mo.ScaledBump(prof, 3), tr.TORUS)
 
 
 def test_heisenberg_pushforward_value_at_identity():
     prof = mo.BumpProfile.standard(0.5)
-    jn = mo.make_jn(prof, 2)
+    jn = mo.ScaledBump(prof, 2)
     f = mo.push_forward(jn, hb.HEISENBERG)
     peak = jn.axis(np.array([0.0]))[0]
     assert abs(f(hb.IDENTITY) - peak**3) < 1e-12
@@ -149,7 +149,7 @@ def test_pushforward_unknown_model():
     other = GroupModel(name="other", structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
     prof = mo.BumpProfile.standard(0.25)
     with pytest.raises(PreconditionError):
-        mo.push_forward(mo.make_jn(prof, 1), other)
+        mo.push_forward(mo.ScaledBump(prof, 1), other)
 
 
 # --- mollification -----------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_mollify_torus_comb_matches_profile_transform():
     prof = mo.BumpProfile.standard(0.25)
     n = 4
     out = mo.mollify(tr.comb(), n, tr.TORUS, profile=prof)
-    f = mo.push_forward(mo.make_jn(prof, n), tr.TORUS)
+    f = mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS)
     for m in range(-8, 9):
         assert abs(out.coeff(m) - f.fhat(m)) < 1e-14
     assert out.growth is GrowthClass.RAPID_DECAY
@@ -254,3 +254,28 @@ def test_gmc_approx_heisenberg_delta():
     )
     resid = [r for (_, _, r) in rows]
     assert all(x > y for x, y in zip(resid, resid[1:]))
+
+
+def test_gmc_approx_smooths_and_pairs_at_the_given_truncation(monkeypatch):
+    # quad reaches the mollify step too, not only the pairing: every row equals the one
+    # built by hand from mollify and gmc_eval at that truncation
+    from gmc.config import QuadratureSpec
+
+    quad64 = QuadratureSpec(truncation=64)
+    seen = []
+    mollify = mo.mollify
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("quad"))
+        return mollify(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "mollify", spy)
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+    profile = mo.BumpProfile.standard(0.5)
+    delta, e0 = hb.dirac_delta(), hb.unit_vector(0)
+    rows = mo.gmc_approx(delta, e0, f, [2, 4], hb.HEISENBERG, profile=profile, quad=quad64)
+    assert seen == [quad64, quad64]
+    base = hb.gmc_eval(delta, e0, f, quad=quad64)
+    for n, value, residual in rows:
+        want = hb.gmc_eval(mollify(delta, n, hb.HEISENBERG, profile=profile, quad=quad64), e0, f, quad=quad64)
+        assert (value, residual) == (want, abs(want - base))

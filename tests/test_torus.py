@@ -253,7 +253,8 @@ def test_series_partial_sum_order_zero():
 def test_series_odd_symmetry_cancellation():
     # a_n = n against an even profile: exact cancellation at any order
     coeffs = 1.0 / (1.0 + np.arange(-8, 9.0) ** 4)
-    f = tr.TorusTestFunction(coeffs.astype(np.complex128), real_valued=True)
+    f = tr.TorusTestFunction(coeffs.astype(np.complex128))
+    assert f.real_valued
     got = tr.series_partial_sum(tr.poly(1), 8, f)
     assert abs(got) < 1e-14
 
@@ -479,9 +480,20 @@ def test_band_profiles_and_explicit_coefficients():
 
 
 def test_band_real_valued_flag_checked():
-    with pytest.raises(PreconditionError):
-        tr.TorusTestFunction(np.array([1j, 1.0, 1j]), real_valued=True)
-    tr.TorusTestFunction(np.array([1j, 1.0, -1j]), real_valued=True)
+    # the band equals its conjugate reverse, up to np.allclose with atol 1e-14
+    assert not tr.TorusTestFunction(np.array([1j, 1.0, 1j])).real_valued
+    assert tr.TorusTestFunction(np.array([1j, 1.0, -1j])).real_valued
+    assert tr.TorusTestFunction(np.array([1e-15j, 1.0, 0.0])).real_valued
+    assert not tr.TorusTestFunction(np.array([1e-3j, 1.0, 0.0])).real_valued
+
+
+def test_real_valued_survives_translation_and_derivatives():
+    # translations and real-coefficient derivatives of a real function are real
+    f = tr.band(4, "fejer")
+    assert f.left_translate(0.3).real_valued and f.right_translate(-0.7).real_valued
+    assert f.right_derive(UEAElement.generator(tr.TORUS_STRUCTURE, "X")).real_valued
+    assert (f + f.left_translate(0.1)).real_valued and (2.5 * f).real_valued
+    assert not (1j * f).real_valued
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])

@@ -522,6 +522,8 @@ def _ref_pair_extent(constant, s, start, tol, two_sided):
     from gmc.vectors import _tail_integral_bound
 
     extent = start
+    if (2 * extent + 1 if two_sided else extent + 1) > 1 << 21:
+        raise BudgetExceeded(f"pairing needs more than {1 << 21} terms for abs_tol={tol}", math.inf)
     while _tail_integral_bound(constant, s, extent, two_sided) > tol:
         extent *= 2
         terms = 2 * extent + 1 if two_sided else extent + 1
@@ -535,6 +537,8 @@ def _ref_pair_extent(constant, s, start, tol, two_sided):
 
 def _ref_cauchy_extent(v, tol):
     n = max(abs(v.start), abs(v.stop - 1), 8)
+    if n > 1 << 62:
+        raise BudgetExceeded("envelope cannot certify an L2 tail below tolerance", math.inf)
     while v.l2_tail_bound(n) > tol:
         n *= 2
         if n > 1 << 62:
@@ -549,6 +553,8 @@ def _ref_abs_tail_extent(v, tol):
     if env.degree >= -1.0:
         env = steepen_envelope(v, -3.0)
     n = max(v.stop, 8)
+    if n > 1 << 22:
+        raise BudgetExceeded("tail extent exceeds budget", math.inf)
     while (bound := _tail_integral_bound(env.constant, env.degree, n, False)) > tol:
         if 2 * n > 1 << 22:
             raise BudgetExceeded("tail extent exceeds budget", bound)
@@ -640,3 +646,23 @@ def test_cauchy_and_abs_tail_extents_match_the_reference_loops():
     for tol in (0.0, 1e-12, 1.0):
         assert _outcome(lambda: finite.cauchy_extent(tol)) == _outcome(lambda: _ref_cauchy_extent(finite, tol))
     assert budget and budget < compared
+
+
+@pytest.mark.parametrize("domain", list(IndexDomain))
+def test_a_stored_index_past_the_extent_cap_is_refused_before_reading(domain, monkeypatch):
+    # an infinite vector stored at index 10^9 used to get that index as its extent, with
+    # no budget: pair asked dense(-10^9, 10^9) of both sides, 32 GB each
+    def dense(self, lo, hi):
+        raise AssertionError(f"dense({lo}, {hi}) should not be read")
+
+    monkeypatch.setattr(CoefficientVector, "dense", dense)
+    far = CoefficientVector(domain, 10**9, [0j], GrowthEnvelope(1.0, -8.0), _quiet_tail())
+    partner = CoefficientVector(domain, 0, [0j], GrowthEnvelope(1.0, 0.0), _quiet_tail())
+    with pytest.raises(BudgetExceeded, match="pairing needs more than") as err:
+        pair(far, partner)
+    assert err.value.achieved_bound == math.inf
+    geometric = CoefficientVector(
+        IndexDomain.NATURALS, 10**9, [0j], GrowthEnvelope(1.0, -8.0, all_orders=True), Tail.formula("geometric", 0.5)
+    )
+    with pytest.raises(BudgetExceeded, match="tail extent exceeds budget"):
+        geometric.abs_tail_extent(1e-14)
