@@ -8,7 +8,9 @@ For every workload and seed, each checkout in turn runs
     python3 perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0
 
 in a subprocess from its own root, so the checkouts alternate run by run, and the one
-that goes first alternates from seed to seed (a seed may be listed twice). Then each
+that goes first alternates from seed to seed (a seed may be listed twice). Each run gets
+PYTHONPYCACHEPREFIX set to a fresh temporary directory, which perfbench's set-up spawns
+inherit, so no run reads bytecode a checkout's src/gmc/__pycache__ already holds. Then each
 checkout runs the workload once more with --trace 1 on the first seed. The file holds,
 per checkout and workload, each end-to-end metric of BENCHMARK.json with its values in
 seed order and their median, the per-layer metrics of BENCHMARK.json from the traced
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -96,7 +100,9 @@ def _commit(root: Path) -> dict:
 def run_one(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 600)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=20 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {root.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return parse_run(proc.stdout)

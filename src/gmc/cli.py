@@ -81,7 +81,7 @@ def cmd_torus_series(args) -> int:
 
 def cmd_wigner(args) -> int:
     cfg = _load_config(args)
-    quad = cfg.quadrature_spec()
+    model = hb.with_quadrature(cfg.quadrature_spec())
     phi = parse_vector("heisenberg", args.phi)
     psi = parse_vector("heisenberg", args.psi)
     if args.mollify is not None:
@@ -100,7 +100,7 @@ def cmd_wigner(args) -> int:
             raise SpecParseError("--mollify takes a positive index")
         phi, psi = (
             v if v.growth is GrowthClass.RAPID_DECAY
-            else mo.mollify(v, n, hb.HEISENBERG, profile=profile, quad=quad)
+            else mo.mollify(v, n, model, profile=profile)
             for v in (phi, psi)
         )
     elif psi.growth is not GrowthClass.RAPID_DECAY:
@@ -124,14 +124,13 @@ def cmd_wigner(args) -> int:
 
 def cmd_mollify(args) -> int:
     cfg = _load_config(args)
-    model = get_model(args.group)
+    model = get_model(args.group, cfg.quadrature_spec())
     eta = parse_vector(args.group, args.eta)
     zeta = parse_vector(args.group, args.zeta)
     f = parse_test_function(args.group, args.test_function)
     n_list = parse_n_list(args.n)
     profile = mo.BumpProfile.standard(args.radius)
-    kwargs = {"quad": cfg.quadrature_spec()} if args.group == "heisenberg" else {}
-    rows_raw = mo.gmc_approx(eta, zeta, f, n_list, model, profile=profile, **kwargs)
+    rows_raw = mo.gmc_approx(eta, zeta, f, n_list, model, profile=profile)
     rows = [(n, v.real, v.imag, r) for (n, v, r) in rows_raw]
     _write_csv(cfg.output, ["n", "value_re", "value_im", "residual"], rows)
     return 0

@@ -7,9 +7,7 @@ set it by that name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .errors import SpecParseError
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,12 +15,6 @@ class ToleranceTable:
     torus_exact: float = 1e-13
     heisenberg_fd: float = 5e-5
     mass_tol: float = 1e-10
-
-    def override(self, **kwargs) -> "ToleranceTable":
-        bad = set(kwargs) - set(self.__dataclass_fields__)
-        if bad:
-            raise SpecParseError(f"unknown tolerance keys: {sorted(bad)}")
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -40,12 +32,6 @@ class QuadratureSpec:
 
     truncation: int = 40
     check_tol: float = 1e-6
-
-    def override(self, **kwargs) -> "QuadratureSpec":
-        bad = set(kwargs) - set(self.__dataclass_fields__)
-        if bad:
-            raise SpecParseError(f"unknown quadrature keys: {sorted(bad)}")
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = ToleranceTable()

@@ -19,7 +19,7 @@ the only place these rules are written down.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
@@ -40,12 +40,11 @@ class GMCFunctional:
     psi: CoefficientVector
     model: GroupModel
     ops: tuple = ()
-    eval_options: dict = field(default_factory=dict, repr=False)
 
     def evaluate(self, f) -> complex:
         for _, _, method, arg in self.ops:
             f = getattr(f, method)(arg)
-        return self.model.gmc_eval(self.phi, self.psi, f, **self.eval_options)
+        return self.model.gmc_eval(self.phi, self.psi, f)
 
     __call__ = evaluate
 
@@ -54,8 +53,9 @@ class GMCFunctional:
         return " o ".join([f"{tag}({arg})" for tag, arg, _, _ in self.ops] + ["direct"])
 
 
-def gmc_functional(phi, psi, model: GroupModel, **eval_options) -> GMCFunctional:
-    return GMCFunctional(phi, psi, model, eval_options=eval_options)
+def gmc_functional(phi, psi, model: GroupModel) -> GMCFunctional:
+    """The direct functional; a Heisenberg model from with_quadrature carries its truncation."""
+    return GMCFunctional(phi, psi, model)
 
 
 def left_translate(F: GMCFunctional, h) -> GMCFunctional:
@@ -97,12 +97,11 @@ def orthogonality_test(
     probes: Sequence,
     model: GroupModel,
     tol: float = 1e-10,
-    **eval_options,
 ) -> tuple[bool, float]:
     """True when every probe evaluation vanishes below tol; reports the max."""
     if not probes:
         raise PreconditionError("need at least one probe test function")
-    F = gmc_functional(phi, psi, model, **eval_options)
+    F = gmc_functional(phi, psi, model)
     worst = max(abs(F(f)) for f in probes)
     return worst < tol, worst
 
@@ -114,10 +113,9 @@ def semi_invariance_residual(
     psi: CoefficientVector,
     f,
     model: GroupModel,
-    **eval_options,
 ) -> float:
     """max_h |F(R(h^{-1}) f) - chi(h) F(f)| over the sampled subgroup."""
-    F = gmc_functional(phi, psi, model, **eval_options)
+    F = gmc_functional(phi, psi, model)
     base = F(f)
     worst = 0.0
     for h in subgroup_samples:

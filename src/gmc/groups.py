@@ -3,9 +3,11 @@
 A GroupModel packages the Lie structure feeding the enveloping algebra, the
 group inverse, and hooks into the model's smoothing, pairing, pointwise and
 factorization routines. The model-generic layers (mollify, functionals,
-factorize) read nothing else. The group law and the group and algebra actions
-are module functions of each model, called directly. The two shipped models
-(torus, Heisenberg) are built in their own modules.
+factorize) read nothing else and pass the hooks no options: a model's own
+settings, such as the Heisenberg truncation (heisenberg.with_quadrature), live
+in its hooks. The group law and the group and algebra actions are module
+functions of each model, called directly. The two shipped models (torus,
+Heisenberg) are built in their own modules.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ class GroupModel:
     structure: LieStructure
     inverse: Callable[[Any], Any]
     # model hooks consumed by the generic layers (mollifier, functionals)
-    smooth_by: Callable[..., CoefficientVector] = field(default=None, repr=False)
-    gmc_eval: Callable[..., complex] = field(default=None, repr=False)
+    smooth_by: Callable[[Any, CoefficientVector], CoefficientVector] = field(default=None, repr=False)
+    gmc_eval: Callable[[CoefficientVector, CoefficientVector, Any], complex] = field(default=None, repr=False)
     pointwise_coefficient: Callable[..., Callable[[Any], complex]] = field(
         default=None, repr=False
     )

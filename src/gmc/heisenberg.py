@@ -80,6 +80,10 @@ SMOOTH_TABLE_BUDGET = 1 << 26
 KERNEL_FLOOR = 1e-20
 # entries of the largest recurrence history one pass of kernel rows keeps
 KERNEL_CHUNK = 1 << 16
+# fourier_wigner reads an infinite phi to at most FW_MAX_COLS columns, where its last
+# 32 terms must sum below FW_ABS_TOL / 4, and psi's tail to FW_ABS_TOL / 8
+FW_MAX_COLS = 1024
+FW_ABS_TOL = 1e-10
 _LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
 # smoothing's Gauss-Hermite rule is grown until the phase exp(2 pi i q b) moves no Hermite
 # function past the rule's exact degree by more than this fraction of its kernel row's peak
@@ -758,7 +762,10 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
         # are, and dx = dy / sqrt(2 pi)
         pn, pw = legendre_on_interval(p0, p1, nodes)
         qn, qw = legendre_on_interval(q0, q1, nodes)
-        weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        if not np.isfinite(weights).all():
+            raise PreconditionError("test function values leave the float range on its (p, q) rule")
         # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
         half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
         return pn, pw, weights, np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
@@ -852,19 +859,17 @@ def gmc_eval(
     return pair(smooth_by(f, phi, quad), psi, abs_tol=abs_tol)
 
 
-def fourier_wigner(
-    phi: HermiteVector, psi: HermiteVector, p, q, abs_tol: float = 1e-10, max_cols: int = 1024
-) -> complex | np.ndarray:
+def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np.ndarray:
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
     p, q are broadcast scalars or arrays, and so is the result. psi must be
     rapid-decay; phi may be any class. The kernel is built once, as one block of
     the columns j the sum reads (_kernel_block): a finite phi's from its first
     nonzero index to its stop, an infinite phi's from 0 to the last column a row
-    of psi reaches at any point, or to max_cols if that comes first. The terms are
-    summed in increasing j, so a point has the bits it has alone. If the block of
-    an infinite phi reaches max_cols and its last 32 terms do not sum below
-    abs_tol / 4 at every point, BudgetExceeded.
+    of psi reaches at any point, or to FW_MAX_COLS if that comes first. The terms
+    are summed in increasing j, so a point has the bits it has alone. If the block
+    of an infinite phi reaches FW_MAX_COLS and its last 32 terms do not sum below
+    FW_ABS_TOL / 4 at every point, BudgetExceeded.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -874,14 +879,14 @@ def fourier_wigner(
     ps, qs = p.ravel(), q.ravel()
     if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(qs))):
         raise PreconditionError("displacements p and q must be finite")
-    rows = psi.stop if psi.finite_support else psi.abs_tail_extent(abs_tol / 8.0)
+    rows = psi.stop if psi.finite_support else psi.abs_tail_extent(FW_ABS_TOL / 8.0)
     psi_vec = psi.dense(0, rows - 1)
 
     if phi.finite_support:
         top = max(phi.stop, 1)
         lo = int(np.argmax(phi.dense(0, top - 1) != 0))  # 0 when phi vanishes
     else:
-        lo, top = 0, max_cols
+        lo, top = 0, FW_MAX_COLS
     ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo)
     we = ws + len(kernel)
     terms = _cmul(phi.dense(ws, we - 1)[:, None], kernel)
@@ -892,9 +897,9 @@ def fourier_wigner(
     if bad:
         message = f"pointwise coefficient at {we} columns is not finite at {bad} points"
         raise QuadratureAccuracyError(message, bad, 0.0, total, None)
-    if not phi.finite_support and we >= max_cols:
+    if not phi.finite_support and we >= FW_MAX_COLS:
         tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0)))
-        if not tail_block < abs_tol / 4.0:
+        if not tail_block < FW_ABS_TOL / 4.0:
             raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
@@ -1012,3 +1017,15 @@ HEISENBERG = GroupModel(
     pointwise_coefficient=pointwise_coefficient,
     factorization=factorize_heisenberg,
 )
+
+
+def with_quadrature(quad: QuadratureSpec) -> GroupModel:
+    """The Heisenberg model whose smoothing and pairing hooks run at quad (HEISENBERG
+    itself at the default). The hooks look smooth_by and gmc_eval up when called."""
+    if quad == DEFAULT_QUADRATURE:
+        return HEISENBERG
+    return replace(
+        HEISENBERG,
+        smooth_by=lambda f, phi: smooth_by(f, phi, quad),
+        gmc_eval=lambda phi, psi, f: gmc_eval(phi, psi, f, quad),
+    )

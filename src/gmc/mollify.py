@@ -195,12 +195,11 @@ def mollify(
     n: int,
     model: GroupModel,
     profile: BumpProfile | None = None,
-    **smooth_kwargs,
 ) -> CoefficientVector:
-    """pi(J_n) eta: a smooth vector approximating eta as n grows. The keyword
-    arguments go to the model's smooth_by (on the Heisenberg group, quad)."""
+    """pi(J_n) eta: a smooth vector approximating eta as n grows, from the model's
+    smooth_by (a Heisenberg model from with_quadrature carries its truncation)."""
     f = push_forward(ScaledBump(profile or BumpProfile.standard(), n), model)
-    return model.smooth_by(f, eta, **smooth_kwargs)
+    return model.smooth_by(f, eta)
 
 
 def gmc_approx(
@@ -210,20 +209,17 @@ def gmc_approx(
     n_list: Sequence[int],
     model: GroupModel,
     profile: BumpProfile | None = None,
-    **eval_kwargs,
 ) -> list[tuple[int, complex, float]]:
     """Rows (n, value, residual) for the smooth approximations against f.
 
     value is the coefficient of the mollified vector paired through f and
-    residual its distance to the unmollified evaluation. The keyword arguments
-    go to the model's gmc_eval and to mollify, so on the Heisenberg group one
-    quad sets the truncation of every smoothing.
+    residual its distance to the unmollified evaluation. Every smoothing and
+    pairing goes through the model's hooks, so on the Heisenberg group the model
+    from with_quadrature (or specs.get_model) sets the truncation of all of them.
     """
-    base = model.gmc_eval(eta, zeta, f, **eval_kwargs)
+    base = model.gmc_eval(eta, zeta, f)
     rows = []
     for n in n_list:
-        approx = model.gmc_eval(
-            mollify(eta, n, model, profile=profile, **eval_kwargs), zeta, f, **eval_kwargs
-        )
+        approx = model.gmc_eval(mollify(eta, n, model, profile=profile), zeta, f)
         rows.append((n, approx, abs(approx - base)))
     return rows

@@ -21,11 +21,12 @@ from .vectors import CoefficientVector
 GRID_POINTS = 1 << 24
 
 
-def get_model(group: str) -> GroupModel:
+def get_model(group: str, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> GroupModel:
+    """The named model; the Heisenberg one smooths and pairs at quad."""
     if group == "torus":
         return tr.TORUS
     if group == "heisenberg":
-        return hb.HEISENBERG
+        return hb.with_quadrature(quad)
     raise SpecParseError(f"unknown group {group!r}")
 
 
@@ -264,7 +265,7 @@ class RunConfig:
         return RunConfig(**payload)
 
     def tolerance_table(self) -> ToleranceTable:
-        return ToleranceTable().override(**self.tolerances)
+        return ToleranceTable(**self.tolerances)
 
     def quadrature_spec(self) -> QuadratureSpec:
-        return QuadratureSpec().override(**self.quadrature)
+        return QuadratureSpec(**self.quadrature)

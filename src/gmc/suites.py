@@ -15,7 +15,7 @@ from . import functionals as fn
 from . import heisenberg as hb
 from . import mollify as mo
 from . import torus as tr
-from .config import DEFAULT_QUADRATURE, QuadratureSpec, ToleranceTable
+from .config import DEFAULT_QUADRATURE, DEFAULT_TOLERANCES, QuadratureSpec, ToleranceTable
 from .errors import SpecParseError
 from .groups import factorize
 from .uea import UEAElement, uea_antipode, uea_multiply, uea_transpose
@@ -172,7 +172,7 @@ def suite_heisenberg_covariance(
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     phi, psi = hb.unit_vector(0), hb.unit_vector(1)
     N = quad.truncation
-    F = fn.gmc_functional(phi, psi, hb.HEISENBERG, quad=quad)
+    F = fn.gmc_functional(phi, psi, hb.with_quadrature(quad))
 
     worst_rt, worst_lt = 0.0, 0.0
     for _ in range(3):
@@ -294,9 +294,8 @@ def suite_mollifier(
         hb.unit_vector(0),
         f_h,
         [2, 4, 8, 16],
-        hb.HEISENBERG,
+        hb.with_quadrature(quad),
         profile=prof_h,
-        quad=quad,
     )
     results.append(
         PropertyResult(
@@ -306,7 +305,7 @@ def suite_mollifier(
     # smoothing certificate at two truncations
     for N_cert in (quad.truncation, quad.truncation + 16):
         quad_cert = replace(quad, truncation=N_cert)
-        out = mo.mollify(hb.dirac_delta(), 1, hb.HEISENBERG, profile=mo.BumpProfile.standard(0.8), quad=quad_cert)
+        out = mo.mollify(hb.dirac_delta(), 1, hb.with_quadrature(quad_cert), profile=mo.BumpProfile.standard(0.8))
         results.append(
             PropertyResult(
                 f"mollify-decay-certificate-N{N_cert}",
@@ -344,7 +343,7 @@ def suite_structure(
     f_h = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     positions = [hb.HeisenbergElement(0, qv, 0) for qv in (0.3, -0.5)]
     worst_h = fn.semi_invariance_residual(
-        hb.dirac_delta(), positions, lambda h: 1.0, hb.unit_vector(0), f_h, hb.HEISENBERG, quad=quad
+        hb.dirac_delta(), positions, lambda h: 1.0, hb.unit_vector(0), f_h, hb.with_quadrature(quad)
     )
     results.append(
         PropertyResult("heisenberg-delta-semi-invariance", worst_h, tolerances.heisenberg_fd)
@@ -398,7 +397,7 @@ def suite_structure(
     phi = hb.poly_growth_vector(0.0)
     D, u = factorize(phi, hb.HEISENBERG)
     lhs_v = hb.gmc_eval(phi, hb.unit_vector(0), f_h, quad=quad)
-    F = fn.gmc_functional(u, hb.unit_vector(0), hb.HEISENBERG, quad=quad)
+    F = fn.gmc_functional(u, hb.unit_vector(0), hb.with_quadrature(quad))
     rhs_v = fn.right_derive(F, D)(f_h)
     results.append(
         PropertyResult(
@@ -421,13 +420,12 @@ SUITES = {
 def run_suite(
     name: str,
     seed: int,
-    tolerances: ToleranceTable | None = None,
-    quad: QuadratureSpec | None = None,
+    tolerances: ToleranceTable = DEFAULT_TOLERANCES,
+    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[PropertyResult]:
     if name not in SUITES:
         raise SpecParseError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    tolerances = tolerances or ToleranceTable()
     suite = SUITES[name]
     if name in ("uea", "torus-covariance"):
         return suite(seed, tolerances)
-    return suite(seed, tolerances, quad or DEFAULT_QUADRATURE)
+    return suite(seed, tolerances, quad)

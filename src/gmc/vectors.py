@@ -108,7 +108,7 @@ def _tail_power(exponent: float) -> TailFn:
     def fn(k: np.ndarray) -> np.ndarray:
         kf = k.astype(float)
         base = kf if exponent == int(exponent) else np.abs(kf)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             vals = base**exponent
         return np.where(k == 0, 1.0 if exponent == 0 else 0.0, vals).astype(np.complex128)
 
@@ -116,7 +116,7 @@ def _tail_power(exponent: float) -> TailFn:
 
 
 def _tail_shifted_power(exponent: float) -> TailFn:
-    return lambda k: ((1.0 + np.abs(k)) ** exponent).astype(np.complex128)
+    return np.errstate(over="ignore")(lambda k: ((1.0 + np.abs(k)) ** exponent).astype(np.complex128))
 
 
 def _tail_inv_quadratic(power: int) -> TailFn:
@@ -371,7 +371,10 @@ def vector_from_prefix(
         }[growth]
     ks = np.arange(start, start + len(values))
     scale = (1.0 + np.abs(ks)) ** degree
-    base = float(np.max(np.abs(values) / scale)) if len(values) else 1.0
+    with np.errstate(over="ignore"):
+        base = float(np.max(np.abs(values) / scale)) if len(values) else 1.0
+    if base == math.inf and np.isfinite(values).all():
+        raise PreconditionError(f"the degree {degree:g} envelope constant of the coefficients leaves the float range")
     # a non-finite base falls through to CoefficientVector, which rejects the prefix
     constant = max(base * (1 + 1e-12), 1e-300) if 0 < base < math.inf else 1.0
     envelope = GrowthEnvelope(constant, degree, growth is GrowthClass.RAPID_DECAY)
@@ -386,7 +389,11 @@ def formula_vector(
     """The vector whose every coefficient is the named tail formula: the prefix,
     indices start..stop-1, is the formula there, so prefix and tail cannot disagree."""
     tail = Tail.formula(name, *params)
-    return CoefficientVector(domain, start, tail.fn(np.arange(start, stop)), envelope, tail)
+    values = tail.fn(np.arange(start, stop))
+    if not np.isfinite(values).all():
+        k = start + int(np.argmin(np.isfinite(values)))
+        raise PreconditionError(f"{name} formula of degree {envelope.degree:g} leaves the float range at index {k}")
+    return CoefficientVector(domain, start, values, envelope, tail)
 
 
 def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:

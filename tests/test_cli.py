@@ -11,8 +11,7 @@ import pytest
 
 import gmc
 from gmc.cli import main
-from gmc.config import QuadratureSpec, ToleranceTable
-from gmc.errors import GmcError, SpecParseError
+from gmc.errors import GmcError
 from gmc.suites import run_suite
 
 
@@ -346,10 +345,6 @@ def test_unknown_names_raise_typed_errors():
     # typed, so the CLI reports bad input without catching every KeyError a suite raises
     with pytest.raises(GmcError, match="nope"):
         run_suite("nope", 1)
-    with pytest.raises(SpecParseError, match="nope"):
-        ToleranceTable().override(nope=1.0)
-    with pytest.raises(SpecParseError, match="nope"):
-        QuadratureSpec().override(nope=1)
 
 
 def test_verify_tightened_tolerance_fails():
@@ -475,6 +470,45 @@ def test_non_finite_number_is_bad_input(argv):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (("torus-series", "poly:400", "band:4:ones", "--m-max", "3"), "400"),
+        (("wigner", "poly-growth:400", "e:0", "--grid=0:1:2,0:1:2"), "400"),
+        (("wigner", "poly-growth:1e6", "e:0", "--grid=0:1:2,0:1:2"), "1e+06"),
+    ],
+)
+def test_power_formula_past_the_float_range_names_its_degree(argv, degree):
+    # the overflow is a typed error that names the formula's degree, with no numpy warning
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"formula of degree {degree} leaves the float range at index" in err
+
+
+_SMOOTH_ARGV = ("mollify", "--group", "heisenberg", "delta", "e:0")
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        ((*_SMOOTH_ARGV, "bump3:radius=1e-300", "--n", "2"), "test function values leave the float range"),
+        ((*_SMOOTH_ARGV, "bump3:radius=0.4:mass=1e308", "--n", "2"), "test function values leave the float range"),
+        (
+            ("wigner", "delta", "e:0", "--grid=0:1:2,0:1:2", "--mollify", "mollifier:n=2:radius=1e-300"),
+            "test function values leave the float range",
+        ),
+        # the smoothed output is finite, but its degree -8 envelope constant is not
+        ((*_SMOOTH_ARGV, "bump3:radius=0.4:mass=1e300", "--n", "2"), "envelope constant of the coefficients leaves"),
+    ],
+)
+def test_heisenberg_smoothing_past_the_float_range_is_bad_input(argv, cause):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert cause in err
 
 
 @pytest.mark.parametrize("spec", ["e:-1", "e:2.5", "e:x"])

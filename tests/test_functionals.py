@@ -7,6 +7,7 @@ import pytest
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc import torus as tr
+from gmc.config import QuadratureSpec
 from gmc.errors import PreconditionError
 from gmc.functionals import (
     gmc_functional,
@@ -19,7 +20,7 @@ from gmc.functionals import (
     smooth_function_view,
 )
 from gmc.hermite import legendre_on_interval
-from gmc.uea import UEAElement
+from gmc.uea import UEAElement, uea_antipode, uea_transpose
 from gmc.vectors import GrowthClass, IndexDomain, vector_from_prefix
 
 TX = UEAElement.generator(tr.TORUS_STRUCTURE, "X")
@@ -292,3 +293,37 @@ def test_semi_invariance_delta_under_position_subgroup():
         hb.dirac_delta(), samples, lambda h: 1.0, hb.unit_vector(0), f, hb.HEISENBERG
     )
     assert r < 5e-5
+
+
+# --- the model's quadrature ------------------------------------------------------------
+
+_QUAD64 = QuadratureSpec(truncation=64)
+
+
+def test_functional_evaluates_at_the_model_truncation():
+    # direct and after each dualized operation, the functional of the model from
+    # with_quadrature has the bits of gmc_eval at that quad on the dualized test function
+    phi, psi = hb.dirac_delta(), hb.unit_vector(1)
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+    h = hb.HeisenbergElement(0.2, -0.3, 0.1)
+    F = gmc_functional(phi, psi, hb.with_quadrature(_QUAD64))
+    cases = [
+        (F, f),
+        (left_translate(F, h), f.left_translate(hb.group_inv(h))),
+        (right_translate(F, h), f.right_translate(hb.group_inv(h))),
+        (left_derive(F, HP), f.left_derive(uea_transpose(HP))),
+        (right_derive(F, HP), f.right_derive(uea_antipode(HP))),
+    ]
+    for G, g in cases:
+        assert G.evaluate(f) == hb.gmc_eval(phi, psi, g, quad=_QUAD64)
+    assert F(f) != gmc_functional(phi, psi, hb.HEISENBERG)(f)
+
+
+def test_semi_invariance_residual_at_the_model_truncation():
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+    samples = [hb.HeisenbergElement(0, q, 0) for q in (0.3, -0.6)]
+    phi, psi = hb.dirac_delta(), hb.unit_vector(0)
+    got = semi_invariance_residual(phi, samples, lambda h: 1.0, psi, f, hb.with_quadrature(_QUAD64))
+    base = hb.gmc_eval(phi, psi, f, quad=_QUAD64)
+    moved = [hb.gmc_eval(phi, psi, f.right_translate(hb.group_inv(h)), quad=_QUAD64) for h in samples]
+    assert got == max(abs(v - base) for v in moved)

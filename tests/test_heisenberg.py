@@ -837,6 +837,28 @@ def test_smooth_by_non_finite_is_a_typed_error(monkeypatch):
     _assert_finite_or_typed_error(lambda: hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(truncation=700)).prefix)
 
 
+def test_with_quadrature_default_is_the_model_itself():
+    from gmc.config import DEFAULT_QUADRATURE
+
+    assert hb.with_quadrature(DEFAULT_QUADRATURE) is hb.HEISENBERG
+    assert hb.with_quadrature(QuadratureSpec()) is hb.HEISENBERG
+    assert hb.with_quadrature(QuadratureSpec(truncation=64)) is not hb.HEISENBERG
+
+
+def test_with_quadrature_hooks_call_the_module_functions_by_name(monkeypatch):
+    # a wrapper set on the module attribute (as a tracer does) sees every call of the hooks
+    quad64 = QuadratureSpec(truncation=64)
+    model = hb.with_quadrature(quad64)
+    calls = []
+    smooth_by, gmc_eval = hb.smooth_by, hb.gmc_eval
+    monkeypatch.setattr(hb, "smooth_by", lambda *a: calls.append(("smooth_by", a[-1])) or smooth_by(*a))
+    monkeypatch.setattr(hb, "gmc_eval", lambda *a: calls.append(("gmc_eval", a[-1])) or gmc_eval(*a))
+    f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+    assert model.smooth_by(f, hb.unit_vector(0)).stop == 64
+    model.gmc_eval(hb.unit_vector(0), hb.unit_vector(1), f)
+    assert calls == [("smooth_by", quad64), ("gmc_eval", quad64), ("smooth_by", quad64)]
+
+
 # --- generalized matrix coefficients --------------------------------------------------
 
 
@@ -906,13 +928,14 @@ def test_fourier_wigner_requires_rapid_decay_partner():
         hb.fourier_wigner(hb.unit_vector(0), hb.dirac_delta(), 0.1, 0.2)
 
 
-def test_fourier_wigner_default_budget_reaches_the_tail():
-    # the last doubling stops at max_cols instead of overshooting it
+def test_fourier_wigner_default_budget_reaches_the_tail(monkeypatch):
+    # the last doubling stops at FW_MAX_COLS instead of overshooting it
     ps = np.linspace(-1.68, 1.68, 5)
     P, Q = np.meshgrid(ps, ps, indexing="ij")
     phi = hb.poly_growth_vector(0.00345469)
     got = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q)
-    wide = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q, max_cols=4096)
+    monkeypatch.setattr(hb, "FW_MAX_COLS", 4096)
+    wide = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q)
     assert np.max(np.abs(got - wide)) < 1e-12
 
 
@@ -948,12 +971,13 @@ def test_fourier_wigner_array_matches_scalar_calls():
             assert abs(grid[a, b] - hb.fourier_wigner(phi, psi, P[a, b], Q[a, b])) < 1e-13
 
 
-def test_fourier_wigner_budget_error_reports_bound():
+def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
     from gmc.errors import BudgetExceeded
 
+    monkeypatch.setattr(hb, "FW_MAX_COLS", 64)
     phi = hb.poly_growth_vector(2.0, prefix_len=8)
     with pytest.raises(BudgetExceeded) as info:
-        hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0, max_cols=64)
+        hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0)
     assert info.value.achieved_bound > 0
 
 
@@ -1031,7 +1055,7 @@ def test_fourier_wigner_growing_windows_match_one_wide_window(r, k):
     phi, psi = hb.poly_growth_vector(r), hb.unit_vector(k)
     P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 5), np.linspace(-1.0, 1.0, 3), indexing="ij")
     got = hb.fourier_wigner(phi, psi, P, Q)
-    cols = 1024  # the default max_cols
+    cols = hb.FW_MAX_COLS
     kernel = hb._kernel_columns(psi.dense(0, k), cols, P.ravel(), Q.ravel())
     wide = (phi.dense(0, cols - 1) @ kernel).reshape(P.shape)
     assert np.max(np.abs(got - wide)) <= 1e-12 * np.max(np.abs(wide))

@@ -256,26 +256,20 @@ def test_gmc_approx_heisenberg_delta():
     assert all(x > y for x, y in zip(resid, resid[1:]))
 
 
-def test_gmc_approx_smooths_and_pairs_at_the_given_truncation(monkeypatch):
-    # quad reaches the mollify step too, not only the pairing: every row equals the one
-    # built by hand from mollify and gmc_eval at that truncation
+def test_gmc_approx_smooths_and_pairs_at_the_given_truncation():
+    # the model from with_quadrature carries the truncation to the mollify step too, not
+    # only to the pairing: every row equals the one built by hand at that truncation
     from gmc.config import QuadratureSpec
 
     quad64 = QuadratureSpec(truncation=64)
-    seen = []
-    mollify = mo.mollify
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("quad"))
-        return mollify(*args, **kwargs)
-
-    monkeypatch.setattr(mo, "mollify", spy)
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     profile = mo.BumpProfile.standard(0.5)
     delta, e0 = hb.dirac_delta(), hb.unit_vector(0)
-    rows = mo.gmc_approx(delta, e0, f, [2, 4], hb.HEISENBERG, profile=profile, quad=quad64)
-    assert seen == [quad64, quad64]
+    rows = mo.gmc_approx(delta, e0, f, [2, 4], hb.with_quadrature(quad64), profile=profile)
     base = hb.gmc_eval(delta, e0, f, quad=quad64)
     for n, value, residual in rows:
-        want = hb.gmc_eval(mollify(delta, n, hb.HEISENBERG, profile=profile, quad=quad64), e0, f, quad=quad64)
+        jn = mo.push_forward(mo.ScaledBump(profile, n), hb.HEISENBERG)
+        want = hb.gmc_eval(hb.smooth_by(jn, delta, quad64), e0, f, quad=quad64)
         assert (value, residual) == (want, abs(want - base))
+    # the default model's rows differ, so the rows above did not fall back to it
+    assert rows != mo.gmc_approx(delta, e0, f, [2, 4], hb.HEISENBERG, profile=profile)

@@ -159,3 +159,23 @@ def test_bench_script_takes_medians_of_canned_runs():
         "hermite.hermite_scaled.evals": {"value": 1.5e8, "unit": "count"},
         "heisenberg.smooth_by.self_s": {"value": 0.75, "unit": "s"},
     }
+
+
+def test_bench_runs_read_no_checkout_bytecode(monkeypatch, tmp_path):
+    # each perfbench run gets its own fresh bytecode prefix, outside the checkout
+    bench = _bench_module()
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        return subprocess.CompletedProcess(argv, 0, _canned_run(150.0, 3.0), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    for seed in (1, 2):
+        result, _ = bench.run_one(tmp_path, "wigner-table", seed, 1.0)
+        assert result["attempted"] == 84
+    (a, fresh_a), (b, fresh_b) = seen
+    assert fresh_a and fresh_b and a != b
+    assert tmp_path not in a.parents and ROOT not in a.parents
+    assert not a.exists() and not b.exists()  # removed after its run

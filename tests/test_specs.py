@@ -5,7 +5,9 @@ import math
 import pytest
 
 from gmc import heisenberg as hb
+from gmc import mollify as mo
 from gmc import torus as tr
+from gmc.config import QuadratureSpec
 from gmc.errors import BudgetExceeded, SpecParseError
 from gmc.specs import (
     GRID_POINTS,
@@ -19,10 +21,15 @@ from gmc.specs import (
 )
 from gmc.vectors import GrowthClass
 
+_F = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
+
 
 def test_get_model():
     assert get_model("torus") is tr.TORUS
     assert get_model("heisenberg") is hb.HEISENBERG
+    quad64 = QuadratureSpec(truncation=64)
+    assert get_model("torus", quad64) is tr.TORUS
+    assert get_model("heisenberg", quad64).smooth_by(_F, hb.unit_vector(0)).stop == 64
     with pytest.raises(SpecParseError):
         get_model("so3")
 
