@@ -10,7 +10,11 @@ For every workload and seed, each checkout in turn runs
 in a subprocess from its own root, so the checkouts alternate run by run, and the one
 that goes first alternates from seed to seed (a seed may be listed twice). Each run gets
 PYTHONPYCACHEPREFIX set to a fresh temporary directory, which perfbench's set-up spawns
-inherit, so no run reads bytecode a checkout's src/gmc/__pycache__ already holds. Then each
+inherit, so no run reads bytecode a checkout's src/gmc/__pycache__ already holds. Before
+the run, one interpreter imports numpy and the standard library modules gmc loads (not
+gmc) into that prefix, and the run has PYTHONDONTWRITEBYTECODE=1: every spawn then
+compiles gmc from the checkout's sources, but not numpy, whose compile would otherwise
+take most of a set-up spawn (0.8-1.0 s against 0.25-0.3 s). Then each
 checkout runs the workload once more with --trace 1 on the first seed. The file holds,
 per checkout and workload, each end-to-end metric of BENCHMARK.json with its values in
 seed order and their median, the per-layer metrics of BENCHMARK.json from the traced
@@ -32,6 +36,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# what a gmc spawn imports besides gmc, compiled into each run's fresh bytecode prefix
+WARM_IMPORTS = (
+    "numpy", "numpy.fft", "numpy.linalg", "numpy.polynomial", "numpy.random",
+    "argparse", "cmath", "dataclasses", "json", "secrets",
+)
+WARM_COMMAND = [sys.executable, "-c", "import " + ", ".join(WARM_IMPORTS)]
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -101,7 +111,9 @@ def run_one(root: Path, workload: str, seed: int, seconds: float, trace: int = 0
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        writing = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        subprocess.run(WARM_COMMAND, cwd=cache, env={**writing, "PYTHONPYCACHEPREFIX": cache}, check=True, timeout=600)
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=20 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {root.name} exited {proc.returncode}: {proc.stderr[-2000:]}")

@@ -8,11 +8,20 @@ workload and seed (that many blocks each) through perfbench/run.py's Runner, in 
 subprocess that imports that checkout's own src/ and perfbench/. The requests'
 (code, output, error) are compared one by one; the script prints the requests that
 differ and exits 1 if any do, 0 if none do.
+
+Each differing request is sized: per line of its output (a returned value is one
+line), the largest change of a number over 1 + the line's largest |number|, read on
+both sides. A difference anywhere but in the numbers (the exit code, the text around
+them, how many there are) sizes as inf. The last line gives the largest size over all
+requests, so a change in the last digits reads apart from a wrong value.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +65,53 @@ def run_checkout(root: Path, workloads: list[str], seeds: list[int], blocks: int
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def _flatten(value) -> list:
+    """The numbers of a returned value, a complex one as its two parts; anything
+    else stays as it is, to be compared as a whole."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _flatten(item)]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return [float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value]
+
+
+def _lines(text: str) -> list[tuple[str, list]]:
+    """(skeleton, numbers) per line: a CLI output's lines with their numbers cut out,
+    or a returned value as one line."""
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        value = text
+    if not isinstance(value, str):
+        items = _flatten(value)
+        numbers = [x for x in items if isinstance(x, float)]
+        return [(repr([x if not isinstance(x, float) else "#" for x in items]), numbers)]
+    return [(_NUMBER.sub("#", line), [float(t) for t in _NUMBER.findall(line)]) for line in value.splitlines()]
+
+
+def change_size(this: list, other: list) -> float:
+    """The largest change of a number between two request records, over 1 + the
+    largest |number| of its line: 0 when they are equal, inf when they differ in
+    anything but the numbers."""
+    if this[4] != other[4]:
+        return math.inf
+    a_lines = _lines(this[5]) + _lines(repr(this[6]))
+    b_lines = _lines(other[5]) + _lines(repr(other[6]))
+    if [a for a, _ in a_lines] != [b for b, _ in b_lines]:
+        return math.inf
+    size = 0.0
+    for (_, xs), (_, ys) in zip(a_lines, b_lines):
+        scale = 1.0 + max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
+        for x, y in zip(xs, ys):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                change = abs(x - y) / scale  # nan when one side is nan
+                size = math.inf if math.isnan(change) else max(size, change)
+    return size
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
@@ -74,15 +130,19 @@ def main(argv=None) -> int:
     if [r[:4] for r in ours] != [r[:4] for r in theirs]:
         print("the checkouts draw different requests")
         return 1
-    differ = 0
+    sizes = []
     for a, b in zip(ours, theirs):
         if a[4:] != b[4:]:
-            differ += 1
+            sizes.append(change_size(a, b))
             print(f"{a[0]} seed {a[1]} {a[2]} {a[3]}")
             print(f"  this:  code={a[4]} output={a[5]} error={a[6]}")
             print(f"  other: code={b[4]} output={b[5]} error={b[6]}")
-    print(f"{differ} of {len(ours)} requests differ")
-    return 1 if differ else 0
+            print(f"  largest change {sizes[-1]:.3g} x (1 + the line's largest |value|)")
+    summary = f"{len(sizes)} of {len(ours)} requests differ"
+    if sizes:
+        summary += f"; largest change {max(sizes):.3g} x (1 + the line's largest |value|)"
+    print(summary)
+    return 1 if sizes else 0
 
 
 if __name__ == "__main__":

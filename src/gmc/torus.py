@@ -241,7 +241,7 @@ def smooth_by(f: TorusTestFunction, a: TorusSequence) -> TorusSequence:
     _require_torus(a)
     B = f.bandwidth
     ns = np.arange(-B, B + 1)
-    vals = a.coeffs(ns) * f.coeffs[::-1]
+    vals = a.finite_coeffs(ns) * f.coeffs[::-1]
     return vector_from_prefix(
         IndexDomain.INTEGERS, -B, vals, GrowthClass.RAPID_DECAY, degree=-8.0
     )

@@ -239,6 +239,16 @@ class CoefficientVector:
                 out[rest] = self.tail.fn(ks[rest])
         return out
 
+    def finite_coeffs(self, indices) -> np.ndarray:
+        """coeffs, raising PreconditionError, which names the tail formula and the
+        envelope's degree, where a tail value leaves the float range."""
+        vals = self.coeffs(indices)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            k = int(np.asarray(indices)[np.argmin(finite)])
+            raise PreconditionError(_leaves_float_range(self.tail.name, self.envelope.degree, k))
+        return vals
+
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients for indices lo..hi inclusive, as a fresh array: a copy of
         the prefix slice when the run lies inside the prefix."""
@@ -392,8 +402,12 @@ def formula_vector(
     values = tail.fn(np.arange(start, stop))
     if not np.isfinite(values).all():
         k = start + int(np.argmin(np.isfinite(values)))
-        raise PreconditionError(f"{name} formula of degree {envelope.degree:g} leaves the float range at index {k}")
+        raise PreconditionError(_leaves_float_range(name, envelope.degree, k))
     return CoefficientVector(domain, start, values, envelope, tail)
+
+
+def _leaves_float_range(name: str, degree: float, k: int) -> str:
+    return f"{name} formula of degree {degree:g} leaves the float range at index {k}"
 
 
 def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:

@@ -478,6 +478,8 @@ def test_non_finite_number_is_bad_input(argv):
         (("torus-series", "poly:400", "band:4:ones", "--m-max", "3"), "400"),
         (("wigner", "poly-growth:400", "e:0", "--grid=0:1:2,0:1:2"), "400"),
         (("wigner", "poly-growth:1e6", "e:0", "--grid=0:1:2,0:1:2"), "1e+06"),
+        # the mollifier's band reaches |n| = 1058, where the tail n^150 overflows
+        (("mollify", "--group", "torus", "poly:150", "comb", "band:4:fejer", "--n", "2"), "150"),
     ],
 )
 def test_power_formula_past_the_float_range_names_its_degree(argv, degree):
@@ -485,6 +487,7 @@ def test_power_formula_past_the_float_range_names_its_degree(argv, degree):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Warning" not in err
     assert f"formula of degree {degree} leaves the float range at index" in err
 
 

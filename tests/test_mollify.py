@@ -22,6 +22,11 @@ def test_unit_bump_mass_against_adaptive_quadrature():
     assert abs(got - 0.4439938) < 1e-6
 
 
+def test_unit_bump_mass_against_reference_value():
+    # the mpmath value of the integral of exp(-1/(1-x^2)) over [-1, 1]
+    assert abs(mo.unit_bump_mass() - 0.443993816168079437823) < 4e-15
+
+
 def test_profile_unit_mass_two_resolutions():
     prof = mo.BumpProfile.standard(0.3)
     assert abs(prof.mass() - 1.0) < 1e-10
@@ -91,6 +96,49 @@ def test_torus_pushforward_sample_cap(monkeypatch):
     mo.push_forward(mo.ScaledBump(prof, 4), tr.TORUS)
     with pytest.raises(BudgetExceeded):
         mo.push_forward(mo.ScaledBump(prof, 64), tr.TORUS)
+
+
+def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
+    # the predicted start never passes the size a doubling search from 1024 ends at,
+    # so both take their band from the same FFT; 0.2575 sits just past a power of two
+    radii = [round(0.15 + 0.0025 * i, 4) for i in range(121)]
+    assert 0.2575 in radii and radii[-1] == 0.45
+    for r in radii:
+        for n in (1, 2, 3, 4, 5, 8, 13, 16, 32, 64):
+            jn = mo.ScaledBump(mo.BumpProfile.standard(r), n)
+            got = mo.push_forward(jn, tr.TORUS).coeffs
+            with monkeypatch.context() as plain_search:
+                plain_search.setattr(mo, "_start_size", lambda radius: 1024)
+                plain = mo.push_forward(jn, tr.TORUS).coeffs
+            assert got.shape == plain.shape and (got == plain).all(), (r, n)
+
+
+def test_torus_pushforward_short_prediction_doubles(monkeypatch):
+    # a reference edge that predicts an eighth of the band still reaches it by doubling
+    jn = mo.ScaledBump(mo.BumpProfile.standard(0.2), 16)
+    expected = mo.push_forward(jn, tr.TORUS).coeffs
+    sizes = []
+    table, edge = mo._fft_table, mo._band_edge()
+    monkeypatch.setattr(mo, "_band_edge", lambda: edge / 8)
+    monkeypatch.setattr(mo, "_fft_table", lambda jn, size: sizes.append(size) or table(jn, size))
+    got = mo.push_forward(jn, tr.TORUS).coeffs
+    assert len(sizes) == 4 and sizes == sorted(sizes)
+    assert got.shape == expected.shape and (got == expected).all()
+
+
+def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch):
+    mo._band_edge()  # the reference is measured once per process, under the full cap
+    monkeypatch.setattr(mo, "_FFT_SAMPLE_CAP", 1 << 14)
+
+    def no_sampling(jn, size):
+        raise AssertionError(f"sampled {size} points")
+
+    monkeypatch.setattr(mo, "_fft_table", no_sampling)
+    jn = mo.ScaledBump(mo.BumpProfile.standard(0.25), 64)
+    assert mo._start_size(jn.radius) > 1 << 14
+    with pytest.raises(BudgetExceeded) as info:
+        mo.push_forward(jn, tr.TORUS)
+    assert info.value.achieved_bound == math.inf
 
 
 def test_torus_pushforward_matches_direct_transform():

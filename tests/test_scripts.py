@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import gmc.suites
 import gmc.torus
 import gmc.uea
 import gmc.vectors
+import pytest
 from gmc.errors import GmcError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +82,51 @@ def test_compare_outputs_script_finds_no_difference_with_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 of 12 requests differ"
+
+
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_sizes_each_difference(monkeypatch, capsys, tmp_path):
+    compare = _script_module("compare_outputs")
+    csv = "n,value_re,value_im,residual\n2,552.0,0,1.5\n4,0.25,0,3e-3\n"
+    row = ["circle-mollify", 1, "cli.mollify-torus", "mollify ...", 0, repr(csv), None]
+
+    def edited(output=csv, code=0, error=None):
+        return row[:4] + [code, repr(output), error]
+
+    assert compare.change_size(row, edited()) == 0.0
+    # 552.0 -> 552.0000000000125 on a line whose largest |value| is 552
+    moved = compare.change_size(row, edited(csv.replace("552.0", "552.0000000000125")))
+    assert moved == pytest.approx(1.25e-11 / 553.0, rel=1e-3)
+    assert compare.change_size(row, edited(csv.replace("3e-3", "4e-3"))) == pytest.approx(1e-3 / 5.0)
+    # a returned value is one line; a complex repr reads as its two parts
+    value = ["lib", 1, "lib.torus-pointwise", "{}", 0, repr([(1.5 - 2j), 0.25j]), None]
+    nudged = value[:5] + [repr([(1.5 - 2.000001j), 0.25j]), None]
+    assert compare.change_size(value, nudged) == pytest.approx(1e-6 / 3.0)
+    # a real part that turns from 0 to 3e-33 moves the repr's layout, not the value's
+    pure = value[:5] + [repr([-1.4876947157641291j]), None]
+    mixed = value[:5] + [repr([(3.4666738998970245e-33 - 1.4876947157642784j)]), None]
+    assert compare.change_size(pure, mixed) == pytest.approx(1.493e-13 / 2.4877, rel=1e-3)
+    # anything but a number, and a number turned nan, is a wrong value
+    for other in (edited(code=2), edited(csv.replace("n,", "m,")), edited(csv + "8,1,0,0\n"), edited(csv.replace("0.25", "nan"))):
+        assert compare.change_size(row, other) == math.inf
+    assert compare.change_size(row[:6] + ["error: at 10"], row[:6] + ["error: at 12"]) == pytest.approx(2.0 / 13.0)
+
+    ours = [row, row, value]
+    theirs = [edited(csv.replace("552.0", "552.0000000000125")), row, value]
+    monkeypatch.setattr(compare, "run_checkout", lambda root, *args: ours if root == compare.ROOT else theirs)
+    assert compare.main([str(tmp_path), "--seeds", "1", "--blocks", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == "  largest change 2.26e-14 x (1 + the line's largest |value|)"
+    assert out[-1] == "1 of 3 requests differ; largest change 2.26e-14 x (1 + the line's largest |value|)"
+    monkeypatch.setattr(compare, "run_checkout", lambda root, *args: ours)
+    assert compare.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 3 requests differ"
 
 
 def test_benchmark_tracer_wraps_and_restores_the_current_tree():
@@ -162,20 +209,45 @@ def test_bench_script_takes_medians_of_canned_runs():
 
 
 def test_bench_runs_read_no_checkout_bytecode(monkeypatch, tmp_path):
-    # each perfbench run gets its own fresh bytecode prefix, outside the checkout
+    # each perfbench run gets its own fresh bytecode prefix, outside the checkout, warmed
+    # first by an interpreter that imports numpy and the standard library but not gmc
     bench = _bench_module()
     seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
         prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        seen.append((argv, Path(cwd), env, prefix, prefix.is_dir() and not any(prefix.iterdir())))
         return subprocess.CompletedProcess(argv, 0, _canned_run(150.0, 3.0), "")
 
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     for seed in (1, 2):
         result, _ = bench.run_one(tmp_path, "wigner-table", seed, 1.0)
         assert result["attempted"] == 84
-    (a, fresh_a), (b, fresh_b) = seen
-    assert fresh_a and fresh_b and a != b
-    assert tmp_path not in a.parents and ROOT not in a.parents
+    assert len(seen) == 4
+    prefixes = []
+    for (warm, warm_cwd, warm_env, a, fresh), (run, run_cwd, run_env, b, _) in zip(seen[::2], seen[1::2]):
+        assert fresh and a == b and warm_cwd == a and run_cwd == tmp_path
+        assert warm == bench.WARM_COMMAND
+        assert "PYTHONDONTWRITEBYTECODE" not in warm_env  # the warm-up writes the prefix
+        assert run_env["PYTHONDONTWRITEBYTECODE"] == "1"  # the run compiles gmc afresh in every spawn
+        assert run[1:3] == ["perfbench/run.py", "--workload"]
+        prefixes.append(a)
+    a, b = prefixes
+    assert a != b and tmp_path not in a.parents and ROOT not in a.parents
     assert not a.exists() and not b.exists()  # removed after its run
+
+
+def test_bench_warm_up_compiles_numpy_into_the_prefix(tmp_path):
+    # the warm-up command itself, run for real: numpy's bytecode lands in the prefix, gmc's does not
+    bench = _bench_module()
+    assert "numpy" in bench.WARM_IMPORTS and not any(m.split(".")[0] == "gmc" for m in bench.WARM_IMPORTS)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(
+        bench.WARM_COMMAND,
+        cwd=tmp_path, env={**env, "PYTHONPYCACHEPREFIX": str(tmp_path)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    compiled = [p.parts for p in tmp_path.rglob("*.pyc")]
+    assert any("numpy" in parts for parts in compiled)
+    assert not any("gmc" in parts for parts in compiled)
