@@ -193,9 +193,10 @@ def _band_edge() -> float:
 
 def _start_size(radius: float) -> int:
     """The FFT size the band edge predicts at this radius: the first power of two,
-    at least 1024, past 4 times the predicted cut. The prediction is taken 1% low,
-    so that a cut just past a power of two, which the grid of frequencies m rho can
-    undershoot, starts at that power rather than the next."""
+    at least 1024, past 4 times the predicted cut. The prediction is taken 1% low:
+    the cut read on the grid of frequencies m rho can fall a little short of it,
+    and a size predicted just past a power of two must then start at that power,
+    where the doubling from 1024 ends."""
     predicted = min(4.0 * _band_edge() / (1.01 * radius), _FFT_SAMPLE_CAP)
     return max(1024, 1 << int(predicted).bit_length())
 

@@ -104,8 +104,9 @@ def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
     radii = [round(0.15 + 0.0025 * i, 4) for i in range(121)]
     assert 0.2575 in radii and radii[-1] == 0.45
     for r in radii:
+        prof = mo.BumpProfile.standard(r)
         for n in (1, 2, 3, 4, 5, 8, 13, 16, 32, 64):
-            jn = mo.ScaledBump(mo.BumpProfile.standard(r), n)
+            jn = mo.ScaledBump(prof, n)
             got = mo.push_forward(jn, tr.TORUS).coeffs
             with monkeypatch.context() as plain_search:
                 plain_search.setattr(mo, "_start_size", lambda radius: 1024)
