@@ -664,19 +664,18 @@ def _algebra_at(d: UEAElement, phi: CoefficientVector, ks: np.ndarray) -> np.nda
 
 
 def _algebra_envelope(d: UEAElement, env: GrowthEnvelope) -> GrowthEnvelope:
-    """Conservative envelope for pi(d) phi: each ladder step costs (1+k)^(1/2)."""
+    """Conservative envelope for pi(d) phi: each ladder step costs (1+k)^(1/2) and 1/ratio."""
     total_c = 0.0
     max_deg = env.degree
     for alpha, c in d.sorted_terms():
-        steps = alpha[0] + alpha[1]
         cc = env.constant * abs(c) * (2.0 * math.pi) ** alpha[2]
         r = env.degree
-        for _ in range(steps):
-            cc *= 2.0 * SQRT_PI * 2.0 ** (abs(r) + 1.0)
+        for _ in range(alpha[0] + alpha[1]):
+            cc *= 2.0 * SQRT_PI * 2.0 ** (abs(r) + 1.0) / env.ratio
             r += 0.5
         total_c += cc
         max_deg = max(max_deg, r)
-    return GrowthEnvelope(max(total_c, 1e-300), max_deg, env.all_orders)
+    return GrowthEnvelope(max(total_c, 1e-300), max_deg, env.all_orders, env.ratio)
 
 
 def act_algebra(d: UEAElement, phi: HermiteVector) -> HermiteVector:
@@ -940,7 +939,7 @@ def unit_vector(k: int) -> HermiteVector:
 
 def dirac_delta(prefix_len: int = 64) -> HermiteVector:
     """Tempered-distribution delta at the origin: c_k = h_k(0)."""
-    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, GrowthEnvelope(1.2, 0.0), "hermite_zero")
+    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, "hermite_zero")
 
 
 def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
@@ -972,8 +971,7 @@ def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
 
 
 def poly_growth_vector(r: float, prefix_len: int = 64) -> HermiteVector:
-    envelope = GrowthEnvelope(1.0 + 1e-12, float(r))
-    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, envelope, "shifted_power", float(r))
+    return formula_vector(IndexDomain.NATURALS, 0, prefix_len, "shifted_power", float(r))
 
 
 # --------------------------------------------------------------------------
@@ -986,11 +984,11 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
 
     The oscillator element acts diagonally with eigenvalue k + 3/2, so the
     identity holds termwise; m = floor(r + 1/2) + 1 > r + 1/2 makes u
-    square-summable.
+    square-summable (m = 0, D = 1, when r < -1/2 already does).
     """
     _require_hermite(phi)
     r = phi.envelope.degree
-    m = int(math.floor(r + 0.5)) + 1
+    m = max(int(math.floor(r + 0.5)) + 1, 0)
     scale = -1.0 / (4.0 * math.pi)
     osc = UEAElement(
         HEISENBERG_STRUCTURE,
@@ -998,7 +996,7 @@ def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]
     )
     D = osc**m
 
-    envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders)
+    envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders, phi.envelope.ratio)
     u = phi.map(lambda c, k: c / (k + 1.5) ** m, envelope)
     return D, u
 

@@ -56,44 +56,34 @@ def unit(n: int) -> TorusSequence:
     )
 
 
-def _formula(envelope: GrowthEnvelope, extent: int, name: str, *params) -> TorusSequence:
-    return formula_vector(IndexDomain.INTEGERS, -extent, extent + 1, envelope, name, *params)
+def _formula(extent: int, name: str, *params) -> TorusSequence:
+    return formula_vector(IndexDomain.INTEGERS, -extent, extent + 1, name, *params)
 
 
 def comb(extent: int = 64) -> TorusSequence:
     """The constant sequence of ones (the Dirac-comb distribution vector)."""
-    return _formula(GrowthEnvelope(1.0, 0.0), extent, "const", 1.0)
+    return _formula(extent, "const", 1.0)
 
 
 def poly(r: int, extent: int = 64) -> TorusSequence:
     """a_n = n^r (with a_0 = 1 for r = 0); polynomial growth of degree r."""
     if r < 0:
         raise PreconditionError(f"poly degree must be nonnegative, got {r}")
-    return _formula(GrowthEnvelope(1.0, float(r)), extent, "power", float(r))
+    return _formula(extent, "power", float(r))
 
 
 def geometric(ratio: float, extent: int = 64) -> TorusSequence:
-    """a_n = ratio^{|n|}, rapid decay for |ratio| < 1."""
-    if not 0 < abs(ratio) < 1:
-        raise PreconditionError("geometric ratio must satisfy 0 < |ratio| < 1")
-    degree = -8.0
-    # |ratio|^n (1+n)^8 is log-concave in n with its peak at 1 + n = 8 / -log|ratio|
-    top = -degree / -math.log(abs(ratio)) - 1.0
-    peak = np.array([max(math.floor(top), 0), max(math.ceil(top), 0)])
-    constant = float(np.max(abs(ratio) ** peak * (1.0 + peak) ** -degree)) * (1 + 1e-12)
-    envelope = GrowthEnvelope(constant, degree, all_orders=True)
-    return _formula(envelope, extent, "geometric", ratio)
+    """a_n = ratio^{|n|}, rapid decay for 0 < |ratio| < 1: envelope (1, 0) with ratio |ratio|."""
+    return _formula(extent, "geometric", ratio)
 
 
 def inverse_quadratic(power: int = 1, extent: int = 64) -> TorusSequence:
     """a_n = (1+n^2)^{-power}; square-summable for power >= 1, the constant 1 for power 0."""
-    # (1+k^2)^{-p} <= 2^p (1+|k|)^{-2p} since 1+k^2 >= (1+|k|)^2 / 2
-    envelope = GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power)
-    return _formula(envelope, extent, "inv_quadratic", power)
+    return _formula(extent, "inv_quadratic", power)
 
 
 def alternating(extent: int = 64) -> TorusSequence:
-    return _formula(GrowthEnvelope(1.0, 0.0), extent, "alternating")
+    return _formula(extent, "alternating")
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +215,8 @@ def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
     """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
     _require_torus(a)
     coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
-    envelope = GrowthEnvelope(
-        a.envelope.constant * max(coeff_l1, 1e-300), a.envelope.degree + d.degree, a.envelope.all_orders
-    )
+    env = a.envelope
+    envelope = GrowthEnvelope(env.constant * max(coeff_l1, 1e-300), env.degree + d.degree, env.all_orders, env.ratio)
     return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope)
 
 
@@ -242,9 +231,7 @@ def smooth_by(f: TorusTestFunction, a: TorusSequence) -> TorusSequence:
     B = f.bandwidth
     ns = np.arange(-B, B + 1)
     vals = a.finite_coeffs(ns) * f.coeffs[::-1]
-    return vector_from_prefix(
-        IndexDomain.INTEGERS, -B, vals, GrowthClass.RAPID_DECAY, degree=-8.0
-    )
+    return vector_from_prefix(IndexDomain.INTEGERS, -B, vals, GrowthClass.RAPID_DECAY)
 
 
 def _band_sum(a: TorusSequence, f: TorusTestFunction, m: int, b: TorusSequence | None) -> complex:
@@ -290,8 +277,7 @@ def dominated_sequence_check(
     env = envelope if envelope is not None else b.envelope
     for m, bm in enumerate(b_list):
         ks = np.arange(bm.start, bm.stop)
-        bounds = env.constant * (1.0 + np.abs(ks)) ** env.degree
-        bad = np.nonzero(np.abs(bm.prefix) > bounds * (1 + 1e-9))[0]
+        bad = np.nonzero(np.abs(bm.prefix) > env.bound(ks) * (1 + 1e-9))[0]
         if len(bad):
             raise PreconditionError(
                 f"sequence #{m} violates the common envelope at index {int(ks[bad[0]])}"
@@ -306,17 +292,15 @@ def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
     D = (1 - X^2 / 4 pi^2)^m and u_n = a_n / (1+n^2)^m, so that applying D
     multiplies the n-th coefficient by (1+n^2)^m exactly. u's envelope has
     degree r - 2m, and m = floor((r + 1/2) / 2) + 1, the least m with
-    2m > r + 1/2, puts it below -1/2.
+    2m > r + 1/2, puts it below -1/2 (m = 0, D = 1, when r already is).
     """
     _require_torus(a)
     r = a.envelope.degree
-    m = int(math.floor((r + 0.5) / 2.0)) + 1
+    m = max(int(math.floor((r + 0.5) / 2.0)) + 1, 0)
     base = UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)})
     D = base**m
 
-    envelope = GrowthEnvelope(
-        a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders
-    )
+    envelope = GrowthEnvelope(a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders, a.envelope.ratio)
     u = a.map(lambda c, k: c / (1.0 + k.astype(float) ** 2) ** m, envelope)
     return D, u
 

@@ -1,15 +1,16 @@
 """Indexed coefficient families with growth classes, and their dual pairing.
 
 A CoefficientVector stores a finite prefix of complex coefficients plus an
-optional formula tail, together with a growth envelope |c_k| <= C (1+|k|)^r.
+optional formula tail, together with a growth envelope |c_k| <= C (1+|k|)^r rho^|k|.
 The envelope alone decides the growth class: rapid-decay vectors (all orders)
 play the role of smooth vectors, square-summable vectors (r < -1/2) sit in
 between, and polynomial-growth vectors are the distribution vectors.
 
 Tails are array-valued: a formula maps an int64 index array to a complex128
 array, so reading a range of coefficients is one prefix slice plus one tail call.
-A formula_vector's prefix is its tail formula on the stored indices, and every
-coefficient-wise operator acts on prefix and tail alike through CoefficientVector.map.
+Each formula states its envelope. A formula_vector is its tail formula on the stored
+indices too, under that envelope, and every coefficient-wise operator acts on
+prefix and tail alike through CoefficientVector.map.
 
 The pairing is bilinear: pair(phi, v) = sum_k phi_k v_k, one product array
 summed with math.fsum on its real and imaginary parts (correctly rounded, so
@@ -40,8 +41,6 @@ _ENVELOPE_SLACK = 1.0 + 1e-9
 _CAUCHY_EXTENT_CAP = 1 << 62
 # largest extent abs_tail_extent may reach
 _TAIL_EXTENT_CAP = 1 << 22
-# steepen_envelope samples a tail no further out than this index
-_STEEPEN_PROBE_EXTENT = 4096
 # most terms an infinite pairing may sum
 _PAIR_MAX_TERMS = 1 << 21
 # largest |index| a vector may store: int64 keeps room for index arithmetic past it
@@ -61,25 +60,32 @@ class GrowthClass(enum.Enum):
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
-    """Bound |c_k| <= constant * (1+|k|)**degree.
+    """Bound |c_k| <= constant * (1+|k|)**degree * ratio**|k|, with 0 < ratio <= 1.
 
     all_orders marks rapid decay: the bound is claimed for every steeper
     (more negative) exponent with some finite constant, which steepen_envelope
-    validates by sampling when needed.
+    gives in closed form; an infinite vector claims it only with ratio < 1.
     """
 
     constant: float
     degree: float
     all_orders: bool = False
+    ratio: float = 1.0
 
     def __post_init__(self):
         if not (self.constant > 0 and math.isfinite(self.constant)):
             raise ValueError(f"envelope constant must be positive, got {self.constant}")
         if not math.isfinite(self.degree):
             raise ValueError(f"envelope degree must be finite, got {self.degree}")
+        if not 0.0 < self.ratio <= 1.0:
+            raise ValueError(f"envelope ratio must lie in (0, 1], got {self.ratio}")
 
-    def bound(self, k: int) -> float:
-        return self.constant * (1.0 + abs(k)) ** self.degree
+    @np.errstate(over="ignore")  # a bound past the float range is inf, which bounds every value
+    def bound(self, k):
+        # below ratio 1 in log form, so that ratio**|k| underflows only where the bound does
+        if self.ratio == 1.0:
+            return self.constant * (1.0 + abs(k)) ** self.degree
+        return np.exp(math.log(self.constant) + self.degree * np.log1p(abs(k)) + abs(k) * math.log(self.ratio))
 
     @property
     def growth(self) -> GrowthClass:
@@ -91,20 +97,23 @@ class GrowthEnvelope:
 
 
 # --- formula tails ---------------------------------------------------------
-# Each factory returns fn(k) for an int64 index array k, giving a complex128 array.
+# Each factory returns (fn, envelope): fn maps an int64 index array to a complex128 array under envelope.
 
 TailFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _tail_const(value: float = 1.0) -> TailFn:
-    return lambda k: np.full(k.shape, complex(value))
+def _tail_const(value: float = 1.0) -> tuple[TailFn, GrowthEnvelope]:
+    return (lambda k: np.full(k.shape, complex(value))), GrowthEnvelope(max(abs(value), 1e-300), 0.0)
 
 
-def _tail_geometric(ratio: float) -> TailFn:
-    return lambda k: (ratio ** np.abs(k).astype(float)).astype(np.complex128)
+def _tail_geometric(ratio: float) -> tuple[TailFn, GrowthEnvelope]:
+    if not 0 < abs(ratio) < 1:
+        raise PreconditionError("geometric ratio must satisfy 0 < |ratio| < 1")
+    fn = lambda k: (ratio ** np.abs(k).astype(float)).astype(np.complex128)
+    return fn, GrowthEnvelope(1.0, 0.0, all_orders=True, ratio=abs(ratio))
 
 
-def _tail_power(exponent: float) -> TailFn:
+def _tail_power(exponent: float) -> tuple[TailFn, GrowthEnvelope]:
     def fn(k: np.ndarray) -> np.ndarray:
         kf = k.astype(float)
         base = kf if exponent == int(exponent) else np.abs(kf)
@@ -112,41 +121,46 @@ def _tail_power(exponent: float) -> TailFn:
             vals = base**exponent
         return np.where(k == 0, 1.0 if exponent == 0 else 0.0, vals).astype(np.complex128)
 
-    return fn
+    # |k|^e <= (1+|k|)^e for e >= 0, and <= 2^-e (1+|k|)^e for e < 0 and k != 0
+    return fn, GrowthEnvelope(2.0 ** max(-exponent, 0.0), exponent)
 
 
-def _tail_shifted_power(exponent: float) -> TailFn:
-    return np.errstate(over="ignore")(lambda k: ((1.0 + np.abs(k)) ** exponent).astype(np.complex128))
+def _tail_shifted_power(exponent: float) -> tuple[TailFn, GrowthEnvelope]:
+    fn = np.errstate(over="ignore")(lambda k: ((1.0 + np.abs(k)) ** exponent).astype(np.complex128))
+    return fn, GrowthEnvelope(1.0 + 1e-12, exponent)
 
 
-def _tail_inv_quadratic(power: int) -> TailFn:
-    return lambda k: ((1.0 + k.astype(float) ** 2) ** (-power)).astype(np.complex128)
+def _tail_inv_quadratic(power: int) -> tuple[TailFn, GrowthEnvelope]:
+    fn = lambda k: ((1.0 + k.astype(float) ** 2) ** (-power)).astype(np.complex128)
+    # (1+k^2)^{-p} <= 2^p (1+|k|)^{-2p} since 1+k^2 >= (1+|k|)^2 / 2
+    return fn, GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power)
 
 
-def _tail_hermite_zero() -> TailFn:
+def _tail_hermite_zero() -> tuple[TailFn, GrowthEnvelope]:
     from .hermite import hermite_at_zero_values
 
-    return lambda k: hermite_at_zero_values(k).astype(np.complex128)
+    return (lambda k: hermite_at_zero_values(k).astype(np.complex128)), GrowthEnvelope(1.2, 0.0)
 
 
-TAIL_FORMULAS: Mapping[str, Callable[..., TailFn]] = {
+TAIL_FORMULAS: Mapping[str, Callable[..., tuple[TailFn, GrowthEnvelope]]] = {
     "const": _tail_const,
     "geometric": _tail_geometric,
     "power": _tail_power,
     "shifted_power": _tail_shifted_power,
     "inv_quadratic": _tail_inv_quadratic,
     "hermite_zero": _tail_hermite_zero,
-    "alternating": lambda: (lambda k: np.where(k % 2 == 0, 1.0, -1.0).astype(np.complex128)),
+    "alternating": lambda: (lambda k: np.where(k % 2 == 0, 1.0, -1.0).astype(np.complex128), GrowthEnvelope(1.0, 0.0)),
 }
 
 
 @dataclass(frozen=True)
 class Tail:
-    """Coefficients outside the stored prefix: exactly zero, or a formula."""
+    """Coefficients outside the stored prefix: exactly zero, or a formula and its envelope."""
 
     name: str = "zero"
     params: tuple = ()
     fn: Optional[TailFn] = None
+    envelope: Optional[GrowthEnvelope] = None
 
     @staticmethod
     def zero() -> "Tail":
@@ -156,7 +170,7 @@ class Tail:
     def formula(name: str, *params) -> "Tail":
         if name not in TAIL_FORMULAS:
             raise SpecParseError(f"unknown tail formula {name!r}")
-        return Tail(name, tuple(params), TAIL_FORMULAS[name](*params))
+        return Tail(name, tuple(params), *TAIL_FORMULAS[name](*params))
 
     @staticmethod
     def closure(fn: TailFn) -> "Tail":
@@ -178,7 +192,7 @@ class CoefficientVector:
     prefix holds coefficients for indices start .. start+len(prefix)-1; the
     tail supplies every other index. Immutable after construction; the
     envelope is validated over the stored prefix, never inferred, and its
-    class is the vector's.
+    class is the vector's; with a tail, all orders need a ratio below 1.
     """
 
     domain: IndexDomain
@@ -200,9 +214,10 @@ class CoefficientVector:
             raise PreconditionError(f"coefficient at index {k} is not finite")
         if max(abs(self.start), abs(self.stop - 1)) > _INDEX_BOUND:
             raise PreconditionError(f"stored indices {self.start}..{self.stop - 1} reach past 2^62")
+        if self.envelope.all_orders and self.envelope.ratio == 1.0 and not self.tail.is_zero:
+            raise PreconditionError("an infinite vector claims all orders only with an envelope ratio below 1")
         ks = np.arange(self.start, self.stop)
-        bounds = self.envelope.constant * (1.0 + np.abs(ks)) ** self.envelope.degree
-        bad = np.nonzero(mags > bounds * _ENVELOPE_SLACK + 1e-300)[0]
+        bad = np.nonzero(mags > self.envelope.bound(ks) * _ENVELOPE_SLACK + 1e-300)[0]
         if len(bad):
             k = int(ks[bad[0]])
             raise EnvelopeViolation(
@@ -284,12 +299,11 @@ class CoefficientVector:
         This is the analytic side of the square-summable Cauchy property:
         every pair of partial sums past the extent differs by at most this.
         """
-        s = 2.0 * self.envelope.degree
         if self.finite_support and extent >= max(abs(self.start), abs(self.stop - 1)):
             return 0.0
-        return _tail_integral_bound(
-            self.envelope.constant**2, s, extent, self.domain is IndexDomain.INTEGERS
-        )
+        # an all-orders vector is steepened past the extent to degree -1, as pair steepens it
+        env = steepen_envelope(self, -1.0, extent + 1) if self.envelope.all_orders else self.envelope
+        return _tail_integral_bound(env.constant**2, 2.0 * env.degree, extent, self.domain is IndexDomain.INTEGERS)
 
     def cauchy_extent(self, tol: float) -> int:
         """Smallest probed extent whose certified L2 tail is below tol."""
@@ -298,12 +312,9 @@ class CoefficientVector:
         return _certified_extent(self.l2_tail_bound, start, tol, _CAUCHY_EXTENT_CAP, message)
 
     def abs_tail_extent(self, tol: float) -> int:
-        """Smallest doubling of max(stop, 8) past which the envelope bounds the sum
-        of |c_k| over k >= it by tol; a degree of -1 or more is steepened to -3 first."""
-        env = self.envelope
-        if env.degree >= -1.0:
-            env = steepen_envelope(self, -3.0)
-        bound = lambda n: _tail_integral_bound(env.constant, env.degree, n, False)
+        """Smallest doubling n of max(stop, 8) past which the envelope bounds the sum
+        of |c_k| over k > n by tol, by pair's rule (_product_tail_bound against 1)."""
+        bound = _product_tail_bound(self, GrowthEnvelope(1.0, 0.0), False)
         return _certified_extent(bound, max(self.stop, 8), tol, _TAIL_EXTENT_CAP, "tail extent exceeds budget")
 
     # -- serialization -------------------------------------------------------
@@ -320,22 +331,22 @@ class CoefficientVector:
                 "constant": self.envelope.constant,
                 "degree": self.envelope.degree,
                 "all_orders": self.envelope.all_orders,
+                "ratio": self.envelope.ratio,
             },
             "growth": self.growth.value,
         }
 
     @staticmethod
     def from_json(payload: Mapping) -> "CoefficientVector":
-        """Inverse of to_json; a missing or malformed key raises SpecParseError,
-        and so does a "growth" entry that is not the envelope's class."""
+        """Inverse of to_json; a missing or malformed key raises SpecParseError, and so
+        do a "growth" that is not the envelope's class and an envelope below the tail's."""
         try:
             tail_spec = payload.get("tail", {"name": "zero", "params": []})
             if tail_spec["name"] == "zero":
                 tail = ZERO_TAIL
             else:
                 tail = Tail.formula(tail_spec["name"], *tail_spec.get("params", []))
-            env = payload["envelope"]
-            envelope = GrowthEnvelope(env["constant"], env["degree"], env.get("all_orders", False))
+            envelope = GrowthEnvelope(**payload["envelope"])
             stated = GrowthClass(payload.get("growth", envelope.growth.value))
             vec = CoefficientVector(
                 domain=IndexDomain(payload["index_domain"]),
@@ -344,12 +355,17 @@ class CoefficientVector:
                 envelope=envelope,
                 tail=tail,
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError, PreconditionError) as exc:
             raise SpecParseError(f"malformed vector payload: {exc!r}") from None
         if stated is not vec.growth:
             raise SpecParseError(
                 f"vector payload states growth {stated.value!r}, its envelope gives {vec.growth.value!r}"
             )
+        own = tail.envelope  # the formula's, bounded by the stated one: log sup_k own/envelope <= 0
+        if own is not None and math.log(own.constant) - math.log(envelope.constant) + _log_peak(
+            own.degree - envelope.degree, own.ratio / envelope.ratio, 0
+        ) > math.log(_ENVELOPE_SLACK):
+            raise SpecParseError(f"vector payload's envelope does not bound its {tail.name} tail's, {own}")
         return vec
 
 
@@ -393,41 +409,49 @@ def vector_from_prefix(
     return CoefficientVector(domain, start, values, envelope)
 
 
-def formula_vector(
-    domain: IndexDomain, start: int, stop: int, envelope: GrowthEnvelope, name: str, *params
-) -> CoefficientVector:
-    """The vector whose every coefficient is the named tail formula: the prefix,
-    indices start..stop-1, is the formula there, so prefix and tail cannot disagree."""
+def formula_vector(domain: IndexDomain, start: int, stop: int, name: str, *params) -> CoefficientVector:
+    """The vector whose every coefficient is the named tail formula, under its envelope:
+    the prefix, indices start..stop-1, is the formula there, so prefix and tail cannot disagree."""
     tail = Tail.formula(name, *params)
     values = tail.fn(np.arange(start, stop))
     if not np.isfinite(values).all():
         k = start + int(np.argmin(np.isfinite(values)))
-        raise PreconditionError(_leaves_float_range(name, envelope.degree, k))
-    return CoefficientVector(domain, start, values, envelope, tail)
+        raise PreconditionError(_leaves_float_range(name, tail.envelope.degree, k))
+    return CoefficientVector(domain, start, values, tail.envelope, tail)
 
 
 def _leaves_float_range(name: str, degree: float, k: int) -> str:
     return f"{name} formula of degree {degree:g} leaves the float range at index {k}"
 
 
-def steepen_envelope(vec: CoefficientVector, target_degree: float) -> GrowthEnvelope:
-    """Validate a steeper envelope for an all-orders (rapid-decay) vector.
+def _log_peak(degree: float, ratio: float, start: int) -> float:
+    """max over integers k >= start of log((1+k)^degree ratio^k), inf where unbounded. It is
+    concave in k, with its top at 1 + k = degree / -log(ratio), when degree > 0, else nonincreasing."""
+    log_ratio = math.log(ratio)
+    if log_ratio > 0.0 or (log_ratio == 0.0 and degree > 0.0):
+        return math.inf
+    top = max(start, min(degree / -log_ratio - 1.0, _INDEX_BOUND)) if degree > 0.0 else start
+    return max(degree * math.log1p(k) + k * log_ratio for k in (math.floor(top), math.ceil(top)))
 
-    Samples the stored prefix plus tail probes; this realizes the testable
-    form of rapid decay rather than a symbolic proof.
-    """
+
+def steepen_envelope(vec: CoefficientVector, degree: float, start: int = 0) -> GrowthEnvelope:
+    """An envelope of the given degree for an all-orders vector at |k| >= start, in closed form:
+    a finite vector's largest stored |c_k| / (1+|k|)^degree there, an infinite one's
+    C max_{|k|>=start} (1+|k|)^(r - degree) rho^|k| for its envelope (C, r, rho).
+    A constant past the float range raises BudgetExceeded."""
     if not vec.envelope.all_orders:
         raise PreconditionError("only all-orders envelopes may be steepened")
-    ks = np.arange(vec.start, vec.stop)
-    if not vec.finite_support:
-        lo = max(abs(vec.start), abs(vec.stop - 1), 1)
-        probes = np.arange(lo, min(_STEEPEN_PROBE_EXTENT, 8 * lo) + 1, max(1, lo // 8))
-        if vec.domain is IndexDomain.INTEGERS:
-            probes = np.concatenate([probes, -probes])
-        ks = np.concatenate([ks, probes])
-    ratios = np.abs(vec.coeffs(ks)) / (1.0 + np.abs(ks)) ** target_degree
-    best = float(np.max(ratios, initial=1e-300))
-    return GrowthEnvelope(best * (1 + 1e-9), target_degree, True)
+    if vec.finite_support:
+        ks = np.abs(np.arange(vec.start, vec.stop))
+        with np.errstate(divide="ignore"):  # a zero coefficient has log -inf and bounds nothing
+            logs = np.log(np.abs(vec.prefix)) - degree * np.log1p(ks)
+        log_constant = float(np.max(logs[ks >= start], initial=-math.inf))
+    else:
+        env = vec.envelope
+        log_constant = math.log(env.constant) + _log_peak(env.degree - degree, env.ratio, start)
+    if not log_constant <= 709.0:  # exp stays finite through the slack
+        raise BudgetExceeded(f"the degree {degree:g} envelope constant leaves the float range", math.inf)
+    return GrowthEnvelope(max(math.exp(log_constant), 1e-300) * (1 + 1e-9), degree, True)
 
 
 # --- certified truncation ----------------------------------------------------
@@ -476,6 +500,16 @@ def _tail_integral_bound(constant: float, s: float, extent: int, two_sided: bool
     return 2.0 * one_side if two_sided else one_side
 
 
+def _product_tail_bound(a: CoefficientVector, env: GrowthEnvelope, two_sided: bool) -> Callable[[int], float]:
+    """n -> a bound on sum_{|k|>n} |a_k| C (1+|k|)^r, for env = (C, r): by the sum of the degrees or,
+    when a has all orders, with a steepened past n to degree -(r + 2), so the terms fall as (1+|k|)^-2."""
+    e = a.envelope
+    if not e.all_orders:
+        return lambda n: _tail_integral_bound(e.constant * env.constant, e.degree + env.degree, n, two_sided)
+    steep = lambda n: steepen_envelope(a, -(env.degree + 2.0), n + 1).constant
+    return lambda n: _tail_integral_bound(env.constant * steep(n), -2.0, n, two_sided)
+
+
 def pair(
     phi: CoefficientVector,
     v: CoefficientVector,
@@ -485,6 +519,8 @@ def pair(
 
     Exactly one side may carry polynomial growth; two polynomial-growth
     vectors are only paired through a smoothing operator, never directly.
+    With a finitely supported side the sum is exact; otherwise the extent doubles
+    until _product_tail_bound, led by an all-orders side, certifies abs_tol.
     """
     if phi.domain is not v.domain:
         raise PreconditionError("index domains differ")
@@ -500,24 +536,12 @@ def pair(
         hi = min(w.stop for w in (phi, v) if w.finite_support) - 1
         return _fsum(phi.dense(lo, hi), v.dense(lo, hi))
 
-    env_phi, env_v = phi.envelope, v.envelope
-    s = env_phi.degree + env_v.degree
-    constant = env_phi.constant * env_v.constant
-    if s >= -1.0:
-        # try to certify a steeper rapid-decay envelope by sampling
-        if env_v.all_orders:
-            env_v = steepen_envelope(v, -(env_phi.degree + 2.5))
-        elif env_phi.all_orders:
-            env_phi = steepen_envelope(phi, -(env_v.degree + 2.5))
-        s = env_phi.degree + env_v.degree
-        constant = env_phi.constant * env_v.constant
-        if s >= -1.0:
-            raise BudgetExceeded(
-                "declared envelopes do not certify a convergent pairing", math.inf
-            )
+    a, b = (v, phi) if v.envelope.all_orders else (phi, v)
+    if not a.envelope.all_orders and a.envelope.degree + b.envelope.degree >= -1.0:
+        raise BudgetExceeded("declared envelopes do not certify a convergent pairing", math.inf)
+    bound = _product_tail_bound(a, b.envelope, two_sided)
 
     start = max(abs(phi.start), abs(phi.stop - 1), abs(v.start), abs(v.stop - 1), 8)
-    bound = lambda n: _tail_integral_bound(constant, s, n, two_sided)
     # the largest extent whose 2 extent + 1 (or extent + 1) terms stay within the budget
     cap = (_PAIR_MAX_TERMS - 1) // 2 if two_sided else _PAIR_MAX_TERMS - 1
     message = f"pairing needs more than {_PAIR_MAX_TERMS} terms for abs_tol={abs_tol}"

@@ -189,11 +189,38 @@ def test_wigner_stored_index_past_the_tail_budget_exits_2(tmp_path, monkeypatch)
     path.write_text(json.dumps({
         "index_domain": "naturals", "start": 10**9, "coefficients": [[0.0, 0.0]],
         "tail": {"name": "geometric", "params": [0.5]},
-        "envelope": {"constant": 1.0, "degree": -8.0, "all_orders": True},
+        "envelope": {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.5},
     }))
     code, out, err = run_cli("wigner", "e:0", f"json:{path}", "--grid=0:1:2,0:1:2")
     assert (code, out) == (2, "")
     assert err.startswith("error: tail extent exceeds budget")
+
+
+def test_wigner_geometric_json_tail_matches_its_finite_prefix(tmp_path):
+    # psi_k = 0.995^k under its envelope (1, 0, all orders, ratio 0.995): the ratio
+    # certifies a tail extent within budget (the degree alone exhausted it), and the rows
+    # equal those of the first 12,000 coefficients stored as a finite vector, bit for bit
+    from gmc.vectors import Tail
+
+    tail = {"name": "geometric", "params": [0.995]}
+    infinite = {
+        "index_domain": "naturals", "start": 0, "coefficients": [[1.0, 0.0]], "tail": tail,
+        "envelope": {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.995},
+    }
+    values = Tail.formula("geometric", 0.995).fn(np.arange(12000))
+    finite = {
+        "index_domain": "naturals", "start": 0, "coefficients": [[c.real, 0.0] for c in values],
+        "envelope": {"constant": 1.0, "degree": 0.0, "all_orders": True},
+    }
+    outputs = []
+    for name, payload in (("inf.json", infinite), ("fin.json", finite)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("wigner", "e:3", f"json:{path}", "--grid=0:1:2,0:1:2")
+        assert (code, err) == (0, ""), err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1] == "0,0,0.98507487500000002,0,0.98507487500000002"  # 0.995^3
 
 
 def test_wigner_mollified_delta_converges(tmp_path):

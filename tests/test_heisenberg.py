@@ -982,15 +982,16 @@ def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
 
 
 def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
-    # envelope (1 + k)^-1.5, claimed to all orders: the bound at the last extent within
-    # budget, 2^22, is 2 / sqrt(1 + 2^22)
-    psi = CoefficientVector(
-        IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, -1.5, all_orders=True),
-        Tail.formula("shifted_power", -1.5),
-    )
+    # a geometric tail of ratio rho = 0.999999 under its envelope (1, 0, all orders, rho):
+    # at the last extent within budget, n = 2^22, past the peak of (1+k)^2 rho^k at
+    # k = 2 / -log(rho), the bound is (2 + n)^2 rho^(n + 1) (1 + 1e-9) / (1 + n)
+    rho, n = 0.999999, 2**22
+    tail = Tail.formula("geometric", rho)
+    psi = CoefficientVector(IndexDomain.NATURALS, 0, [1.0], tail.envelope, tail)
     with pytest.raises(BudgetExceeded) as info:
         hb.fourier_wigner(hb.unit_vector(0), psi, 0.1, 0.2)
-    assert math.isclose(info.value.achieved_bound, 2.0 / math.sqrt(1.0 + 2**22), rel_tol=1e-12)
+    expected = (n + 2.0) ** 2 * rho ** (n + 1) * (1 + 1e-9) / (1.0 + n)
+    assert math.isclose(info.value.achieved_bound, expected, rel_tol=1e-12)
 
 
 def test_fourier_wigner_non_finite_is_a_typed_error():

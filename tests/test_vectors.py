@@ -97,6 +97,106 @@ def test_pair_comb_with_exponential_decay():
     assert abs(got - expected) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "ratio,abs_tol",
+    [(0.995, 4.04e22), (0.99, 7.71e21), (0.9, 1e-6), (0.5, 1e-12)],
+)
+def test_pair_poly_with_geometric_matches_the_polylog(ratio, abs_tol):
+    # sum_{n != 0} n^8 r^|n| = 2 Li_{-8}(r). A sampled steepening missed the peak of
+    # (1+n)^10.5 r^n (at n ~ 2,100 for r = 0.995), and a polynomial bound alone could
+    # not certify r = 0.9 or 0.5 within 2^21 terms
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(2 * mpmath.polylog(-8, mpmath.mpf(ratio)))
+    got = pair(tr.poly(8), tr.geometric(ratio), abs_tol=abs_tol)
+    assert abs(got - exact) <= abs_tol + 1e-13 * abs(exact)
+
+
+def test_pair_past_the_float_range_is_a_typed_error():
+    # poly(170) against 0.5^|n|: the steepened constant at degree -172 is e^777
+    with pytest.raises(BudgetExceeded, match="leaves the float range"):
+        pair(tr.poly(170), tr.geometric(0.5))
+
+
+def test_geometric_ratio_shortens_the_pointwise_extent(monkeypatch):
+    # |n^2 0.7^n| past n = 128 sums below 1e-12; the degree -8 bound alone needed 8192
+    seen = []
+    dense = CoefficientVector.dense
+
+    def spy(self, lo, hi):
+        seen.append(hi)
+        return dense(self, lo, hi)
+
+    monkeypatch.setattr(CoefficientVector, "dense", spy)
+    pair(tr.act_group(0.3, tr.poly(2)), tr.geometric(0.7))
+    assert seen[-1] == 128
+
+
+def _tailed_payload(tail, envelope, index_domain="integers"):
+    return {
+        "index_domain": index_domain, "start": 0, "coefficients": [[1.0, 0.0]],
+        "tail": tail, "envelope": envelope,
+    }
+
+
+@pytest.mark.parametrize(
+    "tail,envelope",
+    [
+        # 0.999^k breaks (1+k)^-4 from k = 1 on: paired with 1 it read 241.17, not 1999
+        ({"name": "geometric", "params": [0.999]}, {"constant": 1.0, "degree": -4.0}),
+        # a tail that does not decay, claimed to all orders
+        ({"name": "const", "params": [1.0]}, {"constant": 1.0, "degree": 0.0, "all_orders": True}),
+        ({"name": "const", "params": [1.0]}, {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.5}),
+        # a ratio of 1 or more
+        ({"name": "geometric", "params": [1.0]}, {"constant": 1.0, "degree": 0.0}),
+        ({"name": "geometric", "params": [-1.5]}, {"constant": 1.0, "degree": 0.0}),
+        ({"name": "zero"}, {"constant": 1.0, "degree": 0.0, "ratio": 1.5}),
+        # a stated ratio below the formula's
+        ({"name": "geometric", "params": [0.9]}, {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.8}),
+    ],
+)
+def test_json_envelope_must_bound_its_tail_formula(tail, envelope):
+    with pytest.raises(SpecParseError):
+        CoefficientVector.from_json(_tailed_payload(tail, envelope))
+
+
+def test_json_envelope_above_its_tail_formula_is_accepted():
+    # a looser constant, a higher degree or a ratio closer to 1 still bounds the formula
+    for envelope in (
+        {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.9},
+        {"constant": 3.0, "degree": 2.0, "all_orders": True, "ratio": 0.95},
+        {"constant": 1.0, "degree": 0.0},
+    ):
+        v = CoefficientVector.from_json(_tailed_payload({"name": "geometric", "params": [0.9]}, envelope))
+        assert v.envelope.ratio == envelope.get("ratio", 1.0)
+
+
+def test_an_infinite_vector_claims_all_orders_only_below_ratio_one():
+    tail = Tail.formula("shifted_power", -3.0)
+    with pytest.raises(PreconditionError, match="ratio below 1"):
+        CoefficientVector(IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, -3.0, all_orders=True), tail)
+    # a finitely supported vector needs no ratio
+    finite = CoefficientVector(IndexDomain.NATURALS, 0, [1.0], GrowthEnvelope(1.0, 0.0, True))
+    assert finite.growth is GrowthClass.RAPID_DECAY
+    with pytest.raises(ValueError):
+        GrowthEnvelope(1.0, 0.0, True, 0.0)
+
+
+def test_envelope_bound_neither_underflows_nor_warns():
+    # 1e200 (1+k)^-8 0.5^k at k = 1500 is about 1e-275, while 0.5^1500 alone underflows
+    env = GrowthEnvelope(1e200, -8.0, True, 0.5)
+    expected = 1e200 * 2.0**-800 * 2.0**-700 * 1501.0**-8  # staged, so no factor underflows
+    assert 1e-278 < expected < 1e-276
+    assert env.bound(1500) == pytest.approx(expected, rel=1e-12)
+    v = CoefficientVector(IndexDomain.NATURALS, 1500, [1e-280], env)
+    assert v.envelope is env
+    # a bound past the float range is inf, with no overflow warning, at either ratio
+    for ratio in (1.0, 0.999):
+        far = GrowthEnvelope(1e300, 50.0, False, ratio)
+        assert far.bound(1000) == math.inf
+        assert CoefficientVector(IndexDomain.NATURALS, 1000, [1.0], far).envelope is far
+
+
 def test_pair_rejects_two_distributions():
     with pytest.raises(UnpairedDistributions):
         pair(tr.comb(), tr.poly(2))
@@ -163,12 +263,29 @@ def test_square_summable_cauchy():
     assert abs(sums[2] - sums[1]) < 1e-4
 
 
-def test_steepen_envelope_certifies_sampled_bound():
+def test_steepen_envelope_certifies_closed_form_bound():
+    # the constant is the peak of (1+k)^12 0.5^k, at k = 12 / log 2 - 1 = 16.3, times the
+    # slack 1 + 1e-9: it bounds every coefficient
     v = tr.geometric(0.5)
     env = steepen_envelope(v, -12.0)
-    assert env.degree == -12.0
-    for k in (0, 3, 10, 40):
-        assert abs(v.coeff(k)) <= env.bound(k) * (1 + 1e-6)
+    assert env.degree == -12.0 and env.all_orders
+    ks = np.arange(-10**5, 10**5 + 1)
+    ratios = np.abs(v.coeffs(ks)) * (1.0 + np.abs(ks)) ** 12.0
+    assert np.all(ratios <= env.constant)
+    assert env.constant == pytest.approx(ratios.max() * (1 + 1e-9), rel=1e-12)
+    # past a start beyond the peak the constant is the value at the start
+    late = steepen_envelope(v, -12.0, start=100)
+    assert late.constant == pytest.approx(101.0**12 * 0.5**100 * (1 + 1e-9), rel=1e-12)
+    assert np.all(ratios[np.abs(ks) >= 100] <= late.constant)
+
+
+def test_cauchy_extent_of_a_geometric_vector_reads_its_ratio():
+    # the envelope (1, 0, ratio 0.5) bounds no L2 tail by its degree; steepened past the
+    # extent to degree -1 it certifies the first probe, as the degree -8 envelope did
+    v = tr.geometric(0.5)
+    n = v.cauchy_extent(1e-12)
+    assert n == 64
+    assert 2 * math.fsum(0.25**k for k in range(n + 1, 400)) <= v.l2_tail_bound(n) <= 1e-12
 
 
 def test_fitted_decay_exponent_on_geometric():
@@ -187,8 +304,7 @@ def test_json_round_trip():
     assert np.allclose(w.prefix, v.prefix)
     assert w.coeff(30) == v.coeff(30)
     assert w.growth == v.growth
-    assert w.envelope.all_orders == v.envelope.all_orders
-    assert w.envelope.degree == v.envelope.degree
+    assert w.envelope == v.envelope and w.envelope.ratio == 0.5
 
 
 def test_concurrent_evaluation_is_safe():
@@ -378,7 +494,8 @@ def _derived_vectors():
         hb.dual_act_algebra(Q * Q * P, psi),
         hb.act_algebra(P, hb.act_algebra(Q * Q, psi)),
         hb.factorize_heisenberg(psi)[1],
-        a.map(lambda c, k: c * (k + 0.5)),
+        # |k + 1/2| <= 1 + |k|: one more degree, the same ratio
+        a.map(lambda c, k: c * (k + 0.5), GrowthEnvelope(1.0, 1.0, True, 0.6)),
         b.map(lambda c, k: np.where(k % 2 == 0, c, -c)),
         phi.map(lambda c, k: np.conj(c) * k, GrowthEnvelope(1.2, 1.0)),
     ]
@@ -400,6 +517,89 @@ def test_array_reads_match_single_reads_exactly(ks):
         assert np.array_equal(v.dense(idx.min(), idx.max()), v.coeffs(np.arange(idx.min(), idx.max() + 1)))
         if v.domain is IndexDomain.NATURALS:
             assert np.all(got[idx < 0] == 0)
+
+
+_SOUNDNESS_PARAMS = dict(
+    _FORMULA_PARAMS,
+    const=[(2.5,), (-0.3 + 0.4j,), (0.0,)],
+    geometric=[(0.5,), (-0.7,), (0.999,), (1e-3,)],
+    power=[(0.0,), (2.0,), (-1.0,), (0.5,), (-2.5,), (7.0,)],
+    inv_quadratic=[(0,), (1,), (2,)],
+)
+
+
+@pytest.mark.parametrize("name,params", [(n, p) for n, ps in _SOUNDNESS_PARAMS.items() for p in ps])
+def test_formula_envelopes_bound_their_formulas(name, params):
+    # each formula's own envelope holds at every |k| up to 10^5, which holds the peak of
+    # |c_k| for every formula here, and at indices out to 2^62
+    tail = Tail.formula(name, *params)
+    lo = 0 if name == "hermite_zero" else -(10**5)
+    ks = np.concatenate([np.arange(lo, 10**5 + 1), [10**9, 10**15, 2**62]])
+    assert np.all(np.abs(tail.fn(ks)) <= tail.envelope.bound(ks) * (1 + 1e-12))
+
+
+def _rapid_decay_inputs(domain, rho):
+    """A geometric vector under its formula's envelope, and a JSON payload whose prefix
+    sits near a looser stated envelope (1.5, 1, all orders, rho)."""
+    start = -3 if domain is IndexDomain.INTEGERS else 0
+    ks = np.arange(start, 4)
+    tail = Tail.formula("geometric", rho)
+    prefix = 1.4 * (1.0 + np.abs(ks)) * rho ** np.abs(ks) * np.exp(1j * ks)
+    payload = {
+        "index_domain": domain.value, "start": start,
+        "coefficients": [[c.real, c.imag] for c in prefix],
+        "tail": {"name": "geometric", "params": [rho]},
+        "envelope": {"constant": 1.5, "degree": 1.0, "all_orders": True, "ratio": rho},
+    }
+    own = CoefficientVector(domain, start, tail.fn(ks), tail.envelope, tail)
+    return [own, CoefficientVector.from_json(json.loads(json.dumps(payload)))]
+
+
+def _assert_envelope_holds(v, ks):
+    mags, bounds = np.abs(v.coeffs(ks)), v.envelope.bound(ks)
+    assert np.all(mags <= bounds * (1 + 1e-12)), int(ks[np.argmax(mags - bounds)])
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+def test_operator_envelopes_bound_their_outputs(rho):
+    from gmc import heisenberg as hb
+    from gmc.uea import UEAElement
+
+    X = UEAElement.generator(tr.TORUS_STRUCTURE, "X")
+    P, Q, Z = (UEAElement.generator(hb.HEISENBERG_STRUCTURE, g) for g in "PQZ")
+    for a in _rapid_decay_inputs(IndexDomain.INTEGERS, rho):
+        for out in (
+            tr.act_algebra(X * X - 3.0 * X, a),
+            tr.dual_act_algebra(X**3, a),
+            tr.factorize_torus(a)[1],
+            tr.project_subrep(a, lambda n: n % 3 != 0),
+        ):
+            assert out.envelope.ratio == rho and out.growth is GrowthClass.RAPID_DECAY
+            _assert_envelope_holds(out, np.arange(-900, 901))
+    for phi in _rapid_decay_inputs(IndexDomain.NATURALS, rho):
+        for out in (
+            hb.act_algebra(P, phi),
+            hb.act_algebra(P * Q - 2.0 * Z, phi),
+            hb.act_algebra(Q * Q * P, phi),
+            hb.factorize_heisenberg(phi)[1],
+        ):
+            assert out.envelope.ratio == rho and out.growth is GrowthClass.RAPID_DECAY
+            _assert_envelope_holds(out, np.arange(0, 901))
+
+
+def test_factorizing_a_square_summable_vector_takes_no_derivative():
+    # an envelope degree below -1/2 gives D = 1 and u = phi; it asked for a negative
+    # power of the algebra element (a ValueError) for the gauss vector and smoothed outputs
+    from gmc import heisenberg as hb
+
+    for factorize, phi in (
+        (hb.factorize_heisenberg, hb.gaussian_vector()),
+        (tr.factorize_torus, tr.smooth_by(tr.band(3), tr.comb())),
+        (tr.factorize_torus, tr.inverse_quadratic(2)),
+    ):
+        D, u = factorize(phi)
+        assert list(D.sorted_terms()) == list(D.one(D.structure).sorted_terms())
+        assert u.envelope.degree == phi.envelope.degree and u.prefix.tobytes() == phi.prefix.tobytes()
 
 
 def _formula_constructors():
@@ -546,16 +746,23 @@ def _ref_cauchy_extent(v, tol):
     return n
 
 
-def _ref_abs_tail_extent(v, tol):
+def _ref_abs_tail_bound(v):
+    """n -> the bound on sum_{k>n} |c_k|: the envelope's, or for an all-orders v the
+    envelope steepened to degree -2 past n."""
     from gmc.vectors import _tail_integral_bound
 
     env = v.envelope
-    if env.degree >= -1.0:
-        env = steepen_envelope(v, -3.0)
+    if env.all_orders:
+        return lambda n: _tail_integral_bound(steepen_envelope(v, -2.0, n + 1).constant, -2.0, n, False)
+    return lambda n: _tail_integral_bound(env.constant, env.degree, n, False)
+
+
+def _ref_abs_tail_extent(v, tol):
+    bound_at = _ref_abs_tail_bound(v)
     n = max(v.stop, 8)
     if n > 1 << 22:
         raise BudgetExceeded("tail extent exceeds budget", math.inf)
-    while (bound := _tail_integral_bound(env.constant, env.degree, n, False)) > tol:
+    while (bound := bound_at(n)) > tol:
         if 2 * n > 1 << 22:
             raise BudgetExceeded("tail extent exceeds budget", bound)
         n *= 2
@@ -620,8 +827,9 @@ def test_cauchy_and_abs_tail_extents_match_the_reference_loops():
 
     compared = budget = 0
     for constant in (1e-6, 1.0, 1e12):
-        for degree, all_orders in ((-0.51, False), (-0.75, False), (-1.5, False), (-4.0, False), (-0.5, True)):
-            env = GrowthEnvelope(constant, degree, all_orders)
+        envelopes = [(-0.51, False, 1.0), (-0.75, False, 1.0), (-1.5, False, 1.0), (-4.0, False, 1.0)]
+        for degree, all_orders, ratio in envelopes + [(-0.5, True, 0.5), (3.0, True, 0.999999)]:
+            env = GrowthEnvelope(constant, degree, all_orders, ratio)
             l2 = lambda n: _tail_integral_bound(constant**2, 2.0 * degree, n, True)
             for start in (8, 1000, (1 << 61) - 1, 1 << 61, (1 << 62) - 1, 1 << 62):
                 for domain in IndexDomain:
@@ -634,9 +842,7 @@ def test_cauchy_and_abs_tail_extents_match_the_reference_loops():
             cap = 1 << 22
             for stop in (1, 8, 9, 1000, cap // 2, cap - 1, cap, cap + 1, 2 * cap):
                 v = CoefficientVector(IndexDomain.NATURALS, stop - 1, [0j], env, _quiet_tail())
-                e = steepen_envelope(v, -3.0) if all_orders else env
-                one = lambda n: _tail_integral_bound(e.constant, e.degree, n, False)
-                for tol in _edge_tols(one, max(stop, 8), cap):
+                for tol in _edge_tols(_ref_abs_tail_bound(v), max(stop, 8), cap):
                     got = _outcome(lambda: v.abs_tail_extent(tol))
                     assert got == _outcome(lambda: _ref_abs_tail_extent(v, tol)), (constant, degree, stop, tol)
                     compared += 1
@@ -661,8 +867,7 @@ def test_a_stored_index_past_the_extent_cap_is_refused_before_reading(domain, mo
     with pytest.raises(BudgetExceeded, match="pairing needs more than") as err:
         pair(far, partner)
     assert err.value.achieved_bound == math.inf
-    geometric = CoefficientVector(
-        IndexDomain.NATURALS, 10**9, [0j], GrowthEnvelope(1.0, -8.0, all_orders=True), Tail.formula("geometric", 0.5)
-    )
+    tail = Tail.formula("geometric", 0.5)
+    geometric = CoefficientVector(IndexDomain.NATURALS, 10**9, [0j], tail.envelope, tail)
     with pytest.raises(BudgetExceeded, match="tail extent exceeds budget"):
         geometric.abs_tail_extent(1e-14)
