@@ -1,22 +1,36 @@
 """Concrete-group bundles: what the model-generic layers read of a model.
 
 A GroupModel packages the Lie structure feeding the enveloping algebra, the
-group inverse, and hooks into the model's smoothing, pairing, pointwise and
-factorization routines. The model-generic layers (mollify, functionals,
-factorize) read nothing else and pass the hooks no options: a model's own
-settings, such as the Heisenberg truncation (heisenberg.with_quadrature), live
-in its hooks. The group law and the group and algebra actions are module
-functions of each model, called directly. The two shipped models (torus,
-Heisenberg) are built in their own modules.
+group inverse, hooks into the model's smoothing, pairing and pointwise
+routines, and the model's Laplacian as data. The model-generic layers
+(mollify, functionals, factorize) read nothing else and pass the hooks no
+options: a model's own settings, such as the Heisenberg truncation
+(heisenberg.with_quadrature), live in its hooks. The group law and the group
+and algebra actions are module functions of each model, called directly. The
+two shipped models (torus, Heisenberg) are built in their own modules; the
+structure theorem's factorization phi = pi(D) u reads only their Laplacians.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .errors import UnsupportedOperation
+from .errors import PreconditionError, UnsupportedOperation
 from .uea import LieStructure, UEAElement
-from .vectors import CoefficientVector, GrowthClass
+from .vectors import CoefficientVector, GrowthClass, GrowthEnvelope, IndexDomain
+
+
+@dataclass(frozen=True)
+class Laplacian:
+    """An algebra element acting on the k-th basis vector of the domain by eigenvalue(k)
+    (index arrays to float arrays), with eigenvalue(k) >= (1+|k|)^order / constant."""
+
+    element: UEAElement
+    eigenvalue: Callable[[Any], Any]
+    order: float
+    constant: float
+    domain: IndexDomain
 
 
 @dataclass(frozen=True)
@@ -27,22 +41,26 @@ class GroupModel:
     # model hooks consumed by the generic layers (mollifier, functionals)
     smooth_by: Callable[[Any, CoefficientVector], CoefficientVector] = field(default=None, repr=False)
     gmc_eval: Callable[[CoefficientVector, CoefficientVector, Any], complex] = field(default=None, repr=False)
-    pointwise_coefficient: Callable[..., Callable[[Any], complex]] = field(
-        default=None, repr=False
-    )
-    factorization: Optional[Callable[[CoefficientVector], tuple[UEAElement, CoefficientVector]]] = field(
-        default=None, repr=False
-    )
+    pointwise_coefficient: Callable[..., Callable[[Any], complex]] = field(default=None, repr=False)
+    laplacian: Optional[Laplacian] = field(default=None, repr=False)
 
 
 def factorize(phi: CoefficientVector, model: GroupModel) -> tuple[UEAElement, CoefficientVector]:
     """Write a distribution vector as (D, u) with u square-summable.
 
-    Square-summable or rapid-decay input factors trivially through the
-    identity element; polynomial growth defers to the model's strategy.
+    Square-summable or rapid-decay input factors trivially through the identity
+    element. Polynomial growth of degree r takes D = L^m, for the model's Laplacian
+    L of order s, and u_k = phi_k / lambda(k)^m, so pi(D) u = phi termwise; the
+    least m with s m > r + 1/2 puts u's envelope (C c^m, r - s m) below -1/2.
     """
     if phi.growth in (GrowthClass.RAPID_DECAY, GrowthClass.SQUARE_SUMMABLE):
         return UEAElement.one(model.structure), phi
-    if model.factorization is None:
-        raise UnsupportedOperation(f"model {model.name!r} provides no factorization strategy")
-    return model.factorization(phi)
+    lap = model.laplacian
+    if lap is None:
+        raise UnsupportedOperation(f"model {model.name!r} provides no Laplacian to factor through")
+    if phi.domain is not lap.domain:
+        raise PreconditionError(f"model {model.name!r} factors vectors indexed by the {lap.domain.value}")
+    env = phi.envelope
+    m = int(math.floor((env.degree + 0.5) / lap.order)) + 1
+    envelope = GrowthEnvelope(env.constant * lap.constant**m, env.degree - lap.order * m, env.all_orders, env.ratio)
+    return lap.element**m, phi.map(lambda c, k: c / lap.eigenvalue(k) ** m, envelope)

@@ -40,7 +40,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT_QUADRATURE, QuadratureSpec
 from .errors import BudgetExceeded, PreconditionError, QuadratureAccuracyError
-from .groups import GroupModel
+from .groups import GroupModel, Laplacian
 from .hermite import (
     gauss_hermite_rule,
     hermite_scaled,
@@ -975,33 +975,6 @@ def poly_growth_vector(r: float, prefix_len: int = 64) -> HermiteVector:
 
 
 # --------------------------------------------------------------------------
-# factorization through the harmonic-oscillator element
-# --------------------------------------------------------------------------
-
-
-def factorize_heisenberg(phi: HermiteVector) -> tuple[UEAElement, HermiteVector]:
-    """phi = pi(D) u with D = (1 - (P^2+Q^2)/(4 pi))^m and u_k = phi_k/(k+3/2)^m.
-
-    The oscillator element acts diagonally with eigenvalue k + 3/2, so the
-    identity holds termwise; m = floor(r + 1/2) + 1 > r + 1/2 makes u
-    square-summable (m = 0, D = 1, when r < -1/2 already does).
-    """
-    _require_hermite(phi)
-    r = phi.envelope.degree
-    m = max(int(math.floor(r + 0.5)) + 1, 0)
-    scale = -1.0 / (4.0 * math.pi)
-    osc = UEAElement(
-        HEISENBERG_STRUCTURE,
-        {(0, 0, 0): 1.0, (2, 0, 0): scale, (0, 2, 0): scale},
-    )
-    D = osc**m
-
-    envelope = GrowthEnvelope(phi.envelope.constant, r - m, phi.envelope.all_orders, phi.envelope.ratio)
-    u = phi.map(lambda c, k: c / (k + 1.5) ** m, envelope)
-    return D, u
-
-
-# --------------------------------------------------------------------------
 # the model bundle
 # --------------------------------------------------------------------------
 
@@ -1013,7 +986,13 @@ HEISENBERG = GroupModel(
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,
-    factorization=factorize_heisenberg,
+    # the oscillator 1 - (P^2 + Q^2) / 4 pi acts on h_k by k + 3/2 >= 1 + k
+    laplacian=Laplacian(
+        UEAElement(
+            HEISENBERG_STRUCTURE, {(0, 0, 0): 1.0, (2, 0, 0): -1.0 / (4.0 * math.pi), (0, 2, 0): -1.0 / (4.0 * math.pi)}
+        ),
+        lambda k: k + 1.5, 1.0, 1.0, IndexDomain.NATURALS,
+    ),
 )
 
 

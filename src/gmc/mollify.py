@@ -11,10 +11,9 @@ On the circle the pushforward's Fourier coefficients are fhat(m) = jhat(rho m),
 with jhat the transform of the unit-radius bump and rho the scaled bump's
 radius. One real FFT of the bump sampled on a period gives the whole band, and
 the band is cut at the last coefficient above the coefficient floor. That cut
-scales as 1/rho, so it is measured once per process at a reference radius (by
-doubling the FFT size from 1024 until the upper half of the computed band is
-below the floor), and every other pushforward starts at the size it predicts,
-doubling only if the prediction falls short.
+scales as 1/rho, so one constant band edge (rho times the cut) predicts the FFT
+size; one doubling loop starts there and stops at the first size whose cut lies
+below a quarter of it, which is also the check that no aliasing reaches the band.
 """
 from __future__ import annotations
 
@@ -148,8 +147,9 @@ class ScaledBump:
 _FFT_SAMPLE_CAP = 1 << 22
 # circle pushforward coefficients below this are aliasing noise and cut from the band
 _COEFF_FLOOR = 1e-14
-# radius of the bump whose band cut is measured to predict every other cut
-_REFERENCE_RADIUS = 1.0 / 16.0
+# rho times the band cut of the standard bump of radius rho: the cut is 2116 at
+# radius 1/16, found by doubling the FFT size from 1024
+_BAND_EDGE = 132.25
 
 
 def _fft_table(jn: ScaledBump, size: int) -> np.ndarray:
@@ -159,60 +159,27 @@ def _fft_table(jn: ScaledBump, size: int) -> np.ndarray:
     return np.fft.rfft(np.fft.ifftshift(samples)).real / size
 
 
-def _doubled_table(jn: ScaledBump, size: int) -> np.ndarray:
-    """The FFT table at the first of size, 2 size, 4 size, ... whose entries from
-    a quarter of the size on are all below the floor, so the band kept under them
-    carries no aliasing above it."""
-    message = f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples"
-    if size > _FFT_SAMPLE_CAP:
-        raise BudgetExceeded(message, math.inf)
-    while True:
-        table = _fft_table(jn, size)
-        aliased = float(np.max(np.abs(table[size // 4 :])))
-        if aliased < _COEFF_FLOOR:
-            return table
-        if 2 * size > _FFT_SAMPLE_CAP:
-            raise BudgetExceeded(message, aliased)
-        size *= 2
-
-
-def _band_cut(table: np.ndarray) -> int:
-    """Index of the last table entry at or above the floor (0 when there is none)."""
-    big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
-    return int(big[-1]) if len(big) else 0
-
-
-@lru_cache(maxsize=None)
-def _band_edge() -> float:
-    """rho times the band cut of a standard bump of radius rho, measured at the
-    reference radius by doubling from 1024: since fhat(m) = jhat(rho m), the cut
-    at any other radius is about this edge over rho."""
-    jn = ScaledBump(BumpProfile.standard(_REFERENCE_RADIUS), 1)
-    return _band_cut(_doubled_table(jn, 1024)) * jn.radius
-
-
-def _start_size(radius: float) -> int:
-    """The FFT size the band edge predicts at this radius: the first power of two,
-    at least 1024, past 4 times the predicted cut. The prediction is taken 1% low:
-    the cut read on the grid of frequencies m rho can fall a little short of it,
-    and a size predicted just past a power of two must then start at that power,
-    where the doubling from 1024 ends."""
-    predicted = min(4.0 * _band_edge() / (1.01 * radius), _FFT_SAMPLE_CAP)
-    return max(1024, 1 << int(predicted).bit_length())
-
-
 def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
-    """Fourier coefficients of the pushed-forward bump, truncated at the floor:
-    one FFT at the predicted size, doubled while the aliasing check fails."""
+    """Fourier coefficients of the pushed-forward bump, cut at the last one at or above
+    the floor. The FFT starts at the first power of two, at least 1024, past 4 times
+    the predicted cut, taken 1% low: a cut read on the frequencies m rho can fall a
+    little short of it, and a start predicted just past a power of two must then be
+    that power, where the doubling from 1024 ends. It doubles until the cut is below
+    a quarter of the size, so that no aliasing above the floor reaches the band."""
     if not jn.radius < 0.5:
         min_n = int(math.floor(2.0 * jn.profile.radius)) + 1
-        raise PreconditionError(
-            f"exp is not injective on the support; need n >= {min_n}"
-        )
-    table = _doubled_table(jn, _start_size(jn.radius))
-    cut = _band_cut(table)
-    coeffs = np.concatenate([table[cut:0:-1], table[: cut + 1]]).astype(np.complex128)
-    return tr.TorusTestFunction(coeffs)
+        raise PreconditionError(f"exp is not injective on the support; need n >= {min_n}")
+    predicted = min(4.0 * _BAND_EDGE / (1.01 * jn.radius), _FFT_SAMPLE_CAP)
+    size, aliased = max(1024, 1 << int(predicted).bit_length()), math.inf
+    while size <= _FFT_SAMPLE_CAP:
+        table = _fft_table(jn, size)
+        big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
+        cut = int(big[-1]) if len(big) else 0
+        if cut < size // 4:
+            return tr.TorusTestFunction(np.concatenate([table[cut:0:-1], table[: cut + 1]]))
+        aliased = float(np.max(np.abs(table[size // 4 :])))
+        size *= 2
+    raise BudgetExceeded(f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", aliased)
 
 
 def push_forward(jn: ScaledBump, model: GroupModel):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import GroupModel
+from .groups import GroupModel, Laplacian
 from .uea import LieStructure, UEAElement, uea_transpose
 from .vectors import (
     CoefficientVector,
@@ -286,25 +286,6 @@ def dominated_sequence_check(
     return [abs(gmc_eval(a, bm, f) - base) for bm in b_list]
 
 
-def factorize_torus(a: TorusSequence) -> tuple[UEAElement, TorusSequence]:
-    """Constructive factorization a = pi(D) u with u square-summable.
-
-    D = (1 - X^2 / 4 pi^2)^m and u_n = a_n / (1+n^2)^m, so that applying D
-    multiplies the n-th coefficient by (1+n^2)^m exactly. u's envelope has
-    degree r - 2m, and m = floor((r + 1/2) / 2) + 1, the least m with
-    2m > r + 1/2, puts it below -1/2 (m = 0, D = 1, when r already is).
-    """
-    _require_torus(a)
-    r = a.envelope.degree
-    m = max(int(math.floor((r + 0.5) / 2.0)) + 1, 0)
-    base = UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)})
-    D = base**m
-
-    envelope = GrowthEnvelope(a.envelope.constant * 2.0**m, r - 2.0 * m, a.envelope.all_orders, a.envelope.ratio)
-    u = a.map(lambda c, k: c / (1.0 + k.astype(float) ** 2) ** m, envelope)
-    return D, u
-
-
 def project_subrep(a: TorusSequence, keep: Callable[[np.ndarray], np.ndarray]) -> TorusSequence:
     """Zero all coefficients outside the index predicate; commutes with actions.
 
@@ -343,5 +324,9 @@ TORUS = GroupModel(
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,
-    factorization=factorize_torus,
+    # D = 1 - X^2 / 4 pi^2 multiplies the n-th coefficient by 1 + n^2 >= (1+|n|)^2 / 2
+    laplacian=Laplacian(
+        UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)}),
+        lambda k: 1.0 + k.astype(float) ** 2, 2.0, 2.0, IndexDomain.INTEGERS,
+    ),
 )

@@ -1,12 +1,13 @@
 """Group-model bundles: laws, modular data, generic factorization dispatch."""
+import numpy as np
 import pytest
 
 from gmc import heisenberg as hb
 from gmc import torus as tr
-from gmc.errors import UnsupportedOperation
+from gmc.errors import PreconditionError, UnsupportedOperation
 from gmc.groups import GroupModel, factorize
 from gmc.uea import LieStructure, UEAElement
-from gmc.vectors import GrowthClass
+from gmc.vectors import CoefficientVector, GrowthClass, GrowthEnvelope, IndexDomain
 
 
 def _gap(a, b) -> float:
@@ -77,3 +78,45 @@ def test_factorize_without_strategy_errors():
     bare = GroupModel(name="bare", structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
     with pytest.raises(UnsupportedOperation):
         factorize(tr.poly(1), bare)
+
+
+@pytest.mark.parametrize("model", [tr.TORUS, hb.HEISENBERG], ids=lambda m: m.name)
+def test_laplacian_eigenvalues_meet_their_stated_bound(model):
+    # u's envelope is checked only on its stored prefix, so lambda(k) >= (1+|k|)^s / c
+    # is what certifies the tail of a factorization
+    lap = model.laplacian
+    big = np.array([2**20, 2**40], dtype=np.int64)
+    if lap.domain is IndexDomain.INTEGERS:
+        ks = np.concatenate([np.arange(-1000, 1001), big, -big])
+    else:
+        ks = np.concatenate([np.arange(0, 1001), big])
+    assert np.all(lap.eigenvalue(ks) >= (1.0 + np.abs(ks)) ** lap.order / lap.constant)
+
+
+@pytest.mark.parametrize("model", [tr.TORUS, hb.HEISENBERG], ids=lambda m: m.name)
+def test_laplacian_element_acts_by_its_eigenvalue(model):
+    lap = model.laplacian
+    act, unit = (tr.act_algebra, tr.unit) if model is tr.TORUS else (hb.act_algebra, hb.unit_vector)
+    for k in range(12):
+        ks = np.arange(k - 4, k + 5)
+        expected = np.where(ks == k, lap.eigenvalue(np.array([k]))[0], 0.0)
+        assert np.allclose(act(lap.element, unit(k)).coeffs(ks), expected, rtol=1e-13, atol=1e-13)
+
+
+def test_factorize_refuses_a_vector_of_the_other_model():
+    with pytest.raises(PreconditionError, match="integers"):
+        factorize(hb.poly_growth_vector(1.0), tr.TORUS)
+    with pytest.raises(PreconditionError, match="naturals"):
+        factorize(tr.poly(1), hb.HEISENBERG)
+
+
+@pytest.mark.parametrize("model", [tr.TORUS, hb.HEISENBERG], ids=lambda m: m.name)
+def test_factorize_keeps_the_envelope_ratio(model):
+    # a polynomial-growth envelope with ratio below 1 keeps it through the division
+    lap = model.laplacian
+    start = -3 if lap.domain is IndexDomain.INTEGERS else 0
+    ks = np.arange(start, 60)
+    v = CoefficientVector(lap.domain, start, (1.0 + np.abs(ks)) * 0.9 ** np.abs(ks), GrowthEnvelope(1.0, 1.0, ratio=0.9))
+    D, u = factorize(v, model)
+    assert u.envelope.ratio == 0.9 and u.growth is GrowthClass.SQUARE_SUMMABLE
+    assert np.all(np.abs(u.prefix) <= u.envelope.bound(ks) * (1 + 1e-12))

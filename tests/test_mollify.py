@@ -109,9 +109,18 @@ def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
             jn = mo.ScaledBump(prof, n)
             got = mo.push_forward(jn, tr.TORUS).coeffs
             with monkeypatch.context() as plain_search:
-                plain_search.setattr(mo, "_start_size", lambda radius: 1024)
+                plain_search.setattr(mo, "_BAND_EDGE", 0.0)
                 plain = mo.push_forward(jn, tr.TORUS).coeffs
             assert got.shape == plain.shape and (got == plain).all(), (r, n)
+
+
+def test_band_edge_is_the_cut_of_a_doubling_from_1024(monkeypatch):
+    # the constant edge is a measured cut, not a tuned one: a profile or normalization
+    # that moves the cut at radius 1/16 fails here
+    edge = mo._BAND_EDGE
+    monkeypatch.setattr(mo, "_BAND_EDGE", 0.0)
+    jn = mo.ScaledBump(mo.BumpProfile.standard(1.0 / 16.0), 1)
+    assert mo.push_forward(jn, tr.TORUS).bandwidth * jn.radius == edge == 132.25
 
 
 def test_torus_pushforward_short_prediction_doubles(monkeypatch):
@@ -119,8 +128,8 @@ def test_torus_pushforward_short_prediction_doubles(monkeypatch):
     jn = mo.ScaledBump(mo.BumpProfile.standard(0.2), 16)
     expected = mo.push_forward(jn, tr.TORUS).coeffs
     sizes = []
-    table, edge = mo._fft_table, mo._band_edge()
-    monkeypatch.setattr(mo, "_band_edge", lambda: edge / 8)
+    table = mo._fft_table
+    monkeypatch.setattr(mo, "_BAND_EDGE", mo._BAND_EDGE / 8)
     monkeypatch.setattr(mo, "_fft_table", lambda jn, size: sizes.append(size) or table(jn, size))
     got = mo.push_forward(jn, tr.TORUS).coeffs
     assert len(sizes) == 4 and sizes == sorted(sizes)
@@ -128,7 +137,6 @@ def test_torus_pushforward_short_prediction_doubles(monkeypatch):
 
 
 def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch):
-    mo._band_edge()  # the reference is measured once per process, under the full cap
     monkeypatch.setattr(mo, "_FFT_SAMPLE_CAP", 1 << 14)
 
     def no_sampling(jn, size):
@@ -136,7 +144,7 @@ def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch
 
     monkeypatch.setattr(mo, "_fft_table", no_sampling)
     jn = mo.ScaledBump(mo.BumpProfile.standard(0.25), 64)
-    assert mo._start_size(jn.radius) > 1 << 14
+    assert 4.0 * mo._BAND_EDGE / (1.01 * jn.radius) > 1 << 14  # the predicted start
     with pytest.raises(BudgetExceeded) as info:
         mo.push_forward(jn, tr.TORUS)
     assert info.value.achieved_bound == math.inf

@@ -319,7 +319,7 @@ def test_dominated_envelope_violation_names_offender():
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_factorize_polynomial_growth(r):
     a = tr.poly(r)
-    D, u = tr.factorize_torus(a)
+    D, u = factorize(a, tr.TORUS)
     assert u.growth is GrowthClass.SQUARE_SUMMABLE
     out = tr.act_algebra(D, u)
     for n in range(-40, 41):
@@ -340,7 +340,7 @@ def test_factorize_polynomial_growth(r):
 def test_factorize_non_integer_degree_gives_square_summable(r):
     # 2m > r + 1/2 puts u's envelope degree r - 2m below -1/2
     a = tr.poly(r)
-    D, u = tr.factorize_torus(a)
+    D, u = factorize(a, tr.TORUS)
     assert u.growth is GrowthClass.SQUARE_SUMMABLE and u.envelope.degree < -0.5
     assert factorize(a, tr.TORUS)[1].growth is GrowthClass.SQUARE_SUMMABLE
     ns = np.arange(-40, 41)
@@ -351,7 +351,7 @@ def test_factorize_non_integer_degree_gives_square_summable(r):
 def test_factorize_integer_degrees_keep_their_element():
     # m = floor((r + 1/2) / 2) + 1 is floor(r / 2) + 1 for every integer r >= 0
     for r in range(8):
-        D, _ = tr.factorize_torus(tr.poly(r))
+        D, _ = factorize(tr.poly(r), tr.TORUS)
         assert D.degree == 2 * (r // 2 + 1)
 
 
@@ -367,7 +367,7 @@ def test_labels_follow_the_envelope():
 
 def test_factorize_comb_norm_value():
     # closed form: sum over Z of (1+n^2)^{-2} = (pi/2)(coth pi + pi/sinh^2 pi)
-    _, u = tr.factorize_torus(tr.comb())
+    _, u = factorize(tr.comb(), tr.TORUS)
     closed = (math.pi / 2.0) * (
         math.cosh(math.pi) / math.sinh(math.pi) + math.pi / math.sinh(math.pi) ** 2
     )
@@ -459,7 +459,7 @@ def test_structure_witness_through_factorization(rng):
     # <M_{a,1}, f> = <M_{u,1}, R(A(D)) f> for a = pi(D) u
     for r in (0, 1, 2):
         a = tr.poly(r)
-        D, u = tr.factorize_torus(a)
+        D, u = factorize(a, tr.TORUS)
         for B in (4, 8):
             f = _random_band(rng, B)
             lhs = tr.gmc_eval(a, tr.comb(), f)

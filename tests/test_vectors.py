@@ -27,6 +27,7 @@ from gmc.vectors import (
     vector_from_prefix,
 )
 from gmc import torus as tr
+from gmc.groups import factorize
 from gmc.hermite import hermite_at_zero
 
 
@@ -488,12 +489,12 @@ def _derived_vectors():
         tr.act_group(0.37, a),
         tr.act_algebra(X * X - 3.0 * X, b),
         tr.dual_act_algebra(X**3, a),
-        tr.factorize_torus(b)[1],
+        factorize(b, tr.TORUS)[1],
         tr.project_subrep(tr.act_group(0.2, b), lambda n: n % 3 != 0),
         hb.act_algebra(P * Q - 2.0 * Z, phi),
         hb.dual_act_algebra(Q * Q * P, psi),
         hb.act_algebra(P, hb.act_algebra(Q * Q, psi)),
-        hb.factorize_heisenberg(psi)[1],
+        factorize(psi, hb.HEISENBERG)[1],
         # |k + 1/2| <= 1 + |k|: one more degree, the same ratio
         a.map(lambda c, k: c * (k + 0.5), GrowthEnvelope(1.0, 1.0, True, 0.6)),
         b.map(lambda c, k: np.where(k % 2 == 0, c, -c)),
@@ -571,7 +572,7 @@ def test_operator_envelopes_bound_their_outputs(rho):
         for out in (
             tr.act_algebra(X * X - 3.0 * X, a),
             tr.dual_act_algebra(X**3, a),
-            tr.factorize_torus(a)[1],
+            factorize(a, tr.TORUS)[1],
             tr.project_subrep(a, lambda n: n % 3 != 0),
         ):
             assert out.envelope.ratio == rho and out.growth is GrowthClass.RAPID_DECAY
@@ -581,7 +582,7 @@ def test_operator_envelopes_bound_their_outputs(rho):
             hb.act_algebra(P, phi),
             hb.act_algebra(P * Q - 2.0 * Z, phi),
             hb.act_algebra(Q * Q * P, phi),
-            hb.factorize_heisenberg(phi)[1],
+            factorize(phi, hb.HEISENBERG)[1],
         ):
             assert out.envelope.ratio == rho and out.growth is GrowthClass.RAPID_DECAY
             _assert_envelope_holds(out, np.arange(0, 901))
@@ -592,12 +593,12 @@ def test_factorizing_a_square_summable_vector_takes_no_derivative():
     # power of the algebra element (a ValueError) for the gauss vector and smoothed outputs
     from gmc import heisenberg as hb
 
-    for factorize, phi in (
-        (hb.factorize_heisenberg, hb.gaussian_vector()),
-        (tr.factorize_torus, tr.smooth_by(tr.band(3), tr.comb())),
-        (tr.factorize_torus, tr.inverse_quadratic(2)),
+    for model, phi in (
+        (hb.HEISENBERG, hb.gaussian_vector()),
+        (tr.TORUS, tr.smooth_by(tr.band(3), tr.comb())),
+        (tr.TORUS, tr.inverse_quadratic(2)),
     ):
-        D, u = factorize(phi)
+        D, u = factorize(phi, model)
         assert list(D.sorted_terms()) == list(D.one(D.structure).sorted_terms())
         assert u.envelope.degree == phi.envelope.degree and u.prefix.tobytes() == phi.prefix.tobytes()
 
