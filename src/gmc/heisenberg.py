@@ -854,7 +854,11 @@ def gmc_eval(
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
     abs_tol: float = 1e-12,
 ) -> complex:
-    """<pi(f) phi, psi>: smooth phi to quad.truncation coefficients, then pair with psi."""
+    """<pi(f) phi, psi>: smooth phi to quad.truncation coefficients, or to the stop of a
+    finitely supported psi that reaches past it, so that the pairing drops no term of
+    psi; then pair with psi."""
+    if psi.finite_support and psi.stop > quad.truncation:
+        quad = replace(quad, truncation=psi.stop)
     return pair(smooth_by(f, phi, quad), psi, abs_tol=abs_tol)
 
 

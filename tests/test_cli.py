@@ -316,7 +316,7 @@ _MOLLIFY_HEISENBERG = ("mollify", "--group", "heisenberg", "delta", "e:0", "bump
 @pytest.mark.parametrize(
     "argv, lengths",
     [
-        (("verify", "heisenberg-covariance"), {64}),
+        (("verify", "heisenberg-covariance"), {64, 80}),
         (("verify", "smoothing"), {64, 67, 80}),
         (("verify", "mollifier"), {64, 80}),
         (("verify", "structure"), {64}),
@@ -342,6 +342,23 @@ def test_every_smoothing_runs_at_the_configured_truncation(tmp_path, monkeypatch
     code, _, err = run_cli("--config", str(cfg), *argv)
     assert code == 0, err
     assert seen and set(seen) == lengths
+
+
+def test_mollify_partner_past_the_truncation_is_paired_in_full(tmp_path):
+    # e:50 stores past the default truncation of 40, so smoothing runs to its stop and
+    # the pairing drops no term (at the default length both rows read exactly 0)
+    argv = ("mollify", "--group", "heisenberg", "e:0", "e:50", "bump3:center=(0,3.5,0):radius=0.4", "--n", "1,2")
+    code, stdout, err = run_cli(*argv)
+    assert code == 0, err
+    cfg = tmp_path / "n160.json"
+    cfg.write_text(json.dumps({"quadrature": {"truncation": 160}}))
+    code, reference, err = run_cli("--config", str(cfg), *argv)
+    assert code == 0, err
+    rows, reference_rows = _parse_csv(stdout)[1], _parse_csv(reference)[1]
+    assert [row[0] for row in rows] == [row[0] for row in reference_rows] == [1, 2]
+    for row, ref in zip(rows, reference_rows):
+        assert abs(row[1]) > 0.04
+        assert max(abs(a - b) for a, b in zip(row[1:], ref[1:])) < 1e-12
 
 
 def test_mollify_injectivity_violation_exits_2():

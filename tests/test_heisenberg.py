@@ -668,6 +668,18 @@ def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
         hb.smooth_by(_BUMP, hb.dirac_delta(), quad=QuadratureSpec(truncation=2000))
 
 
+def test_gmc_eval_partner_past_the_budget_refuses_before_building(monkeypatch):
+    # a finite partner sets the smoothing length to its stop, and the budget check
+    # still comes before any rule or table
+    def refuse(*args):
+        raise AssertionError("no Gauss-Hermite rule or Hermite table should be built")
+
+    monkeypatch.setattr(hb, "hermite_scaled", refuse)
+    monkeypatch.setattr(hb, "gauss_hermite_rule", refuse)
+    with pytest.raises(BudgetExceeded):
+        hb.gmc_eval(hb.unit_vector(0), hb.unit_vector(100_000), _BUMP)
+
+
 @pytest.mark.parametrize("sigma", [0.2, 4.0])
 def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # these inputs store 473 and 301 columns; the output k < N sees only the
