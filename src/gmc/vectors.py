@@ -102,6 +102,15 @@ class GrowthEnvelope:
 TailFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _formula_constant(name: str, degree: float, log2: float, slack: float = 1.0) -> float:
+    """The envelope constant 2^log2 times slack, or a PreconditionError naming the
+    formula and its degree where it leaves the float range."""
+    constant = 2.0**log2 * slack if log2 < 1024 else math.inf
+    if not math.isfinite(constant):
+        raise PreconditionError(f"the envelope constant of the {name} formula of degree {degree:g} leaves the float range")
+    return constant
+
+
 def _tail_const(value: float = 1.0) -> tuple[TailFn, GrowthEnvelope]:
     return (lambda k: np.full(k.shape, complex(value))), GrowthEnvelope(max(abs(value), 1e-300), 0.0)
 
@@ -122,7 +131,7 @@ def _tail_power(exponent: float) -> tuple[TailFn, GrowthEnvelope]:
         return np.where(k == 0, 1.0 if exponent == 0 else 0.0, vals).astype(np.complex128)
 
     # |k|^e <= (1+|k|)^e for e >= 0, and <= 2^-e (1+|k|)^e for e < 0 and k != 0
-    return fn, GrowthEnvelope(2.0 ** max(-exponent, 0.0), exponent)
+    return fn, GrowthEnvelope(_formula_constant("power", exponent, max(-exponent, 0.0)), exponent)
 
 
 def _tail_shifted_power(exponent: float) -> tuple[TailFn, GrowthEnvelope]:
@@ -131,9 +140,10 @@ def _tail_shifted_power(exponent: float) -> tuple[TailFn, GrowthEnvelope]:
 
 
 def _tail_inv_quadratic(power: int) -> tuple[TailFn, GrowthEnvelope]:
-    fn = lambda k: ((1.0 + k.astype(float) ** 2) ** (-power)).astype(np.complex128)
-    # (1+k^2)^{-p} <= 2^p (1+|k|)^{-2p} since 1+k^2 >= (1+|k|)^2 / 2
-    return fn, GrowthEnvelope(2.0**power * (1 + 1e-12), -2.0 * power)
+    fn = np.errstate(over="ignore")(lambda k: ((1.0 + k.astype(float) ** 2) ** (-power)).astype(np.complex128))
+    # (1+|k|)^2 / 2 <= 1+k^2 <= (1+|k|)^2, so (1+k^2)^{-p} <= 2^max(p, 0) (1+|k|)^{-2p}
+    constant = _formula_constant("inv_quadratic", -2.0 * power, max(power, 0), 1 + 1e-12)
+    return fn, GrowthEnvelope(constant, -2.0 * power)
 
 
 def _tail_hermite_zero() -> tuple[TailFn, GrowthEnvelope]:

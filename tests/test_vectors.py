@@ -539,6 +539,39 @@ def test_formula_envelopes_bound_their_formulas(name, params):
     assert np.all(np.abs(tail.fn(ks)) <= tail.envelope.bound(ks) * (1 + 1e-12))
 
 
+@pytest.mark.parametrize("power", [-1, -3])
+def test_inverse_quadratic_envelope_holds_for_negative_powers(power):
+    # (1+k^2)^|p| <= (1+|k|)^(2|p|): constant 1, where 2^p broke the bound at k = 0
+    tail = Tail.formula("inv_quadratic", power)
+    ks = np.concatenate([np.arange(-(10**4), 10**4 + 1), [10**9, -(10**15)]])
+    assert np.all(np.abs(tail.fn(ks)) <= tail.envelope.bound(ks) * (1 + 1e-12))
+    assert tr.inverse_quadratic(power).envelope == tail.envelope
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Tail.formula("power", -2000.0), "power formula of degree -2000 "),
+        (lambda: Tail.formula("inv_quadratic", 1100), "inv_quadratic formula of degree -2200 "),
+        (lambda: tr.inverse_quadratic(2000), "inv_quadratic formula of degree -4000 "),
+    ],
+    ids=["power", "inv_quadratic", "torus-inverse_quadratic"],
+)
+def test_envelope_constant_past_the_float_range_is_a_typed_error(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
+
+
+def test_json_envelope_constant_past_the_float_range_is_a_parse_error():
+    payload = {
+        "index_domain": "integers", "start": 0, "coefficients": [[0.0, 0.0]],
+        "tail": {"name": "power", "params": [-2000.0]},
+        "envelope": {"constant": 1.0, "degree": -2000.0},
+    }
+    with pytest.raises(SpecParseError, match="power formula of degree -2000"):
+        CoefficientVector.from_json(payload)
+
+
 def _rapid_decay_inputs(domain, rho):
     """A geometric vector under its formula's envelope, and a JSON payload whose prefix
     sits near a looser stated envelope (1.5, 1, all orders, rho)."""
