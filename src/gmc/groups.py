@@ -62,5 +62,8 @@ def factorize(phi: CoefficientVector, model: GroupModel) -> tuple[UEAElement, Co
         raise PreconditionError(f"model {model.name!r} factors vectors indexed by the {lap.domain.value}")
     env = phi.envelope
     m = int(math.floor((env.degree + 0.5) / lap.order)) + 1
-    envelope = GrowthEnvelope(env.constant * lap.constant**m, env.degree - lap.order * m, env.all_orders, env.ratio)
+    try:
+        envelope = GrowthEnvelope(env.constant * lap.constant**m, env.degree - lap.order * m, env.all_orders, env.ratio)
+    except (OverflowError, ValueError):  # c^m or C c^m past the float range
+        raise PreconditionError(f"factorizing degree {env.degree:g} takes a constant past the float range") from None
     return lap.element**m, phi.map(lambda c, k: c / lap.eigenvalue(k) ** m, envelope)

@@ -103,6 +103,13 @@ def test_laplacian_element_acts_by_its_eigenvalue(model):
         assert np.allclose(act(lap.element, unit(k)).coeffs(ks), expected, rtol=1e-13, atol=1e-13)
 
 
+def test_factorize_past_the_float_range_is_a_typed_error():
+    # m = 1051 and c = 2: 2^1051 is past the float range, and D is never built
+    v = CoefficientVector(IndexDomain.INTEGERS, 0, [1.0], GrowthEnvelope(1.0, 2100.0))
+    with pytest.raises(PreconditionError, match="degree 2100"):
+        factorize(v, tr.TORUS)
+
+
 def test_factorize_refuses_a_vector_of_the_other_model():
     with pytest.raises(PreconditionError, match="integers"):
         factorize(hb.poly_growth_vector(1.0), tr.TORUS)
@@ -116,7 +123,7 @@ def test_factorize_keeps_the_envelope_ratio(model):
     lap = model.laplacian
     start = -3 if lap.domain is IndexDomain.INTEGERS else 0
     ks = np.arange(start, 60)
-    v = CoefficientVector(lap.domain, start, (1.0 + np.abs(ks)) * 0.9 ** np.abs(ks), GrowthEnvelope(1.0, 1.0, ratio=0.9))
-    D, u = factorize(v, model)
+    values = (1.0 + np.abs(ks)) * 0.9 ** np.abs(ks)
+    _, u = factorize(CoefficientVector(lap.domain, start, values, GrowthEnvelope(1.0, 1.0, ratio=0.9)), model)
     assert u.envelope.ratio == 0.9 and u.growth is GrowthClass.SQUARE_SUMMABLE
     assert np.all(np.abs(u.prefix) <= u.envelope.bound(ks) * (1 + 1e-12))

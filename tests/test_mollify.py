@@ -124,7 +124,7 @@ def test_band_edge_is_the_cut_of_a_doubling_from_1024(monkeypatch):
 
 
 def test_torus_pushforward_short_prediction_doubles(monkeypatch):
-    # a reference edge that predicts an eighth of the band still reaches it by doubling
+    # a band edge that predicts an eighth of the band still reaches it by doubling
     jn = mo.ScaledBump(mo.BumpProfile.standard(0.2), 16)
     expected = mo.push_forward(jn, tr.TORUS).coeffs
     sizes = []
