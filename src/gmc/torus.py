@@ -324,7 +324,7 @@ TORUS = GroupModel(
     smooth_by=smooth_by,
     gmc_eval=gmc_eval,
     pointwise_coefficient=pointwise_coefficient,
-    # D = 1 - X^2 / 4 pi^2 multiplies the n-th coefficient by 1 + n^2 >= (1+|n|)^2 / 2
+    # 1 - X^2 / 4 pi^2 multiplies the n-th coefficient by 1 + n^2 >= (1+|n|)^2 / 2
     laplacian=Laplacian(
         UEAElement(TORUS_STRUCTURE, {(0,): 1.0, (2,): -1.0 / (4.0 * math.pi**2)}),
         lambda k: 1.0 + k.astype(float) ** 2, 2.0, 2.0, IndexDomain.INTEGERS,
