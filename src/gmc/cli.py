@@ -85,19 +85,8 @@ def cmd_wigner(args) -> int:
     phi = parse_vector("heisenberg", args.phi)
     psi = parse_vector("heisenberg", args.psi)
     if args.mollify is not None:
-        if args.mollify.startswith("mollifier:"):
-            n, radius = parse_mollifier(args.mollify)
-            profile = mo.BumpProfile.standard(radius)
-        else:
-            try:
-                n = int(args.mollify)
-            except ValueError:
-                raise SpecParseError(
-                    f"--mollify takes an integer or mollifier:n=..:radius=.., got {args.mollify!r}"
-                ) from None
-            profile = None
-        if n < 1:
-            raise SpecParseError("--mollify takes a positive index")
+        n, radius = parse_mollifier(args.mollify)
+        profile = mo.BumpProfile.standard(radius)
         phi, psi = (
             v if v.growth is GrowthClass.RAPID_DECAY
             else mo.mollify(v, n, model, profile=profile)

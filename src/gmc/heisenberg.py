@@ -158,7 +158,7 @@ class _Term:
 
     poly[i, j] is the coefficient of u^i v^j, orders is (a, b, k), place is
     (p0, q0, t0, beta, gamma) and bump is the 1-d scaled bump j (a
-    mollify.ScaledBump: radius, axis(x, order) and axis_transform(lam)).
+    mollify.BumpProfile: support, call (x, order) and transform(lam)).
     """
 
     bump: object
@@ -167,7 +167,7 @@ class _Term:
     place: tuple = (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def box(self) -> np.ndarray:
-        r = self.bump.radius
+        r = self.bump.support
         p0, q0, t0, beta, gamma = self.place
         dt = r * (1.0 + abs(beta) + abs(gamma))
         tc = t0 - beta * p0 - gamma * q0
@@ -205,7 +205,7 @@ class _Term:
         p0, q0, t0, beta, gamma = self.place
         a, b, k = self.orders
         u, v, w = p - p0, q - q0, t - t0 + beta * p + gamma * q
-        j = self.bump.axis
+        j = self.bump
         return npoly.polyval2d(u, v, self.poly) * j(u, a) * j(v, b) * j(w, k)
 
     def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
@@ -219,13 +219,13 @@ class _Term:
 
         def factor(x, x0, order, slope, degree):  # (x - x0)^i j^(order)(x - x0) exp(...)
             y = x - x0
-            phase = self.bump.axis(y, order) * np.exp(-2j * np.pi * lam * slope * x)
+            phase = self.bump(y, order) * np.exp(-2j * np.pi * lam * slope * x)
             return np.power.outer(y, np.arange(degree)) * phase[:, None]
 
         rows = factor(pn, p0, a, beta, self.poly.shape[0])
         cols = factor(qn, q0, b, gamma, self.poly.shape[1])
         scale = _character(lam * t0) * (-2j * np.pi * lam) ** k
-        return scale * self.bump.axis_transform(lam) * (rows @ self.poly @ cols.T)
+        return scale * self.bump.transform(lam) * (rows @ self.poly @ cols.T)
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Unit-mass bumps shrinking to the identity, and smoothing by them.
 
-The profile is the standard compactly supported bump c exp(-1/(1-(x/r)^2)),
+The profile j is the standard compactly supported bump c exp(-1/(1-(x/r)^2)),
 normalized by quadrature at construction time (the 1-d normalization integral
-is computed, never hard-coded). Scaling j_n(x) = n^dim j(n x) shrinks the
-support while preserving unit mass; the pushforward through exp turns the
-scaled bump into a test function on the group, whose dimension is the model's
-(both shipped models have unit Jacobian on the relevant region).
+is computed, never hard-coded). One class holds j and its scalings
+J_n(x) = n j(n x), which shrink the support while preserving unit mass; the
+pushforward through exp turns the product of J_n over the model's axes into a
+test function on the group (both shipped models have unit Jacobian on the
+relevant region).
 
 On the circle the pushforward's Fourier coefficients are fhat(m) = jhat(rho m),
 with jhat the transform of the unit-radius bump and rho the scaled bump's
@@ -18,7 +19,7 @@ below a quarter of it, which is also the check that no aliasing reaches the band
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -74,67 +75,54 @@ def _bump_unit(u: np.ndarray, order: int = 0) -> np.ndarray:
     return out
 
 
-def unit_bump_mass(nodes: int = MASS_NODES) -> float:
-    """Quadrature value of the 1-d normalization integral over [-1, 1]."""
-    x, w = legendre_on_interval(-1.0, 1.0, nodes)
-    return float(w @ _bump_unit(x))
-
-
 @dataclass(frozen=True)
 class BumpProfile:
-    """1-d unit-mass bump of the given radius."""
+    """J_n(x) = n j(n x) for the 1-d unit-mass bump j of the given radius; n = 1 is j.
+
+    On a group of dimension dim the mollifier is the product of J_n over its axes.
+    """
 
     radius: float
     normalization: float
-
-    @staticmethod
-    def standard(radius: float = 0.25) -> "BumpProfile":
-        if not 0 < radius < math.inf:
-            raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
-        coarse = unit_bump_mass(MASS_NODES)
-        fine = unit_bump_mass(_MASS_CHECK_NODES)
-        gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
-        if gap > tol:
-            raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
-        return BumpProfile(radius, 1.0 / (radius * coarse))
-
-    def __call__(self, x, order: int = 0) -> np.ndarray:
-        """The bump, or its order-th derivative, at x."""
-        scale = self.normalization * self.radius ** -order
-        return scale * _bump_unit(np.asarray(x, dtype=float) / self.radius, order)
-
-    def mass(self, nodes: int | None = None) -> float:
-        x, w = legendre_on_interval(-self.radius, self.radius, nodes or BUMP_NODES)
-        return float(w @ self(x))
-
-
-@dataclass(frozen=True)
-class ScaledBump:
-    """j_n(x) = n^dim j(n x), the product over the group's dim axes of the 1-d
-    factor n j(n x)."""
-
-    profile: BumpProfile
-    n: int
+    n: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError("scaling index n must be at least 1")
 
+    @staticmethod
+    def standard(radius: float = 0.25) -> "BumpProfile":
+        if not 0 < radius < math.inf:
+            raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
+        unit = BumpProfile(1.0, 1.0)  # exp(-1/(1-x^2)) itself
+        coarse, fine = unit.mass(MASS_NODES), unit.mass(_MASS_CHECK_NODES)
+        gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
+        if gap > tol:
+            raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
+        return BumpProfile(radius, 1.0 / (radius * coarse))
+
+    def scaled(self, n: int) -> "BumpProfile":
+        """J_n of this profile."""
+        return replace(self, n=n)
+
     @property
-    def radius(self) -> float:
-        return self.profile.radius / self.n
+    def support(self) -> float:
+        """Radius of J_n's support."""
+        return self.radius / self.n
 
-    def axis(self, x, order: int = 0) -> np.ndarray:
-        """The 1-d factor n j(n x), or its order-th derivative n^(order+1) j^(order)(n x)."""
-        return self.n ** (order + 1) * self.profile(self.n * np.asarray(x, dtype=float), order)
+    def __call__(self, x, order: int = 0) -> np.ndarray:
+        """J_n, or its order-th derivative n^(order+1) j^(order)(n x), at x."""
+        scale = self.normalization * self.radius ** -order
+        u = self.n * np.asarray(x, dtype=float) / self.radius
+        return self.n ** (order + 1) * (scale * _bump_unit(u, order))
 
-    def axis_transform(self, lam: float, nodes: int | None = None) -> float:
-        """int n j(n x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: j is even)."""
-        x, w = legendre_on_interval(-self.radius, self.radius, nodes or BUMP_NODES)
-        return float(w @ (self.axis(x) * np.cos(2.0 * np.pi * lam * x)))
+    def transform(self, lam: float, nodes: int | None = None) -> float:
+        """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even)."""
+        x, w = legendre_on_interval(-self.support, self.support, nodes or BUMP_NODES)
+        return float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
 
-    def axis_mass(self, nodes: int | None = None) -> float:
-        return self.axis_transform(0.0, nodes)
+    def mass(self, nodes: int | None = None) -> float:
+        return self.transform(0.0, nodes)
 
 
 # --------------------------------------------------------------------------
@@ -152,24 +140,24 @@ _COEFF_FLOOR = 1e-14
 _BAND_EDGE = 132.25
 
 
-def _fft_table(jn: ScaledBump, size: int) -> np.ndarray:
+def _fft_table(jn: BumpProfile, size: int) -> np.ndarray:
     """The trapezoid rule on `size` equispaced points of one period, taken by one
     real FFT: fhat(m) for m = 0..size/2, up to the aliased terms fhat(m + l size)."""
-    samples = jn.axis((np.arange(size) - size // 2) / size)
+    samples = jn((np.arange(size) - size // 2) / size)
     return np.fft.rfft(np.fft.ifftshift(samples)).real / size
 
 
-def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
+def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:
     """Fourier coefficients of the pushed-forward bump, cut at the last one at or above
     the floor. The FFT starts at the first power of two, at least 1024, past 4 times
     the predicted cut, taken 1% low: a cut read on the frequencies m rho can fall a
     little short of it, and a start predicted just past a power of two must then be
     that power, where the doubling from 1024 ends. It doubles until the cut is below
     a quarter of the size, so that no aliasing above the floor reaches the band."""
-    if not jn.radius < 0.5:
-        min_n = int(math.floor(2.0 * jn.profile.radius)) + 1
+    if not jn.support < 0.5:
+        min_n = int(math.floor(2.0 * jn.radius)) + 1
         raise PreconditionError(f"exp is not injective on the support; need n >= {min_n}")
-    predicted = min(4.0 * _BAND_EDGE / (1.01 * jn.radius), _FFT_SAMPLE_CAP)
+    predicted = min(4.0 * _BAND_EDGE / (1.01 * jn.support), _FFT_SAMPLE_CAP)
     size, aliased = max(1024, 1 << int(predicted).bit_length()), math.inf
     while size <= _FFT_SAMPLE_CAP:
         table = _fft_table(jn, size)
@@ -182,7 +170,7 @@ def _torus_pushforward(jn: ScaledBump) -> tr.TorusTestFunction:
     raise BudgetExceeded(f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", aliased)
 
 
-def push_forward(jn: ScaledBump, model: GroupModel):
+def push_forward(jn: BumpProfile, model: GroupModel):
     """Model test function carrying the scaled bump through exp (unit Jacobian)."""
     if model.name == "torus":
         return _torus_pushforward(jn)
@@ -193,7 +181,7 @@ def push_forward(jn: ScaledBump, model: GroupModel):
 
 def standard_mollifier(model: GroupModel, n: int, radius: float = 0.25):
     """J_n for the standard profile at the given radius."""
-    return push_forward(ScaledBump(BumpProfile.standard(radius), n), model)
+    return push_forward(BumpProfile.standard(radius).scaled(n), model)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +197,7 @@ def mollify(
 ) -> CoefficientVector:
     """pi(J_n) eta: a smooth vector approximating eta as n grows, from the model's
     smooth_by (a Heisenberg model from with_quadrature carries its truncation)."""
-    f = push_forward(ScaledBump(profile or BumpProfile.standard(), n), model)
+    f = push_forward((profile or BumpProfile.standard()).scaled(n), model)
     return model.smooth_by(f, eta)
 
 

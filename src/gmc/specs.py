@@ -114,32 +114,37 @@ def _parse_band(spec: str) -> tr.TorusTestFunction:
     return tr.TorusTestFunction(np.array(coeffs, dtype=np.complex128))
 
 
-def _parse_bump3(spec: str) -> hb.HTestFunction:
-    center = (0.0, 0.0, 0.0)
-    radius = 0.25
-    mass = 1.0
+def _center(token: str, spec: str) -> tuple:
+    token = token.strip()
+    if not (token.startswith("(") and token.endswith(")")):
+        raise SpecParseError(f"bad center token {token!r} in spec {spec!r}")
+    bits = token[1:-1].split(",")
+    if len(bits) != 3:
+        raise SpecParseError(f"center needs three coordinates in {spec!r}")
+    return tuple(_numeric(b, spec) for b in bits)
+
+
+def _fields(spec: str, kind: str, readers: dict) -> dict:
+    """The key=value parts after spec's head, each read by readers[key] = (reader,
+    default); keys not given keep their defaults."""
+    out = {key: default for key, (_, default) in readers.items()}
     for part in spec.split(":")[1:]:
         key, _, value = part.partition("=")
-        if key == "center":
-            value = value.strip()
-            if not (value.startswith("(") and value.endswith(")")):
-                raise SpecParseError(f"bad center token {value!r} in spec {spec!r}")
-            bits = value[1:-1].split(",")
-            if len(bits) != 3:
-                raise SpecParseError(f"center needs three coordinates in {spec!r}")
-            center = tuple(_numeric(b, spec) for b in bits)
-        elif key == "radius":
-            radius = _numeric(value, spec)
-        elif key == "mass":
-            mass = _numeric(value, spec)
-        else:
-            raise SpecParseError(f"unknown bump3 key {key!r} in spec {spec!r}")
-    if radius <= 0:
+        if key not in readers:
+            raise SpecParseError(f"unknown {kind} key {key!r} in spec {spec!r}")
+        out[key] = readers[key][0](value, spec)
+    return out
+
+
+def _parse_bump3(spec: str) -> hb.HTestFunction:
+    readers = {"center": (_center, (0.0, 0.0, 0.0)), "radius": (_numeric, 0.25), "mass": (_numeric, 1.0)}
+    fields = _fields(spec, "bump3", readers)
+    if fields["radius"] <= 0:
         raise SpecParseError(f"bump radius must be positive in spec {spec!r}")
-    f = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=radius)
-    if mass != 1.0:
-        f = mass * f
-    c = hb.HeisenbergElement(*center)
+    f = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=fields["radius"])
+    if fields["mass"] != 1.0:
+        f = fields["mass"] * f
+    c = hb.HeisenbergElement(*fields["center"])
     if c != hb.IDENTITY:
         f = f.left_translate(c)
     return f
@@ -161,22 +166,14 @@ def parse_test_function(group: str, spec: str):
 
 
 def parse_mollifier(spec: str) -> tuple[int, float]:
-    """"mollifier:n=<k>:radius=<rho>" -> (n, radius)."""
-    parts = spec.split(":")
-    if parts[0] != "mollifier":
-        raise SpecParseError(f"expected mollifier spec, got {spec!r}")
-    n, radius = None, 0.25
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        if key == "n":
-            n = _integer(value, spec)
-        elif key == "radius":
-            radius = _numeric(value, spec)
-        else:
-            raise SpecParseError(f"unknown mollifier key {key!r} in spec {spec!r}")
-    if n is None or n < 1:
+    """"mollifier:n=<k>:radius=<rho>", or a bare index k at radius 0.25 -> (n, radius)."""
+    if spec.split(":")[0] == "mollifier":
+        fields = _fields(spec, "mollifier", {"n": (_integer, None), "radius": (_numeric, 0.25)})
+    else:
+        fields = {"n": _integer(spec, spec), "radius": 0.25}
+    if fields["n"] is None or fields["n"] < 1:
         raise SpecParseError(f"mollifier spec needs n >= 1: {spec!r}")
-    return n, radius
+    return fields["n"], fields["radius"]
 
 
 def parse_grid(spec: str) -> tuple[np.ndarray, np.ndarray]:

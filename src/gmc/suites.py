@@ -266,9 +266,9 @@ def suite_mollifier(
     prof_t = mo.BumpProfile.standard(0.25)
     prof_h = mo.BumpProfile.standard(0.5)
     for n in (1, 2, 4, 8):
-        f_t = mo.push_forward(mo.ScaledBump(prof_t, n), tr.TORUS)
+        f_t = mo.push_forward(prof_t.scaled(n), tr.TORUS)
         worst_mass = max(worst_mass, abs(f_t.fhat(0) - 1.0))
-        f_h = mo.push_forward(mo.ScaledBump(prof_h, n), hb.HEISENBERG)
+        f_h = mo.push_forward(prof_h.scaled(n), hb.HEISENBERG)
         worst_mass = max(worst_mass, abs(f_h.integral(96) - 1.0))
     results.append(PropertyResult("mollifier-unit-mass", worst_mass, tolerances.mass_tol))
 

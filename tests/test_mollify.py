@@ -16,7 +16,7 @@ from gmc.vectors import GrowthClass, fitted_decay_exponent, pair
 
 def test_unit_bump_mass_against_adaptive_quadrature():
     oracle, err = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1 else 0.0, -1, 1)
-    got = mo.unit_bump_mass()
+    got = mo.BumpProfile(1.0, 1.0).mass(mo.MASS_NODES)
     assert err < 1e-9
     assert abs(got - oracle) < 1e-9
     assert abs(got - 0.4439938) < 1e-6
@@ -24,7 +24,7 @@ def test_unit_bump_mass_against_adaptive_quadrature():
 
 def test_unit_bump_mass_against_reference_value():
     # the mpmath value of the integral of exp(-1/(1-x^2)) over [-1, 1]
-    assert abs(mo.unit_bump_mass() - 0.443993816168079437823) < 4e-15
+    assert abs(mo.BumpProfile(1.0, 1.0).mass(mo.MASS_NODES) - 0.443993816168079437823) < 4e-15
 
 
 def test_profile_unit_mass_two_resolutions():
@@ -42,26 +42,26 @@ def test_profile_support():
 
 def test_scaled_bump_geometry():
     prof = mo.BumpProfile.standard(0.25)
-    j1 = mo.ScaledBump(prof, 1)
-    j4 = mo.ScaledBump(prof, 4)
-    assert j4.radius == pytest.approx(0.0625)
+    j1 = prof.scaled(1)
+    j4 = prof.scaled(4)
+    assert j4.support == pytest.approx(0.0625)
     # peak scales linearly with n in one dimension
-    assert j4.axis(np.array([0.0]))[0] == pytest.approx(4 * j1.axis(np.array([0.0]))[0])
-    assert j1.axis(np.array([0.0]))[0] == pytest.approx(prof(np.array([0.0]))[0])
+    assert j4(np.array([0.0]))[0] == pytest.approx(4 * j1(np.array([0.0]))[0])
+    assert j1(np.array([0.0]))[0] == pytest.approx(prof(np.array([0.0]))[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_scaled_bump_unit_mass(n):
     prof = mo.BumpProfile.standard(0.25)
-    jn = mo.ScaledBump(prof, n)
-    assert abs(jn.axis_mass() - 1.0) < 1e-10
-    assert abs(jn.axis_mass(nodes=600) - 1.0) < 1e-10
+    jn = prof.scaled(n)
+    assert abs(jn.mass() - 1.0) < 1e-10
+    assert abs(jn.mass(nodes=600) - 1.0) < 1e-10
 
 
 def test_scaled_bump_rejects_zero_index():
     prof = mo.BumpProfile.standard(0.25)
     with pytest.raises(PreconditionError):
-        mo.ScaledBump(prof, 0)
+        prof.scaled(0)
 
 
 # --- pushforwards ---------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
     # fhat(m) = jhat(m/n) for the unit-scale profile; QAWO handles the oscillation
     prof = mo.BumpProfile.standard(0.25)
     n = 64
-    f = mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS)
+    f = mo.push_forward(prof.scaled(n), tr.TORUS)
     B = f.bandwidth
     assert abs(f.fhat(B)) >= 1e-14 > abs(f.fhat(B + 1))
     for m in (0, B // 2, B - 40, B):
@@ -93,9 +93,9 @@ def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
 def test_torus_pushforward_sample_cap(monkeypatch):
     prof = mo.BumpProfile.standard(0.25)
     monkeypatch.setattr(mo, "_FFT_SAMPLE_CAP", 1 << 14)
-    mo.push_forward(mo.ScaledBump(prof, 4), tr.TORUS)
+    mo.push_forward(prof.scaled(4), tr.TORUS)
     with pytest.raises(BudgetExceeded):
-        mo.push_forward(mo.ScaledBump(prof, 64), tr.TORUS)
+        mo.push_forward(prof.scaled(64), tr.TORUS)
 
 
 def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
@@ -106,7 +106,7 @@ def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
     for r in radii:
         prof = mo.BumpProfile.standard(r)
         for n in (1, 2, 3, 4, 5, 8, 13, 16, 32, 64):
-            jn = mo.ScaledBump(prof, n)
+            jn = prof.scaled(n)
             got = mo.push_forward(jn, tr.TORUS).coeffs
             with monkeypatch.context() as plain_search:
                 plain_search.setattr(mo, "_BAND_EDGE", 0.0)
@@ -119,13 +119,13 @@ def test_band_edge_is_the_cut_of_a_doubling_from_1024(monkeypatch):
     # that moves the cut at radius 1/16 fails here
     edge = mo._BAND_EDGE
     monkeypatch.setattr(mo, "_BAND_EDGE", 0.0)
-    jn = mo.ScaledBump(mo.BumpProfile.standard(1.0 / 16.0), 1)
-    assert mo.push_forward(jn, tr.TORUS).bandwidth * jn.radius == edge == 132.25
+    jn = mo.BumpProfile.standard(1.0 / 16.0).scaled(1)
+    assert mo.push_forward(jn, tr.TORUS).bandwidth * jn.support == edge == 132.25
 
 
 def test_torus_pushforward_short_prediction_doubles(monkeypatch):
     # a band edge that predicts an eighth of the band still reaches it by doubling
-    jn = mo.ScaledBump(mo.BumpProfile.standard(0.2), 16)
+    jn = mo.BumpProfile.standard(0.2).scaled(16)
     expected = mo.push_forward(jn, tr.TORUS).coeffs
     sizes = []
     table = mo._fft_table
@@ -143,8 +143,8 @@ def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch
         raise AssertionError(f"sampled {size} points")
 
     monkeypatch.setattr(mo, "_fft_table", no_sampling)
-    jn = mo.ScaledBump(mo.BumpProfile.standard(0.25), 64)
-    assert 4.0 * mo._BAND_EDGE / (1.01 * jn.radius) > 1 << 14  # the predicted start
+    jn = mo.BumpProfile.standard(0.25).scaled(64)
+    assert 4.0 * mo._BAND_EDGE / (1.01 * jn.support) > 1 << 14  # the predicted start
     with pytest.raises(BudgetExceeded) as info:
         mo.push_forward(jn, tr.TORUS)
     assert info.value.achieved_bound == math.inf
@@ -153,13 +153,13 @@ def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch
 def test_torus_pushforward_matches_direct_transform():
     # independent oracle: adaptive quadrature of the defining integral
     prof = mo.BumpProfile.standard(0.25)
-    jn = mo.ScaledBump(prof, 2)
+    jn = prof.scaled(2)
     f = mo.push_forward(jn, tr.TORUS)
     for m in (0, 1, 3, 7):
         oracle = quad(
-            lambda x, m=m: 2.0 * jn.axis(np.array([x]))[0] * math.cos(2 * math.pi * m * x),
+            lambda x, m=m: 2.0 * jn(np.array([x]))[0] * math.cos(2 * math.pi * m * x),
             0.0,
-            jn.radius,
+            jn.support,
             limit=200,
         )[0]
         assert abs(f.fhat(m) - oracle) < 1e-10
@@ -170,7 +170,7 @@ def test_torus_pushforward_coefficients_approach_one():
     prof = mo.BumpProfile.standard(0.25)
     for m in (1, 2, 5):
         vals = [
-            mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS).fhat(m)
+            mo.push_forward(prof.scaled(n), tr.TORUS).fhat(m)
             for n in (2, 4, 8, 16)
         ]
         diffs = [abs(1.0 - v) for v in vals]
@@ -180,15 +180,15 @@ def test_torus_pushforward_coefficients_approach_one():
 def test_torus_pushforward_injectivity_radius():
     prof = mo.BumpProfile.standard(1.2)
     with pytest.raises(PreconditionError, match="n >= 3"):
-        mo.push_forward(mo.ScaledBump(prof, 2), tr.TORUS)
-    mo.push_forward(mo.ScaledBump(prof, 3), tr.TORUS)
+        mo.push_forward(prof.scaled(2), tr.TORUS)
+    mo.push_forward(prof.scaled(3), tr.TORUS)
 
 
 def test_heisenberg_pushforward_value_at_identity():
     prof = mo.BumpProfile.standard(0.5)
-    jn = mo.ScaledBump(prof, 2)
+    jn = prof.scaled(2)
     f = mo.push_forward(jn, hb.HEISENBERG)
-    peak = jn.axis(np.array([0.0]))[0]
+    peak = jn(np.array([0.0]))[0]
     assert abs(f(hb.IDENTITY) - peak**3) < 1e-12
     assert abs(f((0.3, 0, 0))) == 0  # outside support
 
@@ -206,7 +206,7 @@ def test_pushforward_unknown_model():
     other = GroupModel(name="other", structure=LieStructure(labels=("X",)), inverse=lambda a: -a)
     prof = mo.BumpProfile.standard(0.25)
     with pytest.raises(PreconditionError):
-        mo.push_forward(mo.ScaledBump(prof, 1), other)
+        mo.push_forward(prof.scaled(1), other)
 
 
 # --- mollification -----------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_mollify_torus_comb_matches_profile_transform():
     prof = mo.BumpProfile.standard(0.25)
     n = 4
     out = mo.mollify(tr.comb(), n, tr.TORUS, profile=prof)
-    f = mo.push_forward(mo.ScaledBump(prof, n), tr.TORUS)
+    f = mo.push_forward(prof.scaled(n), tr.TORUS)
     for m in range(-8, 9):
         assert abs(out.coeff(m) - f.fhat(m)) < 1e-14
     assert out.growth is GrowthClass.RAPID_DECAY
@@ -325,7 +325,7 @@ def test_gmc_approx_smooths_and_pairs_at_the_given_truncation():
     rows = mo.gmc_approx(delta, e0, f, [2, 4], hb.with_quadrature(quad64), profile=profile)
     base = hb.gmc_eval(delta, e0, f, quad=quad64)
     for n, value, residual in rows:
-        jn = mo.push_forward(mo.ScaledBump(profile, n), hb.HEISENBERG)
+        jn = mo.push_forward(profile.scaled(n), hb.HEISENBERG)
         want = hb.gmc_eval(hb.smooth_by(jn, delta, quad64), e0, f, quad=quad64)
         assert (value, residual) == (want, abs(want - base))
     # the default model's rows differ, so the rows above did not fall back to it
