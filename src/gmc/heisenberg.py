@@ -80,6 +80,8 @@ SMOOTH_TABLE_BUDGET = 1 << 26
 KERNEL_FLOOR = 1e-20
 # entries of the largest recurrence history one pass of kernel rows keeps
 KERNEL_CHUNK = 1 << 16
+# kernel rows build a scaling table from index 0 to their last index, which may not pass this
+KERNEL_MAX_INDEX = 1 << 24
 # fourier_wigner reads an infinite phi to at most FW_MAX_COLS columns, where its last
 # 32 terms must sum below FW_ABS_TOL / 4, and psi's tail to FW_ABS_TOL / 8
 FW_MAX_COLS = 1024
@@ -480,9 +482,10 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> tuple:
+def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> tuple:
     """(ws, c): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we at
-    scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach.
+    scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach, and
+    psi_vec holds psi_k for start <= k < start + len(psi_vec) (psi is 0 elsewhere).
 
     With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry is u^(k-j) W^(k)_j,
     and each row W^(k) of a nonzero psi_k depends on k and x only. It comes from one
@@ -494,12 +497,13 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> tuple:
     rows, so every entry has the bits of the lo = 0 result, and a point the bits it has
     alone. Columns outside [ws, we) are 0, and so is a point whose rows all lie outside
     [lo, cols), an overflowing x included; x below 1e-200 is taken as 1e-200, where the
-    kernel is the identity to 1e-100.
+    kernel is the identity to 1e-100. A row that reaches past KERNEL_MAX_INDEX raises
+    BudgetExceeded before any is built.
     """
     p, q = np.atleast_1d(p, q)
     m = len(p)
     size = np.abs(psi_vec)
-    ks = np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
+    ks = start + np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
     nothing = lo, np.zeros((0, m), dtype=np.complex128)
     if not len(ks) or cols <= lo:
         return nothing
@@ -512,11 +516,13 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> tuple:
     live = np.flatnonzero((first < cols) & (last >= lo))
     if not len(live):
         return nothing
+    if int(last[live].max()) > KERNEL_MAX_INDEX:
+        raise BudgetExceeded(f"kernel rows reach index {int(last[live].max())}, past {KERNEL_MAX_INDEX}", math.inf)
     ws, we = max(lo, int(first[live].min())), min(cols, int(last[live].max()) + 1)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
-    c, s = psi_vec.real[ks, None], psi_vec.imag[ks, None]
+    c, s = psi_vec.real[ks - start, None], psi_vec.imag[ks - start, None]
     weight = (c * spin.real - s * spin.imag, c * spin.imag + s * spin.real)  # psi_k u^(k - k0)
     re, im = np.zeros((2, we - ws, m))
     span = int(last[live].max() - first[live].min()) + 2
@@ -550,10 +556,10 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> tuple:
     return ws, block
 
 
-def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0) -> np.ndarray:
+def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> np.ndarray:
     """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols: the
     block of _kernel_block, with zeros where no row reaches."""
-    ws, block = _kernel_block(psi_vec, cols, p, q, lo)
+    ws, block = _kernel_block(psi_vec, cols, p, q, lo, start)
     out = np.zeros((cols - lo, block.shape[1]), dtype=np.complex128)
     out[ws - lo : ws - lo + len(block)] = block
     return out
@@ -588,10 +594,11 @@ def _displacement_margin(f: HTestFunction, N: int) -> int:
     return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
-def _action_input(v: CoefficientVector, N: int) -> np.ndarray:
-    """The coefficients a group action reads from a rapid-decay or finitely supported v.
+def _action_input(v: CoefficientVector, N: int) -> tuple:
+    """(start, run): the coefficients a group action reads from a rapid-decay or finitely
+    supported v, from index start on.
 
-    A finite v is read to its stop. An infinite v is read at least INPUT_MARGIN
+    A finite v is read as stored. An infinite v is read from 0, at least INPUT_MARGIN
     columns past N, and as far as its envelope certifies the dropped coefficients
     to sum below 1e-14 in modulus: kernel entries are at most 1 in modulus, so
     that bounds every output's truncation error, whatever the group element.
@@ -599,17 +606,17 @@ def _action_input(v: CoefficientVector, N: int) -> np.ndarray:
     if not (v.growth is GrowthClass.RAPID_DECAY or v.finite_support):
         raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
     if v.finite_support:
-        return v.dense(0, max(v.stop, 1) - 1)
-    return v.dense(0, max(N + INPUT_MARGIN, v.abs_tail_extent(1e-14)) - 1)
+        return v.start, v.prefix
+    return 0, v.dense(0, max(N + INPUT_MARGIN, v.abs_tail_extent(1e-14)) - 1)
 
 
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
     """First N coefficients of pi(g) phi via the matrix of the action."""
     _require_hermite(phi)
     g = as_element(g)
-    vec = _action_input(phi, N)
+    start, vec = _action_input(phi, N)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
-    out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q)[:, 0])
+    out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -882,15 +889,17 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     ps, qs = p.ravel(), q.ravel()
     if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(qs))):
         raise PreconditionError("displacements p and q must be finite")
-    rows = psi.stop if psi.finite_support else psi.abs_tail_extent(FW_ABS_TOL / 8.0)
-    psi_vec = psi.dense(0, rows - 1)
+    if psi.finite_support:
+        start, psi_vec = psi.start, psi.prefix
+    else:
+        start, psi_vec = 0, psi.dense(0, psi.abs_tail_extent(FW_ABS_TOL / 8.0) - 1)
 
     if phi.finite_support:
-        top = max(phi.stop, 1)
-        lo = int(np.argmax(phi.dense(0, top - 1) != 0))  # 0 when phi vanishes
+        top, nonzero = max(phi.stop, 1), np.flatnonzero(phi.prefix)
+        lo = phi.start + int(nonzero[0]) if len(nonzero) else 0
     else:
         lo, top = 0, FW_MAX_COLS
-    ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo)
+    ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo, start=start)
     we = ws + len(kernel)
     terms = _cmul(phi.dense(ws, we - 1)[:, None], kernel)
     total = np.zeros(len(ps), dtype=np.complex128)
@@ -935,10 +944,9 @@ def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:
 
 
 def unit_vector(k: int) -> HermiteVector:
-    k = _hermite_index(k)
-    prefix = np.zeros(k + 1, dtype=np.complex128)
-    prefix[k] = 1.0
-    return CoefficientVector(IndexDomain.NATURALS, 0, prefix, GrowthEnvelope(1.0, 0.0, all_orders=True))
+    return CoefficientVector(
+        IndexDomain.NATURALS, _hermite_index(k), np.array([1.0 + 0j]), GrowthEnvelope(1.0, 0.0, all_orders=True)
+    )
 
 
 def dirac_delta(prefix_len: int = 64) -> HermiteVector:

@@ -100,6 +100,43 @@ def test_series_index_past_int64_exits_2():
     assert "2^62" in err
 
 
+
+@pytest.mark.parametrize(
+    "phi, psi", [("e:99999999999999999999", "e:0"), ("e:0", "e:4611686018427387909")], ids=["phi", "psi"]
+)
+def test_wigner_hermite_index_past_2_62_exits_2(phi, psi):
+    code, out, err = run_cli("wigner", phi, psi, "--grid=0:0:1,0:0:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "2^62" in err
+
+
+@pytest.mark.parametrize("phi, psi", [("e:30000000", "e:0"), ("e:0", "e:30000000")])
+def test_wigner_high_unit_vector_reads_only_its_stored_index(phi, psi):
+    # a unit vector stores one coefficient, so this reads no 30-million-entry array
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("wigner", phi, psi, "--grid=0:1:2,0:1:2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == "p,q,re,im,abs\n0,0,0,0,0\n0,1,0,0,0\n1,0,0,0,0\n1,1,0,0,0\n"
+    assert peak < 1 << 20
+
+
+def test_wigner_high_unit_vectors_answer_up_to_the_kernel_index_cap():
+    code, out, _ = run_cli("wigner", "e:10000000", "e:10000003", "--grid=0:1:2,0:1:2")
+    assert code == 0
+    # the value the dense read gave at (0, 1), where the kernel rows are live
+    assert _parse_csv(out)[1][1][4] == 3.1566758165601124e-05
+    for phi, psi in (("e:30000000", "e:30000003"), ("e:1000000000", "e:1000000003")):
+        code, out, err = run_cli("wigner", phi, psi, "--grid=0:1:2,0:1:2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and str(1 << 24) in err
+
+
 # --- wigner -----------------------------------------------------------------------
 
 

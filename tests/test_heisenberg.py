@@ -385,6 +385,32 @@ def test_act_group_truncation_below_the_support_is_exact():
     assert hb.act_group(g, phi, N=10).prefix.tobytes() == hb.act_group(g, phi, N=64).prefix[:10].tobytes()
 
 
+
+def test_act_group_and_fourier_wigner_read_a_stored_run_with_the_bits_of_a_dense_one():
+    # a unit vector stores its one coefficient at its index; the same vector stored
+    # densely from 0 gives the same bits
+    for k in (0, 7, 300):
+        e = hb.unit_vector(k)
+        assert (e.start, e.stop) == (k, k + 1)
+        dense = CoefficientVector(IndexDomain.NATURALS, 0, e.dense(0, k), e.envelope)
+        g = (0.7, -0.4, 0.1)
+        assert hb.act_group(g, e, N=k + 20).prefix.tobytes() == hb.act_group(g, dense, N=k + 20).prefix.tobytes()
+        P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
+        for phi, psi in ((e, hb.unit_vector(k + 2)), (hb.gaussian_vector(0.8), e)):
+            dense_phi = CoefficientVector(IndexDomain.NATURALS, 0, phi.dense(0, phi.stop - 1), phi.envelope)
+            dense_psi = CoefficientVector(IndexDomain.NATURALS, 0, psi.dense(0, psi.stop - 1), psi.envelope)
+            assert np.array_equal(hb.fourier_wigner(phi, psi, P, Q), hb.fourier_wigner(dense_phi, dense_psi, P, Q))
+
+
+def test_kernel_rows_past_the_index_cap_raise_before_any_is_built(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("built a kernel row")
+
+    monkeypatch.setattr(hb, "_kernel_rows", no_rows)
+    psi = np.ones(1)
+    with pytest.raises(BudgetExceeded):
+        hb._kernel_block(psi, hb.KERNEL_MAX_INDEX + 1, 1.0, 0.0, hb.KERNEL_MAX_INDEX, start=hb.KERNEL_MAX_INDEX)
+
 def test_dual_act_group_is_contragredient(rng):
     # <pi*(g) psi, e_k> must equal <psi, pi(g^{ -1}) e_k>
     g = hb.HeisenbergElement(0.4, -0.2, 0.15)
@@ -1015,9 +1041,9 @@ def _kernel_windows(monkeypatch):
     """Record the (lo, cols) window of every _kernel_block call."""
     calls, inner = [], hb._kernel_block
 
-    def spy(psi_vec, cols, p, q, lo=0):
+    def spy(psi_vec, cols, p, q, lo=0, start=0):
         calls.append((lo, cols))
-        return inner(psi_vec, cols, p, q, lo)
+        return inner(psi_vec, cols, p, q, lo, start)
 
     monkeypatch.setattr(hb, "_kernel_block", spy)
     return calls
