@@ -180,6 +180,8 @@ class Tail:
     def formula(name: str, *params) -> "Tail":
         if name not in TAIL_FORMULAS:
             raise SpecParseError(f"unknown tail formula {name!r}")
+        if any(isinstance(p, (int, float, complex)) and not cmath.isfinite(p) for p in params):
+            raise PreconditionError(f"the {name} formula needs finite parameters, got {params}")
         return Tail(name, tuple(params), *TAIL_FORMULAS[name](*params))
 
     @staticmethod

@@ -572,6 +572,29 @@ def test_json_envelope_constant_past_the_float_range_is_a_parse_error():
         CoefficientVector.from_json(payload)
 
 
+
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("power", math.inf), ("power", math.nan),
+        ("shifted_power", math.inf), ("shifted_power", math.nan),
+        ("const", math.inf), ("const", math.nan),
+    ],
+)
+def test_non_finite_tail_parameter_is_a_typed_error_naming_the_formula(name, param):
+    with pytest.raises(PreconditionError, match=f"the {name} formula needs finite parameters"):
+        Tail.formula(name, param)
+
+
+def test_json_non_finite_tail_parameter_is_a_parse_error():
+    payload = {
+        "index_domain": "integers", "start": 0, "coefficients": [[0.0, 0.0]],
+        "tail": {"name": "shifted_power", "params": [math.nan]},
+        "envelope": {"constant": 1.0, "degree": 0.0},
+    }
+    with pytest.raises(SpecParseError, match="shifted_power formula needs finite parameters"):
+        CoefficientVector.from_json(json.loads(json.dumps(payload)))
+
 def _rapid_decay_inputs(domain, rho):
     """A geometric vector under its formula's envelope, and a JSON payload whose prefix
     sits near a looser stated envelope (1.5, 1, all orders, rho)."""
