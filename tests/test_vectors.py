@@ -280,6 +280,30 @@ def test_steepen_envelope_certifies_closed_form_bound():
     assert np.all(ratios[np.abs(ks) >= 100] <= late.constant)
 
 
+
+@pytest.mark.parametrize("domain", ["circle", "heisenberg"])
+def test_l2_tail_bound_of_a_finite_all_orders_vector_inside_its_support(domain):
+    # steepen_envelope's finite branch: the largest stored |c_k| (1+|k|) past the extent
+    from gmc import heisenberg as hb
+    from gmc import mollify as mo
+
+    if domain == "circle":
+        v = mo.mollify(tr.comb(), 4, tr.TORUS)
+    else:
+        v = hb.smooth_by(mo.standard_mollifier(hb.HEISENBERG, 2, 0.8), hb.dirac_delta())
+    assert v.finite_support and v.envelope.all_orders
+    ks = np.arange(v.start, v.stop)
+    for extent in (0, 3, 10, 30):
+        assert extent < max(abs(v.start), abs(v.stop - 1))
+        exact = math.fsum(np.abs(v.prefix[np.abs(ks) > extent]) ** 2)
+        assert 0.0 < exact <= v.l2_tail_bound(extent)
+
+
+def test_steepen_envelope_refuses_a_vector_not_claiming_all_orders():
+    v = CoefficientVector(IndexDomain.NATURALS, 0, np.ones(4), GrowthEnvelope(1.0, 0.0))
+    with pytest.raises(PreconditionError, match="only all-orders"):
+        steepen_envelope(v, -1.0)
+
 def test_cauchy_extent_of_a_geometric_vector_reads_its_ratio():
     # the envelope (1, 0, ratio 0.5) bounds no L2 tail by its degree; steepened past the
     # extent to degree -1 it certifies the first probe, as the degree -8 envelope did
