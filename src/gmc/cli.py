@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -19,8 +20,9 @@ import numpy as np
 from . import heisenberg as hb
 from . import mollify as mo
 from . import torus as tr
-from .errors import GmcError, SpecParseError
+from .errors import BudgetExceeded, GmcError, SpecParseError
 from .specs import (
+    GRID_POINTS,
     RunConfig,
     get_model,
     parse_grid,
@@ -70,11 +72,13 @@ def cmd_torus_series(args) -> int:
     f = parse_test_function("torus", args.test_function)
     if args.m_max < 0:
         raise SpecParseError("--m-max must be nonnegative")
+    if args.m_max >= GRID_POINTS:
+        raise BudgetExceeded(f"--m-max {args.m_max} asks for more than {GRID_POINTS} rows", math.inf)
     limit = tr.gmc_eval(a, tr.comb(), f)
-    rows = []
-    for m in range(args.m_max + 1):
-        s = tr.series_partial_sum(a, m, f)
-        rows.append((m, s.real, s.imag, abs(s - limit)))
+    # from the bandwidth on, a partial sum is the limit bit for bit (series_partial_sum)
+    sums = [tr.series_partial_sum(a, m, f) for m in range(min(args.m_max, f.bandwidth) + 1)]
+    sums = itertools.chain(sums, itertools.repeat(limit, args.m_max + 1 - len(sums)))
+    rows = ((m, s.real, s.imag, abs(s - limit)) for m, s in enumerate(sums))
     _write_csv(cfg.output, ["m", "partial_sum_re", "partial_sum_im", "residual_vs_limit"], rows)
     return 0
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceeded, PreconditionError
 from .groups import GroupModel, Laplacian
 from .uea import LieStructure, UEAElement, uea_transpose
 from .vectors import (
@@ -35,6 +35,8 @@ from .vectors import (
 TORUS_STRUCTURE = LieStructure(labels=("X",))
 
 TWO_PI = 2.0 * math.pi
+# largest limit B of a named band profile (2B + 1 coefficients, 128 MiB at the limit)
+BAND_LIMIT = 1 << 22
 
 # Sequences over Z; an alias to keep signatures readable.
 TorusSequence = CoefficientVector
@@ -165,8 +167,10 @@ def band(B: int, profile: str | Sequence[complex] = "ones") -> TorusTestFunction
     """Named band-limited profiles, or an explicit coefficient list of length 2B+1."""
     if B < 0:
         raise PreconditionError(f"band limit must be nonnegative, got {B}")
-    ns = np.arange(-B, B + 1)
     if isinstance(profile, str):
+        if B > BAND_LIMIT:
+            raise BudgetExceeded(f"band limit {B} is past {BAND_LIMIT}", math.inf)
+        ns = np.arange(-B, B + 1)
         if profile == "ones":
             coeffs = np.ones(2 * B + 1, dtype=np.complex128)
         elif profile == "fejer":

@@ -101,6 +101,20 @@ def test_series_index_past_int64_exits_2():
 
 
 
+
+def test_series_table_and_band_past_their_limits_exit_2():
+    # neither is built: 10^20 rows would never finish, and 2 10^20 + 1 coefficients
+    # are past numpy's array size
+    big = str(10**20)
+    for argv in (
+        ("torus-series", "comb", "band:4:fejer", f"--m-max={big}"),
+        ("torus-series", "comb", f"band:{big}:ones", "--m-max=1"),
+        ("mollify", "--group", "torus", "comb", "comb", f"band:{big}:gauss", "--n=2"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
 @pytest.mark.parametrize(
     "phi, psi", [("e:99999999999999999999", "e:0"), ("e:0", "e:4611686018427387909")], ids=["phi", "psi"]
 )

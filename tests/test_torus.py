@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmc import torus as tr
-from gmc.errors import PreconditionError
+from gmc.errors import BudgetExceeded, PreconditionError
 from gmc.groups import factorize
 from gmc.uea import UEAElement, uea_antipode, uea_transpose
 from gmc.vectors import GrowthClass, IndexDomain, pair, vector_from_prefix
@@ -510,3 +510,12 @@ def test_test_function_pointwise_evaluation():
     for t in (0.0, 0.25, 0.4):
         assert abs(f(t) - (1 + math.cos(2 * math.pi * t))) < 1e-14
 
+
+
+def test_named_band_past_the_limit_is_a_budget_error_before_any_array():
+    assert tr.band(3, "fejer").bandwidth == 3
+    for profile in ("ones", "fejer", "gauss"):
+        with pytest.raises(BudgetExceeded, match=str(tr.BAND_LIMIT)):
+            tr.band(tr.BAND_LIMIT + 1, profile)
+        with pytest.raises(BudgetExceeded):
+            tr.band(10**20, profile)
