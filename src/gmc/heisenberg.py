@@ -516,9 +516,10 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     live = np.flatnonzero((first < cols) & (last >= lo))
     if not len(live):
         return nothing
-    if int(last[live].max()) > KERNEL_MAX_INDEX:
-        raise BudgetExceeded(f"kernel rows reach index {int(last[live].max())}, past {KERNEL_MAX_INDEX}", math.inf)
-    ws, we = max(lo, int(first[live].min())), min(cols, int(last[live].max()) + 1)
+    reach = int(last[live].max())
+    if reach > KERNEL_MAX_INDEX:
+        raise BudgetExceeded(f"kernel rows reach index {reach}, past {KERNEL_MAX_INDEX}", math.inf)
+    ws, we = max(lo, int(first[live].min())), min(cols, reach + 1)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
