@@ -129,17 +129,13 @@ def test_compare_outputs_sizes_each_difference(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 3 requests differ"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
-
-
 def test_benchmark_tracer_boundaries_resolve_in_the_current_tree():
     # the tracer looks each boundary up by name, and sums the bandwidth of circle
     # pushforwards (reading 0 where there is none): a deleted or renamed name must fail here
-    for module, attr in _spans_module().BOUNDARIES:
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr in spans.BOUNDARIES:
         target = importlib.import_module(module)
         for name in attr.split("."):
             assert hasattr(target, name), (module, attr)
@@ -152,7 +148,9 @@ def test_benchmark_tracer_boundaries_resolve_in_the_current_tree():
 def test_benchmark_tracer_wraps_and_restores_the_current_tree():
     # perfbench --trace 1 wraps every boundary in spans.BOUNDARIES by name; a rename
     # or a moved function in src/ breaks it, so install it here, read-only
-    spans = _spans_module()
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
     before = _bindings()
     tracer = spans.Tracer(GmcError)
     tracer.install()

@@ -511,7 +511,6 @@ def test_test_function_pointwise_evaluation():
         assert abs(f(t) - (1 + math.cos(2 * math.pi * t))) < 1e-14
 
 
-
 def test_named_band_past_the_limit_is_a_budget_error_before_any_array():
     assert tr.band(3, "fejer").bandwidth == 3
     for profile in ("ones", "fejer", "gauss"):
