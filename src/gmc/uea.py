@@ -1,9 +1,9 @@
 """Noncommutative polynomials in Lie-algebra generators, in normal-ordered form.
 
 Elements are stored as maps from multi-indices alpha to complex coefficients,
-representing X^alpha = X_1^a1 ... X_l^al. Products are rewritten to this basis
-by bubble-style adjacent transpositions X_j X_i -> X_i X_j - [X_i, X_j] for
-i < j, driven by a structure-constant table.
+representing X^alpha = X_1^a1 ... X_l^al. Every product is normal-ordered once:
+the letters of a word are folded on one at a time by the rule for X^alpha X_i,
+which each structure keeps for every (alpha, i) it has rewritten.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ class LieStructure:
     delta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.delta:
-            object.__setattr__(self, "delta", tuple(0.0 for _ in self.labels))
+        object.__setattr__(self, "delta", tuple(self.delta) or (0.0,) * len(self.labels))
         if len(self.delta) != len(self.labels):
             raise ValueError("delta must list one value per generator")
         frozen = {}
@@ -41,6 +40,8 @@ class LieStructure:
                 raise ValueError("store brackets with i < j; antisymmetry is implied")
             frozen[(i, j)] = {int(k): complex(c) for k, c in comps.items() if c != 0}
         object.__setattr__(self, "brackets", frozen)
+        # (alpha, i) -> X^alpha X_i in normal order, and (alpha, shift) -> the image of X^alpha
+        object.__setattr__(self, "_products", {})
 
     @property
     def dim(self) -> int:
@@ -48,8 +49,6 @@ class LieStructure:
 
     def bracket(self, i: int, j: int) -> dict[int, complex]:
         """[X_i, X_j] as {k: coefficient}, for any i, j."""
-        if i == j:
-            return {}
         if i < j:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
@@ -67,13 +66,6 @@ def _expand(alpha: tuple[int, ...]) -> tuple[int, ...]:
     for i, a in enumerate(alpha):
         word.extend([i] * a)
     return tuple(word)
-
-
-def _collapse(word: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    alpha = [0] * dim
-    for i in word:
-        alpha[i] += 1
-    return tuple(alpha)
 
 
 @dataclass(frozen=True)
@@ -200,52 +192,56 @@ class UEAElement:
         return hash((self.structure.labels, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
 
-def _normal_order_word(
-    structure: LieStructure, word: tuple[int, ...], coeff: complex, out: dict
-) -> None:
-    """Rewrite one word into the sorted-monomial basis, accumulating into out."""
-    stack = [(word, coeff)]
-    while stack:
-        w, c = stack.pop()
-        for pos in range(len(w) - 1):
-            if w[pos] > w[pos + 1]:
-                j, i = w[pos], w[pos + 1]
-                stack.append((w[:pos] + (i, j) + w[pos + 2 :], c))
-                # X_j X_i = X_i X_j + [X_j, X_i]
+def _times(structure: LieStructure, terms: Mapping, i: int, out: dict | None = None) -> dict:
+    """(sum c X^alpha) X_i in normal order, added into out. Each X^alpha X_i is rewritten
+    once per structure: with j the last letter of X^alpha, it is X^(alpha + e_i) for j <= i."""
+    out = {} if out is None else out
+    for alpha, c in terms.items():
+        hit = structure._products.get((alpha, i))
+        if hit is None:
+            j = max((k for k, a in enumerate(alpha) if a), default=i)
+            if j <= i:
+                hit = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]: 1.0}
+            else:
+                # X^rest X_j X_i = (X^rest X_i) X_j + X^rest [X_j, X_i]
+                rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                hit = _times(structure, _times(structure, {rest: 1.0}, i), j)
                 for k, ck in sorted(structure.bracket(j, i).items()):
-                    stack.append((w[:pos] + (k,) + w[pos + 2 :], c * ck))
-                break
-        else:
-            alpha = _collapse(w, structure.dim)
-            out[alpha] = out.get(alpha, 0j) + c
+                    _times(structure, {rest: ck}, k, hit)
+            structure._products[(alpha, i)] = hit
+        for beta, cb in hit.items():
+            out[beta] = out.get(beta, 0j) + c * cb
+    return out
 
 
 def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    """Normal-ordered product; deterministic term order."""
+    """Normal-ordered product: the letters of each term of b folded onto a."""
     a._check_compatible(b)
     out: dict[tuple[int, ...], complex] = {}
-    for alpha, ca in a.sorted_terms():
-        wa = _expand(alpha)
-        for beta, cb in b.sorted_terms():
-            _normal_order_word(a.structure, wa + _expand(beta), ca * cb, out)
+    for beta, cb in b.sorted_terms():
+        terms = a.terms
+        for i in _expand(beta):
+            terms = _times(a.structure, terms, i)
+        for alpha, c in terms.items():
+            out[alpha] = out.get(alpha, 0j) + c * cb
     return UEAElement(a.structure, out)
 
 
 def _reverse_negated(d: UEAElement, shift) -> UEAElement:
-    """The anti-automorphism X_i -> -X_i - shift[i]: each word reversed, each letter
-    replaced by its image, and every resulting product normal-ordered."""
-    if not d.structure.brackets and not any(shift):
-        # commuting generators: X^alpha keeps its place and changes sign |alpha| times
-        return UEAElement(d.structure, {a: 0j + (-c if sum(a) % 2 else c) for a, c in d.sorted_terms()})
+    """The anti-automorphism X_i -> -X_i - shift[i]: the images of each word's letters, in
+    reverse order, folded onto 1. The image of each X^alpha is kept once per structure."""
     out: dict[tuple[int, ...], complex] = {}
     for alpha, c in d.sorted_terms():
-        words = [((), c)]
-        for i in reversed(_expand(alpha)):
-            words = [(w + (i,), -cw) for w, cw in words] + (
-                [(w, -shift[i] * cw) for w, cw in words] if shift[i] else []
-            )
-        for w, cw in words:
-            _normal_order_word(d.structure, w, cw, out)
+        image = d.structure._products.get((alpha, shift))
+        if image is None:
+            image = {(0,) * d.structure.dim: 1.0}
+            for i in reversed(_expand(alpha)):
+                # image (-X_i - shift[i]) = (-image) X_i + shift[i] (-image)
+                image = {beta: -cb for beta, cb in image.items()}
+                image = _times(d.structure, image, i, {beta: shift[i] * cb for beta, cb in image.items() if shift[i]})
+            d.structure._products[(alpha, shift)] = image
+        for beta, cb in image.items():
+            out[beta] = out.get(beta, 0j) + c * cb
     return UEAElement(d.structure, out)
 
 
