@@ -76,7 +76,7 @@ def cmd_torus_series(args) -> int:
         raise BudgetExceeded(f"--m-max {args.m_max} asks for more than {GRID_POINTS} rows", math.inf)
     limit = tr.gmc_eval(a, tr.comb(), f)
     # from the bandwidth on, a partial sum is the limit bit for bit (series_partial_sum)
-    sums = [tr.series_partial_sum(a, m, f) for m in range(min(args.m_max, f.bandwidth) + 1)]
+    sums = tr.series_partial_sums(a, args.m_max, f)
     sums = itertools.chain(sums, itertools.repeat(limit, args.m_max + 1 - len(sums)))
     rows = ((m, s.real, s.imag, abs(s - limit)) for m, s in enumerate(sums))
     _write_csv(cfg.output, ["m", "partial_sum_re", "partial_sum_im", "residual_vs_limit"], rows)

@@ -26,6 +26,7 @@ from .vectors import (
     GrowthClass,
     GrowthEnvelope,
     IndexDomain,
+    _centred_fsums,
     _fsum,
     formula_vector,
     pair,
@@ -238,8 +239,8 @@ def smooth_by(f: TorusTestFunction, a: TorusSequence) -> TorusSequence:
     return vector_from_prefix(IndexDomain.INTEGERS, -B, vals, GrowthClass.RAPID_DECAY)
 
 
-def _band_sum(a: TorusSequence, f: TorusTestFunction, m: int, b: TorusSequence | None) -> complex:
-    """sum over |n| <= min(m, B) of (a_n fhat(-n)) b_n, with b_n = 1 when b is None:
+def _band_terms(a: TorusSequence, f: TorusTestFunction, m: int, b: TorusSequence | None) -> list[np.ndarray]:
+    """The factors a_n, fhat(-n), b_n over |n| <= min(m, B), with b_n = 1 when b is None:
     the products pair(smooth_by(f, a), b) forms, without the exact zeros it adds
     outside b's finite support, so the correctly rounded sums agree bit for bit."""
     _require_torus(a)
@@ -251,12 +252,12 @@ def _band_sum(a: TorusSequence, f: TorusTestFunction, m: int, b: TorusSequence |
             lo, hi = max(lo, b.start), min(hi, b.stop)
     hi = max(lo, hi)
     bs = np.ones(hi - lo, np.complex128) if b is None else b.dense(lo, hi - 1)
-    return _fsum(a.dense(lo, hi - 1), f.coeffs[::-1][lo + B : hi + B], bs)
+    return [a.dense(lo, hi - 1), f.coeffs[::-1][lo + B : hi + B], bs]
 
 
 def gmc_eval(a: TorusSequence, b: TorusSequence, f: TorusTestFunction) -> complex:
     """<pi(f) a, b> = sum over the band of a_n fhat(-n) b_n (finite, exact)."""
-    return _band_sum(a, f, f.bandwidth, b)
+    return _fsum(*_band_terms(a, f, f.bandwidth, b))
 
 
 def series_partial_sum(a: TorusSequence, m: int, f: TorusTestFunction) -> complex:
@@ -267,7 +268,15 @@ def series_partial_sum(a: TorusSequence, m: int, f: TorusTestFunction) -> comple
     """
     if m < 0:
         raise PreconditionError("partial-sum order must be nonnegative")
-    return _band_sum(a, f, m, None)
+    return _fsum(*_band_terms(a, f, m, None))
+
+
+def series_partial_sums(a: TorusSequence, m_max: int, f: TorusTestFunction) -> list[complex]:
+    """series_partial_sum(a, m, f) for m = 0 .. min(m_max, bandwidth), bit for bit, in one
+    pass; it raises PreconditionError where any of those calls would."""
+    if m_max < 0:
+        raise PreconditionError("partial-sum order must be nonnegative")
+    return _centred_fsums(*_band_terms(a, f, m_max, None))
 
 
 def dominated_sequence_check(

@@ -504,6 +504,42 @@ def _fsum(*factors: np.ndarray) -> complex:
     raise PreconditionError("the sum leaves the float range")
 
 
+# every finite float is an integer multiple of 2^-1074
+_UNIT = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """x / 2^-1074, exactly."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _centred_fsums(*factors: np.ndarray) -> list[complex]:
+    """_fsum over the middle 1, 3, 5, ... terms of the elementwise product of the
+    factors (an odd number of terms), in one pass.
+
+    The running sums are kept exactly, as integers in units of 2^-1074, and each is
+    rounded once by int / int true division, which is correctly rounded: the bits
+    of _fsum on each prefix, and the same PreconditionError past the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = functools.reduce(operator.mul, factors)
+    if not np.isfinite(z).all():
+        raise PreconditionError("the sum leaves the float range")
+    re, im = ([_units(x) for x in part.tolist()] for part in (z.real, z.imag))
+    c = len(z) // 2
+    sr, si, sums = re[c], im[c], []
+    try:
+        for k in range(c + 1):
+            if k:
+                sr += re[c - k] + re[c + k]
+                si += im[c - k] + im[c + k]
+            sums.append(complex(sr / _UNIT, si / _UNIT))
+    except OverflowError:
+        raise PreconditionError("the sum leaves the float range") from None
+    return sums
+
+
 def _tail_integral_bound(constant: float, s: float, extent: int, two_sided: bool) -> float:
     """Bound C * sum_{|k|>extent} (1+|k|)^s by the integral estimate."""
     if s >= -1.0:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ def test_series_table_and_band_past_their_limits_exit_2():
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_series_table_to_the_bandwidth_is_one_pass(tmp_path):
+    # each row is a running sum, not a sum afresh: 32,001 rows in well under a second
+    out = tmp_path / "series.csv"
+    t0 = time.perf_counter()
+    code, _, _ = run_cli("torus-series", "comb", "band:32000:ones", "--m-max", "32000", "--output", str(out))
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and elapsed < 3.0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 32002 and rows[-1] == "32000,64001,0,0"
+
 
 @pytest.mark.parametrize(
     "phi, psi", [("e:99999999999999999999", "e:0"), ("e:0", "e:4611686018427387909")], ids=["phi", "psi"]

@@ -250,6 +250,34 @@ def test_series_partial_sum_order_zero():
     assert abs(got - f.fhat(0)) < 1e-15
 
 
+@pytest.mark.parametrize("B", [0, 1, 7, 64, 500])
+def test_series_partial_sums_equal_the_per_order_sums_bit_for_bit(rng, B):
+    # terms across 80 binades, near-cancelling pairs and subnormal imaginary parts
+    scale = 2.0 ** rng.integers(-40, 40, 2 * B + 1)
+    coeffs = rng.normal(size=2 * B + 1) * scale + 1j * rng.normal(size=2 * B + 1) * 2.0**-1060
+    coeffs[: B // 2] = -coeffs[::-1][: B // 2]
+    f = tr.TorusTestFunction(coeffs)
+    for a in (tr.comb(), _random_sequence(rng, B + 3), _random_sequence(rng, max(B - 2, 0))):
+        for m_max in sorted({0, B // 2, B, B + 4}):
+            table = tr.series_partial_sums(a, m_max, f)
+            assert len(table) == min(m_max, B) + 1
+            assert [_bits(s) for s in table] == [_bits(tr.series_partial_sum(a, m, f)) for m in range(len(table))]
+
+
+def test_series_partial_sums_refuse_what_a_partial_sum_refuses():
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sums(tr.comb(), 1, tr.TorusTestFunction(np.full(3, 1e308)))
+    # S_1 = 2e308 leaves the float range though S_2 = 0 does not
+    f = tr.TorusTestFunction(np.array([-1e308, 1e308, 0.0, 1e308, -1e308]))
+    assert tr.series_partial_sum(tr.comb(), 2, f) == 0
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sum(tr.comb(), 1, f)
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sums(tr.comb(), 2, f)
+    with pytest.raises(PreconditionError):
+        tr.series_partial_sums(tr.comb(), -1, f)
+
+
 def test_series_odd_symmetry_cancellation():
     # a_n = n against an even profile: exact cancellation at any order
     coeffs = 1.0 / (1.0 + np.arange(-8, 9.0) ** 4)
