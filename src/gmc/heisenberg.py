@@ -72,8 +72,8 @@ HermiteVector = CoefficientVector
 BOX_NODES = 48
 # an infinite input is read at least this many columns past the output truncation
 INPUT_MARGIN = 32
-# largest Hermite index of a gaussian_vector prefix
-GAUSSIAN_MAX_INDEX = 8192
+# largest Hermite index of a gaussian_vector prefix: widths from about 0.049 to 20.4
+GAUSSIAN_MAX_INDEX = 13_000
 # entries of the largest Hermite table smoothing may build (512 MiB of float64)
 SMOOTH_TABLE_BUDGET = 1 << 26
 # kernel rows are cut where they fall below this fraction of their peak
@@ -960,26 +960,26 @@ def gaussian_vector(sigma: float = 0.75, nmax: int = 48) -> HermiteVector:
 
     c_{2m} = sqrt(2 sigma/(1 + sigma^2)) (-r)^m sqrt((2m)!)/(2^m m!), c_{2m+1} = 0,
     with r = (1 - sigma^2)/(1 + sigma^2), built by the ratio -r sqrt((2m-1)/(2m)).
-    The prefix runs to index nmax, or further until the dropped squared norm is
-    below 1e-16: as c_0^2 = sqrt(1 - r^2) and C(2m, m)/4^m <= 1, it is at most
-    r^(2m) / c_0^2 past m even terms. A width that needs indices past
-    GAUSSIAN_MAX_INDEX = 8192 (sigma below about 0.049 or above about 20.4)
-    raises BudgetExceeded.
+    The prefix runs to index nmax, or further until the dropped l2 norm is below
+    1e-13, so a pairing that reads the prefix as exact is off by at most that: as
+    c_0^2 = sqrt(1 - r^2) and C(2m, m)/4^m <= 1, the norm is at most |r|^m / c_0
+    past m even terms. A width that needs indices past GAUSSIAN_MAX_INDEX = 13000
+    (sigma below about 0.049 or above about 20.4) raises BudgetExceeded.
     """
     if not 0.0 < sigma < math.inf:
         raise PreconditionError("gaussian width must be positive and finite")
     r = (1.0 - sigma * sigma) / (1.0 + sigma * sigma)
-    c0_sq = 2.0 * sigma / (1.0 + sigma * sigma)
+    c0 = math.sqrt(2.0 * sigma / (1.0 + sigma * sigma))
     if not abs(r) < 1.0:  # sigma^2 rounds away next to 1, or overflows
         raise BudgetExceeded(f"gaussian width {sigma!r} needs an unbounded prefix", 1.0)
-    terms = 1 if r == 0.0 else math.floor(math.log(1e-16 * c0_sq) / (2.0 * math.log(abs(r)))) + 1
+    terms = 1 if r == 0.0 else math.floor(math.log(1e-13 * c0) / math.log(abs(r))) + 1
     if 2 * (terms - 1) > GAUSSIAN_MAX_INDEX:
-        dropped = min(abs(r) ** (GAUSSIAN_MAX_INDEX + 2) / c0_sq, 1.0)
+        dropped = min(abs(r) ** (GAUSSIAN_MAX_INDEX // 2 + 1) / c0, 1.0)
         raise BudgetExceeded(f"gaussian width {sigma!r} needs indices past {GAUSSIAN_MAX_INDEX}", dropped)
     nmax = max(nmax, 2 * (terms - 1))
     ratios = np.concatenate([[1.0], -r * np.sqrt(1.0 - 0.5 / np.arange(1, nmax // 2 + 1))])
     coeffs = np.zeros(nmax + 1, dtype=np.complex128)
-    coeffs[::2] = math.sqrt(c0_sq) * np.cumprod(ratios)
+    coeffs[::2] = c0 * np.cumprod(ratios)
     return vector_from_prefix(IndexDomain.NATURALS, 0, coeffs, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 

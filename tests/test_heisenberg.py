@@ -1186,6 +1186,32 @@ def test_gaussian_vector_past_the_cap_raises(sigma):
         hb.gaussian_vector(sigma)
 
 
+def _lgamma_gaussian(sigma, stop):
+    """The first stop Hermite coefficients of gaussian_vector(sigma), each from lgamma
+    on its own: c_2m = c_0 (-r)^m sqrt((2m)!) / (2^m m!)."""
+    r = (1.0 - sigma**2) / (1.0 + sigma**2)
+    c = np.zeros(stop, dtype=np.complex128)
+    for m in range((stop + 1) // 2):
+        log_c = (
+            0.5 * math.log(2.0 * sigma / (1.0 + sigma**2)) + m * math.log(abs(r))
+            + 0.5 * math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1)
+        )
+        c[2 * m] = math.copysign(1.0, -r) ** m * math.exp(log_c)
+    return vector_from_prefix(IndexDomain.NATURALS, 0, c, GrowthClass.RAPID_DECAY)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 3.0])
+@pytest.mark.parametrize("k", [0, 208, 300])
+def test_gaussian_prefix_drops_no_pointwise_term_past_1e_13(sigma, k):
+    # a pairing reads the prefix as exact: e:208 against gauss:0.3 has modulus about
+    # 1.4e-8, and a prefix cut at a dropped l2 norm near 1e-8 moved it by 1.2e-9
+    g, reference = hb.gaussian_vector(sigma), _lgamma_gaussian(sigma, 701)
+    p, q = np.array([0.0, 0.4, -1.1]), np.array([0.0, 0.7, 0.5])
+    got = hb.fourier_wigner(hb.unit_vector(k), g, p, q)
+    want = hb.fourier_wigner(hb.unit_vector(k), reference, p, q)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 @settings(max_examples=20, deadline=None)
 @given(log_sigma=st.floats(-6.0, 6.0))
 def test_gaussian_vector_edge_widths_are_finite(log_sigma):
