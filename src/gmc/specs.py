@@ -207,8 +207,6 @@ def parse_n_list(spec: str) -> list[int]:
         if n < 1:
             raise SpecParseError(f"mollifier index must be >= 1, got {token!r}")
         out.append(n)
-    if not out:
-        raise SpecParseError("empty n list")
     return out
 
 

@@ -129,6 +129,23 @@ def test_series_table_to_the_bandwidth_is_one_pass(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("torus-series", "comb", "band:4:fejer", "--m-max", "-1"), "--m-max must be nonnegative"),
+        (("verify", "uea", "--tol", "torus_exact"), "--tol takes KEY=VALUE"),
+        (("verify", "uea", "--tol", "torus_exact=tight"), "bad tolerance value"),
+        (("--config", "{dir}", "verify", "uea"), "cannot load config"),
+    ],
+    ids=["negative-m-max", "tol-without-value", "tol-not-a-number", "config-unreadable"],
+)
+def test_bad_flag_or_file_exits_2_with_one_error_line(tmp_path, argv, message):
+    code, out, err = run_cli(*(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "phi, psi", [("e:99999999999999999999", "e:0"), ("e:0", "e:4611686018427387909")], ids=["phi", "psi"]
 )
 def test_wigner_hermite_index_past_2_62_exits_2(phi, psi):

@@ -1212,6 +1212,22 @@ def test_gaussian_prefix_drops_no_pointwise_term_past_1e_13(sigma, k):
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hb.act_algebra(P, tr.unit(0)),
+        lambda: _BUMP.right_derive(UEAElement.generator(tr.TORUS_STRUCTURE, "X")),
+        lambda: hb.act_algebra(UEAElement.generator(tr.TORUS_STRUCTURE, "X"), hb.unit_vector(0)),
+        lambda: hb.smooth_by(_BUMP, hb.unit_vector(0), QuadratureSpec(truncation=0)),
+        lambda: hb.pointwise_coefficient(hb.unit_vector(0), hb.dirac_delta()),
+    ],
+    ids=["torus-vector", "derive-by-torus-element", "act-by-torus-element", "truncation-0", "growing-partner"],
+)
+def test_heisenberg_refuses_inputs_of_the_wrong_kind(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
 @settings(max_examples=20, deadline=None)
 @given(log_sigma=st.floats(-6.0, 6.0))
 def test_gaussian_vector_edge_widths_are_finite(log_sigma):

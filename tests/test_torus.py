@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmc import heisenberg as hb
 from gmc import torus as tr
 from gmc.errors import BudgetExceeded, PreconditionError
 from gmc.groups import factorize
@@ -276,6 +277,22 @@ def test_series_partial_sums_refuse_what_a_partial_sum_refuses():
         tr.series_partial_sums(tr.comb(), 2, f)
     with pytest.raises(PreconditionError):
         tr.series_partial_sums(tr.comb(), -1, f)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tr.act_group(0.1, hb.unit_vector(0)),
+        lambda: tr.TorusTestFunction(np.ones(2)),
+        lambda: tr.act_algebra(UEAElement.generator(hb.HEISENBERG_STRUCTURE, "P"), tr.unit(0)),
+        lambda: tr.series_partial_sum(tr.comb(), -1, tr.band(2, "ones")),
+        lambda: tr.pointwise_coefficient(tr.poly(1), tr.poly(2)),
+    ],
+    ids=["hermite-vector", "even-length-band", "heisenberg-element", "negative-order", "two-growing-vectors"],
+)
+def test_torus_refuses_inputs_of_the_wrong_kind(call):
+    with pytest.raises(PreconditionError):
+        call()
 
 
 def test_series_odd_symmetry_cancellation():

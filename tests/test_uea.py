@@ -180,3 +180,20 @@ def test_weyl_relation_through_representation(rng):
     rhs = hb.act_algebra(Z, phi)
     resid = max(abs(lhs.coeff(k) - rhs.coeff(k)) for k in range(16))
     assert resid < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: LieStructure(labels=("A", "B"), delta=(1.0,)), ValueError),
+        (lambda: LieStructure(labels=("A",), brackets={(0, 3): {0: 1.0}}), ValueError),
+        (lambda: HS.index("W"), KeyError),
+        (lambda: UEAElement(HS, {(1, 0): 1.0}), ValueError),
+        (lambda: UEAElement(HS, {(1, -1, 0): 1.0}), ValueError),
+        (lambda: P ** -1, ValueError),
+    ],
+    ids=["delta-length", "bracket-index", "unknown-label", "multi-index-length", "negative-exponent", "negative-power"],
+)
+def test_malformed_structures_and_elements_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -38,6 +38,12 @@ def test_envelope_rejects_nonpositive_constant():
         GrowthEnvelope(-2.0, 1.0)
 
 
+@pytest.mark.parametrize("degree", [math.inf, -math.inf, math.nan])
+def test_envelope_rejects_a_non_finite_degree(degree):
+    with pytest.raises(ValueError, match="degree must be finite"):
+        GrowthEnvelope(1.0, degree)
+
+
 def test_envelope_violation_detected_at_construction():
     with pytest.raises(EnvelopeViolation):
         CoefficientVector(
