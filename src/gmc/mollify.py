@@ -11,10 +11,12 @@ relevant region).
 On the circle the pushforward's Fourier coefficients are fhat(m) = jhat(rho m),
 with jhat the transform of the unit-radius bump and rho the scaled bump's
 radius. One real FFT of the bump sampled on a period gives the whole band, and
-the band is cut at the last coefficient above the coefficient floor. That cut
+the band is cut at the last coefficient above the coefficient floor. The bump is
+evaluated only on its support, and the rest of the period is zero. The cut
 scales as 1/rho, so one constant band edge (rho times the cut) predicts the FFT
-size; one doubling loop starts there and stops at the first size whose cut lies
-below a quarter of it, which is also the check that no aliasing reaches the band.
+size, taken at the next even length with no prime factor above 5; one doubling
+loop starts there and stops at the first size whose cut lies below a quarter of
+it, which is also the check that no aliasing reaches the band.
 """
 from __future__ import annotations
 
@@ -94,12 +96,7 @@ class BumpProfile:
     def standard(radius: float = 0.25) -> "BumpProfile":
         if not 0 < radius < math.inf:
             raise PreconditionError(f"bump radius must be positive and finite, got {radius}")
-        unit = BumpProfile(1.0, 1.0)  # exp(-1/(1-x^2)) itself
-        coarse, fine = unit.mass(MASS_NODES), unit.mass(_MASS_CHECK_NODES)
-        gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
-        if gap > tol:
-            raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
-        return BumpProfile(radius, 1.0 / (radius * coarse))
+        return BumpProfile(radius, 1.0 / (radius * _unit_mass()))
 
     def scaled(self, n: int) -> "BumpProfile":
         """J_n of this profile."""
@@ -125,6 +122,18 @@ class BumpProfile:
         return self.transform(0.0, nodes)
 
 
+@lru_cache(maxsize=None)
+def _unit_mass() -> float:
+    """Mass of exp(-1/(1-x^2)) over [-1, 1] at MASS_NODES, checked against
+    _MASS_CHECK_NODES; computed once per process."""
+    unit = BumpProfile(1.0, 1.0)
+    coarse, fine = unit.mass(MASS_NODES), unit.mass(_MASS_CHECK_NODES)
+    gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
+    if gap > tol:
+        raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
+    return coarse
+
+
 # --------------------------------------------------------------------------
 # pushforward through exp
 # --------------------------------------------------------------------------
@@ -140,25 +149,55 @@ _COEFF_FLOOR = 1e-14
 _BAND_EDGE = 132.25
 
 
+def _smooth_length(target: float) -> int:
+    """Smallest even 2^a 3^b 5^c at least target, target >= 2: the FFT's cost per
+    sample stays near its power-of-two cost at lengths with no larger prime factor."""
+    target = math.ceil(target)
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power of two, at least 2, that takes odd to the target
+            best = min(best, odd << max(1, (-(-target // odd) - 1).bit_length()))
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _period_samples(jn: BumpProfile, size: int) -> np.ndarray:
+    """jn at the offsets d / size of one period, d = 0..size-1 read modulo size: the
+    bump is evaluated only at the d with |d| / size inside its support, and every
+    other sample is the zero it takes there."""
+    reach = min(math.ceil(jn.support * size), size // 2 - 1)
+    near = jn(np.arange(-reach, reach + 1) / size)
+    samples = np.zeros(size)
+    samples[: reach + 1] = near[reach:]
+    samples[size - reach :] = near[:reach]
+    return samples
+
+
 def _fft_table(jn: BumpProfile, size: int) -> np.ndarray:
     """The trapezoid rule on `size` equispaced points of one period, taken by one
     real FFT: fhat(m) for m = 0..size/2, up to the aliased terms fhat(m + l size)."""
-    samples = jn((np.arange(size) - size // 2) / size)
-    return np.fft.rfft(np.fft.ifftshift(samples)).real / size
+    return np.fft.rfft(_period_samples(jn, size)).real / size
 
 
 def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:
     """Fourier coefficients of the pushed-forward bump, cut at the last one at or above
-    the floor. The FFT starts at the first power of two, at least 1024, past 4 times
-    the predicted cut, taken 1% low: a cut read on the frequencies m rho can fall a
-    little short of it, and a start predicted just past a power of two must then be
-    that power, where the doubling from 1024 ends. It doubles until the cut is below
-    a quarter of the size, so that no aliasing above the floor reaches the band."""
+    the floor. The FFT starts at the first even 2^a 3^b 5^c length, at least 1024, past
+    4 times the predicted cut, taken 1% high: a cut read on the frequencies m rho can
+    land a little past the prediction, and the margin keeps it below a quarter of the
+    start. It doubles until the cut is below a quarter of the size, so that no aliasing
+    above the floor reaches the band; the trapezoid rule is exponentially accurate at
+    any such size, so the start needs no power of two."""
     if not jn.support < 0.5:
         min_n = int(math.floor(2.0 * jn.radius)) + 1
         raise PreconditionError(f"exp is not injective on the support; need n >= {min_n}")
-    predicted = min(4.0 * _BAND_EDGE / (1.01 * jn.support), _FFT_SAMPLE_CAP)
-    size, aliased = max(1024, 1 << int(predicted).bit_length()), math.inf
+    predicted = 4.0 * 1.01 * _BAND_EDGE / jn.support
+    # a start past the cap stays past it, and is refused before any sampling
+    size = _smooth_length(min(max(predicted, 1024), 2 * _FFT_SAMPLE_CAP))
+    aliased = math.inf
     while size <= _FFT_SAMPLE_CAP:
         table = _fft_table(jn, size)
         big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]

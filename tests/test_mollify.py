@@ -33,6 +33,18 @@ def test_profile_unit_mass_two_resolutions():
     assert abs(prof.mass(nodes=700) - 1.0) < 1e-10
 
 
+def test_standard_profiles_share_one_checked_normalization():
+    unit = mo.BumpProfile(1.0, 1.0)
+    coarse = unit.mass(mo.MASS_NODES)
+    assert abs(coarse - unit.mass(mo._MASS_CHECK_NODES)) <= 1e-12 * (1.0 + coarse)
+    mo.BumpProfile.standard()
+    before = mo._unit_mass.cache_info()
+    for radius in (0.1, 0.25, 0.3, 7.5):
+        assert mo.BumpProfile.standard(radius).normalization == 1.0 / (radius * coarse)
+    after = mo._unit_mass.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 4
+
+
 def test_profile_support():
     prof = mo.BumpProfile.standard(0.25)
     assert prof(np.array([0.25])) == 0
@@ -98,20 +110,61 @@ def test_torus_pushforward_sample_cap(monkeypatch):
         mo.push_forward(prof.scaled(64), tr.TORUS)
 
 
-def test_torus_pushforward_equals_plain_doubling_bit_for_bit(monkeypatch):
-    # the predicted start never passes the size a doubling search from 1024 ends at,
-    # so both take their band from the same FFT; 0.2575 sits just past a power of two
+def _is_5_smooth(size):
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    return size == 1
+
+
+def test_smooth_length_is_the_least_even_5_smooth_length_past_the_target():
+    smooth = [m for m in range(2, 6000, 2) if _is_5_smooth(m)]
+    for target in range(2, 5000):
+        assert mo._smooth_length(target) == next(m for m in smooth if m >= target), target
+    assert mo._smooth_length(1e6 + 0.5) == 1_012_500
+    assert mo._smooth_length(mo._FFT_SAMPLE_CAP) == mo._FFT_SAMPLE_CAP
+
+
+def test_torus_pushforward_starts_at_a_5_smooth_length_past_the_band(monkeypatch):
+    # one FFT at the predicted 5-smooth start reaches the band; a power-of-two doubling
+    # search from 1024 reads the same band to rounding, and a band length differs only
+    # by coefficients within 1% of the floor; 0.2575 sits just past a power of two
     radii = [round(0.15 + 0.0025 * i, 4) for i in range(121)]
     assert 0.2575 in radii and radii[-1] == 0.45
+    sizes = []
+    table = mo._fft_table
+    monkeypatch.setattr(mo, "_fft_table", lambda jn, size: sizes.append(size) or table(jn, size))
+    moved = 0
     for r in radii:
         prof = mo.BumpProfile.standard(r)
         for n in (1, 2, 3, 4, 5, 8, 13, 16, 32, 64):
             jn = prof.scaled(n)
-            got = mo.push_forward(jn, tr.TORUS).coeffs
+            sizes.clear()
+            got = mo.push_forward(jn, tr.TORUS)
+            assert len(sizes) == 1 and sizes[0] % 2 == 0 and _is_5_smooth(sizes[0]), (r, n, sizes)
             with monkeypatch.context() as plain_search:
                 plain_search.setattr(mo, "_BAND_EDGE", 0.0)
-                plain = mo.push_forward(jn, tr.TORUS).coeffs
-            assert got.shape == plain.shape and (got == plain).all(), (r, n)
+                plain = mo.push_forward(jn, tr.TORUS)
+            assert sizes[1] == 1024 and all(b == 2 * a for a, b in zip(sizes[1:], sizes[2:]))
+            short, long_ = sorted((got, plain), key=lambda f: f.bandwidth)
+            B = short.bandwidth
+            common = long_.coeffs[long_.bandwidth - B : long_.bandwidth + B + 1]
+            assert np.max(np.abs(short.coeffs - common)) <= 1e-15, (r, n)
+            if long_.bandwidth != B:
+                moved += 1
+                beyond = np.abs(long_.coeffs[long_.bandwidth + B + 1 :])
+                assert beyond[-1] >= mo._COEFF_FLOOR and np.max(beyond) <= 1.01 * mo._COEFF_FLOOR, (r, n)
+    assert moved <= 30
+
+
+def test_support_samples_equal_the_full_period_samples_bit_for_bit():
+    # the FFT's input is the same array whether the bump is evaluated on the whole
+    # period or only inside its support
+    for radius, n, size in [(0.25, 1, 1024), (0.25, 64, 135_000), (0.49, 1, 1000),
+                            (0.2, 13, 30_000), (0.45, 3, 10_240), (0.15, 8, 2 ** 16)]:
+        jn = mo.BumpProfile.standard(radius).scaled(n)
+        full = np.fft.ifftshift(jn((np.arange(size) - size // 2) / size))
+        assert mo._period_samples(jn, size).tobytes() == full.tobytes(), (radius, n, size)
 
 
 def test_band_edge_is_the_cut_of_a_doubling_from_1024(monkeypatch):
