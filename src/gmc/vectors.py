@@ -118,7 +118,20 @@ def _tail_const(value: float = 1.0) -> tuple[TailFn, GrowthEnvelope]:
 def _tail_geometric(ratio: float) -> tuple[TailFn, GrowthEnvelope]:
     if not 0 < abs(ratio) < 1:
         raise PreconditionError("geometric ratio must satisfy 0 < |ratio| < 1")
-    fn = lambda k: (ratio ** np.abs(k).astype(float)).astype(np.complex128)
+    # from this exponent on |ratio|^e is below 2^-1076 and pow returns a zero, slowly,
+    # so the zeros are written instead, with the sign pow gives a negative ratio
+    reach = 1076.0 * math.log(2.0) / -math.log(abs(ratio)) + 1.0
+    negative = not isinstance(ratio, complex) and ratio < 0
+
+    def fn(k: np.ndarray) -> np.ndarray:
+        e = np.abs(k).astype(float)
+        live = e < reach
+        out = np.zeros(e.shape, dtype=np.complex128)
+        out[live] = ratio ** e[live]
+        if negative:
+            out[~live & (e % 2 == 1)] = -0.0
+        return out
+
     return fn, GrowthEnvelope(1.0, 0.0, all_orders=True, ratio=abs(ratio))
 
 

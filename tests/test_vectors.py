@@ -125,6 +125,14 @@ def test_pair_past_the_float_range_is_a_typed_error():
         pair(tr.poly(170), tr.geometric(0.5))
 
 
+@pytest.mark.parametrize("ratio", [0.5, -0.5, 0.9, 0.995, 1e-3, -0.999])
+def test_geometric_tail_equals_pow_bit_for_bit(ratio):
+    # the zeros past the underflow are written, not computed, with pow's sign of zero
+    k = np.arange(-200_000, 200_001)
+    want = (ratio ** np.abs(k).astype(float)).astype(np.complex128)
+    assert Tail.formula("geometric", ratio).fn(k).tobytes() == want.tobytes()
+
+
 def test_geometric_ratio_shortens_the_pointwise_extent(monkeypatch):
     # |n^2 0.7^n| past n = 128 sums below 1e-12; the degree -8 bound alone needed 8192
     seen = []
