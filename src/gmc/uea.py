@@ -193,25 +193,60 @@ class UEAElement:
 
 
 def _times(structure: LieStructure, terms: Mapping, i: int, out: dict | None = None) -> dict:
-    """(sum c X^alpha) X_i in normal order, added into out. Each X^alpha X_i is rewritten
-    once per structure: with j the last letter of X^alpha, it is X^(alpha + e_i) for j <= i."""
+    """(sum c X^alpha) X_i in normal order, added into out."""
     out = {} if out is None else out
     for alpha, c in terms.items():
         hit = structure._products.get((alpha, i))
         if hit is None:
-            j = max((k for k, a in enumerate(alpha) if a), default=i)
-            if j <= i:
-                hit = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]: 1.0}
-            else:
-                # X^rest X_j X_i = (X^rest X_i) X_j + X^rest [X_j, X_i]
-                rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-                hit = _times(structure, _times(structure, {rest: 1.0}, i), j)
-                for k, ck in sorted(structure.bracket(j, i).items()):
-                    _times(structure, {rest: ck}, k, hit)
-            structure._products[(alpha, i)] = hit
+            hit = _rewrite(structure, alpha, i)
         for beta, cb in hit.items():
             out[beta] = out.get(beta, 0j) + c * cb
     return out
+
+
+def _in_order(products: dict, alpha: tuple[int, ...], i: int) -> bool:
+    """Whether X^alpha X_i is kept, keeping it first where no letter of X^alpha comes
+    after X_i: it is then X^(alpha + e_i)."""
+    if (alpha, i) in products:
+        return True
+    if any(alpha[i + 1 :]):
+        return False
+    products[(alpha, i)] = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]: 1.0}
+    return True
+
+
+def _rule(structure: LieStructure, alpha: tuple[int, ...], i: int) -> Iterator:
+    """Keeps X^alpha X_i, with X_j the last letter of X^alpha and j > i, as
+    X^rest X_j X_i = (X^rest X_i) X_j + X^rest [X_j, X_i]; yields each (alpha', i')
+    whose product it reads first, to be kept before it resumes."""
+    j = max(k for k, a in enumerate(alpha) if a)
+    rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+    bracket = sorted(structure.bracket(j, i).items())
+    yield rest, i
+    first = _times(structure, {rest: 1.0}, i)
+    for beta in first:
+        yield beta, j
+    for k, _ in bracket:
+        yield rest, k
+    hit = _times(structure, first, j)
+    for k, ck in bracket:
+        _times(structure, {rest: ck}, k, hit)
+    structure._products[(alpha, i)] = hit
+
+
+def _rewrite(structure: LieStructure, alpha: tuple[int, ...], i: int) -> dict:
+    """X^alpha X_i in normal order, rewritten once per structure. The rules pending
+    are kept on a stack rather than in nested calls, so that moving a letter across a
+    run of any length takes no deeper call stack."""
+    products = structure._products
+    pending = [] if _in_order(products, alpha, i) else [_rule(structure, alpha, i)]
+    while pending:
+        read = next(pending[-1], None)
+        if read is None:
+            pending.pop()
+        elif not _in_order(products, *read):
+            pending.append(_rule(structure, *read))
+    return products[(alpha, i)]
 
 
 def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:

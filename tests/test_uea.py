@@ -248,6 +248,15 @@ def test_high_laplacian_powers_are_fast():
     assert D.degree == 62
 
 
+@pytest.mark.parametrize("k", [1000, 5000])
+def test_moving_a_letter_across_a_long_run_needs_no_deep_stack(k):
+    # Q^k P = P Q^k - k Q^(k-1) Z on a structure with no products kept yet; a rewrite
+    # that recursed once per moved letter overflowed the interpreter's stack at k = 1000
+    fresh = LieStructure(HS.labels, HS.brackets, HS.delta)
+    got = UEAElement.monomial(fresh, (0, k, 0)) * UEAElement.generator(fresh, "P")
+    assert got == UEAElement(fresh, {(1, k, 0): 1.0, (0, k - 1, 1): -k})
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
