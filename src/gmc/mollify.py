@@ -17,6 +17,11 @@ scales as 1/rho, so one constant band edge (rho times the cut) predicts the FFT
 size, taken at the next even length with no prime factor above 5; one doubling
 loop starts there and stops at the first size whose cut lies below a quarter of
 it, which is also the check that no aliasing reaches the band.
+
+A circle approximation row <pi(f) pi(J_n) eta, zeta> needs none of that band past
+f's: pi(f) pi(J_n) = pi(f * J_n), and f * J_n has f's band. Its coefficients come
+from cosine sums when the band times the support is at most _COSINE_LAM, so the
+FFT's sample cap does not refuse a narrow band; a wider band reads the FFT table.
 """
 from __future__ import annotations
 
@@ -113,10 +118,14 @@ class BumpProfile:
         u = self.n * np.asarray(x, dtype=float) / self.radius
         return self.n ** (order + 1) * (scale * _bump_unit(u, order))
 
-    def transform(self, lam: float, nodes: int | None = None) -> float:
-        """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even)."""
+    def transform(self, lam, nodes: int | None = None):
+        """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even);
+        a float for a scalar lam, an array of the sums for an array of frequencies."""
         x, w = legendre_on_interval(-self.support, self.support, nodes or BUMP_NODES)
-        return float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim == 0:
+            return float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
+        return (self(x) * np.cos(2.0 * np.pi * np.multiply.outer(lam, x))) @ w
 
     def mass(self, nodes: int | None = None) -> float:
         return self.transform(0.0, nodes)
@@ -147,6 +156,10 @@ _COEFF_FLOOR = 1e-14
 # rho times the band cut of the standard bump of radius rho: the cut is 2116 at
 # radius 1/16, found by doubling the FFT size from 1024
 _BAND_EDGE = 132.25
+# Largest lam = m rho at which _torus_smoothed takes J_n's coefficient at m from the
+# MASS_NODES cosine sum: against mpmath, that sum of the unit bump errs by at most
+# 6.4e-15 of its mass up to lam = 24, and by 3.7e-13 at lam = 32.
+_COSINE_LAM = 24
 
 
 def _smooth_length(target: float) -> int:
@@ -183,17 +196,21 @@ def _fft_table(jn: BumpProfile, size: int) -> np.ndarray:
     return np.fft.rfft(_period_samples(jn, size)).real / size
 
 
-def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:
-    """Fourier coefficients of the pushed-forward bump, cut at the last one at or above
-    the floor. The FFT starts at the first even 2^a 3^b 5^c length, at least 1024, past
+def _require_injective(jn: BumpProfile) -> None:
+    """The circle's exp is injective only on supports of radius below 1/2."""
+    if not jn.support < 0.5:
+        min_n = int(math.floor(2.0 * jn.radius)) + 1
+        raise PreconditionError(f"exp is not injective on the support; need n >= {min_n}")
+
+
+def _pushforward_band(jn: BumpProfile) -> np.ndarray:
+    """fhat(0..cut) of the pushed-forward bump, cut at the last one at or above the
+    floor. The FFT starts at the first even 2^a 3^b 5^c length, at least 1024, past
     4 times the predicted cut, taken 1% high: a cut read on the frequencies m rho can
     land a little past the prediction, and the margin keeps it below a quarter of the
     start. It doubles until the cut is below a quarter of the size, so that no aliasing
     above the floor reaches the band; the trapezoid rule is exponentially accurate at
     any such size, so the start needs no power of two."""
-    if not jn.support < 0.5:
-        min_n = int(math.floor(2.0 * jn.radius)) + 1
-        raise PreconditionError(f"exp is not injective on the support; need n >= {min_n}")
     predicted = 4.0 * 1.01 * _BAND_EDGE / jn.support
     # a start past the cap stays past it, and is refused before any sampling
     size = _smooth_length(min(max(predicted, 1024), 2 * _FFT_SAMPLE_CAP))
@@ -203,10 +220,32 @@ def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:
         big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
         cut = int(big[-1]) if len(big) else 0
         if cut < size // 4:
-            return tr.TorusTestFunction(np.concatenate([table[cut:0:-1], table[: cut + 1]]))
+            return table[: cut + 1]
         aliased = float(np.max(np.abs(table[size // 4 :])))
         size *= 2
     raise BudgetExceeded(f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", aliased)
+
+
+def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:
+    """The pushed-forward bump over its whole band (_pushforward_band)."""
+    _require_injective(jn)
+    half = _pushforward_band(jn)
+    return tr.TorusTestFunction(np.concatenate([half[:0:-1], half]))
+
+
+def _torus_smoothed(f: tr.TorusTestFunction, jn: BumpProfile) -> tr.TorusTestFunction:
+    """f * J_n on the circle: f's band with fhat(m) times J_n's coefficient at m, so
+    pi(f) pi(J_n) = pi(f * J_n) reads J_n only on f's band |m| <= B. A band with
+    B * support <= _COSINE_LAM takes those B + 1 coefficients from 128-node cosine
+    sums; a wider one reads them off the FFT table, zero past its cut."""
+    _require_injective(jn)
+    B = f.bandwidth
+    if B * jn.support <= _COSINE_LAM:
+        half = jn.transform(np.arange(B + 1), MASS_NODES)
+    else:
+        table = _pushforward_band(jn)[: B + 1]
+        half = np.concatenate([table, np.zeros(B + 1 - len(table))])
+    return tr.TorusTestFunction(f.coeffs * np.concatenate([half[:0:-1], half]))
 
 
 def push_forward(jn: BumpProfile, model: GroupModel):
@@ -250,14 +289,20 @@ def gmc_approx(
 ) -> list[tuple[int, complex, float]]:
     """Rows (n, value, residual) for the smooth approximations against f.
 
-    value is the coefficient of the mollified vector paired through f and
-    residual its distance to the unmollified evaluation. Every smoothing and
-    pairing goes through the model's hooks, so on the Heisenberg group the model
-    from with_quadrature (or specs.get_model) sets the truncation of all of them.
+    value is <pi(f) pi(J_n) eta, zeta> and residual its distance to the unmollified
+    evaluation <pi(f) eta, zeta>. On the circle pi(f) pi(J_n) = pi(f * J_n), so the
+    row pairs eta itself through f * J_n (_torus_smoothed), which reads J_n only on
+    f's band. On the Heisenberg group every smoothing and pairing goes through the
+    model's hooks, so the model from with_quadrature (or specs.get_model) sets the
+    truncation of all of them.
     """
     base = model.gmc_eval(eta, zeta, f)
+    profile = profile or BumpProfile.standard()
     rows = []
     for n in n_list:
-        approx = model.gmc_eval(mollify(eta, n, model, profile=profile), zeta, f)
+        if model.name == "torus":
+            approx = model.gmc_eval(eta, zeta, _torus_smoothed(f, profile.scaled(n)))
+        else:
+            approx = model.gmc_eval(mollify(eta, n, model, profile=profile), zeta, f)
         rows.append((n, approx, abs(approx - base)))
     return rows

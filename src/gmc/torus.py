@@ -111,8 +111,9 @@ class TorusTestFunction:
 
     @property
     def real_valued(self) -> bool:
-        """fhat(-n) = conj(fhat(n)) over the band, up to np.allclose with atol 1e-14."""
-        return bool(np.allclose(self.coeffs, np.conj(self.coeffs[::-1]), atol=1e-14))
+        """fhat(-n) = conj(fhat(n)) over the band, to 1e-14 times max(1, largest |fhat|)."""
+        atol = 1e-14 * max(1.0, float(np.max(np.abs(self.coeffs))))
+        return bool(np.allclose(self.coeffs, np.conj(self.coeffs[::-1]), rtol=0.0, atol=atol))
 
     @property
     def bandwidth(self) -> int:

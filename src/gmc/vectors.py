@@ -291,10 +291,11 @@ class CoefficientVector:
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients for indices lo..hi inclusive, as a fresh array: a copy of
-        the prefix slice when the run lies inside the prefix."""
+        the prefix slice when the run lies inside the prefix. A tail value past the
+        float range raises as in finite_coeffs."""
         if self.start <= lo <= hi + 1 <= self.stop:
             return self.prefix[lo - self.start : hi + 1 - self.start].copy()
-        return self.coeffs(np.arange(lo, hi + 1))
+        return self.finite_coeffs(np.arange(lo, hi + 1))
 
     def map(self, fn: Callable, envelope: GrowthEnvelope | None = None) -> "CoefficientVector":
         """The vector with coefficients fn(c_k, k), for an fn acting elementwise on

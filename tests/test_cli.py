@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -442,6 +443,45 @@ def test_mollify_partner_past_the_truncation_is_paired_in_full(tmp_path):
         assert max(abs(a - b) for a, b in zip(row[1:], ref[1:])) < 1e-12
 
 
+def _mollify_row(*argv):
+    code, out, err = run_cli("mollify", "--group", "torus", *argv)
+    assert (code, err) == (0, "")
+    (row,) = _parse_csv(out)[1]
+    return row
+
+
+def test_mollify_torus_row_reads_eta_on_the_band_only():
+    # J_2's band reaches |n| = 1058, where n^150 overflows; the row needs |n| <= 4 only.
+    # The partner is the comb and fejer is real, so the row is the sum over |m| <= 4 of
+    # m^150 (1 - |m| / 5) Jhat_2(m), here with Jhat_2 from the pushforward's FFT table
+    from gmc import mollify as mo
+    from gmc import torus as tr
+
+    _, value, imag, residual = _mollify_row("poly:150", "comb", "band:4:fejer", "--n", "2")
+    jn = mo.push_forward(mo.BumpProfile.standard(0.25).scaled(2), tr.TORUS)
+    terms = [float(m) ** 150 * (1 - abs(m) / 5) * jn.fhat(m).real for m in range(-4, 5)]
+    assert imag == 0.0
+    assert abs(value - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
+    base = math.fsum(float(m) ** 150 * (1 - abs(m) / 5) for m in range(-4, 5))
+    assert abs(residual - abs(value - base)) <= 1e-14 * base
+
+
+def test_mollify_torus_row_past_the_fft_cap():
+    # J_n at n = 10^5 needs an FFT past 2^22 samples, which the row never takes. For
+    # lam = m rho <= 10^-5 the transform is 1 - 2 pi^2 lam^2 mu_2 to 1e-19, with mu_2 the
+    # unit bump's second moment over its mass
+    from scipy.integrate import quad
+
+    bump = lambda u: math.exp(-1.0 / (1.0 - u * u))
+    mu_2 = quad(lambda u: u * u * bump(u), -1, 1)[0] / quad(bump, -1, 1)[0]
+    _, value, imag, residual = _mollify_row("comb", "comb", "band:4:fejer", "--n", "100000", "--radius", "0.25")
+    support = 0.25 / 100_000
+    terms = [(1 - abs(m) / 5) * (1 - 2 * math.pi**2 * (m * support) ** 2 * mu_2) for m in range(-4, 5)]
+    assert imag == 0.0
+    assert abs(value - math.fsum(terms)) <= 1e-14 * (1 + math.fsum(terms))
+    assert 0 < residual and abs(residual - (5.0 - math.fsum(terms))) <= 1e-14 * 6
+
+
 def test_mollify_injectivity_violation_exits_2():
     code, _, err = run_cli(
         "mollify", "--group", "torus", "comb", "comb", "band:2:ones",
@@ -603,8 +643,8 @@ def test_non_finite_number_is_bad_input(argv):
         (("torus-series", "poly:400", "band:4:ones", "--m-max", "3"), "400"),
         (("wigner", "poly-growth:400", "e:0", "--grid=0:1:2,0:1:2"), "400"),
         (("wigner", "poly-growth:1e6", "e:0", "--grid=0:1:2,0:1:2"), "1e+06"),
-        # the mollifier's band reaches |n| = 1058, where the tail n^150 overflows
-        (("mollify", "--group", "torus", "poly:150", "comb", "band:4:fejer", "--n", "2"), "150"),
+        # the band reaches past |n| = 1058, the mollifier's cut, where n^150 overflows
+        (("mollify", "--group", "torus", "poly:150", "comb", "band:1100:fejer", "--n", "2"), "150"),
     ],
 )
 def test_power_formula_past_the_float_range_names_its_degree(argv, degree):
@@ -768,7 +808,7 @@ def test_entry_point_subprocess(tmp_path):
 
 
 def test_requests_import_no_scipy():
-    # numpy is the only runtime dependency; scipy serves as a test reference only
+    # numpy is the only runtime dependency; scipy and mpmath serve as test references only
     src = str(Path(gmc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "\n".join([
@@ -776,12 +816,25 @@ def test_requests_import_no_scipy():
         "from gmc.cli import main",
         "for argv in (",
         "    ['mollify', '--group', 'heisenberg', 'delta', 'e:0', 'bump3:radius=0.4', '--n', '2'],",
+        "    ['mollify', '--group', 'torus', 'comb', 'poly:2', 'band:9:ones', '--n', '2,58'],",
         "    ['wigner', 'delta', 'e:0', '--grid=0:1:3,0:1:3', '--mollify', '2'],",
         "    ['verify', 'smoothing'],",
         "):",
         "    assert main(argv) == 0, argv",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_readme_examples_exit_0(tmp_path, monkeypatch):
+    # every gmc line of the README's command-line block runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("gmc ")]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(*shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line

@@ -380,3 +380,100 @@ def test_gmc_approx_smooths_and_pairs_at_the_given_truncation():
         assert (value, residual) == (want, abs(want - base))
     # the default model's rows differ, so the rows above did not fall back to it
     assert rows != mo.gmc_approx(delta, e0, f, [2, 4], hb.HEISENBERG, profile=profile)
+
+
+# --- circle rows through f * J_n -------------------------------------------------------
+
+
+def _mollified_row(eta, zeta, f, jn_vector):
+    """<pi(f) pi(J_n) eta, zeta> through the whole mollified vector, and the sum of the
+    absolute values of its terms."""
+    B = f.bandwidth
+    terms = jn_vector.dense(-B, B) * f.coeffs[::-1] * zeta.dense(-B, B)
+    return tr.gmc_eval(jn_vector, zeta, f), float(np.sum(np.abs(terms)))
+
+
+def test_circle_rows_equal_the_pairing_of_the_mollified_vector():
+    # pi(f) pi(J_n) = pi(f * J_n): a row read on f's band alone equals the row of the
+    # whole mollified vector, for every n up to 64 whose support is below 1/2
+    vectors = [tr.comb(), tr.poly(2), tr.geometric(0.5), tr.inverse_quadratic(2), tr.alternating()]
+    bands = [tr.band(B, ("fejer", "gauss", "ones")[B % 3]) for B in range(17)]
+    for radius in (0.15, 0.2269, 0.3, 0.45):
+        prof = mo.BumpProfile.standard(radius)
+        ns = [n for n in range(1, 65) if prof.scaled(n).support < 0.5]
+        assert ns[0] == 1 and ns[-1] == 64
+        for i, eta in enumerate(vectors):
+            zeta = vectors[(i + 2) % len(vectors)]
+            smoothed = {n: mo.mollify(eta, n, tr.TORUS, profile=prof) for n in ns}
+            for f in bands:
+                rows = mo.gmc_approx(eta, zeta, f, ns, tr.TORUS, profile=prof)
+                for n, value, _ in rows:
+                    want, size = _mollified_row(eta, zeta, f, smoothed[n])
+                    assert abs(value - want) <= 1e-14 * (1.0 + size), (radius, n, i, f.bandwidth)
+
+
+def test_circle_rows_take_the_fft_table_only_past_the_cosine_bound(monkeypatch):
+    # support 1/8: band 192 reaches lam = 24 and takes the cosine sums, band 193 the FFT
+    prof = mo.BumpProfile.standard(0.25)
+    jn = prof.scaled(2)
+    sizes = []
+    table = mo._fft_table
+    monkeypatch.setattr(mo, "_fft_table", lambda jn, size: sizes.append(size) or table(jn, size))
+    for B, ffts in ((192, 0), (193, 1)):
+        assert (B * jn.support <= mo._COSINE_LAM) == (ffts == 0)
+        f = tr.band(B, "fejer")
+        sizes.clear()
+        [(_, value, _)] = mo.gmc_approx(tr.comb(), tr.geometric(0.9), f, [2], tr.TORUS, profile=prof)
+        assert len(sizes) == ffts, B
+        want, size = _mollified_row(tr.comb(), tr.geometric(0.9), f, mo.mollify(tr.comb(), 2, tr.TORUS, prof))
+        assert abs(value - want) <= 1e-14 * (1.0 + size), B
+
+
+def test_wide_circle_rows_read_the_fft_band_with_zeros_past_its_cut():
+    # a band past J_n's cut reads zeros there, as the mollified vector does
+    prof = mo.BumpProfile.standard(0.25)
+    jn = prof.scaled(2)
+    cut = mo.push_forward(jn, tr.TORUS).bandwidth
+    f = tr.band(cut + 40, "ones")
+    g = mo._torus_smoothed(f, jn)
+    assert g.bandwidth == cut + 40
+    assert np.all(g.coeffs[:40] == 0) and np.all(g.coeffs[-40:] == 0)
+    assert np.array_equal(g.coeffs[40:-40], mo.push_forward(jn, tr.TORUS).coeffs)
+
+
+def test_bump_transform_at_128_nodes_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    unit = mo.BumpProfile.standard(1.0)
+    lams = [0, 1, 8, 24]
+    got = unit.transform(np.array(lams, dtype=float), mo.MASS_NODES)
+    with mpmath.workdps(30):
+        bump = lambda u: mpmath.exp(-1 / (1 - u * u))
+        mass = mpmath.quad(bump, [-1, 0, 1])
+        for lam, value in zip(lams, got):
+            cos_sum = mpmath.quad(lambda u: bump(u) * mpmath.cos(2 * mpmath.pi * lam * u), mpmath.linspace(-1, 1, 49))
+            assert abs(value - float(cos_sum / mass)) <= 6.4e-15, lam
+
+
+def test_bump_transform_of_a_scalar_is_the_one_float_sum():
+    # an array of frequencies leaves the scalar sum, which Heisenberg test functions
+    # read, bit for bit as it was
+    for jn in (mo.BumpProfile.standard(0.25).scaled(3), mo.BumpProfile.standard(0.8)):
+        x, w = mo.legendre_on_interval(-jn.support, jn.support, mo.BUMP_NODES)
+        lams = [0.0, 0.5, 1.0, 7.25, -3.0]
+        for lam in lams:
+            got = jn.transform(lam)
+            assert type(got) is float
+            assert got == float(w @ (jn(x) * np.cos(2.0 * np.pi * lam * x))), lam
+        assert np.allclose(jn.transform(np.array(lams)), [jn.transform(lam) for lam in lams], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("B", [2, 400])
+def test_gmc_approx_refuses_a_support_where_exp_is_not_injective(B, monkeypatch):
+    def no_sampling(jn, size):
+        raise AssertionError(f"sampled {size} points")
+
+    monkeypatch.setattr(mo, "_fft_table", no_sampling)
+    prof = mo.BumpProfile.standard(1.2)
+    f = tr.band(B, "fejer")
+    with pytest.raises(PreconditionError, match="exp is not injective on the support; need n >= 3"):
+        mo.gmc_approx(tr.comb(), tr.comb(), f, [2, 3], tr.TORUS, profile=prof)

@@ -525,11 +525,14 @@ def test_band_profiles_and_explicit_coefficients():
 
 
 def test_band_real_valued_flag_checked():
-    # the band equals its conjugate reverse, up to np.allclose with atol 1e-14
+    # the band equals its conjugate reverse, to 1e-14 times its largest coefficient
     assert not tr.TorusTestFunction(np.array([1j, 1.0, 1j])).real_valued
     assert tr.TorusTestFunction(np.array([1j, 1.0, -1j])).real_valued
     assert tr.TorusTestFunction(np.array([1e-15j, 1.0, 0.0])).real_valued
     assert not tr.TorusTestFunction(np.array([1e-3j, 1.0, 0.0])).real_valued
+    # no relative slack: f(1/4) has imaginary part 9e-6
+    f = tr.TorusTestFunction(np.array([1.0, 1.0, 1.000009]))
+    assert abs(f(0.25).imag) > 8e-6 and not f.real_valued
 
 
 def test_real_valued_survives_translation_and_derivatives():
