@@ -40,18 +40,16 @@ GRID_BLOCK = 1 << 16
 CSV_CHUNK = 4096
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    """Header and rows as CSV, written in chunks of CSV_CHUNK lines."""
+def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Header and rows of numbers as CSV, each value with 17 significant digits, one
+    '%' format per row, written in chunks of CSV_CHUNK lines."""
     rows = iter(rows)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     fh = sys.stdout if path is None else open(path, "w", newline="")
     try:
         fh.write(",".join(header) + "\n")
         for chunk in iter(lambda: list(itertools.islice(rows, CSV_CHUNK)), []):
-            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in chunk))
+            fh.write("".join(line % row for row in chunk))
     finally:
         if path is not None:
             fh.close()
@@ -110,7 +108,7 @@ def cmd_wigner(args) -> int:
     for i in range(0, P.size, GRID_BLOCK):
         at = order[i : i + GRID_BLOCK]
         vals[at] = hb.fourier_wigner(phi, psi, P[at], Q[at])
-    rows = zip(P, Q, vals.real, vals.imag, np.abs(vals))
+    rows = zip(*(a.tolist() for a in (P, Q, vals.real, vals.imag, np.abs(vals))))
     _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows)
     return 0
 

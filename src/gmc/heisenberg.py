@@ -43,6 +43,7 @@ from .errors import BudgetExceeded, PreconditionError, QuadratureAccuracyError
 from .groups import GroupModel, Laplacian
 from .hermite import (
     gauss_hermite_rule,
+    hermite_blocks,
     hermite_scaled,
     legendre_on_interval,
 )
@@ -93,12 +94,27 @@ PHASE_FLOOR = 1e-12
 # the finer (p, q) rule and the longer input that smoothing checks itself against
 CHECK_NODES = 8
 CHECK_COLUMNS = 24
+# rows of the Hermite table that one block of a point series holds
+SERIES_ROWS = 64
+# past this |x| every h_k(x) with k <= KERNEL_MAX_INDEX is below the float range
+_SERIES_REACH = 1e6
 _BLOCK = 64  # recurrence steps whose coefficients are built at once
 
 
 def _require_hermite(v: CoefficientVector) -> None:
     if v.domain is not IndexDomain.NATURALS:
         raise PreconditionError("Hermite vectors are indexed by the natural numbers")
+
+
+def is_dirac_delta(v: CoefficientVector) -> bool:
+    """v is the point distribution at 0, c_k = h_k(0): on the naturals from 0, with the
+    hermite_zero tail, and its stored prefix is that formula on its indices."""
+    return (
+        v.domain is IndexDomain.NATURALS
+        and v.start == 0
+        and v.tail.name == "hermite_zero"
+        and np.array_equal(v.prefix, v.tail.fn(np.arange(v.stop)))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -483,9 +499,10 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> tuple:
-    """(ws, c): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we at
-    scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach, and
-    psi_vec holds psi_k for start <= k < start + len(psi_vec) (psi is 0 elsewhere).
+    """(ws, c, reach): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we
+    at scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach,
+    psi_vec holds psi_k for start <= k < start + len(psi_vec) (psi is 0 elsewhere), and
+    reach is the last index of any row, in the window or not (-1 with no row).
 
     With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry is u^(k-j) W^(k)_j,
     and each row W^(k) of a nonzero psi_k depends on k and x only. It comes from one
@@ -506,7 +523,7 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     ks = start + np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
     nothing = lo, np.zeros((0, m), dtype=np.complex128)
     if not len(ks) or cols <= lo:
-        return nothing
+        return *nothing, -1
     # |a| past 1e6 puts the row past every window; below 1e-100 it is the identity
     x = np.maximum(math.pi * np.minimum(np.hypot(p, q), 1e6) ** 2, 1e-200)
     xs, at = np.unique(x, return_inverse=True)  # the row of x[i] is built at xs[at[i]]
@@ -515,11 +532,11 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     first, centre, last = _row_extents(lane_k, lane_x)
     live = np.flatnonzero((first < cols) & (last >= lo))
     if not len(live):
-        return nothing
-    reach = int(last[live].max())
-    if reach > KERNEL_MAX_INDEX:
-        raise BudgetExceeded(f"kernel rows reach index {reach}, past {KERNEL_MAX_INDEX}", math.inf)
-    ws, we = max(lo, int(first[live].min())), min(cols, reach + 1)
+        return *nothing, int(last.max())
+    top = int(last[live].max())
+    if top > KERNEL_MAX_INDEX:
+        raise BudgetExceeded(f"kernel rows reach index {top}, past {KERNEL_MAX_INDEX}", math.inf)
+    ws, we = max(lo, int(first[live].min())), min(cols, top + 1)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
@@ -554,16 +571,56 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     np.multiply(re, turn.real, block.real)
     block.real -= im * turn.imag
     np.add(np.multiply(re, turn.imag, re), np.multiply(im, turn.real, im), block.imag)
-    return ws, block
+    return ws, block, int(last.max())
 
 
 def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> np.ndarray:
     """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols: the
     block of _kernel_block, with zeros where no row reaches."""
-    ws, block = _kernel_block(psi_vec, cols, p, q, lo, start)
+    ws, block, _ = _kernel_block(psi_vec, cols, p, q, lo, start)
     out = np.zeros((cols - lo, block.shape[1]), dtype=np.complex128)
     out[ws - lo : ws - lo + len(block)] = block
     return out
+
+
+def _hermite_series(c: np.ndarray, start: int, x: np.ndarray) -> np.ndarray:
+    """sum_k c[k - start] h_k(x) at each point of a 1-d x, for c holding the coefficients
+    of start <= k < start + len(c).
+
+    The rows come from hermite_blocks in blocks of SERIES_ROWS, so memory grows with
+    len(x) only, and each point sums its terms in increasing k: its bits depend on no
+    other point. A point past |x| = _SERIES_REACH is 0. A last nonzero coefficient past
+    KERNEL_MAX_INDEX raises BudgetExceeded before any row is built.
+    """
+    out = np.zeros(len(x), dtype=np.complex128)
+    nonzero = np.flatnonzero(c)
+    if not len(nonzero):
+        return out
+    last = start + int(nonzero[-1])
+    if last > KERNEL_MAX_INDEX:
+        raise BudgetExceeded(f"the Hermite series reaches index {last}, past {KERNEL_MAX_INDEX}", math.inf)
+    near = np.flatnonzero(np.abs(x) <= _SERIES_REACH)
+    if not len(near):
+        return out
+    parts = np.stack([c.real, c.imag], axis=1)[:, :, None]
+    acc = np.zeros(2 * len(near))  # the real parts of the sums, then the imaginary parts
+    for k0, block in hermite_blocks(x[near], last, SERIES_ROWS):
+        lo, hi = max(k0, start), k0 + len(block)
+        if lo < hi:
+            terms = (parts[lo - start : hi - start] * block[lo - k0 :, None, :]).reshape(hi - lo, -1)
+            terms[0] += acc
+            # rows added one by one, in increasing k, as in _kernel_rows
+            acc = np.add.reduce(terms, axis=0)
+    out.real[near], out.imag[near] = acc[: len(near)], acc[len(near) :]
+    return out
+
+
+def _delta_phase(p, q) -> np.ndarray:
+    """exp(-i pi p q), broadcast, and 0 where p q leaves the float range."""
+    with np.errstate(over="ignore"):
+        t = -0.5 * p * q
+    live = np.isfinite(t)
+    return np.where(live, _character(np.where(live, t, 0.0)), 0.0)
 
 
 def matrix_element(g, j: int, k: int) -> complex:
@@ -581,17 +638,22 @@ def _reach(r2: float, level: int) -> int:
     return int(math.ceil(2.6 * math.sqrt(s * (level + 32)) + s)) + 16
 
 
-def _displacement_margin(f: HTestFunction, N: int) -> int:
-    """Input truncation margin, at least INPUT_MARGIN, scaled to the support's phase-space reach.
-
-    Smoothing reads Hermite functions at p/2 and phases q b, which leave the
-    float range past |p|, |q| = 1e150: such supports are refused. Past p^2 + q^2
-    = 1e16 the reach is past any table smoothing may build, and is taken there.
-    """
+def _support_extent(f: HTestFunction) -> tuple:
+    """(pm, qm), the largest |p| and |q| of f's support. Smoothing reads Hermite functions
+    at p/2 and phases q b, and its rules nodes on the support, which leave the float range
+    past |p|, |q| = 1e150: such supports are refused."""
     pm = float(np.max(np.abs(f.support[0])))
     qm = float(np.max(np.abs(f.support[1])))
     if not max(pm, qm) <= 1e150:
         raise PreconditionError(f"test function support reaches |p| or |q| = {max(pm, qm):.3g}, past 1e150")
+    return pm, qm
+
+
+def _displacement_margin(f: HTestFunction, N: int) -> int:
+    """Input truncation margin, at least INPUT_MARGIN, scaled to the support's phase-space
+    reach (_support_extent). Past p^2 + q^2 = 1e16 the reach is past any table smoothing
+    may build, and is taken there."""
+    pm, qm = _support_extent(f)
     return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
@@ -747,6 +809,18 @@ def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
     return n
 
 
+def _rule_weights(f: HTestFunction, pn: np.ndarray, pw: np.ndarray, q_box, nodes: int) -> tuple:
+    """(qn, weights): the nodes-point Gauss-Legendre rule qn, qw on q_box = (q0, q1), and
+    weights = pw F_1(pn, qn) qw on the grid pn x qn. Values past the float range raise
+    PreconditionError."""
+    qn, qw = legendre_on_interval(*q_box, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = pw[:, None] * f.central_transform(pn, qn, 1.0) * qw
+    if not np.isfinite(weights).all():
+        raise PreconditionError("test function values leave the float range on its (p, q) rule")
+    return qn, weights
+
+
 def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0) -> tuple:
     """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
     extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
@@ -768,11 +842,7 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
         # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
         # are, and dx = dy / sqrt(2 pi)
         pn, pw = legendre_on_interval(p0, p1, nodes)
-        qn, qw = legendre_on_interval(q0, q1, nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = (pw / SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
-        if not np.isfinite(weights).all():
-            raise PreconditionError("test function values leave the float range on its (p, q) rule")
+        qn, weights = _rule_weights(f, pn, pw / SQRT_2PI, (q0, q1), nodes)
         # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
         half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
         return pn, pw, weights, np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
@@ -864,23 +934,64 @@ def gmc_eval(
 ) -> complex:
     """<pi(f) phi, psi>: smooth phi to quad.truncation coefficients, or to the stop of a
     finitely supported psi that reaches past it, so that the pairing drops no term of
-    psi; then pair with psi."""
+    psi; then pair with psi. The point distribution delta (is_dirac_delta) as phi, against
+    a rapid-decay or finite psi or against delta, takes its closed form (_delta_eval)."""
+    if is_dirac_delta(phi) and (psi.finite_support or psi.growth is GrowthClass.RAPID_DECAY or is_dirac_delta(psi)):
+        return _delta_eval(psi, f, quad, abs_tol)
     if psi.finite_support and psi.stop > quad.truncation:
         quad = replace(quad, truncation=psi.stop)
     return pair(smooth_by(f, phi, quad), psi, abs_tol=abs_tol)
+
+
+def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_tol: float) -> complex:
+    """<pi(f) delta, psi> = int int F_1(p, q) exp(-i pi p q) psi(-p) dp dq, with psi(x) =
+    sum_k psi_k h_k(x), and <pi(f) delta, delta> = int F_1(0, q) dq (Folland 1.3).
+
+    Both are taken on f's Gauss-Legendre rule and checked, as smoothing is, against the
+    rule CHECK_NODES finer per axis: a gap above quad.check_tol (1 + |result|) raises
+    QuadratureAccuracyError. One series call gives psi(-p) at both rules' p-nodes. An
+    infinite psi is read to where the envelope bounds its dropped |psi_k| by abs_tol /
+    (1.3 (1 + sum |weights|)), since |h_k| <= 1.3.
+    """
+    _support_extent(f)
+    (p0, p1), q_box = f.support[:2]
+    rules = (f.nodes, f.nodes + CHECK_NODES)
+    if is_dirac_delta(psi):
+        out, check = (complex(np.sum(_rule_weights(f, np.zeros(1), np.ones(1), q_box, n)[1])) for n in rules)
+    else:
+        pns, rows = [], []  # per rule, its p-nodes and the q-sums of the weights and phases there
+        for nodes in rules:
+            pn, pw = legendre_on_interval(p0, p1, nodes)
+            qn, weights = _rule_weights(f, pn, pw, q_box, nodes)
+            pns.append(pn)
+            rows.append(np.sum(weights * _delta_phase(pn[:, None], qn), axis=1))
+        if psi.finite_support:
+            start, vec = psi.start, psi.prefix
+        else:
+            scale = 1.3 * (1.0 + float(np.sum(np.abs(rows[0]))))
+            start, vec = 0, psi.dense(0, psi.abs_tail_extent(abs_tol / scale) - 1)
+        series = _hermite_series(vec, start, -np.concatenate(pns))
+        out, check = complex(rows[0] @ series[: f.nodes]), complex(rows[1] @ series[f.nodes :])
+    gap, tol = abs(out - check), quad.check_tol * (1.0 + abs(out))
+    if not gap <= tol:
+        raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out, check)
+    return out
 
 
 def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np.ndarray:
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
     p, q are broadcast scalars or arrays, and so is the result. psi must be
-    rapid-decay; phi may be any class. The kernel is built once, as one block of
-    the columns j the sum reads (_kernel_block): a finite phi's from its first
-    nonzero index to its stop, an infinite phi's from 0 to the last column a row
+    rapid-decay; phi may be any class. The point distribution delta (is_dirac_delta)
+    as phi gives exp(-i pi p q) sum_k psi_k h_k(-p) (Folland 1.3), one Hermite series
+    per distinct p (_hermite_series). Any other phi reads the kernel, built once as
+    one block of the columns j the sum reads (_kernel_block): a finite phi's from its
+    first nonzero index to its stop, an infinite phi's from 0 to the last column a row
     of psi reaches at any point, or to FW_MAX_COLS if that comes first. The terms
-    are summed in increasing j, so a point has the bits it has alone. If the block
-    of an infinite phi reaches FW_MAX_COLS and its last 32 terms do not sum below
-    FW_ABS_TOL / 4 at every point, BudgetExceeded.
+    are summed in increasing j (or k), so a point has the bits it has alone. An
+    infinite phi raises BudgetExceeded where a row of psi reaches past FW_MAX_COLS
+    and either the block stops short of it or its last 32 terms do not sum below
+    FW_ABS_TOL / 4 at every point.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -894,13 +1005,17 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
         start, psi_vec = psi.start, psi.prefix
     else:
         start, psi_vec = 0, psi.dense(0, psi.abs_tail_extent(FW_ABS_TOL / 8.0) - 1)
+    if is_dirac_delta(phi):
+        x, at = np.unique((-ps).view(np.int64), return_inverse=True)  # distinct bits: -0.0 is not 0.0
+        total = _cmul(_delta_phase(ps, qs), _hermite_series(psi_vec, start, x.view(float))[at])
+        return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
     if phi.finite_support:
         top, nonzero = max(phi.stop, 1), np.flatnonzero(phi.prefix)
         lo = phi.start + int(nonzero[0]) if len(nonzero) else 0
     else:
         lo, top = 0, FW_MAX_COLS
-    ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo, start=start)
+    ws, kernel, reach = _kernel_block(psi_vec, top, ps, qs, lo, start=start)
     we = ws + len(kernel)
     terms = _cmul(phi.dense(ws, we - 1)[:, None], kernel)
     total = np.zeros(len(ps), dtype=np.complex128)
@@ -910,8 +1025,9 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     if bad:
         message = f"pointwise coefficient at {we} columns is not finite at {bad} points"
         raise QuadratureAccuracyError(message, bad, 0.0, total, None)
-    if not phi.finite_support and we >= FW_MAX_COLS:
-        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0)))
+    if not phi.finite_support and (we >= FW_MAX_COLS or reach >= FW_MAX_COLS):
+        # a block that stops short of FW_MAX_COLS misses the rows that start past it
+        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0))) if we >= FW_MAX_COLS else math.inf
         if not tail_block < FW_ABS_TOL / 4.0:
             raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)

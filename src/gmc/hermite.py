@@ -28,7 +28,7 @@ _ZERO_SERIES_FROM = 301  # see hermite_at_zero_values
 
 
 def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
-    """Values h_k(x) for k = 0..nmax; shape (nmax+1, len(x)).
+    """Values h_k(x) for k = 0..nmax; shape (nmax+1, len(x)): hermite_blocks in one block.
 
     hermite_scaled(-x, n)[k] == (-1)^k hermite_scaled(x, n)[k] exactly. Where
     the start 2^{1/4} exp(-pi x^2) would underflow (|x| > 13.8), a column starts
@@ -37,26 +37,46 @@ def hermite_scaled(x: np.ndarray, nmax: int) -> np.ndarray:
     such factor: it starts each kernel row where the row is negligible and scales
     it to unit norm afterwards.)
     """
+    ((_, table),) = hermite_blocks(x, nmax, nmax + 1)
+    return table
+
+
+def hermite_blocks(x: np.ndarray, nmax: int, rows: int):
+    """h_k(x) for k = 0..nmax in blocks of rows rows (at least 2): yields (k0, block),
+    block[i] = h_{k0+i}(x), and overwrites a block with the next.
+
+    One recurrence, which carries its last two rows and each far column's exp(shift)
+    from block to block, so it holds rows + 2 rows of len(x). A block's far columns
+    are scaled back by the shift at its end; a column's values depend on the other
+    columns in no way, and on rows only through the block ends of its far columns.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     log_h0 = 0.25 * math.log(2.0) - math.pi * x * x
     shift = np.maximum(_FLOOR - log_h0, 0.0)
     far = np.flatnonzero(shift)
-    out = np.empty((nmax + 1, x.size))
-    np.exp(log_h0 + shift, out=out[0])
+    buf = np.empty((min(rows, nmax + 1) + 2, x.size))  # buf[2 + k - k0] holds h_k
+    buf[:2] = 0.0
+    np.exp(log_h0 + shift, out=buf[2])
     cx = _TWO_SQRT_PI * x
     if nmax >= 1:
-        np.multiply(cx, out[0], out=out[1])
+        np.multiply(cx, buf[2], out=buf[3])
     tmp = np.empty(x.size)
-    for k in range(1, nmax):  # in place, in the formula's operation order: same bits
-        row = out[k + 1]
-        np.multiply(cx, out[k], out=row)
-        row -= np.multiply(math.sqrt(k), out[k - 1], out=tmp)
-        row /= math.sqrt(k + 1)
-        if far.size and (big := far[np.abs(row[far]) > _STEP]).size:
-            out[: k + 2, big] /= _STEP  # the whole column keeps one scale
-            shift[big] -= math.log(_STEP)
-    out[:, far] *= np.exp(-shift[far])
-    return out
+    for k0 in range(0, nmax + 1, rows):
+        top = min(k0 + rows, nmax + 1)
+        for k in range(max(k0 - 1, 1), top - 1):  # in place, in the formula's operation order: same bits
+            row = buf[k + 3 - k0]
+            np.multiply(cx, buf[k + 2 - k0], out=row)
+            row -= np.multiply(math.sqrt(k), buf[k + 1 - k0], out=tmp)
+            row /= math.sqrt(k + 1)
+            if far.size and (big := far[np.abs(row[far]) > _STEP]).size:
+                buf[: k + 4 - k0, big] /= _STEP  # the whole column keeps one scale
+                shift[big] -= math.log(_STEP)
+        block = buf[2 : top + 2 - k0]
+        carry = block[-2:].copy() if top <= nmax else None
+        block[:, far] *= np.exp(-shift[far])
+        yield k0, block
+        if carry is not None:
+            buf[:2] = carry
 
 
 @lru_cache(maxsize=64)

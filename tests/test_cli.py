@@ -708,7 +708,7 @@ def test_quadrature_accuracy_error_reports_the_gap(tmp_path):
 
 
 def test_wigner_past_the_column_budget_is_bad_input():
-    code, _, err = run_cli("wigner", "delta", "e:900", "--grid=-2:2:3,-2:2:3")
+    code, _, err = run_cli("wigner", "poly-growth:0", "e:900", "--grid=-2:2:3,-2:2:3")
     assert code == 2
     assert "needs more than max_cols" in err
 
@@ -737,9 +737,72 @@ def test_wigner_prints_no_partial_grid_when_a_block_fails(monkeypatch):
     import gmc.cli as cli
 
     monkeypatch.setattr(cli, "GRID_BLOCK", 2)
-    code, out, err = run_cli("wigner", "delta", "e:900", "--grid=-2:2:3,-2:2:3")
+    code, out, err = run_cli("wigner", "poly-growth:0", "e:900", "--grid=-2:2:3,-2:2:3")
     assert code == 2 and out == ""
     assert "needs more than max_cols" in err
+
+
+def test_wigner_of_an_infinite_phi_past_the_columns_is_bad_input():
+    # every row of h_2000 at these points starts past the 1024 columns an infinite phi is
+    # read to: that used to print four rows of zeros, where the value at (0, 0) is phi_2000 = 1
+    code, out, err = run_cli("wigner", "poly-growth:0", "e:2000", "--grid=0:1:2,0:1:2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "needs more than max_cols" in err
+
+
+def test_wigner_delta_at_a_high_index_is_the_hermite_function():
+    # |<pi(p, q, 0) delta, h_20000>| = |h_20000(-p)|, against mpmath at 40 digits
+    code, out, _ = run_cli("wigner", "delta", "e:20000", "--grid=0:1:3,0:1:3")
+    assert code == 0
+    exact = {0.0: 0.089323825898143993, 0.5: 0.070396141213356459, 1.0: 0.020779128910246388}
+    _, rows = _parse_csv(out)
+    assert len(rows) == 9
+    for p, _, _, _, mag in rows:
+        assert abs(mag - exact[p]) < 1e-13
+
+
+def test_wigner_delta_past_the_former_column_budget_exits_0():
+    code, out, err = run_cli("wigner", "delta", "e:900", "--grid=-2:2:3,-2:2:3")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 10
+
+
+def test_wigner_delta_at_far_points_is_exactly_zero():
+    # h_k(-1e300) is below the float range, and so is the point's value: no nan, no warning
+    code, out, err = run_cli("wigner", "delta", "e:0", "--grid=-1.5:1e300:2,-1.5:-1.5:1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "1.0000000000000001e+300,-1.5,0,0,0"
+    assert "nan" not in out
+
+
+def test_wigner_delta_against_a_slow_geometric_partner(tmp_path):
+    # psi_k = 0.995^k reads to 8,192 coefficients, past the 1024 columns of the kernel
+    # route; delta's series takes them all: sum_m 0.995^(2m) h_2m(0), mpmath at 30 digits
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({
+        "index_domain": "naturals", "start": 0, "coefficients": [[1.0, 0.0]],
+        "tail": {"name": "geometric", "params": [0.995]},
+        "envelope": {"constant": 1.0, "degree": 0.0, "all_orders": True, "ratio": 0.995},
+    }))
+    code, out, err = run_cli("wigner", "delta", f"json:{path}", "--grid=0:0:1,0:0:1")
+    assert (code, err) == (0, "")
+    p, q, re, im, mag = (float(v) for v in out.splitlines()[1].split(","))
+    assert (p, q, im) == (0.0, 0.0, 0.0) and mag == re
+    assert abs(re - 0.73423527108990918933) < 1e-13
+
+
+def test_csv_values_have_17_significant_digits(tmp_path):
+    # one '%' format per row prints what format(float(v), ".17g") prints, integers included
+    from gmc.cli import _write_csv
+
+    values = (0, 7, -(2**60), 0.0, -0.0, 0.1, 1 / 3, -2.5e-320, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+    rows = [values[i : i + 4] for i in range(0, len(values), 4)] + [tuple(np.float64([1.25, -3e-9, 2.0, 7.5]))]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), ["a", "b", "c", "d"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c,d"
+    assert lines[1:] == [",".join(format(float(v), ".17g") for v in row) for row in rows]
 
 
 def test_wigner_past_the_grid_budget_is_bad_input():

@@ -303,7 +303,7 @@ _QUAD64 = QuadratureSpec(truncation=64)
 def test_functional_evaluates_at_the_model_truncation():
     # direct and after each dualized operation, the functional of the model from
     # with_quadrature has the bits of gmc_eval at that quad on the dualized test function
-    phi, psi = hb.dirac_delta(), hb.unit_vector(1)
+    phi, psi = hb.poly_growth_vector(0.0), hb.unit_vector(1)
     f = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
     h = hb.HeisenbergElement(0.2, -0.3, 0.1)
     F = gmc_functional(phi, psi, hb.with_quadrature(_QUAD64))

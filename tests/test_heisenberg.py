@@ -840,16 +840,16 @@ def test_far_centres_give_the_oracle_or_a_typed_error(centre, pair_):
     assert abs(got - ref) < 1e-10
 
 
-@pytest.mark.parametrize("q, value", [(3.0, 0.0606), (3.5, -0.0365), (10.0, -0.00531)])
+@pytest.mark.parametrize(
+    "q, value", [(3.0, 0.0606), (3.5, -0.0365), (6.0, 0.0145), (8.0, 0.00192), (10.0, -0.00531), (20.0, 0.00104)]
+)
 def test_far_centre_delta_gives_the_oracle_or_a_typed_error(q, value):
+    # delta's closed form leaves no typed error: smoothing's band raised from q = 6 on
     f = _SMALL_BUMP.left_translate((0, q, 0))
     ref = _weighted_wigner_oracle(f, hb.dirac_delta(), hb.unit_vector(0))
     assert abs(ref - value) < 5e-5
-    try:
-        got = hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), f)
-    except GmcError:
-        return
-    assert abs(got - ref) < 1e-6
+    got = hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), f)
+    assert abs(got - ref) < 1e-9
 
 
 def test_x_rule_grows_only_past_the_base_rule():
@@ -922,6 +922,63 @@ def test_gmc_delta_mollifier_limit():
     assert errs[2] < 0.02
 
 
+def _smoothing_route(phi, psi, f):
+    """<pi(f) phi, psi> by smoothing phi and pairing, as gmc_eval takes any phi but delta."""
+    quad = QuadratureSpec(truncation=max(40, psi.stop))
+    return pair(hb.smooth_by(f, phi, quad), psi)
+
+
+_DELTA_CASES = {
+    "bump": _BUMP,
+    "translated": _BUMP.left_translate((0.3, -0.2, 0.1)),
+    "translated-PQ": _BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q),
+    "QZ-right-translated": _BUMP.right_translate((-0.4, 0.25, 0.3)).left_derive(Q * Z),
+    "small-Rt": _SMALL_BUMP.right_translate((0.2, -0.1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DELTA_CASES))
+def test_delta_eval_matches_the_smoothing_route(case):
+    # int int F_1(p, q) exp(-i pi p q) psi(-p) dp dq against pi(f) delta paired with psi
+    f = _DELTA_CASES[case]
+    for psi in (hb.unit_vector(0), hb.unit_vector(3), hb.unit_vector(8), hb.gaussian_vector(0.9)):
+        got = hb.gmc_eval(hb.dirac_delta(), psi, f)
+        ref = _smoothing_route(hb.dirac_delta(), psi, f)
+        assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+def test_delta_eval_reads_an_infinite_partner_to_abs_tol():
+    # psi_k = 0.6^k: against the same coefficients stored to where 0.6^k is below 1e-17
+    tail = Tail.formula("geometric", 0.6)
+    psi = CoefficientVector(IndexDomain.NATURALS, 0, [1.0], tail.envelope, tail)
+    finite = vector_from_prefix(IndexDomain.NATURALS, 0, tail.fn(np.arange(80)), GrowthClass.RAPID_DECAY)
+    for f in (_BUMP, _DELTA_CASES["translated-PQ"]):
+        got = hb.gmc_eval(hb.dirac_delta(), psi, f)
+        assert abs(got - hb.gmc_eval(hb.dirac_delta(), finite, f)) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["bump", "translated", "translated-PQ"])
+def test_delta_pairs_with_delta_on_the_q_rule(case):
+    # <pi(f) delta, delta> = int F_1(0, q) dq, against a 128-node q-rule
+    f = _DELTA_CASES[case]
+    qn, qw = f.axis_rule(1, 128)
+    ref = complex(f.central_transform(np.zeros(1), qn, 1.0)[0] @ qw)
+    got = hb.gmc_eval(hb.dirac_delta(), hb.dirac_delta(), f)
+    assert abs(got - ref) < 1e-9
+    if case == "bump":
+        assert abs(got - 1.20366243662) < 1e-9
+
+
+def test_delta_eval_checks_its_rule():
+    tight = QuadratureSpec(check_tol=1e-16)
+    for psi in (hb.unit_vector(0), hb.dirac_delta()):
+        with pytest.raises(QuadratureAccuracyError, match="smoothing quadrature has not converged") as err:
+            hb.gmc_eval(hb.dirac_delta(), psi, _BUMP, quad=tight)
+        assert err.value.gap > err.value.tol
+    with pytest.raises(PreconditionError, match="test function values leave the float range"):
+        hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), 1e308 * _BUMP)
+
+
 # --- pointwise coefficients (Fourier-Wigner) ------------------------------------------
 
 
@@ -977,21 +1034,117 @@ def test_fourier_wigner_default_budget_reaches_the_tail(monkeypatch):
     assert np.max(np.abs(got - wide)) < 1e-12
 
 
+def _finite_delta(n=hb.FW_MAX_COLS):
+    """delta's first n coefficients as a finite vector: not delta, so it takes the kernel route."""
+    return vector_from_prefix(IndexDomain.NATURALS, 0, hb.dirac_delta(n).prefix, GrowthClass.POLYNOMIAL_GROWTH)
+
+
 def test_fourier_wigner_delta_reaches_the_partner_band():
-    # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p)
+    # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p), and the kernel route on delta's
+    # first coefficients is a second reference
     p, q = -0.3918, -0.3265
-    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(104), p, q)
     exact = np.exp(-1j * np.pi * p * q) * hermite_scaled(np.array([-p]), 104)[104, 0]
-    assert abs(got - exact) < 1e-12
+    for phi in (hb.dirac_delta(), _finite_delta()):
+        got = hb.fourier_wigner(phi, hb.unit_vector(104), p, q)
+        assert abs(got - exact) < 1e-12
 
 
 @pytest.mark.parametrize("k", [410, 600])
 def test_fourier_wigner_delta_is_the_hermite_function_at_high_index(k):
     # <pi(p, q, 0) delta, h_k> = exp(-i pi p q) h_k(-p) across the benchmark's heavy range
     P, Q = np.meshgrid(np.linspace(-1.7, 1.7, 5), np.linspace(-1.7, 1.7, 5), indexing="ij")
-    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(k), P, Q)
     exact = np.exp(-1j * np.pi * P * Q) * hermite_scaled(-P.ravel(), k)[k].reshape(P.shape)
-    assert np.max(np.abs(got - exact)) < 1e-12
+    for phi in (hb.dirac_delta(), _finite_delta()):
+        got = hb.fourier_wigner(phi, hb.unit_vector(k), P, Q)
+        assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_dirac_delta_is_recognized_by_its_coefficients():
+    delta = hb.dirac_delta()
+    payload = delta.to_json()
+    assert hb.is_dirac_delta(delta) and hb.is_dirac_delta(hb.dirac_delta(3))
+    assert hb.is_dirac_delta(CoefficientVector.from_json(payload))
+    # another prefix under the same tail, another start, no tail, a derived tail
+    other = dict(payload, coefficients=[[1.0, 0.0]])
+    assert not hb.is_dirac_delta(CoefficientVector.from_json(other))
+    shifted = CoefficientVector(IndexDomain.NATURALS, 1, delta.prefix[1:], delta.envelope, delta.tail)
+    assert not hb.is_dirac_delta(shifted)
+    assert not hb.is_dirac_delta(_finite_delta())
+    assert not hb.is_dirac_delta(delta.map(lambda c, k: c))
+
+
+@pytest.mark.parametrize("k", [0, 7, 301])
+def test_fourier_wigner_delta_matches_the_kernel_route(k):
+    # odd and even indices, against the kernel sum over delta's first 1024 coefficients
+    P, Q = np.meshgrid(np.linspace(-1.9, 1.3, 6), np.linspace(-1.2, 1.7, 5), indexing="ij")
+    for psi in (hb.unit_vector(k), hb.gaussian_vector(0.8)):
+        got = hb.fourier_wigner(hb.dirac_delta(), psi, P, Q)
+        ref = hb.fourier_wigner(_finite_delta(), psi, P, Q)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_fourier_wigner_delta_has_the_bits_of_single_points():
+    # far columns (|p| > 13.8) carry a scale through the series' blocks, and -0.0 is
+    # read as itself
+    p = np.array([-20.0, 14.5, 0.3, -0.0, 0.0, 13.9, -0.3, 20.0])
+    q = np.array([0.4, -1.1, 0.2, 0.7, 0.7, 3.0, 0.2, -0.4])
+    for psi in (hb.unit_vector(1), hb.unit_vector(1500), hb.gaussian_vector(0.2)):
+        got = hb.fourier_wigner(hb.dirac_delta(), psi, p, q)
+        single = np.array([hb.fourier_wigner(hb.dirac_delta(), psi, a, b) for a, b in zip(p, q)])
+        assert np.array_equal(got.view(np.int64), single.view(np.int64))
+    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(1500), p, q)
+    exact = np.exp(-1j * np.pi * p * q) * hermite_scaled(-p, 1500)[1500]
+    assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+def test_fourier_wigner_delta_at_far_points_is_exactly_zero(monkeypatch):
+    # every h_k(-p) below the float range, or p q past it: 0, with no warning
+    p = np.array([1e300, -1e7, 1e5, -1.5e154, 1e200, 0.25])
+    q = np.array([-1.5, 1e300, -1e5, 1e154, 1e200, -0.5])
+    for k in (0, 5, 2000):
+        got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(k), p, q)
+        assert np.all(got[:5] == 0) and got[5] != 0
+    # with no point in reach, no row is built
+    monkeypatch.setattr(hb, "hermite_blocks", None)
+    got = hb.fourier_wigner(hb.dirac_delta(), hb.unit_vector(hb.KERNEL_MAX_INDEX), np.array([1e300, -1e7]), 0.0)
+    assert np.all(got == 0)
+
+
+def test_pointwise_delta_reaches_an_index_past_the_kernel_columns():
+    # the kernel route read delta to 1024 columns and returned 0 here
+    got = hb.pointwise_coefficient(hb.dirac_delta(), hb.unit_vector(5000))((0.2, 0.1, 0.0))
+    exact = np.exp(-1j * np.pi * 0.02) * hermite_scaled(np.array([-0.2]), 5000)[5000, 0]
+    assert abs(exact) > 0.05 and abs(got - exact) < 1e-13
+
+
+def test_fourier_wigner_of_an_infinite_phi_past_the_columns_raises():
+    # rows of h_20000 start past FW_MAX_COLS: no silent 0, where the value is phi_20000 = 1
+    with pytest.raises(BudgetExceeded, match="needs more than max_cols"):
+        hb.fourier_wigner(hb.poly_growth_vector(0.0), hb.unit_vector(20000), 0.0, 0.0)
+    # one far point among near ones is enough
+    with pytest.raises(BudgetExceeded, match="needs more than max_cols"):
+        hb.fourier_wigner(hb.poly_growth_vector(0.0), hb.unit_vector(5), np.array([0.1, 1e5]), 0.0)
+
+
+def test_delta_series_past_the_index_cap_raises_before_any_row(monkeypatch):
+    import tracemalloc
+
+    def no_rows(*args):
+        raise AssertionError("built a Hermite row")
+
+    monkeypatch.setattr(hb, "hermite_blocks", no_rows)
+    far = hb.unit_vector(hb.KERNEL_MAX_INDEX + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="past"):
+            hb._hermite_series(np.ones(1), hb.KERNEL_MAX_INDEX + 1, np.zeros(9))
+        with pytest.raises(BudgetExceeded):
+            hb.fourier_wigner(hb.dirac_delta(), far, np.zeros(9), np.zeros(9))
+        with pytest.raises(BudgetExceeded):
+            hb.gmc_eval(hb.dirac_delta(), far, _BUMP)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_fourier_wigner_array_matches_scalar_calls():
@@ -1061,8 +1214,8 @@ def test_fourier_wigner_of_unit_vectors_reads_one_column(monkeypatch):
 @pytest.mark.parametrize(
     "phi, psi, shape",
     [
-        (hb.dirac_delta(), hb.unit_vector(410), (7, 6)),
-        (hb.dirac_delta(), hb.gaussian_vector(0.8), (9, 9)),
+        (_finite_delta(), hb.unit_vector(410), (7, 6)),
+        (_finite_delta(), hb.gaussian_vector(0.8), (9, 9)),
         (hb.poly_growth_vector(0.8), hb.unit_vector(300), (4, 4)),
         (hb.gaussian_vector(0.8), hb.unit_vector(40), (5, 5)),
     ],
