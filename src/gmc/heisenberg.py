@@ -951,7 +951,7 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     rule CHECK_NODES finer per axis: a gap above quad.check_tol (1 + |result|) raises
     QuadratureAccuracyError. One series call gives psi(-p) at both rules' p-nodes. An
     infinite psi is read to where the envelope bounds its dropped |psi_k| by abs_tol /
-    (1.3 (1 + sum |weights|)), since |h_k| <= 1.3.
+    (1.3 (1 + sum over p of |the q-sum of weights and phases|)), since |h_k| <= 1.3.
     """
     _support_extent(f)
     (p0, p1), q_box = f.support[:2]
