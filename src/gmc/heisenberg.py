@@ -75,17 +75,15 @@ BOX_NODES = 48
 INPUT_MARGIN = 32
 # largest Hermite index of a gaussian_vector prefix: widths from about 0.049 to 20.4
 GAUSSIAN_MAX_INDEX = 13_000
-# entries of the largest Hermite table smoothing may build (512 MiB of float64)
-SMOOTH_TABLE_BUDGET = 1 << 26
+# entries of the largest Hermite table of smoothing or kernel block of fourier_wigner (512 MiB of float64)
+TABLE_BUDGET = 1 << 26
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
 # entries of the largest recurrence history one pass of kernel rows keeps
 KERNEL_CHUNK = 1 << 16
-# kernel rows build a scaling table from index 0 to their last index, which may not pass this
+# kernel rows take their scaling products from index 0 to their last index, which may not pass this
 KERNEL_MAX_INDEX = 1 << 24
-# fourier_wigner reads an infinite phi to at most FW_MAX_COLS columns, where its last
-# 32 terms must sum below FW_ABS_TOL / 4, and psi's tail to FW_ABS_TOL / 8
-FW_MAX_COLS = 1024
+# fourier_wigner reads an infinite psi to where its dropped |psi_k| sum below FW_ABS_TOL / 8
 FW_ABS_TOL = 1e-10
 _LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
 # smoothing's Gauss-Hermite rule is grown until the phase exp(2 pi i q b) moves no Hermite
@@ -410,6 +408,21 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
     return first, centre, np.ceil(t[:n]).astype(np.int64)
 
 
+def _scaling_table(lo: int, hi: int) -> np.ndarray:
+    """t_j for lo <= j <= hi, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1}: each chain
+    (even j, odd j) is one cumprod from index 0, taken in blocks of KERNEL_CHUNK with the
+    running product carried, so t_j has its bits whatever the window."""
+    t, carry = np.ones(hi - lo + 1), np.ones(2)  # carry: the even and the odd chain
+    for b in range(2, hi + 1, KERNEL_CHUNK):  # b is even
+        j = np.arange(float(b), min(b + KERNEL_CHUNK, hi + 1))
+        block = np.sqrt((j - 1.0) / j)
+        for parity in (0, 1):
+            chain = np.cumprod(np.r_[carry[parity], block[parity::2]])
+            block[parity::2], carry[parity] = chain[1:], chain[-1]
+        t[max(b - lo, 0) : max(b + len(j) - lo, 0)] = block[max(lo - b, 0) :]  # empty below lo
+    return t
+
+
 def _kernel_rows(k: np.ndarray, x: np.ndarray, first, centre, last, ws: int, we: int) -> np.ndarray:
     """W^(k)_j for ws <= j < we (table rows) at one (k, x) per column, each row of unit norm.
 
@@ -433,14 +446,12 @@ def _kernel_rows(k: np.ndarray, x: np.ndarray, first, centre, last, ws: int, we:
     f0, b0 = int(first.min()), int(last.max())
     steps = max(int(centre.max()) + 2 - f0, b0 + 1 - int(centre.min()))
     rows = np.stack([f0 + np.arange(steps), np.maximum(b0 - np.arange(steps), 1)], axis=1)
-    top = max(b0, f0 + steps) + 1
-    r = np.sqrt(np.arange(1.0, top - 1) / np.arange(2.0, top))
-    t = np.ones(top)  # t_{j+1} = r_j t_{j-1}
-    t[2::2], t[3::2] = np.cumprod(r[::2])[: len(t[2::2])], np.cumprod(r[1::2])[: len(t[3::2])]
-    t_row = t[rows]  # (steps, 2): forward, backward
+    t0 = min(f0, int(rows[-1, 1]) - 1)  # the indices read: rows, forward + 1, backward - 1
+    t = _scaling_table(t0, max(f0 + steps, b0))
+    t_row = t[rows - t0]  # (steps, 2): forward, backward
     # d_j = c_j t_j / (t_next sqrt(j + 1 forward, j backward)), from the same t_j: exact
     # arithmetic gives t_j^2, but the table's rounding must cancel in W = t V
-    g_row = t_row / (t[rows + [1, -1]] * np.sqrt(rows + [1, 0]))
+    g_row = t_row / (t[rows + [1 - t0, -1 - t0]] * np.sqrt(rows + [1, 0]))
     # the own steps of each pass: forward rows first..centre, backward rows last..centre + 1
     start = np.stack([first - f0, b0 - last])
     stop = np.stack([centre - f0, b0 - centre - 1])
@@ -499,10 +510,9 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> tuple:
-    """(ws, c, reach): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we
-    at scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach,
-    psi_vec holds psi_k for start <= k < start + len(psi_vec) (psi is 0 elsewhere), and
-    reach is the last index of any row, in the window or not (-1 with no row).
+    """(ws, c): c[j - ws, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for ws <= j < we at
+    scalar or 1-d p, q, where [ws, we) is the part of [lo, cols) that the rows reach and
+    psi_vec holds psi_k for start <= k < start + len(psi_vec) (psi is 0 elsewhere).
 
     With a = sqrt(pi)(iq - p), x = |a|^2 and u = a/|a|, the entry is u^(k-j) W^(k)_j,
     and each row W^(k) of a nonzero psi_k depends on k and x only. It comes from one
@@ -514,16 +524,16 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     rows, so every entry has the bits of the lo = 0 result, and a point the bits it has
     alone. Columns outside [ws, we) are 0, and so is a point whose rows all lie outside
     [lo, cols), an overflowing x included; x below 1e-200 is taken as 1e-200, where the
-    kernel is the identity to 1e-100. A row that reaches past KERNEL_MAX_INDEX raises
-    BudgetExceeded before any is built.
+    kernel is the identity to 1e-100. A row that reaches past KERNEL_MAX_INDEX, or a block
+    of more than TABLE_BUDGET entries, raises BudgetExceeded before any row is built.
     """
     p, q = np.atleast_1d(p, q)
     m = len(p)
     size = np.abs(psi_vec)
     ks = start + np.flatnonzero(size > KERNEL_FLOOR * size.max(initial=0.0))  # like the row ends
     nothing = lo, np.zeros((0, m), dtype=np.complex128)
-    if not len(ks) or cols <= lo:
-        return *nothing, -1
+    if not len(ks) or cols <= lo or not m:
+        return nothing
     # |a| past 1e6 puts the row past every window; below 1e-100 it is the identity
     x = np.maximum(math.pi * np.minimum(np.hypot(p, q), 1e6) ** 2, 1e-200)
     xs, at = np.unique(x, return_inverse=True)  # the row of x[i] is built at xs[at[i]]
@@ -532,11 +542,13 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     first, centre, last = _row_extents(lane_k, lane_x)
     live = np.flatnonzero((first < cols) & (last >= lo))
     if not len(live):
-        return *nothing, int(last.max())
+        return nothing
     top = int(last[live].max())
     if top > KERNEL_MAX_INDEX:
         raise BudgetExceeded(f"kernel rows reach index {top}, past {KERNEL_MAX_INDEX}", math.inf)
     ws, we = max(lo, int(first[live].min())), min(cols, top + 1)
+    if (we - ws) * m > TABLE_BUDGET:
+        raise BudgetExceeded(f"kernel block of {we - ws} columns at {m} points is past {TABLE_BUDGET} entries", math.inf)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
@@ -571,13 +583,13 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     np.multiply(re, turn.real, block.real)
     block.real -= im * turn.imag
     np.add(np.multiply(re, turn.imag, re), np.multiply(im, turn.real, im), block.imag)
-    return ws, block, int(last.max())
+    return ws, block
 
 
 def _kernel_columns(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int = 0) -> np.ndarray:
     """c[j - lo, m] = sum_k psi_k <pi(p_m, q_m, 0) h_j, h_k> for lo <= j < cols: the
     block of _kernel_block, with zeros where no row reaches."""
-    ws, block, _ = _kernel_block(psi_vec, cols, p, q, lo, start)
+    ws, block = _kernel_block(psi_vec, cols, p, q, lo, start)
     out = np.zeros((cols - lo, block.shape[1]), dtype=np.complex128)
     out[ws - lo : ws - lo + len(block)] = block
     return out
@@ -677,6 +689,8 @@ def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> 
     """First N coefficients of pi(g) phi via the matrix of the action."""
     _require_hermite(phi)
     g = as_element(g)
+    if N < 0:
+        raise PreconditionError(f"output truncation must be nonnegative, got {N}")
     start, vec = _action_input(phi, N)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
     out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
@@ -903,7 +917,7 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
       table by CHECK_COLUMNS rows, and what those columns add is measured.
 
     A combined gap above quad.check_tol (1 + max |result|) raises
-    QuadratureAccuracyError. A table of more than SMOOTH_TABLE_BUDGET entries, b-rule
+    QuadratureAccuracyError. A table of more than TABLE_BUDGET entries, b-rule
     growth included, raises BudgetExceeded before any is built.
     """
     _require_hermite(phi)
@@ -916,7 +930,7 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
     rule = _x_rule_size(N, cols, float(np.max(np.abs(f.support[1]))))
     entries = max(N, cols + extra) * f.nodes * rule
-    if entries > SMOOTH_TABLE_BUDGET:
+    if entries > TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
     out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra)
     tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))
@@ -986,12 +1000,12 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     as phi gives exp(-i pi p q) sum_k psi_k h_k(-p) (Folland 1.3), one Hermite series
     per distinct p (_hermite_series). Any other phi reads the kernel, built once as
     one block of the columns j the sum reads (_kernel_block): a finite phi's from its
-    first nonzero index to its stop, an infinite phi's from 0 to the last column a row
-    of psi reaches at any point, or to FW_MAX_COLS if that comes first. The terms
-    are summed in increasing j (or k), so a point has the bits it has alone. An
-    infinite phi raises BudgetExceeded where a row of psi reaches past FW_MAX_COLS
-    and either the block stops short of it or its last 32 terms do not sum below
-    FW_ABS_TOL / 4 at every point.
+    first nonzero index to its stop, an infinite phi's on every column a row of psi
+    reaches at any point. Past its last index a row is below KERNEL_FLOOR of its peak
+    and decays faster than any power of j, so an infinite phi gives the bits of its
+    truncation there. The terms are summed in increasing j (or k), so a point has the
+    bits it has alone. Rows past KERNEL_MAX_INDEX, or a block of more than
+    TABLE_BUDGET entries, raise BudgetExceeded before any row is built.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -1014,8 +1028,8 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
         top, nonzero = max(phi.stop, 1), np.flatnonzero(phi.prefix)
         lo = phi.start + int(nonzero[0]) if len(nonzero) else 0
     else:
-        lo, top = 0, FW_MAX_COLS
-    ws, kernel, reach = _kernel_block(psi_vec, top, ps, qs, lo, start=start)
+        lo, top = 0, 1 << 62
+    ws, kernel = _kernel_block(psi_vec, top, ps, qs, lo, start=start)
     we = ws + len(kernel)
     terms = _cmul(phi.dense(ws, we - 1)[:, None], kernel)
     total = np.zeros(len(ps), dtype=np.complex128)
@@ -1025,11 +1039,6 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     if bad:
         message = f"pointwise coefficient at {we} columns is not finite at {bad} points"
         raise QuadratureAccuracyError(message, bad, 0.0, total, None)
-    if not phi.finite_support and (we >= FW_MAX_COLS or reach >= FW_MAX_COLS):
-        # a block that stops short of FW_MAX_COLS misses the rows that start past it
-        tail_block = float(np.max(np.sum(np.abs(terms[-32:]), axis=0))) if we >= FW_MAX_COLS else math.inf
-        if not tail_block < FW_ABS_TOL / 4.0:
-            raise BudgetExceeded("pointwise coefficient needs more than max_cols", tail_block)
     return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
 
 

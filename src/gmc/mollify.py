@@ -10,13 +10,11 @@ relevant region).
 
 On the circle the pushforward's Fourier coefficients are fhat(m) = jhat(rho m),
 with jhat the transform of the unit-radius bump and rho the scaled bump's
-radius. One real FFT of the bump sampled on a period gives the whole band, and
-the band is cut at the last coefficient above the coefficient floor. The bump is
-evaluated only on its support, and the rest of the period is zero. The cut
-scales as 1/rho, so one constant band edge (rho times the cut) predicts the FFT
-size, taken at the next even length with no prime factor above 5; one doubling
-loop starts there and stops at the first size whose cut lies below a quarter of
-it, which is also the check that no aliasing reaches the band.
+radius. So the band ends at m = floor(_BAND_EDGE / rho), where _BAND_EDGE is the
+last lam at which |jhat(lam)| reaches 1e-14. One real FFT of the bump sampled on
+a period, at the next even length past 4 times the band with no prime factor
+above 5, gives the whole band; the bump is evaluated only on its support, and
+the rest of the period is zero.
 
 A circle approximation row <pi(f) pi(J_n) eta, zeta> needs none of that band past
 f's: pi(f) pi(J_n) = pi(f * J_n), and f * J_n has f's band. Its coefficients come
@@ -151,11 +149,10 @@ def _unit_mass() -> float:
 # Largest FFT the circle pushforward may take: 2^22 samples resolve a band of
 # about a million frequencies (n = 1100 at radius 0.15) in about 230 MB.
 _FFT_SAMPLE_CAP = 1 << 22
-# circle pushforward coefficients below this are aliasing noise and cut from the band
-_COEFF_FLOOR = 1e-14
-# rho times the band cut of the standard bump of radius rho: the cut is 2116 at
-# radius 1/16, found by doubling the FFT size from 1024
-_BAND_EDGE = 132.25
+# the last lam at which the unit-mass bump of radius 1 has |jhat(lam)| >= 1e-14: on the
+# trapezoid rule of 2^23 samples at radius 1/4096, |jhat| falls through 1e-14 at 132.308
+# and stays below it (its envelope decays like exp(-2 sqrt(pi lam)))
+_BAND_EDGE = 132.31
 # Largest lam = m rho at which _torus_smoothed takes J_n's coefficient at m from the
 # MASS_NODES cosine sum: against mpmath, that sum of the unit bump errs by at most
 # 6.4e-15 of its mass up to lam = 24, and by 3.7e-13 at lam = 32.
@@ -204,26 +201,16 @@ def _require_injective(jn: BumpProfile) -> None:
 
 
 def _pushforward_band(jn: BumpProfile) -> np.ndarray:
-    """fhat(0..cut) of the pushed-forward bump, cut at the last one at or above the
-    floor. The FFT starts at the first even 2^a 3^b 5^c length, at least 1024, past
-    4 times the predicted cut, taken 1% high: a cut read on the frequencies m rho can
-    land a little past the prediction, and the margin keeps it below a quarter of the
-    start. It doubles until the cut is below a quarter of the size, so that no aliasing
-    above the floor reaches the band; the trapezoid rule is exponentially accurate at
-    any such size, so the start needs no power of two."""
-    predicted = 4.0 * 1.01 * _BAND_EDGE / jn.support
-    # a start past the cap stays past it, and is refused before any sampling
-    size = _smooth_length(min(max(predicted, 1024), 2 * _FFT_SAMPLE_CAP))
-    aliased = math.inf
-    while size <= _FFT_SAMPLE_CAP:
-        table = _fft_table(jn, size)
-        big = np.nonzero(np.abs(table) >= _COEFF_FLOOR)[0]
-        cut = int(big[-1]) if len(big) else 0
-        if cut < size // 4:
-            return table[: cut + 1]
-        aliased = float(np.max(np.abs(table[size // 4 :])))
-        size *= 2
-    raise BudgetExceeded(f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", aliased)
+    """fhat(0..cut) of the pushed-forward bump, cut = floor(_BAND_EDGE / support): every
+    coefficient past it is below 1e-14. One FFT at the first even 2^a 3^b 5^c length past
+    4 (cut + 1) takes it; the aliased terms fhat(m + l size) of the band lie past 3 times
+    the edge, where the trapezoid rule's error is far below the band's last coefficients.
+    A size past _FFT_SAMPLE_CAP is refused before any sampling."""
+    cut = math.floor(min(_BAND_EDGE / jn.support, _FFT_SAMPLE_CAP))  # past the cap: refused
+    size = _smooth_length(4 * (cut + 1))
+    if size > _FFT_SAMPLE_CAP:
+        raise BudgetExceeded(f"circle pushforward needs more than {_FFT_SAMPLE_CAP} samples", math.inf)
+    return _fft_table(jn, size)[: cut + 1]
 
 
 def _torus_pushforward(jn: BumpProfile) -> tr.TorusTestFunction:

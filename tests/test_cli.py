@@ -182,6 +182,20 @@ def test_wigner_high_unit_vectors_answer_up_to_the_kernel_index_cap():
         assert err.startswith("error:") and err.count("\n") == 1 and str(1 << 24) in err
 
 
+def test_wigner_high_unit_vectors_keep_the_scaling_table_to_their_rows():
+    # the kernel rows' scaling table holds the indices its rows read: 3.6 MiB traced here,
+    # where a table from index 0 to 10^7 peaked at 229 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli("wigner", "e:10000000", "e:10000003", "--grid=0:1:2,0:1:2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 8 << 20
+
+
 # --- wigner -----------------------------------------------------------------------
 
 
@@ -707,10 +721,19 @@ def test_quadrature_accuracy_error_reports_the_gap(tmp_path):
     assert len(line.encode()) < 300
 
 
-def test_wigner_past_the_column_budget_is_bad_input():
-    code, _, err = run_cli("wigner", "poly-growth:0", "e:900", "--grid=-2:2:3,-2:2:3")
-    assert code == 2
-    assert "needs more than max_cols" in err
+def test_wigner_past_the_former_column_budget_is_the_finite_truncation(tmp_path):
+    # the rows of h_900 on this grid reach past 1024 columns, where an infinite phi used to
+    # be refused: it prints the bytes of its first 20,000 coefficients stored as a finite vector
+    from gmc import heisenberg as hb
+    from gmc.vectors import GrowthClass, IndexDomain, vector_from_prefix
+
+    prefix = hb.poly_growth_vector(0.0).dense(0, 19999)
+    path = tmp_path / "fin.json"
+    path.write_text(json.dumps(vector_from_prefix(IndexDomain.NATURALS, 0, prefix, GrowthClass.POLYNOMIAL_GROWTH).to_json()))
+    code, out, err = run_cli("wigner", "poly-growth:0", "e:900", "--grid=-2:2:3,-2:2:3")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 10
+    assert run_cli("wigner", f"json:{path}", "e:900", "--grid=-2:2:3,-2:2:3") == (0, out, "")
 
 
 def test_wigner_blocks_give_the_bytes_of_single_point_calls(monkeypatch):
@@ -737,18 +760,20 @@ def test_wigner_prints_no_partial_grid_when_a_block_fails(monkeypatch):
     import gmc.cli as cli
 
     monkeypatch.setattr(cli, "GRID_BLOCK", 2)
-    code, out, err = run_cli("wigner", "poly-growth:0", "e:900", "--grid=-2:2:3,-2:2:3")
+    # the block of the two points at p = 1e5 comes last, and its rows reach past the index cap
+    code, out, err = run_cli("wigner", "poly-growth:0", "e:5", "--grid=0:1e5:2,0:1:2")
     assert code == 2 and out == ""
-    assert "needs more than max_cols" in err
+    assert err.startswith("error: kernel rows reach index") and str(1 << 24) in err
 
 
-def test_wigner_of_an_infinite_phi_past_the_columns_is_bad_input():
-    # every row of h_2000 at these points starts past the 1024 columns an infinite phi is
-    # read to: that used to print four rows of zeros, where the value at (0, 0) is phi_2000 = 1
+def test_wigner_of_an_infinite_phi_past_the_former_columns_is_its_value():
+    # every row of h_2000 at these points starts past the 1024 columns an infinite phi was
+    # once read to: that printed four rows of zeros, then exited 2; the value at (0, 0) is
+    # phi_2000 = 1
     code, out, err = run_cli("wigner", "poly-growth:0", "e:2000", "--grid=0:1:2,0:1:2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "needs more than max_cols" in err
+    assert (code, err) == (0, "")
+    rows = _parse_csv(out)[1]
+    assert len(rows) == 4 and rows[0][:3] == [0.0, 0.0, 1.0] and rows[0][4] == 1.0
 
 
 def test_wigner_delta_at_a_high_index_is_the_hermite_function():

@@ -234,6 +234,104 @@ def test_kernel_rows_do_not_depend_on_the_chunk_budget(monkeypatch):
             assert np.array_equal(hb._kernel_columns(psi, 80, P.ravel(), Q.ravel(), 10), whole)
 
 
+def _full_table_kernel_rows(k, x, first, centre, last, ws, we):
+    """_kernel_rows as it was with its scaling table built from index 0 to the rows' last
+    index in two cumulative products, the reference for the windowed table."""
+    n = len(k)
+    f0, b0 = int(first.min()), int(last.max())
+    steps = max(int(centre.max()) + 2 - f0, b0 + 1 - int(centre.min()))
+    rows = np.stack([f0 + np.arange(steps), np.maximum(b0 - np.arange(steps), 1)], axis=1)
+    top = max(b0, f0 + steps) + 1
+    r = np.sqrt(np.arange(1.0, top - 1) / np.arange(2.0, top))
+    t = np.ones(top)
+    t[2::2], t[3::2] = np.cumprod(r[::2])[: len(t[2::2])], np.cumprod(r[1::2])[: len(t[3::2])]
+    t_row = t[rows]
+    g_row = t_row / (t[rows + [1, -1]] * np.sqrt(rows + [1, 0]))
+    start, stop = np.stack([first - f0, b0 - last]), np.stack([centre - f0, b0 - centre - 1])
+    sign = np.stack([np.where((x < k) | (first % 2 == 0), 1.0, -1.0), np.ones(n)])
+    turn = start % 4
+    v = np.empty((steps + 1, 2, n))
+    v[0], v[1] = sign * np.array([0.0, -1.0, 0.0, 1.0])[turn], sign * np.array([1.0, 0.0, -1.0, 0.0])[turn]
+    own = (np.arange(steps)[:, None, None] >= start) & (np.arange(steps)[:, None, None] <= stop)
+    sx = np.sqrt(x)
+    d = np.empty((64, 2, n))
+    views = list(v.reshape(steps + 1, 2 * n))
+    for b in range(0, steps - 1, 64):
+        e = min(b + 64, steps - 1)
+        db = d[: e - b]
+        np.subtract(k, rows[b:e, :, None], db)
+        np.divide(db, sx, db)
+        np.subtract(db, sx, db)
+        np.multiply(db, g_row[b:e, :, None], db)
+        np.multiply(db, own[b:e], db)
+        for dr, behind, cur, ahead in zip(db.reshape(e - b, 2 * n), views[b:], views[b + 1 :], views[b + 2 :]):
+            np.multiply(dr, cur, ahead)
+            np.subtract(ahead, behind, ahead)
+    at, lanes = np.stack([centre - f0, b0 - centre]) + 1, np.arange(n)
+    (f_c, b_c), (f_c1, b_c1) = v[at, [[0], [1]], lanes], v[at + [[1], [-1]], [[0], [1]], lanes]
+    v[:, 1] *= (f_c * b_c + f_c1 * b_c1) / (b_c * b_c + b_c1 * b_c1)
+    w = v[1:]
+    w *= own
+    w *= t_row[:, :, None]
+    table = np.zeros((we - ws, n))
+    lo, hi = max(ws, f0), min(we, f0 + steps)
+    if lo < hi:
+        table[lo - ws : hi - ws] = w[lo - f0 : hi - f0, 0]
+    lo, hi = max(ws, b0 - steps + 1), min(we, b0 + 1)
+    if lo < hi:
+        table[lo - ws : hi - ws] += w[b0 - lo : (b0 - hi if hi <= b0 else None) : -1, 1]
+    w = w.reshape(steps, 2 * n)
+    sums = np.add.reduce(np.multiply(w, w, out=w), axis=0)
+    table /= np.sqrt(sums[:n] + sums[n:])
+    return table
+
+
+def test_kernel_rows_have_the_bits_of_the_full_scaling_table(monkeypatch):
+    # rows up to k = 5000, near and far (x past k starts a row well above 0), one lane at
+    # a time and together, in whole and partial windows; a small KERNEL_CHUNK carries the
+    # scaling products across many blocks
+    k = np.repeat([0.0, 1.0, 7.0, 300.0, 2501.0, 5000.0], 4)
+    x = np.tile([1e-200, 2.5, 900.0, 6000.0], 6)
+    first, centre, last = hb._row_extents(k, x)
+    assert (first > 0).sum() >= 8
+    for chunk, lanes in ((hb.KERNEL_CHUNK, [np.arange(len(k))]), (1000, np.arange(len(k))[:, None])):
+        monkeypatch.setattr(hb, "KERNEL_CHUNK", chunk)
+        for at in lanes:
+            ws, we = int(first[at].min()), int(last[at].max()) + 1
+            quarter = (we - ws) // 4
+            for ws, we in ((ws, we), (ws + quarter, we - quarter)):
+                args = (k[at], x[at], first[at], centre[at], last[at], ws, we)
+                assert hb._kernel_rows(*args).tobytes() == _full_table_kernel_rows(*args).tobytes(), (at, ws, we)
+
+
+def test_scaling_table_is_the_window_of_one_cumulative_product(monkeypatch):
+    full = np.ones(20001)
+    r = np.sqrt(np.arange(1.0, 20000) / np.arange(2.0, 20001))
+    full[2::2], full[3::2] = np.cumprod(r[::2]), np.cumprod(r[1::2])
+    monkeypatch.setattr(hb, "KERNEL_CHUNK", 1000)
+    for lo, hi in ((0, 0), (0, 1), (0, 2), (1, 5), (999, 1001), (1000, 1000), (7, 20000), (12345, 19999)):
+        assert hb._scaling_table(lo, hi).tobytes() == full[lo : hi + 1].tobytes(), (lo, hi)
+
+
+def test_fourier_wigner_of_no_points_is_empty():
+    # the kernel and the delta routes alike
+    for phi in (hb.unit_vector(0), hb.poly_growth_vector(0.5), hb.dirac_delta()):
+        got = hb.fourier_wigner(phi, hb.unit_vector(0), np.zeros(0), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == np.complex128
+
+
+def test_pointwise_coefficient_of_no_group_elements_is_empty():
+    got = hb.pointwise_coefficient(hb.unit_vector(0), hb.unit_vector(1))(np.zeros((0, 3)))
+    assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("act", [hb.act_group, hb.dual_act_group])
+def test_group_action_to_a_negative_truncation_is_a_precondition_error(act):
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        act((0.1, 0.2, 0.0), hb.unit_vector(0), N=-1)
+    assert act((0.1, 0.2, 0.0), hb.unit_vector(0), N=0).prefix.shape == (0,)
+
+
 @pytest.mark.parametrize(
     "p, q",
     [(1e308, 1e308), (-1e200, 0.0), (0.0, 3e160), (1e5, -1e5)],
@@ -1023,18 +1121,22 @@ def test_fourier_wigner_requires_rapid_decay_partner():
         hb.fourier_wigner(hb.unit_vector(0), hb.dirac_delta(), 0.1, 0.2)
 
 
-def test_fourier_wigner_default_budget_reaches_the_tail(monkeypatch):
-    # the last doubling stops at FW_MAX_COLS instead of overshooting it
+def _truncation(phi, n):
+    """phi's first n coefficients as a finite vector."""
+    return vector_from_prefix(IndexDomain.NATURALS, 0, phi.dense(0, n - 1), GrowthClass.POLYNOMIAL_GROWTH)
+
+
+def test_fourier_wigner_default_budget_reaches_the_tail():
+    # the rows of h_410 end before 4096 columns at every point of the grid
     ps = np.linspace(-1.68, 1.68, 5)
     P, Q = np.meshgrid(ps, ps, indexing="ij")
     phi = hb.poly_growth_vector(0.00345469)
     got = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q)
-    monkeypatch.setattr(hb, "FW_MAX_COLS", 4096)
-    wide = hb.fourier_wigner(phi, hb.unit_vector(410), P, Q)
-    assert np.max(np.abs(got - wide)) < 1e-12
+    wide = hb.fourier_wigner(_truncation(phi, 4096), hb.unit_vector(410), P, Q)
+    assert got.tobytes() == wide.tobytes()
 
 
-def _finite_delta(n=hb.FW_MAX_COLS):
+def _finite_delta(n=1024):
     """delta's first n coefficients as a finite vector: not delta, so it takes the kernel route."""
     return vector_from_prefix(IndexDomain.NATURALS, 0, hb.dirac_delta(n).prefix, GrowthClass.POLYNOMIAL_GROWTH)
 
@@ -1117,12 +1219,53 @@ def test_pointwise_delta_reaches_an_index_past_the_kernel_columns():
     assert abs(exact) > 0.05 and abs(got - exact) < 1e-13
 
 
+def test_fourier_wigner_reads_an_infinite_phi_on_every_column_its_rows_reach():
+    # each of these was refused when an infinite phi was read to 1024 columns only; the
+    # value is that of phi's truncation past the rows, bit for bit
+    phi = hb.poly_growth_vector(0.0)
+    got = hb.fourier_wigner(phi, hb.unit_vector(20000), 0.0, 0.0)
+    assert got.real == 1.0 and got == hb.fourier_wigner(_truncation(phi, 40000), hb.unit_vector(20000), 0.0, 0.0)
+    P, Q = np.meshgrid(np.linspace(-2, 2, 3), np.linspace(-2, 2, 3), indexing="ij")
+    got = hb.fourier_wigner(phi, hb.unit_vector(900), P, Q)
+    assert got.tobytes() == hb.fourier_wigner(_truncation(phi, 20000), hb.unit_vector(900), P, Q).tobytes()
+    phi, psi = hb.poly_growth_vector(0.5), hb.gaussian_vector(1.2)
+    got = hb.fourier_wigner(phi, psi, 40.0, 40.0)
+    assert got == hb.fourier_wigner(_truncation(phi, 40000), psi, 40.0, 40.0)
+    assert abs(got - (9.76e-12 + 8.62e-12j)) < 1e-14
+
+
+@st.composite
+def _infinite_phi_case(draw):
+    phi = hb.poly_growth_vector(draw(st.floats(0.0, 1.5)))
+    if draw(st.booleans()):
+        psi = hb.unit_vector(draw(st.integers(0, 1200)))
+    else:
+        psi = hb.gaussian_vector(draw(st.floats(0.3, 3.0)))
+    points = draw(st.lists(st.tuples(_COORD_3, _COORD_3), min_size=1, max_size=9))
+    return phi, psi, *(np.array(v) for v in zip(*points))
+
+
+_COORD_3 = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@given(_infinite_phi_case())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_fourier_wigner_of_an_infinite_phi_is_its_truncation_past_the_rows(case):
+    phi, psi, p, q = case
+    # a truncation past the last index of every row of psi at every point
+    ks = np.arange(psi.stop, dtype=float)
+    x = np.unique(np.maximum(np.pi * (p * p + q * q), 1e-200))  # as _kernel_block takes it
+    reach = int(hb._row_extents(np.repeat(ks, len(x)), np.tile(x, len(ks)))[2].max()) + 1
+    try:
+        got = hb.fourier_wigner(phi, psi, p, q)
+    except GmcError:
+        return
+    assert got.tobytes() == hb.fourier_wigner(_truncation(phi, reach), psi, p, q).tobytes()
+
+
 def test_fourier_wigner_of_an_infinite_phi_past_the_columns_raises():
-    # rows of h_20000 start past FW_MAX_COLS: no silent 0, where the value is phi_20000 = 1
-    with pytest.raises(BudgetExceeded, match="needs more than max_cols"):
-        hb.fourier_wigner(hb.poly_growth_vector(0.0), hb.unit_vector(20000), 0.0, 0.0)
-    # one far point among near ones is enough
-    with pytest.raises(BudgetExceeded, match="needs more than max_cols"):
+    # one far point among near ones is enough, and no row is built
+    with pytest.raises(BudgetExceeded, match=f"past {hb.KERNEL_MAX_INDEX}"):
         hb.fourier_wigner(hb.poly_growth_vector(0.0), hb.unit_vector(5), np.array([0.1, 1e5]), 0.0)
 
 
@@ -1163,13 +1306,21 @@ def test_fourier_wigner_array_matches_scalar_calls():
 
 
 def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
-    from gmc.errors import BudgetExceeded
+    def no_rows(*args):
+        raise AssertionError("built a kernel row")
 
-    monkeypatch.setattr(hb, "FW_MAX_COLS", 64)
+    monkeypatch.setattr(hb, "_kernel_rows", no_rows)
     phi = hb.poly_growth_vector(2.0, prefix_len=8)
-    with pytest.raises(BudgetExceeded) as info:
-        hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0)
-    assert info.value.achieved_bound > 0
+    # the row of h_0 at (3, 3) spans 190 columns, and 2^19 points at that radius ask for
+    # about 1.5 TABLE_BUDGET entries
+    p = np.full(1 << 19, 3.0)
+    with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries") as info:
+        hb.fourier_wigner(phi, hb.unit_vector(0), p, p)
+    assert info.value.achieved_bound == math.inf
+    monkeypatch.setattr(hb, "TABLE_BUDGET", 64)
+    for v in (phi, _truncation(phi, 1000)):
+        with pytest.raises(BudgetExceeded, match="past 64 entries"):
+            hb.fourier_wigner(v, hb.unit_vector(0), 3.0, 3.0)
 
 
 def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
@@ -1233,7 +1384,7 @@ def test_fourier_wigner_builds_each_kernel_row_once(monkeypatch, phi, psi, shape
     monkeypatch.setattr(hb, "_kernel_rows", spy)
     P, Q = np.meshgrid(np.linspace(-1.68, 1.68, shape[0]), np.linspace(-1.68, 1.68, shape[1]), indexing="ij")
     got = hb.fourier_wigner(phi, psi, P, Q)
-    assert calls == [(0, 1024)] if not phi.finite_support else len(calls) == 1
+    assert calls == [(0, 1 << 62)] if not phi.finite_support else len(calls) == 1
     assert built and len(set(built)) == len(built)
     # the symmetric grid has fewer radii than points, and each radius gets its own rows
     radii = len(np.unique(np.hypot(P, Q)))
@@ -1247,7 +1398,7 @@ def test_fourier_wigner_growing_windows_match_one_wide_window(r, k):
     phi, psi = hb.poly_growth_vector(r), hb.unit_vector(k)
     P, Q = np.meshgrid(np.linspace(-1.5, 1.5, 5), np.linspace(-1.0, 1.0, 3), indexing="ij")
     got = hb.fourier_wigner(phi, psi, P, Q)
-    cols = hb.FW_MAX_COLS
+    cols = 1024
     kernel = hb._kernel_columns(psi.dense(0, k), cols, P.ravel(), Q.ravel())
     wide = (phi.dense(0, cols - 1) @ kernel).reshape(P.shape)
     assert np.max(np.abs(got - wide)) <= 1e-12 * np.max(np.abs(wide))

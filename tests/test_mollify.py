@@ -93,7 +93,8 @@ def test_torus_pushforward_matches_oscillatory_quadrature_across_band():
     n = 64
     f = mo.push_forward(prof.scaled(n), tr.TORUS)
     B = f.bandwidth
-    assert abs(f.fhat(B)) >= 1e-14 > abs(f.fhat(B + 1))
+    # the coefficients past the band, from an FFT twice as long as the band's, are below 1e-14
+    assert np.max(np.abs(mo._fft_table(prof.scaled(n), 1 << 17)[B + 1 :])) < 1e-14
     for m in (0, B // 2, B - 40, B):
         oracle = 2.0 * quad(
             lambda u: prof(np.array([u]))[0], 0.0, prof.radius,
@@ -125,10 +126,15 @@ def test_smooth_length_is_the_least_even_5_smooth_length_past_the_target():
     assert mo._smooth_length(mo._FFT_SAMPLE_CAP) == mo._FFT_SAMPLE_CAP
 
 
+def _reference_band(jn, size):
+    """|fhat(m)| for m <= size / 2 from the trapezoid rule on size samples of the whole
+    period, the bump evaluated everywhere."""
+    return np.abs(np.fft.rfft(np.fft.ifftshift(jn((np.arange(size) - size // 2) / size))).real / size)
+
+
 def test_torus_pushforward_starts_at_a_5_smooth_length_past_the_band(monkeypatch):
-    # one FFT at the predicted 5-smooth start reaches the band; a power-of-two doubling
-    # search from 1024 reads the same band to rounding, and a band length differs only
-    # by coefficients within 1% of the floor
+    # one FFT at an even 5-smooth length past 4 times the band; the band agrees with a
+    # power-of-two reference twice as long, and the reference is below 1e-14 past it
     radii = [round(0.15 + 0.0025 * i, 4) for i in range(121)]
     assert radii[-1] == 0.45
     sizes = []
@@ -140,18 +146,12 @@ def test_torus_pushforward_starts_at_a_5_smooth_length_past_the_band(monkeypatch
             jn = prof.scaled(n)
             sizes.clear()
             got = mo.push_forward(jn, tr.TORUS)
-            assert len(sizes) == 1 and sizes[0] % 2 == 0 and _is_5_smooth(sizes[0]), (r, n, sizes)
-            with monkeypatch.context() as plain_search:
-                plain_search.setattr(mo, "_BAND_EDGE", 0.0)
-                plain = mo.push_forward(jn, tr.TORUS)
-            assert sizes[1] == 1024 and all(b == 2 * a for a, b in zip(sizes[1:], sizes[2:]))
-            short, long_ = sorted((got, plain), key=lambda f: f.bandwidth)
-            B = short.bandwidth
-            common = long_.coeffs[long_.bandwidth - B : long_.bandwidth + B + 1]
-            assert np.max(np.abs(short.coeffs - common)) <= 1e-15, (r, n)
-            if long_.bandwidth != B:
-                beyond = np.abs(long_.coeffs[long_.bandwidth + B + 1 :])
-                assert beyond[-1] >= mo._COEFF_FLOOR and np.max(beyond) <= 1.01 * mo._COEFF_FLOOR, (r, n)
+            B = got.bandwidth
+            assert B == math.floor(mo._BAND_EDGE / jn.support)
+            assert sizes[0] >= 4 * (B + 1) and sizes[0] % 2 == 0 and _is_5_smooth(sizes[0]), (r, n, sizes)
+            ref = _reference_band(jn, 1 << (sizes[0] - 1).bit_length() + 1)
+            assert np.max(np.abs(np.abs(got.coeffs[B:]) - ref[: B + 1])) <= 1e-15, (r, n)
+            assert np.max(ref[B + 1 :]) < 1e-14, (r, n)
 
 
 def test_support_samples_equal_the_full_period_samples_bit_for_bit():
@@ -164,26 +164,17 @@ def test_support_samples_equal_the_full_period_samples_bit_for_bit():
         assert mo._period_samples(jn, size).tobytes() == full.tobytes(), (radius, n, size)
 
 
-def test_band_edge_is_the_cut_of_a_doubling_from_1024(monkeypatch):
-    # the constant edge is a measured cut, not a tuned one: a profile or normalization
-    # that moves the cut at radius 1/16 fails here
-    edge = mo._BAND_EDGE
-    monkeypatch.setattr(mo, "_BAND_EDGE", 0.0)
-    jn = mo.BumpProfile.standard(1.0 / 16.0).scaled(1)
-    assert mo.push_forward(jn, tr.TORUS).bandwidth * jn.support == edge == 132.25
-
-
-def test_torus_pushforward_short_prediction_doubles(monkeypatch):
-    # a band edge that predicts an eighth of the band still reaches it by doubling
-    jn = mo.BumpProfile.standard(0.2).scaled(16)
-    expected = mo.push_forward(jn, tr.TORUS).coeffs
-    sizes = []
-    table = mo._fft_table
-    monkeypatch.setattr(mo, "_BAND_EDGE", mo._BAND_EDGE / 8)
-    monkeypatch.setattr(mo, "_fft_table", lambda jn, size: sizes.append(size) or table(jn, size))
-    got = mo.push_forward(jn, tr.TORUS).coeffs
-    assert len(sizes) == 4 and sizes == sorted(sizes)
-    assert got.shape == expected.shape and (got == expected).all()
+def test_band_edge_is_where_the_bump_transform_falls_below_1e_14():
+    # the constant edge is measured, not tuned: on the reference transform at radius
+    # 1/1024 (lam = m / 1024), the last |jhat| at or above 1e-14 lies within 0.01 below the
+    # edge, and none past it; a profile or normalization that moves the edge fails here
+    jn = mo.BumpProfile.standard(1.0 / 1024)
+    ref = _reference_band(jn, 1 << 21)
+    lam = np.arange(len(ref)) / 1024
+    near = (lam > 120) & (lam < 150)  # rounding is some 1e-17 there, on 2^21 samples or 3 2^20
+    assert np.max(np.abs(ref[near] - _reference_band(jn, 3 << 20)[: len(ref)][near])) < 1e-16
+    last = lam[np.flatnonzero(ref >= 1e-14)[-1]]
+    assert mo._BAND_EDGE - 0.01 < last <= mo._BAND_EDGE == 132.31
 
 
 def test_torus_pushforward_start_past_the_cap_raises_before_sampling(monkeypatch):
