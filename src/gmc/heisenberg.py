@@ -79,7 +79,7 @@ GAUSSIAN_MAX_INDEX = 13_000
 TABLE_BUDGET = 1 << 26
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
-# entries of the largest recurrence history one pass of kernel rows keeps
+# entries of the largest recurrence history one pass of kernel rows keeps, and of a block of their scaling products
 KERNEL_CHUNK = 1 << 16
 # kernel rows take their scaling products from index 0 to their last index, which may not pass this
 KERNEL_MAX_INDEX = 1 << 24

@@ -235,8 +235,8 @@ def test_kernel_rows_do_not_depend_on_the_chunk_budget(monkeypatch):
 
 
 def _full_table_kernel_rows(k, x, first, centre, last, ws, we):
-    """_kernel_rows as it was with its scaling table built from index 0 to the rows' last
-    index in two cumulative products, the reference for the windowed table."""
+    """_kernel_rows with its scaling table built in full, from index 0 to the rows' last
+    index in two cumulative products: the reference for the windowed table."""
     n = len(k)
     f0, b0 = int(first.min()), int(last.max())
     steps = max(int(centre.max()) + 2 - f0, b0 + 1 - int(centre.min()))
@@ -1234,6 +1234,9 @@ def test_fourier_wigner_reads_an_infinite_phi_on_every_column_its_rows_reach():
     assert abs(got - (9.76e-12 + 8.62e-12j)) < 1e-14
 
 
+_COORD_3 = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
 @st.composite
 def _infinite_phi_case(draw):
     phi = hb.poly_growth_vector(draw(st.floats(0.0, 1.5)))
@@ -1243,9 +1246,6 @@ def _infinite_phi_case(draw):
         psi = hb.gaussian_vector(draw(st.floats(0.3, 3.0)))
     points = draw(st.lists(st.tuples(_COORD_3, _COORD_3), min_size=1, max_size=9))
     return phi, psi, *(np.array(v) for v in zip(*points))
-
-
-_COORD_3 = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 
 @given(_infinite_phi_case())
