@@ -518,9 +518,10 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     and each row W^(k) of a nonzero psi_k depends on k and x only. It comes from one
     three-term recurrence in j (_kernel_rows), run over its own extent (_row_extents):
     O(k + band) steps, whatever the window. One row is built for every pair of a nonzero
-    psi_k and a distinct x whose extent meets [lo, cols), in chunks of at most
-    KERNEL_CHUNK history entries, and read by every point at that x; the points' sums
-    run in increasing k. A row's arithmetic depends on neither the window nor the other
+    psi_k and a distinct x whose extent meets [lo, cols), in passes of at most
+    KERNEL_CHUNK history entries. A pass notes each lane's table column in one index
+    array (-1 for the lanes of other passes), and every point gathers the columns of its
+    x from it, row by row; the points' sums run in increasing k. A row's arithmetic depends on neither the window nor the other
     rows, so every entry has the bits of the lo = 0 result, and a point the bits it has
     alone. Columns outside [ws, we) are 0, and so is a point whose rows all lie outside
     [lo, cols), an overflowing x included; x below 1e-200 is taken as 1e-200, where the
@@ -557,27 +558,20 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     re, im = np.zeros((2, we - ws, m))
     span = int(last[live].max() - first[live].min()) + 2
     step = max(KERNEL_CHUNK // (2 * max(span, we - ws)), 1)
-    by_radius = np.argsort(at, kind="stable")  # the points of xs[i] are by_radius[bound[i]:bound[i + 1]]
-    bound = np.searchsorted(at[by_radius], np.arange(n + 1))
+    column = np.full(len(lane_k), -1)  # lane -> its column of the pass's table, -1 outside the pass
     for start in range(0, len(live), step):
         lanes = live[start : start + step]
         table = _kernel_rows(
             lane_k[lanes], lane_x[lanes], first[lanes], centre[lanes], last[lanes], ws, we
         )
-        # lanes are k-major: each row's radii are one run of table columns, and each
-        # point reads the column of its radius
-        row, radius = np.divmod(lanes, n)
-        runs = np.searchsorted(row, np.arange(row[0], row[-1] + 2)).tolist()
-        for r, a, b in zip(range(row[0], row[-1] + 1), runs, runs[1:]):
-            if b - a == n:
-                pts, rows = slice(None), table[:, a + at]
-            else:  # the points of the run's radii, found in their own count of steps
-                count = bound[radius[a:b] + 1] - bound[radius[a:b]]
-                skip = np.repeat(bound[radius[a:b]] - np.cumsum(count) + count, count)
-                pts = by_radius[np.arange(count.sum()) + skip]
-                rows = table[:, np.repeat(np.arange(a, b), count)]
+        column[lanes] = np.arange(len(lanes))
+        for r in np.unique(lanes // n).tolist():  # lanes are k-major: lane r n + i is row r at xs[i]
+            col = column[r * n + at]
+            pts = np.flatnonzero(col >= 0)
+            rows = table[:, col[pts]]
             for acc, w in zip((re, im), weight):
                 acc[:, pts] += w[r, pts] * rows
+        column[lanes] = -1
     turn = np.exp(1j * (ks[0] - np.arange(ws, we))[:, None] * theta)  # u^(k0 - j)
     block = np.empty((we - ws, m), dtype=np.complex128)
     np.multiply(re, turn.real, block.real)
