@@ -43,6 +43,7 @@ from .errors import BudgetExceeded, PreconditionError, QuadratureAccuracyError
 from .groups import GroupModel, Laplacian
 from .hermite import (
     gauss_hermite_rule,
+    hermite_at_zero_values,
     hermite_blocks,
     hermite_scaled,
     legendre_on_interval,
@@ -79,9 +80,9 @@ GAUSSIAN_MAX_INDEX = 13_000
 TABLE_BUDGET = 1 << 26
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
-# entries of the largest recurrence history one pass of kernel rows keeps, and of a block of their scaling products
+# entries of the largest recurrence history one pass of kernel rows keeps
 KERNEL_CHUNK = 1 << 16
-# kernel rows take their scaling products from index 0 to their last index, which may not pass this
+# last index of a kernel row or Hermite series; a kernel entry errs by 1.9e-10 at 10^7, and past this is unmeasured
 KERNEL_MAX_INDEX = 1 << 24
 # fourier_wigner reads an infinite psi to where its dropped |psi_k| sum below FW_ABS_TOL / 8
 FW_ABS_TOL = 1e-10
@@ -409,17 +410,13 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
 
 
 def _scaling_table(lo: int, hi: int) -> np.ndarray:
-    """t_j for lo <= j <= hi, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1}: each chain
-    (even j, odd j) is one cumprod from index 0, taken in blocks of KERNEL_CHUNK with the
-    running product carried, so t_j has its bits whatever the window."""
-    t, carry = np.ones(hi - lo + 1), np.ones(2)  # carry: the even and the odd chain
-    for b in range(2, hi + 1, KERNEL_CHUNK):  # b is even
-        j = np.arange(float(b), min(b + KERNEL_CHUNK, hi + 1))
-        block = np.sqrt((j - 1.0) / j)
-        for parity in (0, 1):
-            chain = np.cumprod(np.r_[carry[parity], block[parity::2]])
-            block[parity::2], carry[parity] = chain[1:], chain[-1]
-        t[max(b - lo, 0) : max(b + len(j) - lo, 0)] = block[max(lo - b, 0) :]  # empty below lo
+    """t_j for lo <= j <= hi, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1}, each from
+    its own index: t_2m = sqrt(C(2m, m) / 4^m) = |h_2m(0)| / 2^(1/4) and t_2m+1 = 1 /
+    (sqrt(2m + 1) t_2m), to a few ulp at any index, so t_j has its bits whatever the window."""
+    j = np.arange(lo, hi + 1)
+    t = np.abs(hermite_at_zero_values(j - j % 2)) / 2.0**0.25  # t_j at even j, t_(j-1) at odd j
+    odd = j % 2 == 1
+    t[odd] = 1.0 / (np.sqrt(j[odd]) * t[odd])
     return t
 
 
@@ -433,7 +430,8 @@ def _kernel_rows(k: np.ndarray, x: np.ndarray, first, centre, last, ws: int, we:
     to unit norm; below first and past last it is 0. Below the lower turning point the
     row has the sign of (k - x)^j.
 
-    With W_j = t_j V_j, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1}, both
+    With W_j = t_j V_j, t_0 = t_1 = 1 and t_{j+1} = sqrt(j / (j+1)) t_{j-1} (_scaling_table,
+    each t_j from its own index, over the indices the rows read only), both
     directions read V_next = d_j V_j - V_behind with d_j = ((k - j) / sqrt x - sqrt x)
     t_j / (t_next sqrt(j + 1 forward, j backward)): two ufunc calls a step, on one array of the
     forward and the backward passes, at rows f0 + i and b0 - i of step i. Outside its own

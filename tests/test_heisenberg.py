@@ -236,15 +236,12 @@ def test_kernel_rows_do_not_depend_on_the_chunk_budget(monkeypatch):
 
 def _full_table_kernel_rows(k, x, first, centre, last, ws, we):
     """_kernel_rows with its scaling table built in full, from index 0 to the rows' last
-    index in two cumulative products: the reference for the windowed table."""
+    index: the reference for the windowed table."""
     n = len(k)
     f0, b0 = int(first.min()), int(last.max())
     steps = max(int(centre.max()) + 2 - f0, b0 + 1 - int(centre.min()))
     rows = np.stack([f0 + np.arange(steps), np.maximum(b0 - np.arange(steps), 1)], axis=1)
-    top = max(b0, f0 + steps) + 1
-    r = np.sqrt(np.arange(1.0, top - 1) / np.arange(2.0, top))
-    t = np.ones(top)
-    t[2::2], t[3::2] = np.cumprod(r[::2])[: len(t[2::2])], np.cumprod(r[1::2])[: len(t[3::2])]
+    t = hb._scaling_table(0, max(b0, f0 + steps))
     t_row = t[rows]
     g_row = t_row / (t[rows + [1, -1]] * np.sqrt(rows + [1, 0]))
     start, stop = np.stack([first - f0, b0 - last]), np.stack([centre - f0, b0 - centre - 1])
@@ -286,16 +283,14 @@ def _full_table_kernel_rows(k, x, first, centre, last, ws, we):
     return table
 
 
-def test_kernel_rows_have_the_bits_of_the_full_scaling_table(monkeypatch):
+def test_kernel_rows_have_the_bits_of_the_full_scaling_table():
     # rows up to k = 5000, near and far (x past k starts a row well above 0), one lane at
-    # a time and together, in whole and partial windows; a small KERNEL_CHUNK carries the
-    # scaling products across many blocks
+    # a time and together, in whole and partial windows
     k = np.repeat([0.0, 1.0, 7.0, 300.0, 2501.0, 5000.0], 4)
     x = np.tile([1e-200, 2.5, 900.0, 6000.0], 6)
     first, centre, last = hb._row_extents(k, x)
     assert (first > 0).sum() >= 8
-    for chunk, lanes in ((hb.KERNEL_CHUNK, [np.arange(len(k))]), (1000, np.arange(len(k))[:, None])):
-        monkeypatch.setattr(hb, "KERNEL_CHUNK", chunk)
+    for lanes in ([np.arange(len(k))], np.arange(len(k))[:, None]):
         for at in lanes:
             ws, we = int(first[at].min()), int(last[at].max()) + 1
             quarter = (we - ws) // 4
@@ -304,13 +299,53 @@ def test_kernel_rows_have_the_bits_of_the_full_scaling_table(monkeypatch):
                 assert hb._kernel_rows(*args).tobytes() == _full_table_kernel_rows(*args).tobytes(), (at, ws, we)
 
 
-def test_scaling_table_is_the_window_of_one_cumulative_product(monkeypatch):
-    full = np.ones(20001)
-    r = np.sqrt(np.arange(1.0, 20000) / np.arange(2.0, 20001))
-    full[2::2], full[3::2] = np.cumprod(r[::2]), np.cumprod(r[1::2])
-    monkeypatch.setattr(hb, "KERNEL_CHUNK", 1000)
-    for lo, hi in ((0, 0), (0, 1), (0, 2), (1, 5), (999, 1001), (1000, 1000), (7, 20000), (12345, 19999)):
+def test_scaling_table_is_the_window_of_the_whole_table():
+    full = hb._scaling_table(0, 20000)
+    assert full[0] == full[1] == 1.0
+    for lo, hi in ((0, 0), (0, 1), (0, 2), (1, 5), (601, 604), (999, 1001), (1000, 1000), (7, 20000), (12345, 19999)):
         assert hb._scaling_table(lo, hi).tobytes() == full[lo : hi + 1].tobytes(), (lo, hi)
+
+
+def test_scaling_table_matches_exact_values():
+    # t_j in 40 digits: t_{j+1} = sqrt(j / (j+1)) t_{j-1} up to 20000, and the closed form
+    # t_2m = sqrt((2m)! / (m!^2 4^m)), t_2m+1 = 1 / (sqrt(2m+1) t_2m) far out. Measured: up to
+    # 2.2e-15 below index 602, where h_2m(0) is a cumulative product, and 4.4e-16 past it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(1), mpmath.mpf(1)]
+        for j in range(1, 20000):
+            exact.append(mpmath.sqrt(mpmath.mpf(j) / (j + 1)) * exact[j - 1])
+        far = [10**6, 10**6 + 1, 10**7, 10**7 + 1, (1 << 24) - 1, 1 << 24]
+        even = [mpmath.exp((mpmath.loggamma(j - j % 2 + 1) - 2 * mpmath.loggamma(j // 2 + 1)) / 2 - j // 2 * mpmath.ln2) for j in far]
+        exact_far = [t if j % 2 == 0 else 1 / (mpmath.sqrt(j) * t) for j, t in zip(far, even)]
+    err = np.abs(hb._scaling_table(0, 20000) / np.array(exact, dtype=float) - 1.0)
+    assert err[:602].max() < 3e-15 and err[602:].max() < 1e-15
+    for j, t in zip(far, exact_far):
+        assert abs(hb._scaling_table(j, j)[0] / float(t) - 1.0) < 1e-15, j
+
+
+@pytest.mark.parametrize(
+    "j, d, p, q, bound",
+    [
+        (600, 3, 0.0, 1.0, 5e-16),  # measured 5.1e-17
+        (10**4, 3, 0.0, 1.0, 2e-14),  # 7.4e-15
+        (10**5, 3, 0.0, 1.0, 5e-14),  # 1.7e-14
+        (10**6, 3, 0.0, 1.0, 1.5e-12),  # 5.4e-13
+        (10**7, 3, 0.0, 1.0, 5e-10),  # 1.9e-10
+        (10**5, 40, 3.0, 2.0, 1e-12),  # 3.7e-13
+        (10**6, 100, 1.0, 1.0, 1e-12),  # 2.2e-13
+    ],
+)
+def test_kernel_entries_match_exact_laguerre_values_at_high_index(j, d, p, q, bound):
+    # |<pi(p, q, 0) h_j, h_j+d>| = sqrt(j! / (j+d)!) x^(d/2) exp(-x/2) |L_j^(d)(x)|, x = pi (p^2 + q^2),
+    # in 40 digits; the error grows with j, from the recurrence's rounding
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.pi * (mpmath.mpf(p) ** 2 + mpmath.mpf(q) ** 2)
+        scale = mpmath.exp((mpmath.loggamma(j + 1) - mpmath.loggamma(j + d + 1) - x) / 2) * x ** (mpmath.mpf(d) / 2)
+        exact = float(scale * abs(mpmath.laguerre(j, d, x)))
+    got = abs(hb.fourier_wigner(hb.unit_vector(j), hb.unit_vector(j + d), p, q))
+    assert abs(got / exact - 1.0) < bound
 
 
 def test_fourier_wigner_of_no_points_is_empty():
@@ -1231,7 +1266,8 @@ def test_fourier_wigner_reads_an_infinite_phi_on_every_column_its_rows_reach():
     phi, psi = hb.poly_growth_vector(0.5), hb.gaussian_vector(1.2)
     got = hb.fourier_wigner(phi, psi, 40.0, 40.0)
     assert got == hb.fourier_wigner(_truncation(phi, 40000), psi, 40.0, 40.0)
-    assert abs(got - (9.76e-12 + 8.62e-12j)) < 1e-14
+    # the rounding of a cancelling sum (an 80-digit recurrence gives about 1e-29), not its accuracy
+    assert abs(got - (9.77e-12 + 8.61e-12j)) < 1e-14
 
 
 _COORD_3 = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
