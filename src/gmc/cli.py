@@ -34,8 +34,9 @@ from .specs import (
 from .suites import run_suite
 from .vectors import GrowthClass
 
-# grid points per fourier_wigner call of gmc wigner: bounds the kernel block's memory
-GRID_BLOCK = 1 << 16
+# grid points per fourier_wigner call of gmc wigner: bounds the kernel block's memory, so
+# that a block within heisenberg.TABLE_BUDGET reads 1,024 columns
+GRID_BLOCK = 1 << 13
 # CSV lines joined per write
 CSV_CHUNK = 4096
 

@@ -76,7 +76,8 @@ BOX_NODES = 48
 INPUT_MARGIN = 32
 # largest Hermite index of a gaussian_vector prefix: widths from about 0.049 to 20.4
 GAUSSIAN_MAX_INDEX = 13_000
-# entries of the largest Hermite table of smoothing or kernel block of fourier_wigner (512 MiB of float64)
+# float64 entries of the largest Hermite table of smoothing, or of the arrays of a fourier_wigner
+# kernel block, which claims 8 per block entry (re, im, the complex phase and its exponent, the block)
 TABLE_BUDGET = 1 << 26
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
@@ -546,8 +547,9 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     if top > KERNEL_MAX_INDEX:
         raise BudgetExceeded(f"kernel rows reach index {top}, past {KERNEL_MAX_INDEX}", math.inf)
     ws, we = max(lo, int(first[live].min())), min(cols, top + 1)
-    if (we - ws) * m > TABLE_BUDGET:
-        raise BudgetExceeded(f"kernel block of {we - ws} columns at {m} points is past {TABLE_BUDGET} entries", math.inf)
+    if 8 * (we - ws) * m > TABLE_BUDGET:  # the peak of this block and of fourier_wigner's sum over it
+        message = f"kernel block of {we - ws} columns at {m} points needs {8 * (we - ws) * m} float64 entries"
+        raise BudgetExceeded(f"{message}, past {TABLE_BUDGET} entries", math.inf)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
@@ -570,6 +572,7 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
             for acc, w in zip((re, im), weight):
                 acc[:, pts] += w[r, pts] * rows
         column[lanes] = -1
+    del rows  # up to one float64 an entry: the phase below peaks at 7 with re and im
     turn = np.exp(1j * (ks[0] - np.arange(ws, we))[:, None] * theta)  # u^(k0 - j)
     block = np.empty((we - ws, m), dtype=np.complex128)
     np.multiply(re, turn.real, block.real)

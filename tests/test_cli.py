@@ -758,6 +758,14 @@ def test_wigner_blocks_give_the_bytes_of_single_point_calls(monkeypatch):
         assert line == ",".join(format(float(v), ".17g") for v in parts)
 
 
+def test_wigner_blocks_read_1024_columns_within_the_table_budget():
+    import gmc.cli as cli
+    from gmc import heisenberg as hb
+
+    # a kernel block claims 8 float64 entries per block entry
+    assert 8 * cli.GRID_BLOCK * 1024 == hb.TABLE_BUDGET
+
+
 def test_wigner_prints_no_partial_grid_when_a_block_fails(monkeypatch):
     import gmc.cli as cli
 

@@ -1347,8 +1347,8 @@ def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
 
     monkeypatch.setattr(hb, "_kernel_rows", no_rows)
     phi = hb.poly_growth_vector(2.0, prefix_len=8)
-    # the row of h_0 at (3, 3) spans 190 columns, and 2^19 points at that radius ask for
-    # about 1.5 TABLE_BUDGET entries
+    # the row of h_0 at (3, 3) spans 190 columns, and 2^19 points at that radius claim
+    # about 12 TABLE_BUDGET entries, at 8 per block entry
     p = np.full(1 << 19, 3.0)
     with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries") as info:
         hb.fourier_wigner(phi, hb.unit_vector(0), p, p)
@@ -1357,6 +1357,45 @@ def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
     for v in (phi, _truncation(phi, 1000)):
         with pytest.raises(BudgetExceeded, match="past 64 entries"):
             hb.fourier_wigner(v, hb.unit_vector(0), 3.0, 3.0)
+
+
+def _points_at_the_table_budget():
+    """(m, span): m points at (3, 3), whose block of h_0's row (span columns) is the
+    largest within TABLE_BUDGET at 8 entries per block entry."""
+    first, _, last = hb._row_extents(np.zeros(1), np.array([18.0 * np.pi]))
+    span = int(last[0] - first[0]) + 1
+    return hb.TABLE_BUDGET // (8 * span), span
+
+
+def test_fourier_wigner_block_within_its_claim_peaks_below_the_budget(monkeypatch):
+    # the claim covers the block's arrays (measured 7.05 float64 per block entry) and the
+    # sum over it; the slack holds one pass of kernel rows, bounded by KERNEL_CHUNK
+    import tracemalloc
+
+    monkeypatch.setattr(hb, "TABLE_BUDGET", 1 << 20)
+    m, span = _points_at_the_table_budget()
+    assert 8 * (m + 1) * span > hb.TABLE_BUDGET
+    phi, p = hb.poly_growth_vector(2.0, prefix_len=8), np.full(m, 3.0)
+    hb.fourier_wigner(phi, hb.unit_vector(0), p[:2], p[:2])  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        hb.fourier_wigner(phi, hb.unit_vector(0), p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * hb.TABLE_BUDGET + (256 << 10)
+
+
+def test_fourier_wigner_block_past_its_claim_raises_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("built a kernel row")
+
+    monkeypatch.setattr(hb, "TABLE_BUDGET", 1 << 20)
+    monkeypatch.setattr(hb, "_kernel_rows", no_rows)
+    m, _ = _points_at_the_table_budget()
+    p = np.full(m + 1, 3.0)
+    with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries"):
+        hb.fourier_wigner(hb.poly_growth_vector(2.0, prefix_len=8), hb.unit_vector(0), p, p)
 
 
 def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
