@@ -520,12 +520,13 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     psi_k and a distinct x whose extent meets [lo, cols), in passes of at most
     KERNEL_CHUNK history entries. A pass notes each lane's table column in one index
     array (-1 for the lanes of other passes), and every point gathers the columns of its
-    x from it, row by row; the points' sums run in increasing k. A row's arithmetic depends on neither the window nor the other
-    rows, so every entry has the bits of the lo = 0 result, and a point the bits it has
-    alone. Columns outside [ws, we) are 0, and so is a point whose rows all lie outside
-    [lo, cols), an overflowing x included; x below 1e-200 is taken as 1e-200, where the
-    kernel is the identity to 1e-100. A row that reaches past KERNEL_MAX_INDEX, or a block
-    of more than TABLE_BUDGET entries, raises BudgetExceeded before any row is built.
+    x from it, row by row; the points' sums run in increasing k. A row's arithmetic
+    depends on neither the window nor the other rows, so every entry has the bits of the
+    lo = 0 result, and a point the bits it has alone. Columns outside [ws, we) are 0, and
+    so is a point whose rows all lie outside [lo, cols), an overflowing x included; x
+    below 1e-200 is taken as 1e-200, where the kernel is the identity to 1e-100. A row
+    that reaches past KERNEL_MAX_INDEX, or a block whose 8 float64 entries per block
+    entry pass TABLE_BUDGET, raises BudgetExceeded before any row is built.
     """
     p, q = np.atleast_1d(p, q)
     m = len(p)
@@ -547,9 +548,8 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     if top > KERNEL_MAX_INDEX:
         raise BudgetExceeded(f"kernel rows reach index {top}, past {KERNEL_MAX_INDEX}", math.inf)
     ws, we = max(lo, int(first[live].min())), min(cols, top + 1)
-    if 8 * (we - ws) * m > TABLE_BUDGET:  # the peak of this block and of fourier_wigner's sum over it
-        message = f"kernel block of {we - ws} columns at {m} points needs {8 * (we - ws) * m} float64 entries"
-        raise BudgetExceeded(f"{message}, past {TABLE_BUDGET} entries", math.inf)
+    if 8 * (we - ws) * m > TABLE_BUDGET:  # the peak of this block, and of fourier_wigner's sum over it
+        raise BudgetExceeded(f"kernel block of {we - ws} columns at {m} points is past {TABLE_BUDGET} entries at 8 each", math.inf)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
     spin = np.exp(1j * (ks - ks[0])[:, None] * theta)  # u^(k - k0)
@@ -1000,7 +1000,7 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     and decays faster than any power of j, so an infinite phi gives the bits of its
     truncation there. The terms are summed in increasing j (or k), so a point has the
     bits it has alone. Rows past KERNEL_MAX_INDEX, or a block of more than
-    TABLE_BUDGET entries, raise BudgetExceeded before any row is built.
+    TABLE_BUDGET / 8 entries, raise BudgetExceeded before any row is built.
     """
     _require_hermite(phi)
     _require_hermite(psi)
