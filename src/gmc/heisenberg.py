@@ -565,7 +565,7 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
             lane_k[lanes], lane_x[lanes], first[lanes], centre[lanes], last[lanes], ws, we
         )
         column[lanes] = np.arange(len(lanes))
-        for r in np.unique(lanes // n).tolist():  # lanes are k-major: lane r n + i is row r at xs[i]
+        for r in range(lanes[0] // n, lanes[-1] // n + 1):  # lanes are k-major: lane r n + i is row r at xs[i]
             col = column[r * n + at]
             pts = np.flatnonzero(col >= 0)
             rows = table[:, col[pts]]
