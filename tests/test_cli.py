@@ -175,7 +175,7 @@ def test_wigner_high_unit_vectors_answer_up_to_the_kernel_index_cap():
     code, out, _ = run_cli("wigner", "e:10000000", "e:10000003", "--grid=0:1:2,0:1:2")
     assert code == 0
     # the bits at (0, 1), where the kernel rows are live: 1.9e-10 from the exact
-    # 3.1566758159683789e-05, as the cumulative scaling products gave (see
+    # 3.1566758159683789e-05, as was the value of the cumulative scaling products (see
     # test_kernel_entries_match_exact_laguerre_values_at_high_index)
     assert _parse_csv(out)[1][1][4] == 3.1566758165721626e-05
     for phi, psi in (("e:30000000", "e:30000003"), ("e:1000000000", "e:1000000003")):
