@@ -34,9 +34,6 @@ from .specs import (
 from .suites import run_suite
 from .vectors import GrowthClass
 
-# grid points per fourier_wigner call of gmc wigner: bounds the kernel block's memory, so
-# that a block within heisenberg.TABLE_BUDGET reads 1,024 columns
-GRID_BLOCK = 1 << 13
 # CSV lines joined per write
 CSV_CHUNK = 4096
 
@@ -83,6 +80,8 @@ def cmd_torus_series(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    """The pointwise coefficient on a (p, q) grid: one fourier_wigner call, which takes
+    the grid in its own kernel blocks, and CSV lines built from its arrays."""
     cfg = _load_config(args)
     model = hb.with_quadrature(cfg.quadrature_spec())
     phi = parse_vector("heisenberg", args.phi)
@@ -101,16 +100,15 @@ def cmd_wigner(args) -> int:
         )
     ps, qs = parse_grid(args.grid)
     P, Q = (a.ravel() for a in np.meshgrid(ps, qs, indexing="ij"))
-    # a point's value does not depend on the others in its call, so blocks keep its bits;
-    # blocks in order of radius share the kernel rows of a radius, and every block is
-    # done before any line is written
-    order = np.argsort(np.hypot(P, Q), kind="stable")
-    vals = np.empty(P.size, dtype=np.complex128)
-    for i in range(0, P.size, GRID_BLOCK):
-        at = order[i : i + GRID_BLOCK]
-        vals[at] = hb.fourier_wigner(phi, psi, P[at], Q[at])
-    rows = zip(*(a.tolist() for a in (P, Q, vals.real, vals.imag, np.abs(vals))))
-    _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows)
+    vals = hb.fourier_wigner(phi, psi, P, Q)  # every value before any line: no partial grid
+
+    def rows():  # CSV_CHUNK lines of Python floats at a time, not one per printed number
+        for i in range(0, P.size, CSV_CHUNK):
+            cut = slice(i, i + CSV_CHUNK)
+            v = vals[cut]
+            yield from zip(*(a.tolist() for a in (P[cut], Q[cut], v.real, v.imag, np.abs(v))))
+
+    _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows())
     return 0
 
 

@@ -1346,21 +1346,54 @@ def test_fourier_wigner_array_matches_scalar_calls():
 
 
 def test_fourier_wigner_budget_error_reports_bound(monkeypatch):
+    # the row of h_0 at (3, 3) spans 190 columns: past the points one block may hold, a
+    # call claims block by block, so 2m + 1 points at that radius (3 blocks) each get the
+    # bytes of their single-point call where one block of them all would be refused
+    monkeypatch.setattr(hb, "TABLE_BUDGET", 1 << 20)
+    m, _ = _points_at_the_table_budget()
+    monkeypatch.setattr(hb, "POINT_BLOCK", m)
+    phi, p = hb.poly_growth_vector(2.0, prefix_len=8), np.full(2 * m + 1, 3.0)
+    alone = hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0)
+    got = hb.fourier_wigner(phi, hb.unit_vector(0), p, p)
+    assert got.tobytes() == np.full(len(p), alone).tobytes()
+
     def no_rows(*args):
         raise AssertionError("built a kernel row")
 
     monkeypatch.setattr(hb, "_kernel_rows", no_rows)
-    phi = hb.poly_growth_vector(2.0, prefix_len=8)
-    # the row of h_0 at (3, 3) spans 190 columns, and 2^19 points at that radius claim
-    # about 12 TABLE_BUDGET entries, at 8 per block entry
-    p = np.full(1 << 19, 3.0)
-    with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries") as info:
-        hb.fourier_wigner(phi, hb.unit_vector(0), p, p)
-    assert info.value.achieved_bound == math.inf
     monkeypatch.setattr(hb, "TABLE_BUDGET", 64)
     for v in (phi, _truncation(phi, 1000)):
-        with pytest.raises(BudgetExceeded, match="past 64 entries"):
+        with pytest.raises(BudgetExceeded, match="past 64 entries") as info:
             hb.fourier_wigner(v, hb.unit_vector(0), 3.0, 3.0)
+        assert info.value.achieved_bound == math.inf
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        (hb.gaussian_vector(0.8), hb.unit_vector(3)),
+        (hb.poly_growth_vector(0.5), hb.unit_vector(4)),
+        (hb.unit_vector(2), hb.gaussian_vector(1.2)),
+    ],
+    ids=["finite-phi", "infinite-phi", "dense-psi"],
+)
+def test_fourier_wigner_blocks_give_the_bytes_of_single_point_calls(phi, psi, monkeypatch):
+    # 35 points through (0, 0) in blocks of 7, so that radii are split across blocks; bytes,
+    # so that a signed zero counts
+    P, Q = np.meshgrid(np.linspace(-1.2, 1.2, 5), np.linspace(-0.9, 0.9, 7), indexing="ij")
+    alone = [hb.fourier_wigner(phi, psi, p, q) for p, q in zip(P.ravel(), Q.ravel())]
+    monkeypatch.setattr(hb, "POINT_BLOCK", 7)
+    got = hb.fourier_wigner(phi, psi, P, Q)
+    assert got.shape == P.shape and got.tobytes() == np.array(alone).reshape(P.shape).tobytes()
+
+
+def test_fourier_wigner_of_orthogonal_unit_vectors_at_the_origin_is_plus_zero():
+    # the block sums are added into zeros, and 0 + -0 is 0: assigning them printed -0 here
+    e204, e209 = hb.unit_vector(204), hb.unit_vector(209)
+    assert math.copysign(1.0, hb.fourier_wigner(e204, e209, 0.0, 0.0).real) == 1.0
+    ps, qs = np.linspace(-1.17784, 1.17784, 9), np.linspace(-1.17784, 1.17784, 7)
+    grid = hb.fourier_wigner(e204, e209, *np.meshgrid(ps, qs, indexing="ij"))
+    assert math.copysign(1.0, grid[4, 3].real) == 1.0 and grid[4, 3] == 0
 
 
 def _points_at_the_table_budget():
