@@ -38,12 +38,12 @@ from .groups import GroupModel
 from .hermite import legendre_on_interval
 from .vectors import CoefficientVector
 
-# Gauss-Legendre nodes of a bump's 1-d quadratures (its mass, its Fourier transform)
-BUMP_NODES = 400
-# Nodes of the normalization integral of exp(-1/(1-x^2)) over [-1, 1], checked
-# against _MASS_CHECK_NODES. Against its value 0.443993816168079437823 the error
-# is 2.8e-15 at 128 nodes and 1.6e-15 at 160, while 400 and 500 nodes give
-# 1.2e-14 and 1.1e-14 and take 10-20 times as long to build.
+# Gauss-Legendre nodes of a bump's 1-d quadratures: its mass, its Fourier transform, and
+# the normalization integral of exp(-1/(1-x^2)) over [-1, 1], checked against
+# _MASS_CHECK_NODES. Against its value 0.443993816168079437823 the error is 2.8e-15 at
+# 128 nodes and 1.6e-15 at 160, while 400 and 500 nodes give 1.2e-14 and 1.1e-14 and
+# take 10-20 times as long to build. On the rule of the normalization, a scaled bump's
+# mass is 1 to the last bit (radii 0.05 to 2, n up to 16).
 MASS_NODES = 128
 _MASS_CHECK_NODES = 160
 
@@ -116,16 +116,16 @@ class BumpProfile:
         u = self.n * np.asarray(x, dtype=float) / self.radius
         return self.n ** (order + 1) * (scale * _bump_unit(u, order))
 
-    def transform(self, lam, nodes: int | None = None):
+    def transform(self, lam, nodes: int = MASS_NODES):
         """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even);
         a float for a scalar lam, an array of the sums for an array of frequencies."""
-        x, w = legendre_on_interval(-self.support, self.support, nodes or BUMP_NODES)
+        x, w = legendre_on_interval(-self.support, self.support, nodes)
         lam = np.asarray(lam, dtype=float)
         if lam.ndim == 0:
             return float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
         return (self(x) * np.cos(2.0 * np.pi * np.multiply.outer(lam, x))) @ w
 
-    def mass(self, nodes: int | None = None) -> float:
+    def mass(self, nodes: int = MASS_NODES) -> float:
         return self.transform(0.0, nodes)
 
 
@@ -134,7 +134,7 @@ def _unit_mass() -> float:
     """Mass of exp(-1/(1-x^2)) over [-1, 1] at MASS_NODES, checked against
     _MASS_CHECK_NODES; computed once per process."""
     unit = BumpProfile(1.0, 1.0)
-    coarse, fine = unit.mass(MASS_NODES), unit.mass(_MASS_CHECK_NODES)
+    coarse, fine = unit.mass(), unit.mass(_MASS_CHECK_NODES)
     gap, tol = abs(coarse - fine), 1e-12 * (1.0 + abs(fine))
     if gap > tol:
         raise QuadratureAccuracyError("bump normalization has not converged", gap, tol, coarse, fine)
@@ -228,7 +228,7 @@ def _torus_smoothed(f: tr.TorusTestFunction, jn: BumpProfile) -> tr.TorusTestFun
     _require_injective(jn)
     B = f.bandwidth
     if B * jn.support <= _COSINE_LAM:
-        half = jn.transform(np.arange(B + 1), MASS_NODES)
+        half = jn.transform(np.arange(B + 1))
     else:
         table = _pushforward_band(jn)[: B + 1]
         half = np.concatenate([table, np.zeros(B + 1 - len(table))])

@@ -445,11 +445,19 @@ def test_bump_transform_at_128_nodes_against_mpmath():
             assert abs(value - float(cos_sum / mass)) <= 6.4e-15, lam
 
 
+@pytest.mark.parametrize("radius", [0.25, 0.4, 0.5, 0.8])
+def test_scaled_bump_mass_is_one(radius):
+    # the mass and the normalization read one Gauss-Legendre rule: on 400 nodes against a
+    # 128-node normalization, every mass here read 1 + 3.3e-14
+    for n in (1, 2, 4):
+        assert abs(mo.BumpProfile.standard(radius).scaled(n).mass() - 1.0) <= 2 * np.spacing(1.0), n
+
+
 def test_bump_transform_of_a_scalar_is_the_one_float_sum():
     # an array of frequencies leaves the scalar sum, which Heisenberg test functions
     # read, bit for bit as it was
     for jn in (mo.BumpProfile.standard(0.25).scaled(3), mo.BumpProfile.standard(0.8)):
-        x, w = mo.legendre_on_interval(-jn.support, jn.support, mo.BUMP_NODES)
+        x, w = mo.legendre_on_interval(-jn.support, jn.support, mo.MASS_NODES)
         lams = [0.0, 0.5, 1.0, 7.25, -3.0]
         for lam in lams:
             got = jn.transform(lam)
