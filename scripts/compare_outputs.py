@@ -6,8 +6,9 @@
 Each checkout runs the requests that perfbench/workloads.py draws for every listed
 workload and seed (that many blocks each) through perfbench/run.py's Runner, in one
 subprocess that imports that checkout's own src/ and perfbench/. The requests'
-(code, output, error) are compared one by one; the script prints the requests that
-differ and exits 1 if any do, 0 if none do.
+(code, output, error) are compared one by one; the script prints each request that
+differs with at most SHOWN_LINES of its differing lines, both sides, and how many more
+differ, and exits 1 if any request differs, 0 if none does.
 
 Each differing request is sized: per line of its output (a returned value is one
 line), the largest change of a number over 1 + the line's largest |number|, read on
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import math
 import re
@@ -28,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("circle-mollify", "heisenberg-smooth", "wigner-table", "verify-suites")
+# differing lines printed per differing request
+SHOWN_LINES = 3
 
 # Runs in the checkout given as argv[1]; prints one JSON list of request records last.
 _CHILD = r"""
@@ -78,18 +82,39 @@ def _flatten(value) -> list:
     return [float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value]
 
 
+def _value(text: str):
+    """A recorded repr read back: a CLI's output text, or a returned value."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
+
+
 def _lines(text: str) -> list[tuple[str, list]]:
     """(skeleton, numbers) per line: a CLI output's lines with their numbers cut out,
     or a returned value as one line."""
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        value = text
+    value = _value(text)
     if not isinstance(value, str):
         items = _flatten(value)
         numbers = [x for x in items if isinstance(x, float)]
         return [(repr([x if not isinstance(x, float) else "#" for x in items]), numbers)]
     return [(_NUMBER.sub("#", line), [float(t) for t in _NUMBER.findall(line)]) for line in value.splitlines()]
+
+
+def _printed(record: list) -> list[str]:
+    """A request's output line by line: a CLI's text, or a returned value as one line."""
+    value = _value(record[5])
+    return value.splitlines() if isinstance(value, str) else [record[5]]
+
+
+def differing_lines(this: list, other: list) -> list[tuple[str, str, str]]:
+    """(label, this, other) for the exit code, each output line and the error where the
+    two request records differ; a line that one side lacks reads '(none)'."""
+    pairs = [("code", str(this[4]), str(other[4]))]
+    lines = itertools.zip_longest(_printed(this), _printed(other), fillvalue="(none)")
+    pairs += [(f"line {i}", a, b) for i, (a, b) in enumerate(lines, 1)]
+    pairs.append(("error", str(this[6]), str(other[6])))
+    return [(label, a, b) for label, a, b in pairs if a != b]
 
 
 def change_size(this: list, other: list) -> float:
@@ -135,8 +160,12 @@ def main(argv=None) -> int:
         if a[4:] != b[4:]:
             sizes.append(change_size(a, b))
             print(f"{a[0]} seed {a[1]} {a[2]} {a[3]}")
-            print(f"  this:  code={a[4]} output={a[5]} error={a[6]}")
-            print(f"  other: code={b[4]} output={b[5]} error={b[6]}")
+            lines = differing_lines(a, b)
+            for label, x, y in lines[:SHOWN_LINES]:
+                print(f"  {label} this:  {x}")
+                print(f"  {label} other: {y}")
+            if len(lines) > SHOWN_LINES:
+                print(f"  {len(lines) - SHOWN_LINES} more lines differ")
             print(f"  largest change {sizes[-1]:.3g} x (1 + the line's largest |value|)")
     summary = f"{len(sizes)} of {len(ours)} requests differ"
     if sizes:

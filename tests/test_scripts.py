@@ -122,11 +122,31 @@ def test_compare_outputs_sizes_each_difference(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(compare, "run_checkout", lambda root, *args: ours if root == compare.ROOT else theirs)
     assert compare.main([str(tmp_path), "--seeds", "1", "--blocks", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[3] == "  largest change 2.26e-14 x (1 + the line's largest |value|)"
+    # the request, then its differing lines as this / other pairs, not both whole outputs
+    assert out[:4] == [
+        "circle-mollify seed 1 cli.mollify-torus mollify ...",
+        "  line 2 this:  2,552.0,0,1.5",
+        "  line 2 other: 2,552.0000000000125,0,1.5",
+        "  largest change 2.26e-14 x (1 + the line's largest |value|)",
+    ]
     assert out[-1] == "1 of 3 requests differ; largest change 2.26e-14 x (1 + the line's largest |value|)"
     monkeypatch.setattr(compare, "run_checkout", lambda root, *args: ours)
     assert compare.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 3 requests differ"
+    # past three differing lines, a count of the rest; a line one side lacks reads (none)
+    longer = edited(csv.replace("0.25", "0.5") + "8,1,0,0\n9,1,0,0\n", code=1, error="boom")
+    monkeypatch.setattr(compare, "run_checkout", lambda root, *args: [row] if root == compare.ROOT else [longer])
+    assert compare.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:9] == [
+        "  code this:  0",
+        "  code other: 1",
+        "  line 3 this:  4,0.25,0,3e-3",
+        "  line 3 other: 4,0.5,0,3e-3",
+        "  line 4 this:  (none)",
+        "  line 4 other: 8,1,0,0",
+        "  2 more lines differ",
+        "  largest change inf x (1 + the line's largest |value|)",
+    ]
 
 
 def test_benchmark_tracer_boundaries_resolve_in_the_current_tree():
