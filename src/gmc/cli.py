@@ -80,8 +80,7 @@ def cmd_torus_series(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    """The pointwise coefficient on a (p, q) grid: one fourier_wigner call, which takes
-    the grid in its own kernel blocks, and CSV lines built from its arrays."""
+    """One fourier_wigner call over the whole grid, which it blocks; CSV from its arrays."""
     cfg = _load_config(args)
     model = hb.with_quadrature(cfg.quadrature_spec())
     phi = parse_vector("heisenberg", args.phi)
@@ -101,14 +100,10 @@ def cmd_wigner(args) -> int:
     ps, qs = parse_grid(args.grid)
     P, Q = (a.ravel() for a in np.meshgrid(ps, qs, indexing="ij"))
     vals = hb.fourier_wigner(phi, psi, P, Q)  # every value before any line: no partial grid
-
-    def rows():  # CSV_CHUNK lines of Python floats at a time, not one per printed number
-        for i in range(0, P.size, CSV_CHUNK):
-            cut = slice(i, i + CSV_CHUNK)
-            v = vals[cut]
-            yield from zip(*(a.tolist() for a in (P[cut], Q[cut], v.real, v.imag, np.abs(v))))
-
-    _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], rows())
+    columns = (P, Q, vals.real, vals.imag, np.abs(vals))
+    # Python floats for CSV_CHUNK lines at a time, not for every printed number
+    rows = (zip(*(a[i : i + CSV_CHUNK].tolist() for a in columns)) for i in range(0, P.size, CSV_CHUNK))
+    _write_csv(cfg.output, ["p", "q", "re", "im", "abs"], itertools.chain.from_iterable(rows))
     return 0
 
 

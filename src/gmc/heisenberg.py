@@ -77,10 +77,9 @@ INPUT_MARGIN = 32
 # largest Hermite index of a gaussian_vector prefix: widths from about 0.049 to 20.4
 GAUSSIAN_MAX_INDEX = 13_000
 # float64 entries of the largest Hermite table of smoothing, or of the arrays of a fourier_wigner
-# kernel block, which claims 8 per block entry (re, im, the complex phase and its exponent, the
-# block): 1,024 columns at POINT_BLOCK points
+# kernel block, which claims 8 per block entry (re, im, the complex phase and its exponent, the block)
 TABLE_BUDGET = 1 << 26
-# points of one fourier_wigner kernel block, for library calls and gmc wigner alike
+# points of one fourier_wigner kernel block: within TABLE_BUDGET, it reads 1,024 columns
 POINT_BLOCK = 1 << 13
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
@@ -551,7 +550,7 @@ def _kernel_block(psi_vec: np.ndarray, cols: int, p, q, lo: int = 0, start: int 
     if top > KERNEL_MAX_INDEX:
         raise BudgetExceeded(f"kernel rows reach index {top}, past {KERNEL_MAX_INDEX}", math.inf)
     ws, we = max(lo, int(first[live].min())), min(cols, top + 1)
-    if 8 * (we - ws) * m > TABLE_BUDGET:  # the peak of this block, and of _kernel_sums over it
+    if 8 * (we - ws) * m > TABLE_BUDGET:  # the peak of this block, and of fourier_wigner's sum over it
         raise BudgetExceeded(f"kernel block of {we - ws} columns at {m} points is past {TABLE_BUDGET} entries at 8 each", math.inf)
     # complex products go through real ufuncs, as in _cmul
     theta = np.arctan2(q, -p)
@@ -990,16 +989,6 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     return out
 
 
-def _kernel_sums(phi: HermiteVector, psi_vec: np.ndarray, start: int, lo: int, top: int, p, q):
-    """sum_j phi_j c[j, m] over the kernel block of the points p, q (_kernel_block), added
-    in increasing j; only these sums outlive the block."""
-    ws, kernel = _kernel_block(psi_vec, top, p, q, lo, start=start)
-    if not len(kernel):
-        return 0.0
-    terms = _cmul(phi.dense(ws, ws + len(kernel) - 1)[:, None], kernel)
-    return np.cumsum(terms, axis=0)[-1]  # sum would add a lone point's terms pairwise
-
-
 def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np.ndarray:
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
@@ -1007,15 +996,14 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     rapid-decay; phi may be any class. The point distribution delta (is_dirac_delta)
     as phi gives exp(-i pi p q) sum_k psi_k h_k(-p) (Folland 1.3), one Hermite series
     per distinct p (_hermite_series). Any other phi reads the kernel in blocks of
-    POINT_BLOCK points, taken in order of radius so that a block shares the rows of
-    each radius. A block holds the columns j the sum reads (_kernel_block): a finite
-    phi's from its first nonzero index to its stop, an infinite phi's on every column
-    a row of psi reaches at any of its points. Past its last index a row is below
-    KERNEL_FLOOR of its peak and decays faster than any power of j, so an infinite phi
-    gives the bits of its truncation there. The terms are summed in increasing j (or
-    k), so a point has the bits it has alone, in whatever block. Rows past
-    KERNEL_MAX_INDEX, or a block of more than TABLE_BUDGET / 8 entries (1,024 columns
-    at POINT_BLOCK points), raise BudgetExceeded before any of that block's rows is built.
+    POINT_BLOCK points in order of radius, so a block shares each radius's rows; a
+    block holds the columns j the sum reads (_kernel_block): a finite phi's from its
+    first nonzero index to its stop, an infinite phi's on every column a row of psi
+    reaches at a point of the block. Past its last index a row is below KERNEL_FLOOR
+    of its peak and decays faster than any power of j, so an infinite phi gives the
+    bits of its truncation there. The terms are summed in increasing j (or k), so a
+    point has the bits it has alone. Rows past KERNEL_MAX_INDEX, or a block of more
+    than TABLE_BUDGET / 8 entries, raise BudgetExceeded before that block's rows.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -1043,7 +1031,10 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     order = np.argsort(np.hypot(ps, qs), kind="stable")
     for i in range(0, len(ps), POINT_BLOCK):
         at = order[i : i + POINT_BLOCK]
-        total[at] += _kernel_sums(phi, psi_vec, start, lo, top, ps[at], qs[at])  # +=: 0 + -0 is 0
+        ws, kernel = _kernel_block(psi_vec, top, ps[at], qs[at], lo, start=start)
+        if len(kernel):  # cumsum adds in increasing j, where sum would add a lone point's terms pairwise
+            total[at] += np.cumsum(_cmul(phi.dense(ws, ws + len(kernel) - 1)[:, None], kernel), axis=0)[-1]
+        del kernel  # freed before the next block is built; added into zeros, as 0 + -0 is 0
     bad = int(np.count_nonzero(~np.isfinite(total)))
     if bad:
         message = f"pointwise coefficient is not finite at {bad} of {len(ps)} points"

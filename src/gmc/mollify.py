@@ -38,12 +38,10 @@ from .groups import GroupModel
 from .hermite import legendre_on_interval
 from .vectors import CoefficientVector
 
-# Gauss-Legendre nodes of a bump's 1-d quadratures: its mass, its Fourier transform, and
-# the normalization integral of exp(-1/(1-x^2)) over [-1, 1], checked against
-# _MASS_CHECK_NODES. Against its value 0.443993816168079437823 the error is 2.8e-15 at
-# 128 nodes and 1.6e-15 at 160, while 400 and 500 nodes give 1.2e-14 and 1.1e-14 and
-# take 10-20 times as long to build. On the rule of the normalization, a scaled bump's
-# mass is 1 to the last bit (radii 0.05 to 2, n up to 16).
+# Gauss-Legendre nodes of every bump quadrature: its Fourier transform, its mass, which is
+# then 1 to the last bit, and the normalization of exp(-1/(1-x^2)) over [-1, 1], checked
+# against _MASS_CHECK_NODES: against 0.443993816168079437823 that errs by 2.8e-15 here and
+# 1.6e-15 at 160 nodes, while 400 and 500 nodes give 1.2e-14 and 1.1e-14 at 10-20 times the cost.
 MASS_NODES = 128
 _MASS_CHECK_NODES = 160
 
