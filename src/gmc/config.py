@@ -23,8 +23,8 @@ class QuadratureSpec:
 
     truncation is the only output length N of smoothing; an infinite input is read
     at least heisenberg.INPUT_MARGIN columns past it. A test function's (p, q) rule
-    size is read off its terms, and smoothing sizes its Gauss-Hermite rule from the
-    truncations and the support's largest |q|. Smoothing runs one pass and checks
+    size is read off its terms; smoothing's Gauss-Hermite rule is the least count exact
+    on the degrees it reads and the support's phase. Smoothing runs one pass and checks
     it, to check_tol relative to the result: its (p, q) rule against a finer one,
     and an input with coefficients past the band it reads against a longer one,
     both on the same Hermite table.

@@ -79,7 +79,7 @@ GAUSSIAN_MAX_INDEX = 13_000
 # float64 entries of the largest Hermite table of smoothing, or of the arrays of a fourier_wigner
 # kernel block, which claims 8 per block entry (re, im, the complex phase and its exponent, the block)
 TABLE_BUDGET = 1 << 26
-# points of one fourier_wigner kernel block: within TABLE_BUDGET, it reads 1,024 columns
+# points of one fourier_wigner kernel block, within TABLE_BUDGET to 1,024 columns, then halved
 POINT_BLOCK = 1 << 13
 # kernel rows are cut where they fall below this fraction of their peak
 KERNEL_FLOOR = 1e-20
@@ -90,9 +90,6 @@ KERNEL_MAX_INDEX = 1 << 24
 # fourier_wigner reads an infinite psi to where its dropped |psi_k| sum below FW_ABS_TOL / 8
 FW_ABS_TOL = 1e-10
 _LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
-# smoothing's Gauss-Hermite rule is grown until the phase exp(2 pi i q b) moves no Hermite
-# function past the rule's exact degree by more than this fraction of its kernel row's peak
-PHASE_FLOOR = 1e-12
 # the finer (p, q) rule and the longer input that smoothing checks itself against
 CHECK_NODES = 8
 CHECK_COLUMNS = 24
@@ -363,7 +360,7 @@ class HTestFunction:
 # --------------------------------------------------------------------------
 
 
-def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
+def _row_extents(k: np.ndarray, x: np.ndarray) -> tuple:
     """First, centre and last index (js, jm, J) of the kernel rows W^(k) at x = pi (p^2 + q^2).
 
     Outside the turning points lo, hi = (sqrt k -/+ sqrt x)^2 the recurrence of
@@ -372,7 +369,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
     (2 sqrt(x t)): with Q = (t - lo)(t - hi) and s the sign of x - k,
         above hi: 2 t acosh f - sqrt Q - 2 k acosh((t - x - k) / (2 sqrt(x k))),
         below lo: s (sqrt Q - 2 k acosh((x + k - t) / (2 sqrt(x k)))) - 2 t acosh|f|.
-    The row decays like exp(-phi/2), so js and J sit where phi reaches cut (js = 0
+    The row decays like exp(-phi/2), so js and J sit where phi reaches _LOG_CUT (js = 0
     where the row is not that small at 0). phi is convex and monotone on each side, so a
     Newton step from any start ends outside the cut. The passes meet at jm: the band
     centre k + floor(x) where the row oscillates fast (x <= k/3, |f| <= 1/2), else the
@@ -386,7 +383,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
     klogk = k * np.log(np.maximum(k, 1.0))  # k log k, 0 at k = 0
     log2sx = math.log(2.0) + np.log(sx)
     # phi at t = 0 is x - k - k log x + k log k: rows past the cut there start later
-    far = np.flatnonzero(x - k * (2.0 * log2sx - 2.0 * math.log(2.0) + 1.0) + klogk > cut)
+    far = np.flatnonzero(x - k * (2.0 * log2sx - 2.0 * math.log(2.0) + 1.0) + klogk > _LOG_CUT)
     side = rho = tau = 1.0  # Newton above hi, then below lo for the far rows
     turn, floor = hi, 0.0
     if len(far):
@@ -397,7 +394,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
         rho, tau = np.where(up, 1.0, -np.sign(x - k)), np.where(up, 1.0, np.sign(x - k))
         turn, floor = np.where(up, hi, lo), np.where(up, 0.0, 1e-9 * lo)
     # start at the Gaussian (k = 0) or Airy distance of the cut, whichever is nearer
-    gap = np.minimum(np.sqrt(2.0 * cut * turn), np.cbrt(9.0 / 16.0 * cut**2 * turn * sx / (sk + 1e-100)))
+    gap = np.minimum(np.sqrt(2.0 * _LOG_CUT * turn), np.cbrt(9.0 / 16.0 * _LOG_CUT**2 * turn * sx / (sk + 1e-100)))
     t = np.maximum(turn + side * np.maximum(gap, 1.0), floor)
     # one Newton step: phi is convex, so from either side it lands outside the cut, on
     # average a fraction of a step past it
@@ -405,7 +402,7 @@ def _row_extents(k: np.ndarray, x: np.ndarray, cut: float = _LOG_CUT) -> tuple:
     a = np.log(np.abs(t + x - k) + r) - log2sx - 0.5 * np.log(t)  # acosh|f|
     b = np.log(np.abs(t - x - k) + r) - log2sx
     phi = tau * (klogk - 2.0 * k * b) - rho * r + 2.0 * side * t * a
-    t = np.maximum(t - (phi - cut) / (2.0 * side * a), floor)
+    t = np.maximum(t - (phi - _LOG_CUT) / (2.0 * side * a), floor)
     n = len(centre)
     first = np.zeros(n, dtype=np.int64)
     first[far] = np.floor(t[n:])
@@ -803,21 +800,15 @@ def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
 
     With n nodes the rule is exact on poly(y) exp(-y^2) to degree 2n - 1, and
     h_j(b + p/2) h_k(b - p/2) is such a product of degree j + k (the shifts by p/2
-    cancel in the Gaussian): the base count max(80, (rows + cols) // 2 + 32) covers
-    it with margin. The phase exp(2 pi i q b) = exp(i sqrt(2 pi) q y) of the q-kernel
-    is the displacement pi(0, q, 0), so on the shorter side it takes h_k to the levels
-    of the kernel row W^(k) at x = pi q^2. The rule grows only when the row of that
-    side's top function, cut at PHASE_FLOOR of its peak (_row_extents), reaches past
-    the degree the longer side leaves, 2n - 1 - (max(rows, cols) - 1); then n is the
-    count where it does not, about (max(rows, cols) + (sqrt(k) + sqrt(pi) q_max)^2) / 2.
+    cancel in the Gaussian). The phase exp(2 pi i q b) = exp(i sqrt(2 pi) q y) of the
+    q-kernel is the displacement pi(0, q, 0), so on the shorter side it takes h_k to the
+    levels of the kernel row W^(k) at x = pi q^2, up to its last index (_row_extents, as
+    _kernel_block takes x). n is the least count with 2n - 1 >= (max(rows, cols) - 1) +
+    last, about (max(rows, cols) + (sqrt(k) + sqrt(pi) q_max)^2) / 2.
     """
-    n = max(80, (rows + cols) // 2 + 32)
-    x = math.pi * min(q_max * q_max, 1e16)  # as in _displacement_margin
-    if x > 0.0:
-        k = float(min(rows, cols) - 1)
-        last = int(_row_extents(np.array([k]), np.array([x]), -2.0 * math.log(PHASE_FLOOR))[2][0])
-        n = max(n, (max(rows, cols) + last + 1) // 2)
-    return n
+    x = max(math.pi * min(q_max * q_max, 1e16), 1e-200)  # as in _displacement_margin and _kernel_block
+    last = int(_row_extents(np.array([float(min(rows, cols) - 1)]), np.array([x]))[2][0])
+    return (max(rows, cols) + last + 1) // 2
 
 
 def _rule_weights(f: HTestFunction, pn: np.ndarray, pw: np.ndarray, q_box, nodes: int) -> tuple:
@@ -906,8 +897,8 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     displacement margin. The result is a smooth (rapid-decay) vector from one pass,
     with three guards:
 
-    - the b-rule is sized in advance from the support's max |q| (_x_rule_size), so
-      that it resolves the phase exp(2 pi i q b) on top of the Hermite degrees;
+    - the b-rule is sized in advance: the least count exact on the output's and the
+      read input's Hermite degrees and the phase exp(2 pi i q b) (_x_rule_size);
     - the (p, q) rule is checked against one CHECK_NODES finer per axis, from the
       central transform and the same Hermite table (_smooth_core), with no second;
     - an input with nonzero coefficients past the band continues the same Hermite
@@ -925,7 +916,7 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     band = N + _displacement_margin(f, N)
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
-    rule = _x_rule_size(N, cols, float(np.max(np.abs(f.support[1]))))
+    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(f.support[1]))))  # the check columns share the table
     entries = max(N, cols + extra) * f.nodes * rule
     if entries > TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
@@ -1002,8 +993,8 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     reaches at a point of the block. Past its last index a row is below KERNEL_FLOOR
     of its peak and decays faster than any power of j, so an infinite phi gives the
     bits of its truncation there. The terms are summed in increasing j (or k), so a
-    point has the bits it has alone. Rows past KERNEL_MAX_INDEX, or a block of more
-    than TABLE_BUDGET / 8 entries, raise BudgetExceeded before that block's rows.
+    point has the bits it has alone. A block past TABLE_BUDGET / 8 entries or with rows
+    past KERNEL_MAX_INDEX halves the blocks from there on; a lone point raises BudgetExceeded.
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -1029,12 +1020,20 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
         lo, top = 0, 1 << 62
     total = np.zeros(len(ps), dtype=np.complex128)
     order = np.argsort(np.hypot(ps, qs), kind="stable")
-    for i in range(0, len(ps), POINT_BLOCK):
-        at = order[i : i + POINT_BLOCK]
-        ws, kernel = _kernel_block(psi_vec, top, ps[at], qs[at], lo, start=start)
+    i, size = 0, POINT_BLOCK
+    while i < len(ps):
+        at = order[i : i + size]
+        try:
+            ws, kernel = _kernel_block(psi_vec, top, ps[at], qs[at], lo, start=start)
+        except BudgetExceeded:
+            if len(at) == 1:
+                raise
+            size = (len(at) + 1) // 2  # the later points lie no nearer, so it stays halved
+            continue
         if len(kernel):  # cumsum adds in increasing j, where sum would add a lone point's terms pairwise
             total[at] += np.cumsum(_cmul(phi.dense(ws, ws + len(kernel) - 1)[:, None], kernel), axis=0)[-1]
         del kernel  # freed before the next block is built; added into zeros, as 0 + -0 is 0
+        i += len(at)
     bad = int(np.count_nonzero(~np.isfinite(total)))
     if bad:
         message = f"pointwise coefficient is not finite at {bad} of {len(ps)} points"

@@ -466,6 +466,14 @@ def _mollify_row(*argv):
     return row
 
 
+def test_mollify_check_columns_share_an_exact_b_rule():
+    # smoothing reads the check columns of an infinite input from its one Hermite table, so
+    # the b-rule is sized on them too; sized on the input band alone this fails its own check
+    bump = "bump3:center=(-0.25,-0.25,0.25):radius=0.6:mass=0.875"
+    code, _, err = run_cli("mollify", "--group", "heisenberg", "poly-growth:0.125", "e:5", bump, "--n", "2")
+    assert (code, err) == (0, "")
+
+
 def test_mollify_torus_row_reads_eta_on_the_band_only():
     # J_2's band reaches |n| = 1058, where n^150 overflows; the row needs |n| <= 4 only.
     # The partner is the comb and fejer is real, so the row is the sum over |m| <= 4 of
@@ -751,6 +759,19 @@ def test_wigner_blocks_give_the_bytes_of_single_point_calls(monkeypatch):
     code, blocked, _ = run_cli(*argv)
     assert code == 0 and blocked == whole
     phi, psi = parse_vector("heisenberg", "gauss:0.8"), parse_vector("heisenberg", "e:3")
+    # a table budget of 8 points on phi's 49 columns: the 81-point block is halved until it fits
+    sizes, inner = [], hb._kernel_block
+
+    def spy(psi_vec, cols, p, q, lo=0, start=0):
+        sizes.append(len(p))
+        return inner(psi_vec, cols, p, q, lo, start)
+
+    monkeypatch.setattr(hb, "_kernel_block", spy)
+    monkeypatch.setattr(hb, "POINT_BLOCK", 1 << 13)
+    monkeypatch.setattr(hb, "TABLE_BUDGET", 8 * 8 * phi.stop)
+    code, split, _ = run_cli(*argv)
+    assert code == 0 and split == whole
+    assert sizes[:5] == [81, 41, 21, 11, 6] and sum(sizes[4:]) == 81
     for line in whole.splitlines()[1::17]:
         p, q = (float(v) for v in line.split(",")[:2])
         value = hb.fourier_wigner(phi, psi, p, q)

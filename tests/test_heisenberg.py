@@ -19,6 +19,7 @@ from gmc.hermite import (
     hermite_scaled,
     legendre_on_interval,
 )
+from gmc.specs import parse_vector
 from gmc.uea import UEAElement
 from gmc.vectors import (
     CoefficientVector,
@@ -763,12 +764,17 @@ def _input_band(f, phi, N):
     return min(max(phi.stop, 1), band) if phi.finite_support else band
 
 
+def _q_max(f):
+    """The largest |q| of f's support, which sizes smoothing's b-rule with the degrees."""
+    return float(np.max(np.abs(f.support[1])))
+
+
 def _two_table_smooth_core(f, phi_vec, N, nodes):
     """Reference core: complex contractions of the bounded Hermite functions at
     b + p/2 and b - p/2 against the scaled weights W = w exp(y^2)."""
     pn, pw = f.axis_rule(0, nodes)
     qn, qw = f.axis_rule(1, nodes)
-    y, W = gauss_hermite_rule(hb._x_rule_size(N, len(phi_vec)))
+    y, W = gauss_hermite_rule(hb._x_rule_size(N, len(phi_vec), _q_max(f)))
     b = y / hb.SQRT_2PI
     weights = (pw / hb.SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
     kernel = weights @ np.exp(2j * np.pi * np.outer(qn, b))
@@ -792,7 +798,7 @@ def _two_table_smooth_core(f, phi_vec, N, nodes):
 def test_single_table_core_matches_two_table_formula(f, phi, N):
     vec = phi.dense(0, _input_band(f, phi, N) - 1)
     ref = _two_table_smooth_core(f, vec, N, f.nodes)
-    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, len(vec)))
+    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, len(vec), _q_max(f)))
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -850,7 +856,7 @@ def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     N = 40
     band = N + hb._displacement_margin(_BUMP, N)
     assert phi.finite_support and phi.stop > band
-    full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop))
+    full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop, _q_max(_BUMP)))
     got = hb.smooth_by(_BUMP, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
     assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -869,8 +875,8 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
 
 def _two_pass_smooth(f, phi, N):
     """The former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
-    axis and an input CHECK_COLUMNS longer, each on the base Gauss-Hermite rule of its
-    input length and through the two-table reference core. Returns (result, check)."""
+    axis and an input CHECK_COLUMNS longer, each on the Gauss-Hermite rule of its input
+    length and the support's largest |q|, through the two-table reference core. Returns (result, check)."""
     cols = _input_band(f, phi, N)
     out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
     out2 = _two_table_smooth_core(f, phi.dense(0, cols + hb.CHECK_COLUMNS - 1), N, f.nodes + hb.CHECK_NODES)
@@ -988,19 +994,65 @@ def test_far_centre_delta_gives_the_oracle_or_a_typed_error(q, value):
     assert abs(got - ref) < 1e-9
 
 
-def test_x_rule_grows_only_past_the_base_rule():
-    # workload and suite supports reach |q| <= 1.1: the base rule; far centres grow it
-    # like q^2, and a tiny or huge q_max is finite or refused by the table budget
-    for rows, cols in ((40, 1), (40, 9), (40, 49), (40, 103), (43, 107)):
-        base = hb._x_rule_size(rows, cols)
-        assert base == max(80, (rows + cols) // 2 + 32)
-        assert hb._x_rule_size(rows, cols, 1.1) == base
-        assert hb._x_rule_size(rows, cols, 1e-160) == base
+def _phase_last(rows, cols, q_max):
+    """The last index of the shorter side's top kernel row at x = pi q_max^2."""
+    x = max(math.pi * q_max * q_max, 1e-200)
+    return int(hb._row_extents(np.array([float(min(rows, cols) - 1)]), np.array([x]))[2][0])
+
+
+def test_x_rule_is_the_least_exact_count():
+    # the least n with 2n - 1 >= (max(rows, cols) - 1) + last, with no floor; far centres
+    # grow it like q^2, and a huge q_max is refused by the table budget
+    for rows, cols in ((40, 1), (40, 9), (40, 49), (40, 103), (43, 107), (160, 190), (1, 1)):
+        for q in (0.0, 1e-160, 0.5, 1.1, 3.0, 6.25):
+            n, need = hb._x_rule_size(rows, cols, q), max(rows, cols) - 1 + _phase_last(rows, cols, q)
+            assert 2 * n - 1 >= need > 2 * n - 3
+    assert hb._x_rule_size(40, 1) == 21 and hb._x_rule_size(1, 1) == 1
     grown = [hb._x_rule_size(40, 1, q) for q in (6.25, 8.25, 10.25, 20.25)]
-    assert grown == sorted(grown) and grown[0] > 80
+    assert grown == sorted(grown)
     assert 0.9 < grown[-1] / (math.pi * 20.25**2 / 2) < 2.0
+    assert 3.0 < grown[-1] / grown[0] < (20.25 / 6.25) ** 2
     with pytest.raises(BudgetExceeded):
         hb.smooth_by(_SMALL_BUMP.left_translate((0, 1e150, 0)), hb.unit_vector(0))
+
+
+def _reference_rule(rows, cols, q_max):
+    """The former b-rule count: max(80, (rows + cols) // 2 + 32), grown where the phase's
+    row, cut at 1e-12 of its peak, reached past the degree the longer side leaves."""
+    n = max(80, (rows + cols) // 2 + 32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hb, "_LOG_CUT", -2.0 * math.log(1e-12))
+        last = _phase_last(rows, cols, q_max) if q_max > 0.0 else 0
+    return max(n, (max(rows, cols) + last + 1) // 2)
+
+
+@pytest.mark.parametrize("N", [40, 160])
+@pytest.mark.parametrize(
+    "f",
+    [
+        _BUMP,
+        _BUMP.left_translate((0.3, -0.2, 0.1)),
+        _BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q),
+        _BUMP.left_translate((0.0, 3.0, 0.0)),
+    ],
+    ids=["bump", "translated", "PQ", "far-q"],
+)
+@pytest.mark.parametrize("spec", ["e:0", "e:7", "gauss:1.1", "delta", "poly-growth:1.5"])
+def test_least_exact_rule_matches_the_former_rule(spec, f, N):
+    # the former count, with its floor and margin, and the least exact count give the
+    # same smoothing on the same input columns: within 1e-13 of the largest output, or,
+    # where the input is large (poly-growth at N = 160), within the round-off the former
+    # count shows against a count twice as large, also exact
+    phi = parse_vector("heisenberg", spec)
+    cols = _input_band(f, phi, N)
+    extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
+    vec = phi.dense(0, cols + extra - 1)
+    rule = _reference_rule(N, cols, _q_max(f))
+    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, cols + extra, _q_max(f)), extra)
+    ref, _ = hb._smooth_core(f, vec, N, rule, extra)
+    moved = np.max(np.abs(got - ref))
+    if moved > 1e-13 * (1.0 + np.max(np.abs(ref))):
+        assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule, extra)[0] - ref))
 
 
 def test_smooth_by_non_finite_is_a_typed_error(monkeypatch):
@@ -1408,15 +1460,21 @@ def test_fourier_wigner_block_within_its_claim_peaks_below_the_budget(monkeypatc
 
 
 def test_fourier_wigner_block_past_its_claim_raises_before_any_row(monkeypatch):
+    # _kernel_block refuses m + 1 points of h_0's row before building it; fourier_wigner
+    # halves that block, and each point gets the bytes of its single-point call
     def no_rows(*args):
         raise AssertionError("built a kernel row")
 
     monkeypatch.setattr(hb, "TABLE_BUDGET", 1 << 20)
-    monkeypatch.setattr(hb, "_kernel_rows", no_rows)
     m, _ = _points_at_the_table_budget()
     p = np.full(m + 1, 3.0)
-    with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries"):
-        hb.fourier_wigner(hb.poly_growth_vector(2.0, prefix_len=8), hb.unit_vector(0), p, p)
+    with monkeypatch.context() as patch:
+        patch.setattr(hb, "_kernel_rows", no_rows)
+        with pytest.raises(BudgetExceeded, match=f"past {hb.TABLE_BUDGET} entries"):
+            hb._kernel_block(np.ones(1), 1 << 62, p, p)
+    phi = hb.poly_growth_vector(2.0, prefix_len=8)
+    alone = hb.fourier_wigner(phi, hb.unit_vector(0), 3.0, 3.0)
+    assert hb.fourier_wigner(phi, hb.unit_vector(0), p, p).tobytes() == np.full(m + 1, alone).tobytes()
 
 
 def test_fourier_wigner_tail_extent_error_reports_the_bound_within_budget():
