@@ -644,22 +644,22 @@ def _reach(r2: float, level: int) -> int:
     return int(math.ceil(2.6 * math.sqrt(s * (level + 32)) + s)) + 16
 
 
-def _support_extent(f: HTestFunction) -> tuple:
-    """(pm, qm), the largest |p| and |q| of f's support. Smoothing reads Hermite functions
-    at p/2 and phases q b, and its rules nodes on the support, which leave the float range
-    past |p|, |q| = 1e150: such supports are refused."""
-    pm = float(np.max(np.abs(f.support[0])))
-    qm = float(np.max(np.abs(f.support[1])))
+def _support_extent(box: np.ndarray) -> tuple:
+    """(pm, qm), the largest |p| and |q| of a test function's support box (f.support).
+    Smoothing reads Hermite functions at p/2 and phases q b, and its rules nodes on the
+    support, which leave the float range past |p|, |q| = 1e150: such supports are refused."""
+    pm = float(np.max(np.abs(box[0])))
+    qm = float(np.max(np.abs(box[1])))
     if not max(pm, qm) <= 1e150:
         raise PreconditionError(f"test function support reaches |p| or |q| = {max(pm, qm):.3g}, past 1e150")
     return pm, qm
 
 
-def _displacement_margin(f: HTestFunction, N: int) -> int:
-    """Input truncation margin, at least INPUT_MARGIN, scaled to the support's phase-space
-    reach (_support_extent). Past p^2 + q^2 = 1e16 the reach is past any table smoothing
-    may build, and is taken there."""
-    pm, qm = _support_extent(f)
+def _displacement_margin(box: np.ndarray, N: int) -> int:
+    """Input truncation margin, at least INPUT_MARGIN, scaled to the phase-space reach of
+    the support box (_support_extent). Past p^2 + q^2 = 1e16 the reach is past any table
+    smoothing may build, and is taken there."""
+    pm, qm = _support_extent(box)
     return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
@@ -823,7 +823,9 @@ def _rule_weights(f: HTestFunction, pn: np.ndarray, pw: np.ndarray, q_box, nodes
     return qn, weights
 
 
-def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0) -> tuple:
+def _smooth_core(
+    f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0, box: np.ndarray | None = None
+) -> tuple:
     """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
     extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
     in b, and how far they move, in output units, with the extra columns and with a
@@ -836,7 +838,7 @@ def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra
     weights), which the Hermite products, band-limited in p, follow. So the check
     contracts the kernel difference through the same table, and builds no other.
     """
-    (p0, p1), (q0, q1) = f.support[:2]
+    (p0, p1), (q0, q1) = (f.support if box is None else box)[:2]
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
 
@@ -913,14 +915,15 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
     # output k < N couples only to inputs below N + margin, also for a long finite phi
-    band = N + _displacement_margin(f, N)
+    box = f.support
+    band = N + _displacement_margin(box, N)
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
-    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(f.support[1]))))  # the check columns share the table
+    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1]))))  # the check columns share the table
     entries = max(N, cols + extra) * f.nodes * rule
     if entries > TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
-    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra)
+    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra, box)
     tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))
     if not gap <= tol:
         raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out)
@@ -955,8 +958,9 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     infinite psi is read to where the envelope bounds its dropped |psi_k| by abs_tol /
     (1.3 (1 + sum over p of |the q-sum of weights and phases|)), since |h_k| <= 1.3.
     """
-    _support_extent(f)
-    (p0, p1), q_box = f.support[:2]
+    box = f.support
+    _support_extent(box)
+    (p0, p1), q_box = box[:2]
     rules = (f.nodes, f.nodes + CHECK_NODES)
     if is_dirac_delta(psi):
         out, check = (complex(np.sum(_rule_weights(f, np.zeros(1), np.ones(1), q_box, n)[1])) for n in rules)

@@ -116,15 +116,24 @@ class BumpProfile:
 
     def transform(self, lam, nodes: int = MASS_NODES):
         """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even);
-        a float for a scalar lam, an array of the sums for an array of frequencies."""
-        x, w = legendre_on_interval(-self.support, self.support, nodes)
+        a float for a scalar lam, computed once per (profile, lam, nodes), an array of
+        the sums for an array of frequencies."""
         lam = np.asarray(lam, dtype=float)
         if lam.ndim == 0:
-            return float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
+            return _transform_at(self, float(lam), nodes)
+        x, w = legendre_on_interval(-self.support, self.support, nodes)
         return (self(x) * np.cos(2.0 * np.pi * np.multiply.outer(lam, x))) @ w
 
     def mass(self, nodes: int = MASS_NODES) -> float:
         return self.transform(0.0, nodes)
+
+
+@lru_cache(maxsize=1024)
+def _transform_at(jn: BumpProfile, lam: float, nodes: int) -> float:
+    """BumpProfile.transform at one frequency: every Heisenberg test function term reads
+    its bump's at lam = 1 on every rule, and the mass reads it at 0."""
+    x, w = legendre_on_interval(-jn.support, jn.support, nodes)
+    return float(w @ (jn(x) * np.cos(2.0 * np.pi * lam * x)))
 
 
 @lru_cache(maxsize=None)

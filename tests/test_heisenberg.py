@@ -760,7 +760,7 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
 def _input_band(f, phi, N):
     """The input columns smoothing reads: N plus the displacement margin, or a shorter
     finite phi to its stop."""
-    band = N + hb._displacement_margin(f, N)
+    band = N + hb._displacement_margin(f.support, N)
     return min(max(phi.stop, 1), band) if phi.finite_support else band
 
 
@@ -854,7 +854,7 @@ def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # first N + margin of them
     phi = hb.gaussian_vector(sigma)
     N = 40
-    band = N + hb._displacement_margin(_BUMP, N)
+    band = N + hb._displacement_margin(_BUMP.support, N)
     assert phi.finite_support and phi.stop > band
     full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop, _q_max(_BUMP)))
     got = hb.smooth_by(_BUMP, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
