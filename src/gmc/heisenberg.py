@@ -22,11 +22,12 @@ exp(2 pi i t), so pi(f) sees f only through F(p, q) = int f(p, q, t)
 exp(2 pi i t) dt, which the terms give in closed form. pi(f) is then the
 integral operator with kernel int F(y - x, q) exp(2 pi i q b) dq at the
 midpoint b = (x + y)/2 (Folland 1.3): smoothing takes F on a Gauss-Legendre
-rule over the (p, q) plane, the q-integral as one matrix product onto
-Gauss-Hermite nodes in b, and the bounded Hermite functions at b -/+ p/2 against
-the scaled weights w exp(y^2), which absorb both Gaussians. The nodes are
-symmetric and h_k has parity (-1)^k, so one real table at b + p/2 serves the
-input and, read with b reversed, the output.
+rule over the (p, q) plane, the q-integral per separable term onto Gauss-Hermite
+nodes in b, and the bounded Hermite functions at b -/+ p/2 against the scaled
+weights w exp(y^2), which absorb both Gaussians. The Hermite products are band-
+limited in p, so their table has its own, shorter p-rule, onto which the (p, q)
+rule's p-sum is interpolated. The nodes are symmetric and h_k has parity (-1)^k,
+so one real table at b + p/2 serves the input and, read with b reversed, the output.
 """
 from __future__ import annotations
 
@@ -225,8 +226,9 @@ class _Term:
         j = self.bump
         return npoly.polyval2d(u, v, self.poly) * j(u, a) * j(v, b) * j(w, k)
 
-    def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
-        """int term(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn.
+    def factors(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> tuple:
+        """(poly, rows, cols, scale): int term(p, q, t) exp(2 pi i lam t) dt on the grid
+        pn x qn is scale rows @ poly @ cols.T, one factor per axis.
 
         Substituting w gives exp(2 pi i lam (t0 - beta p - gamma q)) times the
         transform of j^(k), which is (-2 pi i lam)^k jhat(lam).
@@ -241,8 +243,15 @@ class _Term:
 
         rows = factor(pn, p0, a, beta, self.poly.shape[0])
         cols = factor(qn, q0, b, gamma, self.poly.shape[1])
-        scale = _character(lam * t0) * (-2j * np.pi * lam) ** k
-        return scale * self.bump.transform(lam) * (rows @ self.poly @ cols.T)
+        scale = _character(lam * t0) * (-2j * np.pi * lam) ** k * self.bump.transform(lam)
+        return self.poly, rows, cols, scale
+
+
+def _factor_grid(parts, n_p: int, n_q: int) -> np.ndarray:
+    """The sum over terms of scale rows @ poly @ cols.T on an n_p x n_q grid, from the
+    terms' factors (_Term.factors)."""
+    out = np.zeros((n_p, n_q), dtype=np.complex128)
+    return sum((scale * (rows @ poly @ cols.T) for poly, rows, cols, scale in parts), out)
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,7 +290,9 @@ class HTestFunction:
     @property
     def nodes(self) -> int:
         """Per-axis count of the (p, q) Gauss-Legendre rule: BOX_NODES, and 16 more per
-        derivative order of the sharpest term, as derivatives sharpen the integrand."""
+        derivative order of the sharpest term, as derivatives sharpen the integrand.
+        Smoothing's Hermite table is not built on this rule: it has its own p count
+        (_table_p_nodes), at most this one, which derivatives do not grow."""
         return BOX_NODES + 16 * max((sum(term.orders) for term in self.terms), default=0)
 
     @property
@@ -304,8 +315,7 @@ class HTestFunction:
 
     def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
         """F_lam(p, q) = int f(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn."""
-        out = np.zeros((len(pn), len(qn)), dtype=np.complex128)
-        return sum((term.central_transform(pn, qn, lam) for term in self.terms), out)
+        return _factor_grid([term.factors(pn, qn, lam) for term in self.terms], len(pn), len(qn))
 
     def integral(self, nodes: int | None = None) -> complex:
         pn, pw = self.axis_rule(0, nodes)
@@ -811,16 +821,65 @@ def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
     return (max(rows, cols) + last + 1) // 2
 
 
+def _table_p_nodes(nodes: int, half_width: float, rows: int) -> int:
+    """P_c, the p count of smoothing's Hermite table for a p-support of half-width r =
+    half_width and Hermite rows k < rows: at most nodes, f's own p count.
+
+    h_j(b + p/2) h_k(b - p/2) is entire in p, and with j, k < rows its bandwidth is about
+    sqrt(4 pi rows) (Folland 1.3), so its Gauss-Legendre interpolant on ceil(r sqrt(4 pi
+    rows)) + 20 nodes follows it to round-off (Trefethen, ATAP ch. 7-8). The count is
+    rounded up to a multiple of 8, which keeps the rule sizes a process builds few.
+    """
+    need = math.ceil(half_width * math.sqrt(4.0 * math.pi * rows)) + 20
+    return min(nodes, -(-need // 8) * 8)
+
+
+def _lagrange(xs: np.ndarray, xw: np.ndarray, ys: np.ndarray, interval) -> np.ndarray:
+    """L[m, i] = l_i(ys[m]), the Lagrange basis of the Gauss-Legendre nodes xs, with
+    weights xw on interval, at the points ys: barycentric, with the weights (-1)^i
+    sqrt((1 - x_i^2) w_i) of the rule. A point that is a node of xs gets that node's unit
+    row, so at ys == xs L is exactly the identity."""
+    a, b = interval
+    x = (2.0 * xs - a - b) / (b - a)
+    lam = (-1.0) ** np.arange(len(xs)) * np.sqrt((1.0 - x * x) * xw)
+    hit = ys[:, None] == xs
+    c = lam / np.where(hit, 1.0, ys[:, None] - xs)
+    return np.where(hit.any(axis=1, keepdims=True), hit, c / c.sum(axis=1, keepdims=True))
+
+
 def _rule_weights(f: HTestFunction, pn: np.ndarray, pw: np.ndarray, q_box, nodes: int) -> tuple:
-    """(qn, weights): the nodes-point Gauss-Legendre rule qn, qw on q_box = (q0, q1), and
-    weights = pw F_1(pn, qn) qw on the grid pn x qn. Values past the float range raise
+    """(qn, qw, parts, weights): the nodes-point Gauss-Legendre rule qn, qw on q_box =
+    (q0, q1), the factors of F_1's terms on the grid pn x qn (_Term.factors), and
+    weights = pw F_1(pn, qn) qw formed from them. Values past the float range raise
     PreconditionError."""
     qn, qw = legendre_on_interval(*q_box, nodes)
+    parts = [term.factors(pn, qn, 1.0) for term in f.terms]
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = pw[:, None] * f.central_transform(pn, qn, 1.0) * qw
+        weights = pw[:, None] * _factor_grid(parts, len(pn), len(qn)) * qw
     if not np.isfinite(weights).all():
         raise PreconditionError("test function values leave the float range on its (p, q) rule")
-    return qn, weights
+    return qn, qw, parts, weights
+
+
+def _carried_kernel(f: HTestFunction, box: np.ndarray, nodes: int, b: np.ndarray, onto: tuple) -> np.ndarray:
+    """sum over f's nodes-point (p, q) rule on box of w F_1(p, q) exp(2 pi i q b) /
+    sqrt(2 pi), with its p-sum carried onto the Gauss-Legendre rule onto = (pc, pcw) over
+    the same p-interval by _lagrange: shape (len(pc), len(b)), for b with b[::-1] == -b.
+
+    F_1 is a sum of separable terms (_Term.factors), so the q-sum is taken per term,
+    scale (pw rows) @ poly @ ((cols qw)^T @ phases), all terms as one product. The grid
+    of F_1 is still formed, by _rule_weights, for its float-range refusal.
+    """
+    (p0, p1), q_box = box[:2]
+    pn, pw = legendre_on_interval(p0, p1, nodes)
+    qn, qw, parts, _ = _rule_weights(f, pn, pw / SQRT_2PI, q_box, nodes)
+    # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
+    half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
+    phases = np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
+    carry = _lagrange(*onto, pn, (p0, p1)).T * (pw / SQRT_2PI)
+    left = np.concatenate([scale * (carry @ rows) @ poly for poly, rows, _, scale in parts], axis=1)
+    right = np.concatenate([(cols * qw[:, None]).T for _, _, cols, _ in parts]) @ phases
+    return left @ right
 
 
 def _smooth_core(
@@ -829,60 +888,39 @@ def _smooth_core(
     """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
     extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
     in b, and how far they move, in output units, with the extra columns and with a
-    (p, q) rule CHECK_NODES finer per axis.
+    (p, q) rule CHECK_NODES finer per axis. box is f.support, if the caller has it.
 
     One table of the bounded Hermite functions at b + p/2 serves the input, the output
-    (by parity) and the extra columns. The finer rule's q-kernel needs only the closed-
-    form central transform; its p-sum is taken over the f.nodes p-nodes through the
-    Lagrange interpolation from them to the finer ones (barycentric, Gauss-Legendre
-    weights), which the Hermite products, band-limited in p, follow. So the check
+    (by parity) and the extra columns. It is built on its own Gauss-Legendre p-rule of
+    _table_p_nodes nodes, which the Hermite products, band-limited in p, follow, and
+    both (p, q) rules' p-sums are carried onto it (_carried_kernel). So the check
     contracts the kernel difference through the same table, and builds no other.
     """
-    (p0, p1), (q0, q1) = (f.support if box is None else box)[:2]
+    box = f.support if box is None else box
+    p0, p1 = box[0]
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
-
-    def rule_grid(nodes):
-        # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they
-        # are, and dx = dy / sqrt(2 pi)
-        pn, pw = legendre_on_interval(p0, p1, nodes)
-        qn, weights = _rule_weights(f, pn, pw / SQRT_2PI, (q0, q1), nodes)
-        # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
-        half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
-        return pn, pw, weights, np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
-
-    pn, pw, weights, phases = rule_grid(f.nodes)
-    # the q-integral of F_1(p, q) exp(2 pi i q b) sees b only: a partial Fourier transform
-    kernel = weights @ phases
-    # one real table at b + p/2, columns p-major like kernel.ravel(); the rule's
-    # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     cols = len(phi_vec) - extra
-    table = hermite_scaled(np.add.outer(pn / 2.0, b).ravel(), max(N, cols + extra) - 1)
-
-    def at_input(vec, rows):  # sum_j vec_j h_j(b + p/2), as (real, imaginary) rows
-        s = np.stack([vec.real, vec.imag]) @ rows
-        return s[0] + 1j * s[1]
-
-    def contract(v):  # (-1)^k sum over (p, b) of h_k(b - p/2) v(p, b)
-        v = v.reshape(kernel.shape)[:, ::-1].ravel()
-        out = table[:N] @ np.stack([v.real, v.imag], axis=1)
-        return (out[:, 0] + 1j * out[:, 1]) * (-1.0) ** np.arange(N)
-
-    s = at_input(phi_vec[:cols], table[:cols])
-    kw = (kernel * W).ravel()
-    out = contract(s * kw)
-    # the finer rule, its p-sum pulled back onto pn by the interpolation matrix
-    pn2, _, weights2, phases2 = rule_grid(f.nodes + CHECK_NODES)
-    x = (2.0 * pn - p0 - p1) / (p1 - p0)
-    lam = (-1.0) ** np.arange(f.nodes) * np.sqrt((1.0 - x * x) * pw)
-    hit = pn2[:, None] == pn  # an odd count shares the node 0 with the finer rule
-    c = lam / np.where(hit, 1.0, pn2[:, None] - pn)
-    lagrange = np.where(hit.any(axis=1, keepdims=True), hit, c / c.sum(axis=1, keepdims=True))
-    kernel2 = (lagrange.T @ weights2) @ phases2
-    moved = s * ((kernel2 * W).ravel() - kw)
-    if extra:
-        moved += at_input(phi_vec[cols:], table[cols : cols + extra]) * kw
-    return out, float(np.max(np.abs(contract(moved))))
+    rows = max(N, cols + extra)
+    pc, pcw = legendre_on_interval(p0, p1, _table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows))
+    # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they are
+    kw, kw2 = ((_carried_kernel(f, box, n, b, (pc, pcw)) * W).ravel() for n in (f.nodes, f.nodes + CHECK_NODES))
+    # one real table at b + p/2, columns p-major like the kernels; the rule's
+    # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
+    table = hermite_scaled(np.add.outer(pc / 2.0, b).ravel(), rows - 1)
+    # sum_j phi_j h_j(b + p/2) over the main columns and over the extra ones, as
+    # (real, imaginary) rows of one product
+    lhs = np.zeros((4, cols + extra))
+    lhs[0:2, :cols] = phi_vec[:cols].real, phi_vec[:cols].imag
+    lhs[2:4, cols:] = phi_vec[cols:].real, phi_vec[cols:].imag
+    s = lhs @ table[: cols + extra]
+    s, spill = s[0] + 1j * s[1], s[2] + 1j * s[3]
+    # the result and what the finer rule and the extra columns move it by, contracted as
+    # (-1)^k sum over (p, b) of h_k(b - p/2) v(p, b) in one product
+    v = np.stack([s * kw, s * (kw2 - kw) + spill * kw]).reshape(2, len(pc), len(b))[:, :, ::-1].reshape(2, -1)
+    both = (table[:N] @ np.concatenate([v.real, v.imag]).T) * (-1.0) ** np.arange(N)[:, None]
+    out, moved = both[:, 0] + 1j * both[:, 2], both[:, 1] + 1j * both[:, 3]
+    return out, float(np.max(np.abs(moved)))
 
 
 def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> HermiteVector:
@@ -894,7 +932,9 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
     Gauss-Legendre over the (p, q) support square of the closed-form central
     transform, Gauss-Hermite in b with scaled weights, and one real table of the
-    bounded Hermite functions at b + p/2 that serves both sides by parity. The
+    bounded Hermite functions at b + p/2 that serves both sides by parity. The table
+    has its own p-rule, of _table_p_nodes nodes: the Hermite products need fewer
+    p-nodes than the bump, and the (p, q) rule's p-sum is carried onto them. The
     input is read only in the band that reaches the output, N plus the support's
     displacement margin. The result is a smooth (rapid-decay) vector from one pass,
     with three guards:
@@ -907,8 +947,8 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
       table by CHECK_COLUMNS rows, and what those columns add is measured.
 
     A combined gap above quad.check_tol (1 + max |result|) raises
-    QuadratureAccuracyError. A table of more than TABLE_BUDGET entries, b-rule
-    growth included, raises BudgetExceeded before any is built.
+    QuadratureAccuracyError. A table of more than TABLE_BUDGET entries (its rows
+    times its p count times the b-rule) raises BudgetExceeded before any is built.
     """
     _require_hermite(phi)
     N = quad.truncation
@@ -920,7 +960,8 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
     rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1]))))  # the check columns share the table
-    entries = max(N, cols + extra) * f.nodes * rule
+    rows = max(N, cols + extra)
+    entries = rows * _table_p_nodes(f.nodes, float(box[0, 1] - box[0, 0]) / 2.0, rows) * rule
     if entries > TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
     out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra, box)
@@ -963,12 +1004,12 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     (p0, p1), q_box = box[:2]
     rules = (f.nodes, f.nodes + CHECK_NODES)
     if is_dirac_delta(psi):
-        out, check = (complex(np.sum(_rule_weights(f, np.zeros(1), np.ones(1), q_box, n)[1])) for n in rules)
+        out, check = (complex(np.sum(_rule_weights(f, np.zeros(1), np.ones(1), q_box, n)[3])) for n in rules)
     else:
         pns, rows = [], []  # per rule, its p-nodes and the q-sums of the weights and phases there
         for nodes in rules:
             pn, pw = legendre_on_interval(p0, p1, nodes)
-            qn, weights = _rule_weights(f, pn, pw, q_box, nodes)
+            qn, _, _, weights = _rule_weights(f, pn, pw, q_box, nodes)
             pns.append(pn)
             rows.append(np.sum(weights * _delta_phase(pn[:, None], qn), axis=1))
         if psi.finite_support:

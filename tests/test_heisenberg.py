@@ -1055,6 +1055,104 @@ def test_least_exact_rule_matches_the_former_rule(spec, f, N):
         assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule, extra)[0] - ref))
 
 
+def _smooth_call(f, phi, N):
+    """(vec, rule, extra, rows): the input columns, b-rule, check columns and table rows
+    of smooth_by(f, phi) at truncation N."""
+    cols = _input_band(f, phi, N)
+    extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
+    return phi.dense(0, cols + extra - 1), hb._x_rule_size(N, cols + extra, _q_max(f)), extra, max(N, cols + extra)
+
+
+@pytest.mark.parametrize("N", [40, 160, 640])
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5])
+def test_table_p_rule_matches_the_rule_of_the_bump(r, N, monkeypatch):
+    # the Hermite table on its own _table_p_nodes p-rule and on f's own (p, q) rule give the
+    # same smoothing: within 1e-13 of the largest output or, where the input is large
+    # (poly-growth with P Q at small r), within the round-off the f.nodes call shows against
+    # a b-rule twice as large. Where the count is f.nodes the call is the same one. At
+    # N = 640 only the finite inputs of the plain and translated bump run: the others'
+    # f.nodes tables hold 17-46M entries
+    bump = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=r)
+    shifted = bump.left_translate((0.3, -0.2, 0.1))
+    for f in (bump, shifted, shifted.right_derive(P * Q)):
+        p0, p1 = f.support[0]
+        for spec in ("e:0", "e:7", "gauss:1.1", "delta", "poly-growth:1.5"):
+            phi = parse_vector("heisenberg", spec)
+            if N == 640 and (f.nodes > hb.BOX_NODES or not phi.finite_support):
+                continue
+            vec, rule, extra, rows = _smooth_call(f, phi, N)
+            if hb._table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows) == f.nodes:
+                continue
+            got, _ = hb._smooth_core(f, vec, N, rule, extra)
+            with monkeypatch.context() as patch:
+                patch.setattr(hb, "_table_p_nodes", lambda nodes, half_width, rows: nodes)
+                ref, _ = hb._smooth_core(f, vec, N, rule, extra)
+                moved = np.max(np.abs(got - ref))
+                if moved > 1e-13 * (1.0 + np.max(np.abs(ref))):
+                    assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule, extra)[0] - ref)), spec
+
+
+def test_table_p_count_does_not_grow_with_derivative_order(monkeypatch):
+    # each derivative order adds 16 nodes to f's (p, q) rule; the table's p count is set by
+    # the support's width and the Hermite degrees, which derivatives leave as they are
+    columns = []
+
+    def counting(x, nmax):
+        columns.append(len(x))
+        return hermite_scaled(x, nmax)
+
+    monkeypatch.setattr(hb, "hermite_scaled", counting)
+    f = _BUMP.left_translate((0.3, -0.2, 0.1))
+    fs = [f, f.right_derive(P), f.right_derive(P * Q), f.right_derive(P * Q * Z)]
+    assert [g.nodes for g in fs] == [48, 64, 80, 96]
+    phi, N = hb.dirac_delta(), 40
+    for g in fs:
+        hb.smooth_by(g, phi, quad=QuadratureSpec(truncation=N))
+    _, rule, _, _ = _smooth_call(f, phi, N)
+    assert columns == [columns[0]] * 4
+    assert columns[0] % rule == 0 and columns[0] // rule < f.nodes
+
+
+def test_smooth_by_claims_the_table_it_builds(monkeypatch):
+    # the budget counts the table's own p count, not f's (p, q) rule: a budget of exactly
+    # the entries built passes, one entry fewer is refused before any is built
+    built = []
+
+    def counting(x, nmax):
+        built.append(len(x) * (nmax + 1))
+        return hermite_scaled(x, nmax)
+
+    monkeypatch.setattr(hb, "hermite_scaled", counting)
+    f = _BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q)
+    hb.smooth_by(f, hb.dirac_delta())
+    (entries,) = built
+    monkeypatch.setattr(hb, "TABLE_BUDGET", entries)
+    hb.smooth_by(f, hb.dirac_delta())
+    monkeypatch.setattr(hb, "TABLE_BUDGET", entries - 1)
+    with pytest.raises(BudgetExceeded):
+        hb.smooth_by(f, hb.dirac_delta())
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_BUMP, _BUMP.left_translate((0.3, -0.2, 0.1)).right_derive(P * Q), _BUMP.right_translate((-0.4, 0.25, 0.3)).left_derive(Q * Z)],
+    ids=["bump", "translated-PQ", "QZ"],
+)
+@pytest.mark.parametrize("b_nodes", [40, 41])
+def test_separable_kernel_is_the_weight_grid_times_the_phases(f, b_nodes):
+    # on f's own p-rule the carried kernel's interpolation is the identity, bit for bit, and
+    # its per-term q-sums give the (p, q) weight grid's product with the phases exp(2 pi i q b)
+    (p0, p1), q_box = f.support[:2]
+    b = gauss_hermite_rule(b_nodes)[0] / hb.SQRT_2PI
+    pn, pw = legendre_on_interval(p0, p1, f.nodes)
+    assert np.array_equal(hb._lagrange(pn, pw, pn, (p0, p1)), np.eye(f.nodes))
+    qn, _, _, weights = hb._rule_weights(f, pn, pw / hb.SQRT_2PI, q_box, f.nodes)
+    ref = weights @ np.exp(2j * np.pi * np.outer(qn, b))
+    got = hb._carried_kernel(f, f.support, f.nodes, b, (pn, pw))
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_smooth_by_non_finite_is_a_typed_error(monkeypatch):
     # at N = 700 the Gauss-Hermite x-rule overflows the Hermite recurrence; an
     # 8-node (p, q) rule keeps the run small, the x-rule is the same
