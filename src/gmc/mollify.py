@@ -24,7 +24,7 @@ FFT's sample cap does not refuse a narrow band; a wider band reads the FFT table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -88,6 +88,9 @@ class BumpProfile:
     radius: float
     normalization: float
     n: int = 1
+    # transform's sums at scalar frequencies, by (lam, nodes): each term of a Heisenberg
+    # test function reads its bump's at lam = 1 on every rule, and the mass reads it at 0
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,24 +119,19 @@ class BumpProfile:
 
     def transform(self, lam, nodes: int = MASS_NODES):
         """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even);
-        a float for a scalar lam, computed once per (profile, lam, nodes), an array of
-        the sums for an array of frequencies."""
+        a float for a scalar lam, computed once per (lam, nodes) on this profile, an
+        array of the sums for an array of frequencies."""
+        x, w = legendre_on_interval(-self.support, self.support, nodes)
         lam = np.asarray(lam, dtype=float)
         if lam.ndim == 0:
-            return _transform_at(self, float(lam), nodes)
-        x, w = legendre_on_interval(-self.support, self.support, nodes)
+            key = (float(lam), nodes)
+            if key not in self._sums:
+                self._sums[key] = float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
+            return self._sums[key]
         return (self(x) * np.cos(2.0 * np.pi * np.multiply.outer(lam, x))) @ w
 
     def mass(self, nodes: int = MASS_NODES) -> float:
         return self.transform(0.0, nodes)
-
-
-@lru_cache(maxsize=1024)
-def _transform_at(jn: BumpProfile, lam: float, nodes: int) -> float:
-    """BumpProfile.transform at one frequency: every Heisenberg test function term reads
-    its bump's at lam = 1 on every rule, and the mass reads it at 0."""
-    x, w = legendre_on_interval(-jn.support, jn.support, nodes)
-    return float(w @ (jn(x) * np.cos(2.0 * np.pi * lam * x)))
 
 
 @lru_cache(maxsize=None)
