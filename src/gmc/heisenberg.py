@@ -19,15 +19,16 @@ form (Cahill and Glauber 1969; Folland, Harmonic Analysis in Phase Space, 1.9).
 Test functions are finite sums of sheared bump terms, so translations and Lie
 derivatives act on them exactly. The centre acts by the character
 exp(2 pi i t), so pi(f) sees f only through F(p, q) = int f(p, q, t)
-exp(2 pi i t) dt, which the terms give in closed form. pi(f) is then the
-integral operator with kernel int F(y - x, q) exp(2 pi i q b) dq at the
-midpoint b = (x + y)/2 (Folland 1.3): smoothing takes F on a Gauss-Legendre
-rule over the (p, q) plane, the q-integral per separable term onto Gauss-Hermite
-nodes in b, and the bounded Hermite functions at b -/+ p/2 against the scaled
-weights w exp(y^2), which absorb both Gaussians. The Hermite products are band-
-limited in p, so their table has its own, shorter p-rule, onto which the (p, q)
-rule's p-sum is interpolated. The nodes are symmetric and h_k has parity (-1)^k,
-so one real table at b + p/2 serves the input and, read with b reversed, the output.
+exp(2 pi i t) dt, which each term gives in closed form as a p-factor times a
+q-factor. pi(f) is then the integral operator with kernel int F(y - x, q)
+exp(2 pi i q b) dq at the midpoint b = (x + y)/2 (Folland 1.3): smoothing takes the
+factors on a Gauss-Legendre rule over the (p, q) plane, the q-integral per term onto
+Gauss-Hermite nodes in b, and the bounded Hermite functions at b -/+ p/2 against the
+scaled weights w exp(y^2), which absorb both Gaussians. The Hermite products are
+band-limited in p, so their table has its own, shorter p-rule, onto which the (p, q)
+rule's p-sum is interpolated. The nodes are symmetric and h_k has parity (-1)^k, so
+one real table at b + p/2 serves the input and, read with b reversed, the output.
+delta as phi takes the same per-term q-sum, with its phases exp(-i pi p q).
 """
 from __future__ import annotations
 
@@ -235,23 +236,17 @@ class _Term:
         """
         p0, q0, t0, beta, gamma = self.place
         a, b, k = self.orders
+        u, v = pn - p0, qn - q0  # one bump call for both axes where their orders agree
+        j = self.bump(np.concatenate([u, v]), a) if a == b else np.concatenate([self.bump(u, a), self.bump(v, b)])
 
-        def factor(x, x0, order, slope, degree):  # (x - x0)^i j^(order)(x - x0) exp(...)
-            y = x - x0
-            phase = self.bump(y, order) * np.exp(-2j * np.pi * lam * slope * x)
-            return np.power.outer(y, np.arange(degree)) * phase[:, None]
+        def factor(x, y, jy, slope, degree):  # y^i jy exp(-2 pi i lam slope x), y = x - x0
+            phase = jy * np.exp(-2j * np.pi * lam * slope * x)
+            return phase[:, None] if degree == 1 else np.power.outer(y, np.arange(degree)) * phase[:, None]
 
-        rows = factor(pn, p0, a, beta, self.poly.shape[0])
-        cols = factor(qn, q0, b, gamma, self.poly.shape[1])
+        rows = factor(pn, u, j[: len(u)], beta, self.poly.shape[0])
+        cols = factor(qn, v, j[len(u) :], gamma, self.poly.shape[1])
         scale = _character(lam * t0) * (-2j * np.pi * lam) ** k * self.bump.transform(lam)
         return self.poly, rows, cols, scale
-
-
-def _factor_grid(parts, n_p: int, n_q: int) -> np.ndarray:
-    """The sum over terms of scale rows @ poly @ cols.T on an n_p x n_q grid, from the
-    terms' factors (_Term.factors)."""
-    out = np.zeros((n_p, n_q), dtype=np.complex128)
-    return sum((scale * (rows @ poly @ cols.T) for poly, rows, cols, scale in parts), out)
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,8 +309,10 @@ class HTestFunction:
         return legendre_on_interval(a, b, nodes or self.nodes)
 
     def central_transform(self, pn: np.ndarray, qn: np.ndarray, lam: float) -> np.ndarray:
-        """F_lam(p, q) = int f(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn."""
-        return _factor_grid([term.factors(pn, qn, lam) for term in self.terms], len(pn), len(qn))
+        """F_lam(p, q) = int f(p, q, t) exp(2 pi i lam t) dt on the grid pn x qn, the sum
+        over terms of scale rows @ poly @ cols.T (_Term.factors)."""
+        out = np.zeros((len(pn), len(qn)), dtype=np.complex128)
+        return sum((s * (r @ m @ c.T) for m, r, c, s in (t.factors(pn, qn, lam) for t in self.terms)), out)
 
     def integral(self, nodes: int | None = None) -> complex:
         pn, pw = self.axis_rule(0, nodes)
@@ -847,62 +844,69 @@ def _lagrange(xs: np.ndarray, xw: np.ndarray, ys: np.ndarray, interval) -> np.nd
     return np.where(hit.any(axis=1, keepdims=True), hit, c / c.sum(axis=1, keepdims=True))
 
 
-def _rule_weights(f: HTestFunction, pn: np.ndarray, pw: np.ndarray, q_box, nodes: int) -> tuple:
-    """(qn, qw, parts, weights): the nodes-point Gauss-Legendre rule qn, qw on q_box =
-    (q0, q1), the factors of F_1's terms on the grid pn x qn (_Term.factors), and
-    weights = pw F_1(pn, qn) qw formed from them. Values past the float range raise
-    PreconditionError."""
-    qn, qw = legendre_on_interval(*q_box, nodes)
-    parts = [term.factors(pn, qn, 1.0) for term in f.terms]
+def _rule_factors(f: HTestFunction, pn: np.ndarray, box: np.ndarray, nodes: int) -> tuple:
+    """(qn, qw, parts): the nodes-point Gauss-Legendre rule on the q-interval of f's support
+    box and F_1's factors on pn x qn (_Term.factors). A box that rounds to a point in p or q,
+    or a bound sum(max|rows| sum|poly| max|cols| |scale|) on |F_1| past the float range, is refused."""
+    if not (box[0, 1] > box[0, 0] and box[1, 1] > box[1, 0]):
+        raise PreconditionError("test function support is narrower in p or q than the float spacing at its centre")
+    qn, qw = legendre_on_interval(*box[1], nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = pw[:, None] * _factor_grid(parts, len(pn), len(qn)) * qw
-    if not np.isfinite(weights).all():
+        parts = [term.factors(pn, qn, 1.0) for term in f.terms]
+        bound = sum(np.abs(r).max() * np.abs(m).sum() * np.abs(c).max() * abs(s) for m, r, c, s in parts)
+    if not np.isfinite(bound):
         raise PreconditionError("test function values leave the float range on its (p, q) rule")
-    return qn, qw, parts, weights
+    return qn, qw, parts
+
+
+def _q_summed(parts, W: np.ndarray, qw: np.ndarray, phases: np.ndarray) -> tuple:
+    """(left, right), whose product is W F_1 diag(qw) phases from F_1's factors (_rule_factors):
+    the q-sum per separable term, scale (W rows) @ poly times (cols qw)^T @ phases."""
+    left = np.concatenate([scale * (W @ rows) @ poly for poly, rows, _, scale in parts], axis=1)
+    return left, np.concatenate([(cols * qw[:, None]).T for _, _, cols, _ in parts]) @ phases
 
 
 def _carried_kernel(f: HTestFunction, box: np.ndarray, nodes: int, b: np.ndarray, onto: tuple) -> np.ndarray:
     """sum over f's nodes-point (p, q) rule on box of w F_1(p, q) exp(2 pi i q b) /
     sqrt(2 pi), with its p-sum carried onto the Gauss-Legendre rule onto = (pc, pcw) over
     the same p-interval by _lagrange: shape (len(pc), len(b)), for b with b[::-1] == -b.
-
-    F_1 is a sum of separable terms (_Term.factors), so the q-sum is taken per term,
-    scale (pw rows) @ poly @ ((cols qw)^T @ phases), all terms as one product. The grid
-    of F_1 is still formed, by _rule_weights, for its float-range refusal.
-    """
-    (p0, p1), q_box = box[:2]
-    pn, pw = legendre_on_interval(p0, p1, nodes)
-    qn, qw, parts, _ = _rule_weights(f, pn, pw / SQRT_2PI, q_box, nodes)
+    F_1 is read by its terms' factors and the q-sum taken per term (_q_summed)."""
+    pn, pw = legendre_on_interval(*box[0], nodes)
+    qn, qw, parts = _rule_factors(f, pn, box, nodes)
     # b[::-1] == -b, so the phases exp(2 pi i q b) of the upper half are conjugates
     half = np.exp(2j * np.pi * np.outer(qn, b[: (len(b) + 1) // 2]))
-    phases = np.concatenate([half, np.conj(half[:, len(b) // 2 - 1 :: -1])], axis=1)
-    carry = _lagrange(*onto, pn, (p0, p1)).T * (pw / SQRT_2PI)
-    left = np.concatenate([scale * (carry @ rows) @ poly for poly, rows, _, scale in parts], axis=1)
-    right = np.concatenate([(cols * qw[:, None]).T for _, _, cols, _ in parts]) @ phases
+    phases = np.concatenate([half, np.conj(half[:, : len(b) // 2][:, ::-1])], axis=1)
+    left, right = _q_summed(parts, _lagrange(*onto, pn, box[0]).T * (pw / SQRT_2PI), qw, phases)
     return left @ right
 
 
 def _smooth_core(
-    f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int, extra: int = 0, box: np.ndarray | None = None
+    f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int | None = None, extra: int = 0, box: np.ndarray | None = None
 ) -> tuple:
     """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
-    extra input columns, on the f.nodes (p, q) rule and the rule-node Gauss-Hermite rule
-    in b, and how far they move, in output units, with the extra columns and with a
-    (p, q) rule CHECK_NODES finer per axis. box is f.support, if the caller has it.
+    extra input columns, on the f.nodes (p, q) rule and the rule-node (_x_rule_size's by
+    default) Gauss-Hermite rule in b, and how far they move, in output units, with the extra
+    columns and with a (p, q) rule CHECK_NODES finer per axis. box is f.support, if given.
 
     One table of the bounded Hermite functions at b + p/2 serves the input, the output
     (by parity) and the extra columns. It is built on its own Gauss-Legendre p-rule of
     _table_p_nodes nodes, which the Hermite products, band-limited in p, follow, and
     both (p, q) rules' p-sums are carried onto it (_carried_kernel). So the check
-    contracts the kernel difference through the same table, and builds no other.
+    contracts the kernel difference through the same table, and builds no other. A table
+    of more than TABLE_BUDGET entries (rows x p count x b-rule) raises BudgetExceeded
+    before any rule is built.
     """
     box = f.support if box is None else box
     p0, p1 = box[0]
-    y, W = gauss_hermite_rule(rule)
-    b = y / SQRT_2PI  # kernel midpoints (x + y)/2
     cols = len(phi_vec) - extra
     rows = max(N, cols + extra)
-    pc, pcw = legendre_on_interval(p0, p1, _table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows))
+    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1])))) if rule is None else rule
+    p_count = _table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows)
+    if rows * p_count * rule > TABLE_BUDGET:
+        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {rows * p_count * rule:.3g} entries", math.inf)
+    y, W = gauss_hermite_rule(rule)
+    b = y / SQRT_2PI  # kernel midpoints (x + y)/2
+    pc, pcw = legendre_on_interval(p0, p1, p_count)
     # the scaled weights W = w exp(y^2) take the bounded h at b -/+ p/2 as they are
     kw, kw2 = ((_carried_kernel(f, box, n, b, (pc, pcw)) * W).ravel() for n in (f.nodes, f.nodes + CHECK_NODES))
     # one real table at b + p/2, columns p-major like the kernels; the rule's
@@ -931,8 +935,9 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     In the Schrodinger model pi(f) is the integral operator whose kernel at the
     midpoint b = (x + y)/2 is int F_1(y - x, q) exp(2 pi i q b) dq (Folland 1.3):
     Gauss-Legendre over the (p, q) support square of the closed-form central
-    transform, Gauss-Hermite in b with scaled weights, and one real table of the
-    bounded Hermite functions at b + p/2 that serves both sides by parity. The table
+    transform, its q-sum per separable term, Gauss-Hermite in b with scaled weights,
+    and one real table of the bounded Hermite functions at b + p/2 that serves both
+    sides by parity. The table
     has its own p-rule, of _table_p_nodes nodes: the Hermite products need fewer
     p-nodes than the bump, and the (p, q) rule's p-sum is carried onto them. The
     input is read only in the band that reaches the output, N plus the support's
@@ -947,8 +952,8 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
       table by CHECK_COLUMNS rows, and what those columns add is measured.
 
     A combined gap above quad.check_tol (1 + max |result|) raises
-    QuadratureAccuracyError. A table of more than TABLE_BUDGET entries (its rows
-    times its p count times the b-rule) raises BudgetExceeded before any is built.
+    QuadratureAccuracyError. _smooth_core claims the table against TABLE_BUDGET before
+    any is built, and _rule_factors refuses supports and values the rules cannot take.
     """
     _require_hermite(phi)
     N = quad.truncation
@@ -959,12 +964,7 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     band = N + _displacement_margin(box, N)
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
-    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1]))))  # the check columns share the table
-    rows = max(N, cols + extra)
-    entries = rows * _table_p_nodes(f.nodes, float(box[0, 1] - box[0, 0]) / 2.0, rows) * rule
-    if entries > TABLE_BUDGET:
-        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {entries:.3g} entries", math.inf)
-    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, rule, extra, box)
+    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, None, extra, box)
     tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))
     if not gap <= tol:
         raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out)
@@ -993,32 +993,31 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     """<pi(f) delta, psi> = int int F_1(p, q) exp(-i pi p q) psi(-p) dp dq, with psi(x) =
     sum_k psi_k h_k(x), and <pi(f) delta, delta> = int F_1(0, q) dq (Folland 1.3).
 
-    Both are taken on f's Gauss-Legendre rule and checked, as smoothing is, against the
-    rule CHECK_NODES finer per axis: a gap above quad.check_tol (1 + |result|) raises
-    QuadratureAccuracyError. One series call gives psi(-p) at both rules' p-nodes. An
-    infinite psi is read to where the envelope bounds its dropped |psi_k| by abs_tol /
-    (1.3 (1 + sum over p of |the q-sum of weights and phases|)), since |h_k| <= 1.3.
+    Both take the q-sums of F_1 and the phases per separable term, as smoothing does
+    (_q_summed), on f's Gauss-Legendre p-rule or, for delta, at the one node p = 0 of
+    weight 1, and are checked against the rule CHECK_NODES finer per axis: a gap above
+    quad.check_tol (1 + |result|) raises QuadratureAccuracyError. One series call gives
+    psi(-p) at both rules' p-nodes. An infinite psi is read to where the envelope bounds
+    its dropped |psi_k| by abs_tol / (1.3 (1 + sum over p of |the q-sums|)), |h_k| <= 1.3.
     """
     box = f.support
-    _support_extent(box)
-    (p0, p1), q_box = box[:2]
-    rules = (f.nodes, f.nodes + CHECK_NODES)
-    if is_dirac_delta(psi):
-        out, check = (complex(np.sum(_rule_weights(f, np.zeros(1), np.ones(1), q_box, n)[3])) for n in rules)
+    _support_extent(box)  # which also keeps p q, in the phases exp(-i pi p q), finite
+    # per rule, its p-nodes and q-sums; gmc_eval's one partner of neither class is delta
+    pns, sums, delta = [], [], not (psi.finite_support or psi.growth is GrowthClass.RAPID_DECAY)
+    for nodes in (f.nodes, f.nodes + CHECK_NODES):
+        pn, pw = (np.zeros(1), np.ones(1)) if delta else legendre_on_interval(*box[0], nodes)
+        qn, qw, parts = _rule_factors(f, pn, box, nodes)
+        pns.append(pn)
+        left, right = _q_summed(parts, np.diag(pw), qw, _character(-0.5 * np.outer(qn, pn)))
+        sums.append(np.sum(left * right.T, axis=1))  # the diagonal of left @ right, without the rest
+    if delta:
+        series = np.ones(2)
+    elif psi.finite_support:
+        series = _hermite_series(psi.prefix, psi.start, -np.concatenate(pns))
     else:
-        pns, rows = [], []  # per rule, its p-nodes and the q-sums of the weights and phases there
-        for nodes in rules:
-            pn, pw = legendre_on_interval(p0, p1, nodes)
-            qn, _, _, weights = _rule_weights(f, pn, pw, q_box, nodes)
-            pns.append(pn)
-            rows.append(np.sum(weights * _delta_phase(pn[:, None], qn), axis=1))
-        if psi.finite_support:
-            start, vec = psi.start, psi.prefix
-        else:
-            scale = 1.3 * (1.0 + float(np.sum(np.abs(rows[0]))))
-            start, vec = 0, psi.dense(0, psi.abs_tail_extent(abs_tol / scale) - 1)
-        series = _hermite_series(vec, start, -np.concatenate(pns))
-        out, check = complex(rows[0] @ series[: f.nodes]), complex(rows[1] @ series[f.nodes :])
+        scale = 1.3 * (1.0 + float(np.sum(np.abs(sums[0]))))
+        series = _hermite_series(psi.dense(0, psi.abs_tail_extent(abs_tol / scale) - 1), 0, -np.concatenate(pns))
+    out, check = complex(sums[0] @ series[: len(pns[0])]), complex(sums[1] @ series[len(pns[0]) :])
     gap, tol = abs(out - check), quad.check_tol * (1.0 + abs(out))
     if not gap <= tol:
         raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out, check)

@@ -703,6 +703,25 @@ def test_heisenberg_smoothing_past_the_float_range_is_bad_input(argv, cause):
     assert cause in err
 
 
+def test_one_node_b_rule_smooths(tmp_path):
+    # at truncation 1 a support this narrow in q sizes a one-node b-rule
+    cfg = tmp_path / "n1.json"
+    cfg.write_text(json.dumps({"quadrature": {"truncation": 1}}))
+    code, out, err = run_cli("--config", str(cfg), "mollify", "--group", "heisenberg", "e:0", "e:0", "bump3:radius=1e-150", "--n", "1")
+    assert code == 0, err
+    _, rows = _parse_csv(out)
+    assert len(rows) == 1 and all(math.isfinite(x) for x in rows[0])
+
+
+@pytest.mark.parametrize("phi", ["e:0", "delta"])
+def test_support_narrower_than_the_float_spacing_is_bad_input(phi):
+    # the p-interval of this bump rounds to one point: refused, not read as 0
+    code, out, err = run_cli("mollify", "--group", "heisenberg", phi, "e:0", "bump3:center=(0.3,0,0):radius=1e-17", "--n", "1")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "narrower in p or q than the float spacing" in err
+
+
 @pytest.mark.parametrize("spec", ["e:-1", "e:2.5", "e:x"])
 def test_bad_hermite_index_is_bad_input(spec):
     code, _, err = run_cli("wigner", spec, "e:0", "--grid=0:1:2,0:1:2")

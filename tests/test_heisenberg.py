@@ -1063,6 +1063,17 @@ def _smooth_call(f, phi, N):
     return phi.dense(0, cols + extra - 1), hb._x_rule_size(N, cols + extra, _q_max(f)), extra, max(N, cols + extra)
 
 
+def test_one_node_b_rule_matches_the_two_node_rule():
+    # a support whose largest |q| is below about 1e-20 at N = 1 sizes a one-node b-rule,
+    # whose one phase column is its own conjugate half
+    f, phi, N = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1e-60), hb.unit_vector(0), 1
+    vec, rule, extra, _ = _smooth_call(f, phi, N)
+    assert rule == 1
+    got = hb.smooth_by(f, phi, QuadratureSpec(truncation=N)).prefix
+    ref, _ = hb._smooth_core(f, vec, N, 2, extra)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("N", [40, 160, 640])
 @pytest.mark.parametrize("r", [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5])
 def test_table_p_rule_matches_the_rule_of_the_bump(r, N, monkeypatch):
@@ -1104,7 +1115,7 @@ def test_table_p_count_does_not_grow_with_derivative_order(monkeypatch):
     monkeypatch.setattr(hb, "hermite_scaled", counting)
     f = _BUMP.left_translate((0.3, -0.2, 0.1))
     fs = [f, f.right_derive(P), f.right_derive(P * Q), f.right_derive(P * Q * Z)]
-    assert [g.nodes for g in fs] == [48, 64, 80, 96]
+    assert [g.nodes for g in fs] == [hb.BOX_NODES + 16 * k for k in range(4)]
     phi, N = hb.dirac_delta(), 40
     for g in fs:
         hb.smooth_by(g, phi, quad=QuadratureSpec(truncation=N))
@@ -1142,12 +1153,14 @@ def test_smooth_by_claims_the_table_it_builds(monkeypatch):
 @pytest.mark.parametrize("b_nodes", [40, 41])
 def test_separable_kernel_is_the_weight_grid_times_the_phases(f, b_nodes):
     # on f's own p-rule the carried kernel's interpolation is the identity, bit for bit, and
-    # its per-term q-sums give the (p, q) weight grid's product with the phases exp(2 pi i q b)
+    # its per-term q-sums give the (p, q) weight grid's product with the phases exp(2 pi i q b),
+    # the grid formed from the central transform's own grid of F_1
     (p0, p1), q_box = f.support[:2]
     b = gauss_hermite_rule(b_nodes)[0] / hb.SQRT_2PI
     pn, pw = legendre_on_interval(p0, p1, f.nodes)
     assert np.array_equal(hb._lagrange(pn, pw, pn, (p0, p1)), np.eye(f.nodes))
-    qn, _, _, weights = hb._rule_weights(f, pn, pw / hb.SQRT_2PI, q_box, f.nodes)
+    qn, qw = legendre_on_interval(*q_box, f.nodes)
+    weights = (pw / hb.SQRT_2PI)[:, None] * f.central_transform(pn, qn, 1.0) * qw
     ref = weights @ np.exp(2j * np.pi * np.outer(qn, b))
     got = hb._carried_kernel(f, f.support, f.nodes, b, (pn, pw))
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -1263,6 +1276,43 @@ def test_delta_eval_checks_its_rule():
         assert err.value.gap > err.value.tol
     with pytest.raises(PreconditionError, match="test function values leave the float range"):
         hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), 1e308 * _BUMP)
+
+
+_FAR = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.5).left_translate((3.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda f: hb.gmc_eval(hb.dirac_delta(), hb.dirac_delta(), 1e308 * f),
+        lambda f: hb.smooth_by((1e308 * f).right_derive(P * Q), hb.unit_vector(0)),
+        lambda f: hb.smooth_by(1e308 * f + _FAR, hb.unit_vector(0)),
+        lambda f: hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(0), 1e308 * f + _FAR),
+        lambda f: hb.smooth_by(
+            mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1e-200).right_derive(P), hb.unit_vector(0)
+        ),
+    ],
+    ids=["delta-delta", "smooth-PQ", "smooth-sum", "delta-sum", "narrow-P"],
+)
+def test_float_range_refusal_is_read_off_the_factors(route):
+    # |F_1| of 1e308 f peaks near 1.1e308, inside the float range, but the bound on the
+    # terms' factors is not; a separated bump in the sum does not hide it, and a bump
+    # derivative past the float range is refused with no numpy warning first
+    f = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=0.5)
+    with pytest.raises(PreconditionError, match="test function values leave the float range on its"):
+        route(f)
+    assert np.isfinite(hb.smooth_by(1e300 * f, hb.unit_vector(0)).prefix).all()
+
+
+def test_support_narrower_than_the_float_spacing_is_refused():
+    # at p = 0.3 a radius of 1e-17 rounds the p-interval to one point, where every weight
+    # of the rule is 0; both routes refuse it instead of returning 0
+    f = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1e-17).left_translate((0.3, 0.0, 0.0))
+    for phi in (hb.unit_vector(0), hb.dirac_delta()):
+        with pytest.raises(PreconditionError, match="narrower in p or q than the float spacing"):
+            hb.gmc_eval(phi, hb.unit_vector(0), f, QuadratureSpec(truncation=1))
+    wide = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1e-9).left_translate((0.3, 0.0, 0.0))
+    assert abs(hb.gmc_eval(hb.unit_vector(0), hb.unit_vector(0), wide, QuadratureSpec(truncation=1)) - 0.868) < 1e-3
 
 
 # --- pointwise coefficients (Fourier-Wigner) ------------------------------------------
