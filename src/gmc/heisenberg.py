@@ -937,12 +937,11 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     Gauss-Legendre over the (p, q) support square of the closed-form central
     transform, its q-sum per separable term, Gauss-Hermite in b with scaled weights,
     and one real table of the bounded Hermite functions at b + p/2 that serves both
-    sides by parity. The table
-    has its own p-rule, of _table_p_nodes nodes: the Hermite products need fewer
-    p-nodes than the bump, and the (p, q) rule's p-sum is carried onto them. The
-    input is read only in the band that reaches the output, N plus the support's
-    displacement margin. The result is a smooth (rapid-decay) vector from one pass,
-    with three guards:
+    sides by parity. The table has its own p-rule, of _table_p_nodes nodes: the Hermite
+    products need fewer p-nodes than the bump, and the (p, q) rule's p-sum is carried
+    onto them. The input is read only in the band that reaches the output, N plus the
+    support's displacement margin. The result is a smooth (rapid-decay) vector from one
+    pass, with three guards:
 
     - the b-rule is sized in advance: the least count exact on the output's and the
       read input's Hermite degrees and the phase exp(2 pi i q b) (_x_rule_size);
