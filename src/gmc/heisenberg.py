@@ -1007,8 +1007,8 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
         pn, pw = (np.zeros(1), np.ones(1)) if delta else legendre_on_interval(*box[0], nodes)
         qn, qw, parts = _rule_factors(f, pn, box, nodes)
         pns.append(pn)
-        left, right = _q_summed(parts, np.diag(pw), qw, _character(-0.5 * np.outer(qn, pn)))
-        sums.append(np.sum(left * right.T, axis=1))  # the diagonal of left @ right, without the rest
+        left, right = _q_summed(parts, np.diag(pw), qw, _character(-0.5 * qn[:, None] * pn))
+        sums.append((left * right.T).sum(axis=1))  # the diagonal of left @ right, without the rest
     if delta:
         series = np.ones(2)
     elif psi.finite_support:
