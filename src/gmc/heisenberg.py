@@ -670,20 +670,15 @@ def _displacement_margin(box: np.ndarray, N: int) -> int:
     return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
 
 
-def _action_input(v: CoefficientVector, N: int) -> tuple:
-    """(start, run): the coefficients a group action reads from a rapid-decay or finitely
-    supported v, from index start on.
-
-    A finite v is read as stored. An infinite v is read from 0, at least INPUT_MARGIN
-    columns past N, and as far as its envelope certifies the dropped coefficients
-    to sum below 1e-14 in modulus: kernel entries are at most 1 in modulus, so
-    that bounds every output's truncation error, whatever the group element.
-    """
-    if not (v.growth is GrowthClass.RAPID_DECAY or v.finite_support):
-        raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
+def _certified_prefix(v: CoefficientVector, tol: float, least: int = 0) -> tuple:
+    """(start, run): v's coefficients from index start on, as a Heisenberg layer reads them: a
+    finite v as stored, a rapid-decay v from 0, at least least columns and as far as its
+    envelope certifies the dropped |c_k| to sum below tol (abs_tail_extent). Others are refused."""
     if v.finite_support:
         return v.start, v.prefix
-    return 0, v.dense(0, max(N + INPUT_MARGIN, v.abs_tail_extent(1e-14)) - 1)
+    if v.growth is not GrowthClass.RAPID_DECAY:
+        raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
+    return 0, v.dense(0, max(least, v.abs_tail_extent(tol)) - 1)
 
 
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
@@ -692,7 +687,9 @@ def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> 
     g = as_element(g)
     if N < 0:
         raise PreconditionError(f"output truncation must be nonnegative, got {N}")
-    start, vec = _action_input(phi, N)
+    # kernel entries are at most 1 in modulus, so a read certified to 1e-14 bounds every
+    # output's truncation error, whatever the group element
+    start, vec = _certified_prefix(phi, 1e-14, N + INPUT_MARGIN)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
     out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
@@ -1011,11 +1008,9 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
         sums.append((left * right.T).sum(axis=1))  # the diagonal of left @ right, without the rest
     if delta:
         series = np.ones(2)
-    elif psi.finite_support:
-        series = _hermite_series(psi.prefix, psi.start, -np.concatenate(pns))
     else:
-        scale = 1.3 * (1.0 + float(np.sum(np.abs(sums[0]))))
-        series = _hermite_series(psi.dense(0, psi.abs_tail_extent(abs_tol / scale) - 1), 0, -np.concatenate(pns))
+        start, run = _certified_prefix(psi, abs_tol / (1.3 * (1.0 + float(np.sum(np.abs(sums[0]))))))
+        series = _hermite_series(run, start, -np.concatenate(pns))
     out, check = complex(sums[0] @ series[: len(pns[0])]), complex(sums[1] @ series[len(pns[0]) :])
     gap, tol = abs(out - check), quad.check_tol * (1.0 + abs(out))
     if not gap <= tol:
@@ -1047,10 +1042,7 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     ps, qs = p.ravel(), q.ravel()
     if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(qs))):
         raise PreconditionError("displacements p and q must be finite")
-    if psi.finite_support:
-        start, psi_vec = psi.start, psi.prefix
-    else:
-        start, psi_vec = 0, psi.dense(0, psi.abs_tail_extent(FW_ABS_TOL / 8.0) - 1)
+    start, psi_vec = _certified_prefix(psi, FW_ABS_TOL / 8.0)
     if is_dirac_delta(phi):
         x, at = np.unique((-ps).view(np.int64), return_inverse=True)  # distinct bits: -0.0 is not 0.0
         total = _cmul(_delta_phase(ps, qs), _hermite_series(psi_vec, start, x.view(float))[at])
