@@ -29,6 +29,11 @@ band-limited in p, so their table has its own, shorter p-rule, onto which the (p
 rule's p-sum is interpolated. The nodes are symmetric and h_k has parity (-1)^k, so
 one real table at b + p/2 serves the input and, read with b reversed, the output.
 delta as phi takes the same per-term q-sum, with its phases exp(-i pi p q).
+
+The group action, the pointwise coefficient and delta's closed form read their vector
+through one reader, _certified_prefix: a finite vector as stored, a rapid-decay one
+from 0 to where its envelope bounds the dropped |c_k| below the caller's tolerance.
+A result past the float range is a PreconditionError, with no numpy warning first.
 """
 from __future__ import annotations
 
@@ -682,7 +687,9 @@ def _certified_prefix(v: CoefficientVector, tol: float, least: int = 0) -> tuple
 
 
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
-    """First N coefficients of pi(g) phi via the matrix of the action."""
+    """First N coefficients of pi(g) phi via the matrix of the action, from phi's
+    certified prefix (_certified_prefix) to 1e-14, at least N + INPUT_MARGIN columns.
+    Coefficients past the float range raise PreconditionError."""
     _require_hermite(phi)
     g = as_element(g)
     if N < 0:
@@ -691,7 +698,10 @@ def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> 
     # output's truncation error, whatever the group element
     start, vec = _certified_prefix(phi, 1e-14, N + INPUT_MARGIN)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
-    out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
+    if not np.isfinite(out).all():
+        raise PreconditionError("the group action's coefficients leave the float range")
     return vector_from_prefix(IndexDomain.NATURALS, 0, out, GrowthClass.RAPID_DECAY, degree=-8.0)
 
 
@@ -707,6 +717,7 @@ def dual_act_group(g, psi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation
 # --------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is inf or nan, refused by its reader
 def _algebra_at(d: UEAElement, phi: CoefficientVector, ks: np.ndarray) -> np.ndarray:
     """(pi(d) phi)_k for an index array ks, exact in the stored/tail coefficients.
 
@@ -746,18 +757,22 @@ def _algebra_at(d: UEAElement, phi: CoefficientVector, ks: np.ndarray) -> np.nda
 
 
 def _algebra_envelope(d: UEAElement, env: GrowthEnvelope) -> GrowthEnvelope:
-    """Conservative envelope for pi(d) phi: each ladder step costs (1+k)^(1/2) and 1/ratio."""
+    """Conservative envelope for pi(d) phi: each ladder step costs (1+k)^(1/2) and 1/ratio.
+    A constant past the float range raises PreconditionError."""
     total_c = 0.0
     max_deg = env.degree
-    for alpha, c in d.sorted_terms():
-        cc = env.constant * abs(c) * (2.0 * math.pi) ** alpha[2]
-        r = env.degree
-        for _ in range(alpha[0] + alpha[1]):
-            cc *= 2.0 * SQRT_PI * 2.0 ** (abs(r) + 1.0) / env.ratio
-            r += 0.5
-        total_c += cc
-        max_deg = max(max_deg, r)
-    return GrowthEnvelope(max(total_c, 1e-300), max_deg, env.all_orders, env.ratio)
+    try:
+        for alpha, c in d.sorted_terms():
+            cc = env.constant * abs(c) * (2.0 * math.pi) ** alpha[2]
+            r = env.degree
+            for _ in range(alpha[0] + alpha[1]):
+                cc *= 2.0 * SQRT_PI * 2.0 ** (abs(r) + 1.0) / env.ratio
+                r += 0.5
+            total_c += cc
+            max_deg = max(max_deg, r)
+        return GrowthEnvelope(max(total_c, 1e-300), max_deg, env.all_orders, env.ratio)
+    except (OverflowError, ValueError):  # a power or the constant past the float range
+        raise PreconditionError(f"the envelope constant of a degree {d.degree} action leaves the float range") from None
 
 
 def act_algebra(d: UEAElement, phi: HermiteVector) -> HermiteVector:
@@ -768,6 +783,8 @@ def act_algebra(d: UEAElement, phi: HermiteVector) -> HermiteVector:
     deg = d.degree
     out_len = phi.stop + deg
     prefix = _algebra_at(d, phi, np.arange(out_len))
+    if not np.isfinite(prefix).all():
+        raise PreconditionError(f"a degree {deg} action's coefficients leave the float range")
     tail = phi.tail
     if not tail.is_zero:
         tail = Tail.closure(lambda k: _algebra_at(d, phi, k))
@@ -877,6 +894,7 @@ def _carried_kernel(f: HTestFunction, box: np.ndarray, nodes: int, b: np.ndarray
     return left @ right
 
 
+@np.errstate(over="ignore", invalid="ignore")  # smooth_by refuses a value past the float range
 def _smooth_core(
     f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int | None = None, extra: int = 0, box: np.ndarray | None = None
 ) -> tuple:
@@ -890,8 +908,8 @@ def _smooth_core(
     _table_p_nodes nodes, which the Hermite products, band-limited in p, follow, and
     both (p, q) rules' p-sums are carried onto it (_carried_kernel). So the check
     contracts the kernel difference through the same table, and builds no other. A table
-    of more than TABLE_BUDGET entries (rows x p count x b-rule) raises BudgetExceeded
-    before any rule is built.
+    of more than TABLE_BUDGET entries (rows x p count x b-rule), or a b-rule whose
+    Jacobi matrix (b-rule x b-rule) has more, raises BudgetExceeded before any rule is built.
     """
     box = f.support if box is None else box
     p0, p1 = box[0]
@@ -899,8 +917,9 @@ def _smooth_core(
     rows = max(N, cols + extra)
     rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1])))) if rule is None else rule
     p_count = _table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows)
-    if rows * p_count * rule > TABLE_BUDGET:
-        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {rows * p_count * rule:.3g} entries", math.inf)
+    size = max(rows * p_count, rule) * rule
+    if size > TABLE_BUDGET:
+        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {size:.3g} entries", math.inf)
     y, W = gauss_hermite_rule(rule)
     b = y / SQRT_2PI  # kernel midpoints (x + y)/2
     pc, pcw = legendre_on_interval(p0, p1, p_count)
@@ -960,7 +979,14 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     band = N + _displacement_margin(box, N)
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
     extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
+    # the table has at least cols + extra rows and half as many b-nodes (_x_rule_size):
+    # a band far past the budget is refused before it is read
+    least = (cols + extra) * ((cols + extra + 1) // 2)
+    if least > TABLE_BUDGET:
+        raise BudgetExceeded(f"smoothing needs a Hermite table of at least {least:.3g} entries", math.inf)
     out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, None, extra, box)
+    if not (np.isfinite(out).all() and math.isfinite(gap)):
+        raise PreconditionError("the smoothed coefficients leave the float range")
     tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))
     if not gap <= tol:
         raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out)
@@ -985,6 +1011,7 @@ def gmc_eval(
     return pair(smooth_by(f, phi, quad), psi, abs_tol=abs_tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused below
 def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_tol: float) -> complex:
     """<pi(f) delta, psi> = int int F_1(p, q) exp(-i pi p q) psi(-p) dp dq, with psi(x) =
     sum_k psi_k h_k(x), and <pi(f) delta, delta> = int F_1(0, q) dq (Folland 1.3).
@@ -993,8 +1020,9 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
     (_q_summed), on f's Gauss-Legendre p-rule or, for delta, at the one node p = 0 of
     weight 1, and are checked against the rule CHECK_NODES finer per axis: a gap above
     quad.check_tol (1 + |result|) raises QuadratureAccuracyError. One series call gives
-    psi(-p) at both rules' p-nodes. An infinite psi is read to where the envelope bounds
-    its dropped |psi_k| by abs_tol / (1.3 (1 + sum over p of |the q-sums|)), |h_k| <= 1.3.
+    psi(-p) at both rules' p-nodes. psi is read by _certified_prefix, an infinite one to
+    where the envelope bounds its dropped |psi_k| by abs_tol / (1.3 (1 + sum over p of
+    |the q-sums|)), |h_k| <= 1.3. A result past the float range raises PreconditionError.
     """
     box = f.support
     _support_extent(box)  # which also keeps p q, in the phases exp(-i pi p q), finite
@@ -1012,19 +1040,23 @@ def _delta_eval(psi: HermiteVector, f: HTestFunction, quad: QuadratureSpec, abs_
         start, run = _certified_prefix(psi, abs_tol / (1.3 * (1.0 + float(np.sum(np.abs(sums[0]))))))
         series = _hermite_series(run, start, -np.concatenate(pns))
     out, check = complex(sums[0] @ series[: len(pns[0])]), complex(sums[1] @ series[len(pns[0]) :])
+    if not (np.isfinite(out) and np.isfinite(check)):
+        raise PreconditionError("the closed form of delta's coefficient leaves the float range")
     gap, tol = abs(out - check), quad.check_tol * (1.0 + abs(out))
     if not gap <= tol:
         raise QuadratureAccuracyError("smoothing quadrature has not converged", gap, tol, out, check)
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused by _pointwise_values
 def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np.ndarray:
     """Pointwise coefficient sum_{j,k} phi_j psi_k <pi(p,q,0) h_j, h_k>.
 
     p, q are broadcast scalars or arrays, and so is the result. psi must be
-    rapid-decay; phi may be any class. The point distribution delta (is_dirac_delta)
-    as phi gives exp(-i pi p q) sum_k psi_k h_k(-p) (Folland 1.3), one Hermite series
-    per distinct p (_hermite_series). Any other phi reads the kernel in blocks of
+    rapid-decay, and is read by _certified_prefix to FW_ABS_TOL / 8; phi may be any
+    class. The point distribution delta (is_dirac_delta) as phi gives exp(-i pi p q)
+    sum_k psi_k h_k(-p) (Folland 1.3), one Hermite series per distinct p
+    (_hermite_series). Any other phi reads the kernel in blocks of
     POINT_BLOCK points in order of radius, so a block shares each radius's rows; a
     block holds the columns j the sum reads (_kernel_block): a finite phi's from its
     first nonzero index to its stop, an infinite phi's on every column a row of psi
@@ -1033,6 +1065,7 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     bits of its truncation there. The terms are summed in increasing j (or k), so a
     point has the bits it has alone. A block past TABLE_BUDGET / 8 entries or with rows
     past KERNEL_MAX_INDEX halves the blocks from there on; a lone point raises BudgetExceeded.
+    A value past the float range raises PreconditionError (_pointwise_values).
     """
     _require_hermite(phi)
     _require_hermite(psi)
@@ -1046,7 +1079,7 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
     if is_dirac_delta(phi):
         x, at = np.unique((-ps).view(np.int64), return_inverse=True)  # distinct bits: -0.0 is not 0.0
         total = _cmul(_delta_phase(ps, qs), _hermite_series(psi_vec, start, x.view(float))[at])
-        return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
+        return _pointwise_values(total, p.shape)
 
     if phi.finite_support:
         top, nonzero = max(phi.stop, 1), np.flatnonzero(phi.prefix)
@@ -1069,11 +1102,16 @@ def fourier_wigner(phi: HermiteVector, psi: HermiteVector, p, q) -> complex | np
             total[at] += np.cumsum(_cmul(phi.dense(ws, ws + len(kernel) - 1)[:, None], kernel), axis=0)[-1]
         del kernel  # freed before the next block is built; added into zeros, as 0 + -0 is 0
         i += len(at)
+    return _pointwise_values(total, p.shape)
+
+
+def _pointwise_values(total: np.ndarray, shape: tuple) -> complex | np.ndarray:
+    """fourier_wigner's values total, shaped (a complex for shape ()); a value past the
+    float range raises PreconditionError."""
     bad = int(np.count_nonzero(~np.isfinite(total)))
     if bad:
-        message = f"pointwise coefficient is not finite at {bad} of {len(ps)} points"
-        raise QuadratureAccuracyError(message, bad, 0.0, total, None)
-    return complex(total[0]) if p.ndim == 0 else total.reshape(p.shape)
+        raise PreconditionError(f"the pointwise coefficient leaves the float range at {bad} of {len(total)} points")
+    return complex(total[0]) if shape == () else total.reshape(shape)
 
 
 def pointwise_coefficient(phi: HermiteVector, psi: HermiteVector) -> Callable:

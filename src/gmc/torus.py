@@ -190,6 +190,7 @@ def band(B: int, profile: str | Sequence[complex] = "ones") -> TorusTestFunction
     return TorusTestFunction(coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a factor past the float range is inf or nan, refused by its reader
 def _spectral_factors(d: UEAElement, ns: np.ndarray, sign: float) -> np.ndarray:
     """Factors of L(D) (sign=-1) or R(D) (sign=+1) at frequencies ns: sum_m c_m (sign 2 pi i n)^m."""
     if d.structure.labels != TORUS_STRUCTURE.labels:
@@ -218,12 +219,24 @@ def dual_act_group(t: float, b: TorusSequence) -> TorusSequence:
 
 
 def act_algebra(d: UEAElement, a: TorusSequence) -> TorusSequence:
-    """X^m multiplies the n-th coefficient by (2 pi i n)^m."""
+    """X^m multiplies the n-th coefficient by (2 pi i n)^m. A coefficient or the envelope
+    constant past the float range raises PreconditionError."""
     _require_torus(a)
-    coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
     env = a.envelope
-    envelope = GrowthEnvelope(env.constant * max(coeff_l1, 1e-300), env.degree + d.degree, env.all_orders, env.ratio)
-    return a.map(lambda c, k: c * _spectral_factors(d, k, sign=+1.0), envelope)
+    try:
+        coeff_l1 = sum(abs(c) * TWO_PI ** alpha[0] for alpha, c in d.sorted_terms())
+        envelope = GrowthEnvelope(env.constant * max(coeff_l1, 1e-300), env.degree + d.degree, env.all_orders, env.ratio)
+    except (OverflowError, ValueError):  # (2 pi)^m or C c past the float range
+        raise PreconditionError(f"the envelope constant of a degree {d.degree} action leaves the float range") from None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def scaled(c, k):
+        out = c * _spectral_factors(d, k, sign=+1.0)
+        if not np.isfinite(out).all():
+            raise PreconditionError(f"a degree {d.degree} action's coefficients leave the float range")
+        return out
+
+    return a.map(scaled, envelope)
 
 
 def dual_act_algebra(d: UEAElement, b: TorusSequence) -> TorusSequence:

@@ -540,14 +540,14 @@ def _centred_fsums(*factors: np.ndarray) -> list[complex]:
         z = functools.reduce(operator.mul, factors)
     if not np.isfinite(z).all():
         raise PreconditionError("the sum leaves the float range")
-    re, im = ([_units(x) for x in part.tolist()] for part in (z.real, z.imag))
+    re, im = z.real.tolist(), z.imag.tolist()
     c = len(z) // 2
-    sr, si, sums = re[c], im[c], []
+    sr, si, sums = _units(re[c]), _units(im[c]), []
     try:
         for k in range(c + 1):
-            if k:
-                sr += re[c - k] + re[c + k]
-                si += im[c - k] + im[c + k]
+            if k:  # each term is converted as it is added, so no list of big integers is held
+                sr += _units(re[c - k]) + _units(re[c + k])
+                si += _units(im[c - k]) + _units(im[c + k])
             sums.append(complex(sr / _UNIT, si / _UNIT))
     except OverflowError:
         raise PreconditionError("the sum leaves the float range") from None

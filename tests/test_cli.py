@@ -703,6 +703,25 @@ def test_heisenberg_smoothing_past_the_float_range_is_bad_input(argv, cause):
     assert cause in err
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (("wigner", "json:{big}", "e:0", "--grid=0.3:0.3:1,0.2:0.2:1"), "pointwise coefficient leaves the float range"),
+        (("mollify", "--group", "heisenberg", "json:{big}", "e:0", "bump3", "--n", "2"), "smoothed coefficients leave the float range"),
+    ],
+)
+def test_heisenberg_results_past_the_float_range_exit_2_with_one_line(tmp_path, argv, cause):
+    # finite coefficients of 1.5e308 whose results overflow: these printed numpy warnings,
+    # then an accuracy error whose gap was a point count or nan
+    big = tmp_path / "big.json"
+    coefficients = [[1.5e308, 0], [1.5e308, 0]]
+    envelope = {"constant": 1.5e308, "degree": 0.0, "all_orders": True, "ratio": 1.0}
+    big.write_text(json.dumps({"index_domain": "naturals", "start": 0, "coefficients": coefficients, "envelope": envelope}))
+    code, out, err = run_cli(*(a.format(big=big) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and cause in err
+
+
 def test_one_node_b_rule_smooths(tmp_path):
     # at truncation 1 a support this narrow in q sizes a one-node b-rule
     cfg = tmp_path / "n1.json"
@@ -983,6 +1002,13 @@ def test_requests_import_no_scipy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_readme_library_example_runs():
+    # the README's Python block runs as written, its assert included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_examples_exit_0(tmp_path, monkeypatch):

@@ -848,6 +848,35 @@ def test_gmc_eval_partner_past_the_budget_refuses_before_building(monkeypatch):
         hb.gmc_eval(hb.unit_vector(0), hb.unit_vector(100_000), _BUMP)
 
 
+def test_smooth_by_claims_the_b_rule_before_building_it(monkeypatch):
+    # a centre at q = 100 sizes a b-rule of about 17,000 nodes, whose Jacobi matrix alone
+    # passes the budget (2.1 GiB) though its table of 64 rows does not
+    def refuse(*args):
+        raise AssertionError("no Gauss-Hermite rule or Hermite table should be built")
+
+    monkeypatch.setattr(hb, "hermite_scaled", refuse)
+    monkeypatch.setattr(hb, "gauss_hermite_rule", refuse)
+    far = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1.0).left_translate((0.0, 100.0, 0.0))
+    with pytest.raises(BudgetExceeded):
+        hb.smooth_by(far, hb.unit_vector(0))
+
+
+def test_smooth_by_refuses_a_band_past_the_budget_before_reading_it():
+    # a centre at q = 10^4 reaches 1.6 10^8 input columns: refused before they are read,
+    # where reading them took 2.35 GiB
+    import tracemalloc
+
+    far = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1.0).left_translate((0.0, 1e4, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            hb.smooth_by(far, hb.poly_growth_vector(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("sigma", [0.2, 4.0])
 def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # these inputs store 473 and 301 columns; the output k < N sees only the
@@ -1302,6 +1331,30 @@ def test_float_range_refusal_is_read_off_the_factors(route):
     with pytest.raises(PreconditionError, match="test function values leave the float range on its"):
         route(f)
     assert np.isfinite(hb.smooth_by(1e300 * f, hb.unit_vector(0)).prefix).all()
+
+
+def _past_the_float_range():
+    """phi = 1.5e308 (h_0 + h_1): finite coefficients whose images overflow."""
+    return CoefficientVector(IndexDomain.NATURALS, 0, np.full(2, 1.5e308 + 0j), GrowthEnvelope(1.5e308, 0.0, all_orders=True))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: hb.act_algebra(P**60, hb.unit_vector(0)),
+        lambda: hb.act_algebra(P**80, hb.gaussian_vector(0.8)),
+        lambda: hb.act_group((0.3, 0.2, 0.0), _past_the_float_range()),
+        lambda: hb.fourier_wigner(_past_the_float_range(), hb.unit_vector(0), 0.3, 0.2),
+        lambda: hb.smooth_by(mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.5), _past_the_float_range()),
+        lambda: hb.gmc_eval(hb.dirac_delta(), _past_the_float_range(), mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.5)),
+    ],
+    ids=["P60-unit", "P80-gauss", "act-group", "fourier-wigner", "smooth", "delta-closed-form"],
+)
+def test_results_past_the_float_range_are_precondition_errors(route):
+    # the envelope constant of P^60 h_0 and the coefficients of the other results overflow:
+    # each used to raise a raw ValueError, a count-of-points accuracy error, or warn first
+    with pytest.raises(PreconditionError, match="leaves? the float range"):
+        route()
 
 
 def test_support_narrower_than_the_float_spacing_is_refused():

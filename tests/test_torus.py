@@ -265,6 +265,31 @@ def test_series_partial_sums_equal_the_per_order_sums_bit_for_bit(rng, B):
             assert [_bits(s) for s in table] == [_bits(tr.series_partial_sum(a, m, f)) for m in range(len(table))]
 
 
+def test_series_partial_sums_hold_no_list_of_big_integers():
+    # each term is converted to units of 2^-1074 as it is added: 4.1 MiB traced here, where
+    # two lists of those integers, one per term, peaked at 8.4 MiB
+    import tracemalloc
+
+    B = 1 << 14
+    f = tr.band(B, "ones")
+    tracemalloc.start()
+    try:
+        tr.series_partial_sums(tr.comb(), B, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
+def test_act_algebra_past_the_float_range_is_a_precondition_error():
+    # (2 pi)^400 overflows the envelope constant, and (2 pi n)^120 the comb's coefficients:
+    # both used to escape as an OverflowError or after numpy's RuntimeWarnings
+    with pytest.raises(PreconditionError, match="float range"):
+        tr.act_algebra(X**400, tr.unit(3))
+    with pytest.raises(PreconditionError, match="float range"):
+        tr.act_algebra(X**120, tr.comb())
+
+
 def test_series_partial_sums_refuse_what_a_partial_sum_refuses():
     with pytest.raises(PreconditionError):
         tr.series_partial_sums(tr.comb(), 1, tr.TorusTestFunction(np.full(3, 1e308)))
