@@ -21,14 +21,13 @@ class ToleranceTable:
 class QuadratureSpec:
     """Heisenberg truncation and the smoothing self-check tolerance.
 
-    truncation is the only output length N of smoothing; an infinite input is read
-    at least heisenberg.INPUT_MARGIN columns past it. A test function's (p, q) rule
+    truncation is the only output length N of smoothing; the input is read as far as
+    the kernel rows of those outputs reach. A test function's (p, q) rule
     size is read off its terms; smoothing's Hermite table has its own p count, set by
     the support's width and the Hermite degrees, not by that rule; its Gauss-Hermite
     rule is the least count exact on the degrees it reads and the support's phase.
-    Smoothing runs one pass and checks it, to check_tol relative to the result: its
-    (p, q) rule against a finer one, and an input with coefficients past the band it
-    reads against a longer one, both on the same Hermite table.
+    Smoothing runs one pass and checks its (p, q) rule against a finer one on the same
+    Hermite table, to check_tol relative to the result.
     """
 
     truncation: int = 40

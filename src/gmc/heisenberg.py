@@ -79,8 +79,6 @@ HermiteVector = CoefficientVector
 
 # per-axis count of a test function's (p, q) Gauss-Legendre rule before derivatives
 BOX_NODES = 48
-# an infinite input is read at least this many columns past the output truncation
-INPUT_MARGIN = 32
 # largest Hermite index of a gaussian_vector prefix: widths from about 0.049 to 20.4
 GAUSSIAN_MAX_INDEX = 13_000
 # float64 entries of the largest Hermite table of smoothing, or of the arrays of a fourier_wigner
@@ -97,9 +95,8 @@ KERNEL_MAX_INDEX = 1 << 24
 # fourier_wigner reads an infinite psi to where its dropped |psi_k| sum below FW_ABS_TOL / 8
 FW_ABS_TOL = 1e-10
 _LOG_CUT = -2.0 * math.log(KERNEL_FLOOR)
-# the finer (p, q) rule and the longer input that smoothing checks itself against
+# per-axis nodes the finer (p, q) rule that smoothing checks itself against adds
 CHECK_NODES = 8
-CHECK_COLUMNS = 24
 # rows of the Hermite table that one block of a point series holds
 SERIES_ROWS = 64
 # past this |x| every h_k(x) with k <= KERNEL_MAX_INDEX is below the float range
@@ -646,16 +643,6 @@ def matrix_element(g, j: int, k: int) -> complex:
     return pointwise_coefficient(unit_vector(j), unit_vector(k))(g)
 
 
-def _reach(r2: float, level: int) -> int:
-    """Columns past `level` coupled by group elements with p^2 + q^2 <= r2.
-
-    (p, q, .) couples Hermite levels k across a band of width about
-    2 sqrt(s k) + s with s = pi (p^2 + q^2) / 2.
-    """
-    s = math.pi * r2 / 2.0
-    return int(math.ceil(2.6 * math.sqrt(s * (level + 32)) + s)) + 16
-
-
 def _support_extent(box: np.ndarray) -> tuple:
     """(pm, qm), the largest |p| and |q| of a test function's support box (f.support).
     Smoothing reads Hermite functions at p/2 and phases q b, and its rules nodes on the
@@ -667,36 +654,28 @@ def _support_extent(box: np.ndarray) -> tuple:
     return pm, qm
 
 
-def _displacement_margin(box: np.ndarray, N: int) -> int:
-    """Input truncation margin, at least INPUT_MARGIN, scaled to the phase-space reach of
-    the support box (_support_extent). Past p^2 + q^2 = 1e16 the reach is past any table
-    smoothing may build, and is taken there."""
-    pm, qm = _support_extent(box)
-    return max(INPUT_MARGIN, _reach(min(pm * pm + qm * qm, 1e16), N))
-
-
-def _certified_prefix(v: CoefficientVector, tol: float, least: int = 0) -> tuple:
+def _certified_prefix(v: CoefficientVector, tol: float) -> tuple:
     """(start, run): v's coefficients from index start on, as a Heisenberg layer reads them: a
-    finite v as stored, a rapid-decay v from 0, at least least columns and as far as its
-    envelope certifies the dropped |c_k| to sum below tol (abs_tail_extent). Others are refused."""
+    finite v as stored, a rapid-decay v from 0 as far as its envelope certifies the dropped
+    |c_k| to sum below tol (abs_tail_extent). Others are refused."""
     if v.finite_support:
         return v.start, v.prefix
     if v.growth is not GrowthClass.RAPID_DECAY:
         raise PreconditionError("group action needs a rapid-decay or finitely supported vector")
-    return 0, v.dense(0, max(least, v.abs_tail_extent(tol)) - 1)
+    return 0, v.dense(0, v.abs_tail_extent(tol) - 1)
 
 
 def act_group(g, phi: HermiteVector, N: int = DEFAULT_QUADRATURE.truncation) -> HermiteVector:
     """First N coefficients of pi(g) phi via the matrix of the action, from phi's
-    certified prefix (_certified_prefix) to 1e-14, at least N + INPUT_MARGIN columns.
-    Coefficients past the float range raise PreconditionError."""
+    certified prefix (_certified_prefix) to 1e-14. Coefficients past the float range
+    raise PreconditionError."""
     _require_hermite(phi)
     g = as_element(g)
     if N < 0:
         raise PreconditionError(f"output truncation must be nonnegative, got {N}")
     # kernel entries are at most 1 in modulus, so a read certified to 1e-14 bounds every
     # output's truncation error, whatever the group element
-    start, vec = _certified_prefix(phi, 1e-14, N + INPUT_MARGIN)
+    start, vec = _certified_prefix(phi, 1e-14)
     # K(g) = K(g^{-1})^*, so (K(g) v)_k = conj(sum_j conj(v_j) K(g^{-1})[j, k])
     with np.errstate(over="ignore", invalid="ignore"):
         out = _character(g.t) * np.conj(_kernel_columns(np.conj(vec), N, -g.p, -g.q, start=start)[:, 0])
@@ -816,6 +795,34 @@ def dual_act_algebra(d: UEAElement, psi: HermiteVector) -> HermiteVector:
 
 
 @lru_cache(maxsize=256)
+def _input_band(N: int, x: float) -> tuple:
+    """(band, a): one past the last index of the kernel row W^(N-1) at x (_row_extents), and
+    a = acosh f(band), f(t) = (t + x - N + 1) / (2 sqrt(x t)), its rate of decay there. f
+    falls with k and x, so past band every row W^(k), k < N, at x' <= x is below KERNEL_FLOOR
+    exp(-a (j - band)) of its peak. Where f rounds to 1 (x near pi 1e16), a is 0."""
+    k = float(N - 1)
+    band = int(_row_extents(np.array([k]), np.array([x]))[2][0]) + 1
+    return band, math.acosh(max((band + x - k) / (2.0 * math.sqrt(x * band)), 1.0))
+
+
+def _input_columns(phi: CoefficientVector, band: int, a: float) -> float:
+    """Columns of phi, from 0, that smoothing reads: to band (_input_band), and on while phi's
+    envelope C (1 + j)^r rho^j outgrows the rows' decay KERNEL_FLOOR exp(-a (j - band)), so
+    every dropped |phi_j W_j| is below KERNEL_FLOOR; a finite phi at most to its stop. inf,
+    which the budget refuses, where that decay's slope over the envelope is not positive."""
+    stop = max(phi.stop, 1) if phi.finite_support else math.inf
+    if stop <= band:
+        return stop
+    env = phi.envelope
+    log_rho = math.log(env.ratio)
+    # log of the envelope over the decay at band, which falls at least at slope past it
+    excess = math.log(env.constant) + env.degree * math.log1p(band) + band * log_rho
+    slope = a - log_rho - max(env.degree, 0.0) / (1.0 + band)
+    more = excess / slope if slope > 0.0 else math.inf
+    return min(stop, band + math.floor(max(more, -1.0)) + 1 if more < math.inf else math.inf)
+
+
+@lru_cache(maxsize=256)
 def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
     """Gauss-Hermite count for the midpoint b of smoothing, outputs k < rows, inputs j < cols.
 
@@ -827,7 +834,7 @@ def _x_rule_size(rows: int, cols: int, q_max: float = 0.0) -> int:
     _kernel_block takes x). n is the least count with 2n - 1 >= (max(rows, cols) - 1) +
     last, about (max(rows, cols) + (sqrt(k) + sqrt(pi) q_max)^2) / 2.
     """
-    x = max(math.pi * min(q_max * q_max, 1e16), 1e-200)  # as in _displacement_margin and _kernel_block
+    x = max(math.pi * min(q_max * q_max, 1e16), 1e-200)  # as in smooth_by and _kernel_block
     last = int(_row_extents(np.array([float(min(rows, cols) - 1)]), np.array([x]))[2][0])
     return (max(rows, cols) + last + 1) // 2
 
@@ -895,27 +902,25 @@ def _carried_kernel(f: HTestFunction, box: np.ndarray, nodes: int, b: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # smooth_by refuses a value past the float range
-def _smooth_core(
-    f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int | None = None, extra: int = 0, box: np.ndarray | None = None
-) -> tuple:
-    """(out, gap): the first N coefficients of pi(f) phi from the first len(phi_vec) -
-    extra input columns, on the f.nodes (p, q) rule and the rule-node (_x_rule_size's by
-    default) Gauss-Hermite rule in b, and how far they move, in output units, with the extra
-    columns and with a (p, q) rule CHECK_NODES finer per axis. box is f.support, if given.
+def _smooth_core(f: HTestFunction, phi_vec: np.ndarray, N: int, rule: int | None = None, box: np.ndarray | None = None) -> tuple:
+    """(out, gap): the first N coefficients of pi(f) phi from its input columns phi_vec, on
+    the f.nodes (p, q) rule and the rule-node (_x_rule_size's by default) Gauss-Hermite rule
+    in b, and how far they move, in output units, on a (p, q) rule CHECK_NODES finer per
+    axis. box is f.support, if given.
 
-    One table of the bounded Hermite functions at b + p/2 serves the input, the output
-    (by parity) and the extra columns. It is built on its own Gauss-Legendre p-rule of
-    _table_p_nodes nodes, which the Hermite products, band-limited in p, follow, and
-    both (p, q) rules' p-sums are carried onto it (_carried_kernel). So the check
-    contracts the kernel difference through the same table, and builds no other. A table
-    of more than TABLE_BUDGET entries (rows x p count x b-rule), or a b-rule whose
-    Jacobi matrix (b-rule x b-rule) has more, raises BudgetExceeded before any rule is built.
+    One table of the bounded Hermite functions at b + p/2 serves the input and, by
+    parity, the output. It is built on its own Gauss-Legendre p-rule of _table_p_nodes
+    nodes, which the Hermite products, band-limited in p, follow, and both (p, q) rules'
+    p-sums are carried onto it (_carried_kernel). So the check contracts the kernel
+    difference through the same table, and builds no other. A table of more than
+    TABLE_BUDGET entries (rows x p count x b-rule), or a b-rule whose Jacobi matrix
+    (b-rule x b-rule) has more, raises BudgetExceeded before any rule is built.
     """
     box = f.support if box is None else box
     p0, p1 = box[0]
-    cols = len(phi_vec) - extra
-    rows = max(N, cols + extra)
-    rule = _x_rule_size(N, cols + extra, float(np.max(np.abs(box[1])))) if rule is None else rule
+    cols = len(phi_vec)
+    rows = max(N, cols)
+    rule = _x_rule_size(N, cols, float(np.max(np.abs(box[1])))) if rule is None else rule
     p_count = _table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows)
     size = max(rows * p_count, rule) * rule
     if size > TABLE_BUDGET:
@@ -928,16 +933,12 @@ def _smooth_core(
     # one real table at b + p/2, columns p-major like the kernels; the rule's
     # b[::-1] == -b and parity give h_k(b - p/2) = (-1)^k h_k(b[::-1] + p/2)
     table = hermite_scaled(np.add.outer(pc / 2.0, b).ravel(), rows - 1)
-    # sum_j phi_j h_j(b + p/2) over the main columns and over the extra ones, as
-    # (real, imaginary) rows of one product
-    lhs = np.zeros((4, cols + extra))
-    lhs[0:2, :cols] = phi_vec[:cols].real, phi_vec[:cols].imag
-    lhs[2:4, cols:] = phi_vec[cols:].real, phi_vec[cols:].imag
-    s = lhs @ table[: cols + extra]
-    s, spill = s[0] + 1j * s[1], s[2] + 1j * s[3]
-    # the result and what the finer rule and the extra columns move it by, contracted as
-    # (-1)^k sum over (p, b) of h_k(b - p/2) v(p, b) in one product
-    v = np.stack([s * kw, s * (kw2 - kw) + spill * kw]).reshape(2, len(pc), len(b))[:, :, ::-1].reshape(2, -1)
+    # sum_j phi_j h_j(b + p/2), as the (real, imaginary) rows of one product
+    s = np.stack([phi_vec.real, phi_vec.imag]) @ table[:cols]
+    s = s[0] + 1j * s[1]
+    # the result and what the finer rule moves it by, contracted as (-1)^k sum over
+    # (p, b) of h_k(b - p/2) v(p, b) in one product
+    v = np.stack([s * kw, s * (kw2 - kw)]).reshape(2, len(pc), len(b))[:, :, ::-1].reshape(2, -1)
     both = (table[:N] @ np.concatenate([v.real, v.imag]).T) * (-1.0) ** np.arange(N)[:, None]
     out, moved = both[:, 0] + 1j * both[:, 2], both[:, 1] + 1j * both[:, 3]
     return out, float(np.max(np.abs(moved)))
@@ -955,36 +956,33 @@ def smooth_by(f: HTestFunction, phi: HermiteVector, quad: QuadratureSpec = DEFAU
     and one real table of the bounded Hermite functions at b + p/2 that serves both
     sides by parity. The table has its own p-rule, of _table_p_nodes nodes: the Hermite
     products need fewer p-nodes than the bump, and the (p, q) rule's p-sum is carried
-    onto them. The input is read only in the band that reaches the output, N plus the
-    support's displacement margin. The result is a smooth (rapid-decay) vector from one
-    pass, with three guards:
+    onto them. The input is read as far as the outputs' kernel rows reach at the support's
+    largest pi (p^2 + q^2), and on while its envelope outgrows their decay (_input_columns).
+    The result is a smooth (rapid-decay) vector from one pass, with two guards:
 
     - the b-rule is sized in advance: the least count exact on the output's and the
       read input's Hermite degrees and the phase exp(2 pi i q b) (_x_rule_size);
     - the (p, q) rule is checked against one CHECK_NODES finer per axis, from the
-      central transform and the same Hermite table (_smooth_core), with no second;
-    - an input with nonzero coefficients past the band continues the same Hermite
-      table by CHECK_COLUMNS rows, and what those columns add is measured.
+      central transform and the same Hermite table (_smooth_core), with no second.
 
-    A combined gap above quad.check_tol (1 + max |result|) raises
-    QuadratureAccuracyError. _smooth_core claims the table against TABLE_BUDGET before
-    any is built, and _rule_factors refuses supports and values the rules cannot take.
+    A gap above quad.check_tol (1 + max |result|) raises QuadratureAccuracyError. The
+    input's columns are claimed against TABLE_BUDGET before they are read, and the
+    table by _smooth_core before it is built; _rule_factors refuses supports and values
+    the rules cannot take.
     """
     _require_hermite(phi)
     N = quad.truncation
     if N < 1:
         raise PreconditionError("output truncation must be at least 1")
-    # output k < N couples only to inputs below N + margin, also for a long finite phi
     box = f.support
-    band = N + _displacement_margin(box, N)
-    cols = min(max(phi.stop, 1), band) if phi.finite_support else band
-    extra = CHECK_COLUMNS if not phi.finite_support or phi.stop > cols else 0
-    # the table has at least cols + extra rows and half as many b-nodes (_x_rule_size):
-    # a band far past the budget is refused before it is read
-    least = (cols + extra) * ((cols + extra + 1) // 2)
+    pm, qm = _support_extent(box)
+    cols = _input_columns(phi, *_input_band(N, max(math.pi * min(pm * pm + qm * qm, 1e16), 1e-200)))
+    # the table has at least cols rows and half as many b-nodes (_x_rule_size): an input
+    # read past the budget, or with no certified extent, is refused before it is read
+    least = cols * ((cols + 1) // 2) if cols < math.inf else math.inf
     if least > TABLE_BUDGET:
         raise BudgetExceeded(f"smoothing needs a Hermite table of at least {least:.3g} entries", math.inf)
-    out, gap = _smooth_core(f, phi.dense(0, cols + extra - 1), N, None, extra, box)
+    out, gap = _smooth_core(f, phi.dense(0, cols - 1), N, None, box)
     if not (np.isfinite(out).all() and math.isfinite(gap)):
         raise PreconditionError("the smoothed coefficients leave the float range")
     tol = quad.check_tol * (1.0 + float(np.max(np.abs(out))))

@@ -745,9 +745,9 @@ _BUMP = mo.standard_mollifier(hb.HEISENBERG, n=2, radius=0.8)
 )
 def test_smoothing_matches_closed_form_kernel_sum(f, phi):
     # pi(f) phi = sum over the (p, q) rule of w F_1(p, q) pi(p, q, 0) phi, each
-    # column from the closed-form kernels as in act_group, on the same input
+    # column from the closed-form kernels as in act_group, on a wider input than smoothing reads
     N = 40
-    vec = phi.dense(0, _input_band(f, phi, N) - 1)
+    vec = _wide(phi, N)
     pn, pw = f.axis_rule(0)
     qn, qw = f.axis_rule(1)
     weights = (pw[:, None] * f.central_transform(pn, qn, 1.0) * qw).ravel()
@@ -757,11 +757,23 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _input_band(f, phi, N):
-    """The input columns smoothing reads: N plus the displacement margin, or a shorter
-    finite phi to its stop."""
-    band = N + hb._displacement_margin(f.support, N)
-    return min(max(phi.stop, 1), band) if phi.finite_support else band
+def _wide(phi, N):
+    """phi's first N + 160 columns, or a finite phi's to its stop: wider than smoothing reads
+    for the supports these tests give it a wide reference for."""
+    return phi.dense(0, (max(phi.stop, 1) if phi.finite_support else N + 160) - 1)
+
+
+def _band(f, N):
+    """(band, a): how far the kernel rows of outputs k < N reach at f's support's largest
+    pi (p^2 + q^2), and the rate at which they fall past it."""
+    pm, qm = np.max(np.abs(f.support[:2]), axis=1)
+    return hb._input_band(N, max(math.pi * min(pm * pm + qm * qm, 1e16), 1e-200))
+
+
+def _read_columns(f, phi, N):
+    """The input columns smooth_by(f, phi) reads at truncation N: to the band, and on while
+    phi's envelope outgrows the rows' decay past it."""
+    return hb._input_columns(phi, *_band(f, N))
 
 
 def _q_max(f):
@@ -796,15 +808,15 @@ def _two_table_smooth_core(f, phi_vec, N, nodes):
     ids=["delta-cols-above-N", "e3-cols-below-N", "complex-act", "translated-PQ", "QZ-poly", "delta-N160"],
 )
 def test_single_table_core_matches_two_table_formula(f, phi, N):
-    vec = phi.dense(0, _input_band(f, phi, N) - 1)
-    ref = _two_table_smooth_core(f, vec, N, f.nodes)
-    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, len(vec), _q_max(f)))
+    # smoothing against the two-table formula on a wider input than it reads
+    ref = _two_table_smooth_core(f, _wide(phi, N), N, f.nodes)
+    got = hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_smooth_core_builds_one_hermite_table(monkeypatch):
-    # one table per call: it serves the result, the extra input columns of an infinite
-    # or long input, and the (p, q) check
+    # one table per call, of the rows of the output and of the input columns read: it
+    # serves the result and the (p, q) check
     calls = []
 
     def counting(x, nmax):
@@ -820,11 +832,9 @@ def test_smooth_core_builds_one_hermite_table(monkeypatch):
         (hb.gaussian_vector(0.2), 40),
         (hb.poly_growth_vector(1.2), 56),
     ):
-        cols = _input_band(f, phi, N)
-        extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
         calls.clear()
         hb.smooth_by(f, phi, quad=QuadratureSpec(truncation=N))
-        assert calls == [max(N, cols + extra) - 1]
+        assert calls == [max(N, _read_columns(f, phi, N)) - 1]
 
 
 def test_smooth_by_refuses_an_oversized_table_before_building_it(monkeypatch):
@@ -877,14 +887,54 @@ def test_smooth_by_refuses_a_band_past_the_budget_before_reading_it():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [hb.poly_growth_vector(160.0, 8), hb.poly_growth_vector(1.0).map(lambda c, k: c, GrowthEnvelope(1.0, 1e307))],
+    ids=["degree-160", "degree-1e307"],
+)
+def test_smooth_by_refuses_an_input_whose_envelope_outgrows_the_rows(phi):
+    # past the band the rows fall like exp(-a j); an envelope whose slope past it is not
+    # below that, or whose bound leaves the float range, certifies no extent to read
+    with pytest.raises(BudgetExceeded):
+        hb.smooth_by(_BUMP, phi)
+
+
+@pytest.mark.parametrize("N", [1, 40, 160])
+def test_kernel_rows_fall_past_the_band_at_the_rate_smoothing_reads_by(N, monkeypatch):
+    # every row W^(k), k < N, at x' <= x is below KERNEL_FLOOR exp(-a (j - band)) past the
+    # band: the rows are built past their last index, from a later Miller start
+    for x in np.logspace(-6.0, 3.0, 7):
+        band, a = hb._input_band(N, float(x))
+        more = int(min(60.0, 80.0 / a))
+        row_extents = hb._row_extents
+        with monkeypatch.context() as patch:
+            patch.setattr(hb, "_row_extents", lambda k, x: row_extents(k, x)[:2] + (row_extents(k, x)[2] + more,))
+            q = np.sqrt(np.array([x, x / 3.0, x / 100.0]) / math.pi)
+            for k in sorted({0, N // 2, N - 1}):
+                rows = hb._kernel_columns(np.eye(1, k + 1, k)[0], band + more, np.zeros(3), q)
+                past = np.abs(rows[band:])
+                assert np.all(past <= hb.KERNEL_FLOOR * np.exp(-a * np.arange(more))[:, None]), (x, k)
+                assert np.max(np.abs(rows[band - 1])) > 0.0 or k < N - 1
+
+
+@pytest.mark.parametrize("phi", [hb.poly_growth_vector(1.0), hb.dirac_delta()], ids=["poly-growth-1", "delta"])
+@pytest.mark.parametrize("q0", [1.0, 2.0, 3.0])
+def test_translated_smoothing_is_the_group_action_of_the_smoothing(q0, phi):
+    # pi(L(h) f) = pi(h) pi(f): the translate reads phi as far as its kernel rows reach,
+    # where a 24-column probe passed 8.8e-11 and 1.0e-8 at q0 = 1 and 2, and refused at 3
+    f0, h, N = mo.standard_mollifier(hb.HEISENBERG, 1, 0.5), (0.0, q0, 0.0), 40
+    ref = hb.act_group(h, hb.smooth_by(f0, phi, QuadratureSpec(truncation=N + 160)), N).dense(0, N - 1)
+    got = hb.smooth_by(f0.left_translate(h), phi, QuadratureSpec(truncation=N)).dense(0, N - 1)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("sigma", [0.2, 4.0])
 def test_smooth_by_reads_only_the_coupled_band_of_a_long_input(sigma):
     # these inputs store 473 and 301 columns; the output k < N sees only the
-    # first N + margin of them
+    # first columns, as far as its kernel rows reach
     phi = hb.gaussian_vector(sigma)
     N = 40
-    band = N + hb._displacement_margin(_BUMP.support, N)
-    assert phi.finite_support and phi.stop > band
+    assert phi.finite_support and phi.stop > _read_columns(_BUMP, phi, N)
     full, _ = hb._smooth_core(_BUMP, phi.dense(0, phi.stop - 1), N, hb._x_rule_size(N, phi.stop, _q_max(_BUMP)))
     got = hb.smooth_by(_BUMP, phi, quad=QuadratureSpec(truncation=N)).dense(0, N - 1)
     assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
@@ -902,13 +952,26 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
         hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(check_tol=1e-16))
 
 
+def _former_columns(f, phi, N):
+    """(cols, extra): the input columns a former smooth_by read and the columns its probe
+    added. Its band was N plus a margin of at least 32, 2.6 sqrt(s (N + 32)) + s + 16 for
+    s = pi (p^2 + q^2) / 2 at the support's largest |p| and |q|; a finite phi was read to
+    its stop within it, and an input with coefficients past it was probed 24 columns on."""
+    pm, qm = np.max(np.abs(f.support[:2]), axis=1)
+    s = math.pi * min(pm * pm + qm * qm, 1e16) / 2.0
+    band = N + max(32, math.ceil(2.6 * math.sqrt(s * (N + 32)) + s) + 16)
+    cols = min(max(phi.stop, 1), band) if phi.finite_support else band
+    return cols, 0 if phi.finite_support and phi.stop <= cols else 24
+
+
 def _two_pass_smooth(f, phi, N):
-    """The former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
-    axis and an input CHECK_COLUMNS longer, each on the Gauss-Hermite rule of its input
-    length and the support's largest |q|, through the two-table reference core. Returns (result, check)."""
-    cols = _input_band(f, phi, N)
+    """A former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
+    axis and an input 24 columns longer (_former_columns), each on the Gauss-Hermite rule
+    of its input length and the support's largest |q|, through the two-table reference
+    core. Returns (result, check)."""
+    cols, _ = _former_columns(f, phi, N)
     out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
-    out2 = _two_table_smooth_core(f, phi.dense(0, cols + hb.CHECK_COLUMNS - 1), N, f.nodes + hb.CHECK_NODES)
+    out2 = _two_table_smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + hb.CHECK_NODES)
     return out, out2
 
 
@@ -959,18 +1022,28 @@ def test_one_pass_matches_the_two_pass_oracle(kind, u, n, radius, move, h, chain
     [
         (_BUMP, hb.unit_vector(0), 8),
         (_BUMP, hb.dirac_delta(), 16),
-        (_BUMP.left_translate((0, 6, 0)), hb.dirac_delta(), hb.BOX_NODES),
     ],
-    ids=["coarse-pq-e0", "coarse-pq-delta", "short-band-delta"],
+    ids=["coarse-pq-e0", "coarse-pq-delta"],
 )
 def test_smooth_by_refuses_what_the_two_pass_check_refused(f, phi, box_nodes, monkeypatch):
-    # a (p, q) rule too coarse for the bump, and an input band too short for a far centre
+    # a (p, q) rule too coarse for the bump
     monkeypatch.setattr(hb, "BOX_NODES", box_nodes)
     out, out2 = _two_pass_smooth(f, phi, 40)
     assert np.max(np.abs(out - out2)) > QuadratureSpec().check_tol * (1.0 + np.max(np.abs(out2)))
     with pytest.raises(QuadratureAccuracyError) as err:
         hb.smooth_by(f, phi)
     assert err.value.gap > err.value.tol
+
+
+def test_a_far_centre_smooths_delta_to_its_closed_form():
+    # the former band was too short for this centre, and its 24-column probe refused; read as
+    # far as the kernel rows reach, the smoothing pairs with e:k to delta's closed form
+    f = _BUMP.left_translate((0, 6, 0))
+    out, out2 = _two_pass_smooth(f, hb.dirac_delta(), 40)
+    assert np.max(np.abs(out - out2)) > QuadratureSpec().check_tol * (1.0 + np.max(np.abs(out2)))
+    got = hb.smooth_by(f, hb.dirac_delta()).dense(0, 39)
+    for k in (0, 5, 20, 39):
+        assert abs(got[k] - hb.gmc_eval(hb.dirac_delta(), hb.unit_vector(k), f)) <= 1e-13 * (1.0 + np.max(np.abs(got)))
 
 
 def _weighted_wigner_oracle(f, phi, psi, nodes=160):
@@ -1069,37 +1142,36 @@ def _reference_rule(rows, cols, q_max):
 @pytest.mark.parametrize("spec", ["e:0", "e:7", "gauss:1.1", "delta", "poly-growth:1.5"])
 def test_least_exact_rule_matches_the_former_rule(spec, f, N):
     # the former count, with its floor and margin, and the least exact count give the
-    # same smoothing on the same input columns: within 1e-13 of the largest output, or,
+    # same smoothing on the same input columns, those of the former smooth_by, with the
+    # least count sized on them and the probe's: within 1e-13 of the largest output, or,
     # where the input is large (poly-growth at N = 160), within the round-off the former
     # count shows against a count twice as large, also exact
     phi = parse_vector("heisenberg", spec)
-    cols = _input_band(f, phi, N)
-    extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
-    vec = phi.dense(0, cols + extra - 1)
+    cols, extra = _former_columns(f, phi, N)
+    vec = phi.dense(0, cols - 1)
     rule = _reference_rule(N, cols, _q_max(f))
-    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, cols + extra, _q_max(f)), extra)
-    ref, _ = hb._smooth_core(f, vec, N, rule, extra)
+    got, _ = hb._smooth_core(f, vec, N, hb._x_rule_size(N, cols + extra, _q_max(f)))
+    ref, _ = hb._smooth_core(f, vec, N, rule)
     moved = np.max(np.abs(got - ref))
     if moved > 1e-13 * (1.0 + np.max(np.abs(ref))):
-        assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule, extra)[0] - ref))
+        assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule)[0] - ref))
 
 
 def _smooth_call(f, phi, N):
-    """(vec, rule, extra, rows): the input columns, b-rule, check columns and table rows
-    of smooth_by(f, phi) at truncation N."""
-    cols = _input_band(f, phi, N)
-    extra = 0 if phi.finite_support and phi.stop <= cols else hb.CHECK_COLUMNS
-    return phi.dense(0, cols + extra - 1), hb._x_rule_size(N, cols + extra, _q_max(f)), extra, max(N, cols + extra)
+    """(vec, rule, rows): the input columns, b-rule and table rows of smooth_by(f, phi) at
+    truncation N."""
+    cols = _read_columns(f, phi, N)
+    return phi.dense(0, cols - 1), hb._x_rule_size(N, cols, _q_max(f)), max(N, cols)
 
 
 def test_one_node_b_rule_matches_the_two_node_rule():
     # a support whose largest |q| is below about 1e-20 at N = 1 sizes a one-node b-rule,
     # whose one phase column is its own conjugate half
     f, phi, N = mo.standard_mollifier(hb.HEISENBERG, n=1, radius=1e-60), hb.unit_vector(0), 1
-    vec, rule, extra, _ = _smooth_call(f, phi, N)
+    vec, rule, _ = _smooth_call(f, phi, N)
     assert rule == 1
     got = hb.smooth_by(f, phi, QuadratureSpec(truncation=N)).prefix
-    ref, _ = hb._smooth_core(f, vec, N, 2, extra)
+    ref, _ = hb._smooth_core(f, vec, N, 2)
     assert np.max(np.abs(got - ref)) <= 1e-15
 
 
@@ -1120,16 +1192,16 @@ def test_table_p_rule_matches_the_rule_of_the_bump(r, N, monkeypatch):
             phi = parse_vector("heisenberg", spec)
             if N == 640 and (f.nodes > hb.BOX_NODES or not phi.finite_support):
                 continue
-            vec, rule, extra, rows = _smooth_call(f, phi, N)
+            vec, rule, rows = _smooth_call(f, phi, N)
             if hb._table_p_nodes(f.nodes, (p1 - p0) / 2.0, rows) == f.nodes:
                 continue
-            got, _ = hb._smooth_core(f, vec, N, rule, extra)
+            got, _ = hb._smooth_core(f, vec, N, rule)
             with monkeypatch.context() as patch:
                 patch.setattr(hb, "_table_p_nodes", lambda nodes, half_width, rows: nodes)
-                ref, _ = hb._smooth_core(f, vec, N, rule, extra)
+                ref, _ = hb._smooth_core(f, vec, N, rule)
                 moved = np.max(np.abs(got - ref))
                 if moved > 1e-13 * (1.0 + np.max(np.abs(ref))):
-                    assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule, extra)[0] - ref)), spec
+                    assert moved <= np.max(np.abs(hb._smooth_core(f, vec, N, 2 * rule)[0] - ref)), spec
 
 
 def test_table_p_count_does_not_grow_with_derivative_order(monkeypatch):
@@ -1148,7 +1220,7 @@ def test_table_p_count_does_not_grow_with_derivative_order(monkeypatch):
     phi, N = hb.dirac_delta(), 40
     for g in fs:
         hb.smooth_by(g, phi, quad=QuadratureSpec(truncation=N))
-    _, rule, _, _ = _smooth_call(f, phi, N)
+    _, rule, _ = _smooth_call(f, phi, N)
     assert columns == [columns[0]] * 4
     assert columns[0] % rule == 0 and columns[0] // rule < f.nodes
 
