@@ -121,12 +121,13 @@ class BumpProfile:
         """int J_n(x) exp(2 pi i lam x) dx, one Gauss-Legendre sum (real: J_n is even);
         a float for a scalar lam, computed once per (lam, nodes) on this profile, an
         array of the sums for an array of frequencies."""
-        x, w = legendre_on_interval(-self.support, self.support, nodes)
         lam = np.asarray(lam, dtype=float)
-        if lam.ndim == 0:
-            key = (float(lam), nodes)
-            if key not in self._sums:
-                self._sums[key] = float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
+        key = (float(lam), nodes) if lam.ndim == 0 else None
+        if key in self._sums:  # a cached scalar's sum, before any rule is built
+            return self._sums[key]
+        x, w = legendre_on_interval(-self.support, self.support, nodes)
+        if key is not None:
+            self._sums[key] = float(w @ (self(x) * np.cos(2.0 * np.pi * lam * x)))
             return self._sums[key]
         return (self(x) * np.cos(2.0 * np.pi * np.multiply.outer(lam, x))) @ w
 

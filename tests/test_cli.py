@@ -1016,7 +1016,7 @@ def test_readme_examples_exit_0(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("gmc ")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     monkeypatch.chdir(tmp_path)
     for line in lines:
         code, _, err = run_cli(*shlex.split(line)[1:])

@@ -759,7 +759,7 @@ def test_smoothing_matches_closed_form_kernel_sum(f, phi):
 
 def _wide(phi, N):
     """phi's first N + 160 columns, or a finite phi's to its stop: wider than smoothing reads
-    for the supports these tests give it a wide reference for."""
+    on the supports of the tests that take it as a reference."""
     return phi.dense(0, (max(phi.stop, 1) if phi.finite_support else N + 160) - 1)
 
 
@@ -914,7 +914,7 @@ def test_kernel_rows_fall_past_the_band_at_the_rate_smoothing_reads_by(N, monkey
                 rows = hb._kernel_columns(np.eye(1, k + 1, k)[0], band + more, np.zeros(3), q)
                 past = np.abs(rows[band:])
                 assert np.all(past <= hb.KERNEL_FLOOR * np.exp(-a * np.arange(more))[:, None]), (x, k)
-                assert np.max(np.abs(rows[band - 1])) > 0.0 or k < N - 1
+                assert np.max(np.abs(rows[band - 1])) > 0.0 or k < N - 1  # the top row reaches the band
 
 
 @pytest.mark.parametrize("phi", [hb.poly_growth_vector(1.0), hb.dirac_delta()], ids=["poly-growth-1", "delta"])
@@ -952,26 +952,30 @@ def test_smooth_by_accuracy_error_on_tight_tolerance():
         hb.smooth_by(f, hb.dirac_delta(), quad=QuadratureSpec(check_tol=1e-16))
 
 
+# the columns by which a former smooth_by probed an input past its band
+_PROBE_COLUMNS = 24
+
+
 def _former_columns(f, phi, N):
     """(cols, extra): the input columns a former smooth_by read and the columns its probe
     added. Its band was N plus a margin of at least 32, 2.6 sqrt(s (N + 32)) + s + 16 for
     s = pi (p^2 + q^2) / 2 at the support's largest |p| and |q|; a finite phi was read to
-    its stop within it, and an input with coefficients past it was probed 24 columns on."""
+    its stop within it, and an input with coefficients past it was probed _PROBE_COLUMNS on."""
     pm, qm = np.max(np.abs(f.support[:2]), axis=1)
     s = math.pi * min(pm * pm + qm * qm, 1e16) / 2.0
     band = N + max(32, math.ceil(2.6 * math.sqrt(s * (N + 32)) + s) + 16)
     cols = min(max(phi.stop, 1), band) if phi.finite_support else band
-    return cols, 0 if phi.finite_support and phi.stop <= cols else 24
+    return cols, 0 if phi.finite_support and phi.stop <= cols else _PROBE_COLUMNS
 
 
 def _two_pass_smooth(f, phi, N):
     """A former smooth_by: a result pass and a check pass on a rule CHECK_NODES finer per
-    axis and an input 24 columns longer (_former_columns), each on the Gauss-Hermite rule
+    axis and an input _PROBE_COLUMNS longer (_former_columns), each on the Gauss-Hermite rule
     of its input length and the support's largest |q|, through the two-table reference
     core. Returns (result, check)."""
     cols, _ = _former_columns(f, phi, N)
     out = _two_table_smooth_core(f, phi.dense(0, cols - 1), N, f.nodes)
-    out2 = _two_table_smooth_core(f, phi.dense(0, cols + 23), N, f.nodes + hb.CHECK_NODES)
+    out2 = _two_table_smooth_core(f, phi.dense(0, cols + _PROBE_COLUMNS - 1), N, f.nodes + hb.CHECK_NODES)
     return out, out2
 
 

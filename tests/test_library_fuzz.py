@@ -2,8 +2,10 @@
 
 Coefficients are drawn log-uniform up to 1e308, algebra words up to degree 160, group
 coordinates up to 1e8 in modulus, and Heisenberg bumps are scaled the same way,
-translated and from 1e-3 to 10 in radius. Whatever the input, each call returns finite
-values or raises a GmcError, and it warns nothing: a result past the float range is a
+translated and from 1e-3 to 10 in radius. Smoothing alone is drawn on workload-sized
+bumps, translated and derived, against unit vectors, Gaussians, delta, polynomial growth
+and scaled geometric vectors. Whatever the input, each call returns finite values or
+raises a GmcError, and it warns nothing: a result past the float range is a
 PreconditionError, never inf, nan or a numpy warning.
 """
 import cmath
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 from gmc import heisenberg as hb
 from gmc import mollify as mo
 from gmc import torus as tr
+from gmc.config import QuadratureSpec
 from gmc.errors import GmcError
 from gmc.uea import UEAElement
-from gmc.vectors import CoefficientVector, GrowthEnvelope, IndexDomain, pair
+from gmc.vectors import CoefficientVector, GrowthEnvelope, IndexDomain, formula_vector, pair
 
 EXAMPLES = 60
 MAX_DEGREE = 160
@@ -94,6 +97,38 @@ bump = st.builds(
     magnitude,
     st.tuples(coordinate, coordinate, coordinate),
 )
+
+
+def _moved(n, radius, left, h, word):
+    """A bump J_n of the given radius, translated to h on the left or the right, and
+    derived by at most one generator on the same side."""
+    f = mo.standard_mollifier(hb.HEISENBERG, n, radius)
+    f = f.left_translate(h) if left else f.right_translate(h)
+    if word:
+        d = UEAElement.generator(hb.HEISENBERG_STRUCTURE, word)
+        f = f.left_derive(d) if left else f.right_derive(d)
+    return f
+
+
+moved_bump = st.builds(
+    _moved,
+    st.integers(1, 4),
+    st.floats(0.1, 1.0),
+    st.booleans(),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+    st.sampled_from(("", "P", "Q", "Z")),
+)
+smoothed_vector = st.one_of(
+    st.integers(0, 60).map(hb.unit_vector),
+    st.floats(0.3, 3.0).map(hb.gaussian_vector),
+    st.just(hb.dirac_delta()),
+    st.floats(0.0, 2.5).map(hb.poly_growth_vector),
+    st.builds(
+        lambda ratio, s: _scaled(formula_vector(IndexDomain.NATURALS, 0, 16, "geometric", ratio), s),
+        st.floats(0.05, 0.95),
+        magnitude,
+    ),
+)
 band = st.integers(0, 6).flatmap(lambda B: st.lists(coefficient, min_size=2 * B + 1, max_size=2 * B + 1)).map(
     tr.TorusTestFunction
 )
@@ -135,6 +170,12 @@ def test_fourier_wigner_is_finite_or_typed(phi, psi, p, q):
 @given(phi=hermite_vector_or_delta, psi=hermite_vector_or_delta, f=bump)
 def test_heisenberg_gmc_eval_is_finite_or_typed(phi, psi, f):
     _holds(hb.gmc_eval, phi, psi, f)
+
+
+@settings(max_examples=30, deadline=None)  # a smoothing costs up to 0.1 s: 30 draws keep it near 1 s
+@given(f=moved_bump, phi=smoothed_vector, N=st.sampled_from((8, 40)))
+def test_heisenberg_smooth_by_is_finite_or_typed(f, phi, N):
+    _holds(hb.smooth_by, f, phi, QuadratureSpec(truncation=N))
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
